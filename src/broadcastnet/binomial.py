@@ -37,13 +37,11 @@ class BinomialTree:
 
     m: int
     tree_index: int = 1
-    parent: dict[int, int | None] = field(default_factory=dict)
     children: dict[int, list[int]] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.parent:
+        if not self.children:
             for mask in range(1 << self.m):
-                self.parent[mask] = parent_mask(mask) if mask else None
                 self.children[mask] = children_masks(mask, self.m)
 
     @property

@@ -88,8 +88,14 @@ def _vertex(g: Graph, vid: int):
     return g.labels[vid]
 
 
+def _read_graph(path: str) -> Graph:
+    with open(path, "rb") as fh:
+        return Graph.from_json(fh.read())
+
+
 def run(argv: list[str]) -> int:
-    args = _parser().parse_args(argv)
+    ap = _parser()
+    args = ap.parse_args(argv)
     cmd = args.command
 
     if cmd == "params":
@@ -105,18 +111,21 @@ def run(argv: list[str]) -> int:
         return 0
 
     if cmd == "certify":
+        if args.jobs < 1:
+            ap.error(f"--jobs must be at least 1, got {args.jobs}")
+        try:
+            vid = None if args.originator == "all" else int(args.originator)
+        except ValueError:
+            ap.error(f"--originator must be a vertex id or 'all', got {args.originator!r}")
         params = _params_for(args)
         g, layout, _ = build(params)
-        origin = None
-        if args.originator != "all":
-            origin = [_vertex(g, int(args.originator))]
+        origin = None if vid is None else [_vertex(g, vid)]
         report = certify_graph(g, layout, params, jobs=args.jobs, originators=origin)
         sys.stdout.write(report.to_json())
         return 0 if report.passed else 1
 
     if cmd == "exact":
-        with open(args.graph) as fh:
-            g = Graph.from_json(fh.read())
+        g = _read_graph(args.graph)
         value = exact_broadcast_time(g, _vertex(g, args.originator))
         sys.stdout.write(f"{value}\n")
         return 0
@@ -134,14 +143,15 @@ def run(argv: list[str]) -> int:
         if args.n_min is not None or args.n_max is not None:
             lo = args.n_min if args.n_min is not None else (1 << args.t) + 1
             hi = args.n_max if args.n_max is not None else lo
+            if lo > hi:
+                ap.error(f"table2: n range [{lo}, {hi}] is empty")
             n_values = list(range(lo, hi + 1))
         sys.stdout.write(bounds_mod.table2_csv(args.t, n_values,
                                                facsimile=args.paper_facsimile))
         return 0
 
     if cmd == "export":
-        with open(args.graph) as fh:
-            g = Graph.from_json(fh.read())
+        g = _read_graph(args.graph)
         data = g.export(args.format)
         if args.out:
             with open(args.out, "wb") as fh:

@@ -6,20 +6,22 @@ every remaining tree vertex to a fixed set of roots.  Smaller graphs are
 obtained by deleting vertices: whole trees whose roots fill the low cube
 blocks, then single vertices pruned leaves-first.
 
-Deletion never removes a root child while any tree in the pruning order
-still has deeper vertices available: a root child's attachment to its own
-root coincides with its tree edge, so deleting it removes one edge fewer
-than deleting any other vertex, and postponing root children keeps the
-per-vertex edge loss uniform (and the accounting deltas flat across each
-(x, p) regime).  Capacity arithmetic shows the postponement never runs out,
-so in practice no root child is ever deleted.
+Pruning never removes a root child: a root child's attachment to its own
+root coincides with its tree edge, so deleting it would remove one edge
+fewer than deleting any other vertex and break the uniform per-vertex edge
+loss (and the flat accounting deltas across each (x, p) regime).  Nor does
+it touch a low-half tree when x = 0.  The deep (non-root-child) vertices of
+the pruning trees always suffice: pruning takes M(x - 2^p + 1) + y <= 2^p M - 1
+vertices (p = 0 when x = 0), and the 2^k - 2^p pruning trees (the 2^(k-1)
+first-half trees when x = 0) each hold M - 1 - h deep vertices, where
+M = 2^h and h = t + 1 - k >= 5.  _prune asserts this capacity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .binomial import BinomialTree, binomial_rounds_masks, build_binomial
+from .binomial import binomial_rounds_masks
 from .errors import ParamOutOfRange
 from .graph import Graph
 from .hypercube import Hypercube, build_hypercube
@@ -46,7 +48,6 @@ class CaseOneLayout:
     pruned_masks: dict[int, frozenset[int]] = field(default_factory=dict)
     replacement_coords: tuple[tuple[int, int], ...] = ()
     deletion_items: dict | None = None
-    _tree_cache: dict[int, BinomialTree] = field(default_factory=dict, repr=False)
     _plain_rounds: dict[int, list[list[Call]]] = field(default_factory=dict, repr=False)
 
     @property
@@ -78,16 +79,9 @@ class CaseOneLayout:
         lo = 1 << self.params.p if self.params.x > 0 else 0
         return list(range(lo, 1 << self.k)) if self.params.x > 0 else list(range(1 << self.k))
 
-    def root_index_of_coord(self, c: int) -> int | None:
-        """Tree index rooted at cube coordinate c (None for the w corner)."""
-        return self.tree_of_coord.get(c)
-
     def subcube_of_coord(self, c: int) -> int:
         """Index i of the block Q^i containing coordinate c (c in the low half, c > 0)."""
         return c.bit_length() - 1
-
-    def in_first_half(self, c: int) -> bool:
-        return c >= self.half
 
     def coord_string(self, c: int) -> str:
         return format(c, f"0{self.k}b")
@@ -110,20 +104,9 @@ class CaseOneLayout:
         mask = int(label.pos, 2) if label.pos else 0
         return (tree, mask)
 
-    def alive(self, key: Key) -> bool:
-        tree, mask = key
-        if tree in self.deleted_trees:
-            return False
-        return mask not in self.pruned_masks.get(tree, ())
-
     def alive_masks(self, tree: int) -> set[int]:
         gone = self.pruned_masks.get(tree, frozenset())
         return {m for m in range(self.tree_size) if m not in gone}
-
-    def tree_obj(self, index: int) -> BinomialTree:
-        if index not in self._tree_cache:
-            self._tree_cache[index] = build_binomial(self.h, tree_index=index)
-        return self._tree_cache[index]
 
     def tree_rounds(self, index: int,
                     informed_masks: set[int] | None = None) -> list[list[Call]]:
@@ -236,53 +219,30 @@ def _prune_tree_sequence(layout: CaseOneLayout) -> list[int]:
         reverse=True,
     )
     seq = q2 + q1_v2 + [layout.coord_of_tree[params.k]]
-    if params.x == 0:
-        # keep the low half untouched; fall back to its trees only if ever needed
-        extra = sorted(
-            range(1, half),
-            key=lambda c: (layout.subcube_of_coord(c), layout.tree_of_coord[c]),
-            reverse=True,
-        )
-        seq = q1_v2 + [layout.coord_of_tree[params.k]] + extra
     return [layout.tree_of_coord[c] for c in seq]
 
 
-def _leaves_first(M: int) -> tuple[list[int], list[int]]:
-    """Masks of one tree in deletion order: (deep vertices, root children).
-
-    Deep vertices by decreasing depth, ties by position code descending;
-    root children (single-bit masks) are segregated so they can be
-    postponed across trees.
-    """
-    deep = sorted(
+def _leaves_first(M: int) -> list[int]:
+    """Deep (non-root-child) masks of one tree in deletion order: by
+    decreasing depth, ties by position code descending."""
+    return sorted(
         (m for m in range(1, M) if m & (m - 1)),
         key=lambda m: (bin(m).count("1"), m),
         reverse=True,
     )
-    root_children = sorted((m for m in range(1, M) if not m & (m - 1)), reverse=True)
-    return deep, root_children
 
 
 def _prune(layout: CaseOneLayout, need: int) -> dict[int, set[int]]:
-    deep, root_children = _leaves_first(layout.tree_size)
-    seq = _prune_tree_sequence(layout)
+    deep = _leaves_first(layout.tree_size)
     taken: dict[int, set[int]] = {}
-    for pool in (deep, root_children):
-        for tree in seq:
-            if need == 0:
-                break
-            got = taken.setdefault(tree, set())
-            for m in pool:
-                if need == 0:
-                    break
-                if m not in got:
-                    got.add(m)
-                    need -= 1
+    for tree in _prune_tree_sequence(layout):
         if need == 0:
             break
+        taken[tree] = set(deep[:need])
+        need -= len(taken[tree])
     if need:
         raise AssertionError("pruning capacity exhausted")
-    return {t: s for t, s in taken.items() if s}
+    return taken
 
 
 # ---------------------------------------------------------------------------

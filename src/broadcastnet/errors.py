@@ -23,3 +23,7 @@ class TooLarge(BroadcastNetError):
 
 class SchemePhaseOverrun(BroadcastNetError):
     """The hypercube phase of a generated schedule failed to finish by round k."""
+
+
+class MalformedGraph(BroadcastNetError):
+    """A graph file is not a graph written by Graph.to_json."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from typing import Iterable, Sequence
 
-from .errors import UnknownVertex
+from .errors import MalformedGraph, UnknownVertex
 from .labels import VertexLabel
 
 
@@ -143,11 +143,32 @@ class Graph:
         return json.dumps(obj, separators=(",", ":"), sort_keys=False) + "\n"
 
     @classmethod
-    def from_json(cls, data: str) -> "Graph":
-        obj = json.loads(data)
-        labels = [VertexLabel.from_json(v) for v in sorted(obj["vertices"], key=lambda v: v["id"])]
-        return cls.from_sorted(labels, [tuple(e) for e in obj["edges"]],
-                               t=obj.get("t"), k=obj.get("k"))
+    def from_json(cls, data: str | bytes) -> "Graph":
+        """Read what :meth:`to_json` writes; raise MalformedGraph on anything else."""
+        try:
+            obj = json.loads(data)
+        except (ValueError, RecursionError) as exc:
+            raise MalformedGraph(f"graph file is not JSON: {exc}") from None
+        if not (isinstance(obj, dict) and isinstance(obj.get("vertices"), list)
+                and isinstance(obj.get("edges"), list)
+                and all(obj.get(key) is None or type(obj[key]) is int for key in ("t", "k"))):
+            raise MalformedGraph("graph JSON needs 'vertices' and 'edges' lists, int 't' and 'k'")
+        n = len(obj["vertices"])
+        labels: list[VertexLabel | None] = [None] * n
+        for i, v in enumerate(obj["vertices"]):
+            if not (isinstance(v, dict) and _is_id(v.get("id"), n) and labels[v["id"]] is None
+                    and "tree" in v and (v["tree"] is None or type(v["tree"]) is int)
+                    and isinstance(v.get("pos"), str)
+                    and "cube" in v and (v["cube"] is None or isinstance(v["cube"], str))):
+                raise MalformedGraph(f"vertex entry {i} is malformed or repeats an id")
+            labels[v["id"]] = VertexLabel.from_json(v)
+        if len(set(labels)) != n:
+            raise MalformedGraph("two vertices share a label")
+        for i, e in enumerate(obj["edges"]):
+            if not (isinstance(e, list) and len(e) == 2 and _is_id(e[0], n)
+                    and _is_id(e[1], n) and e[0] != e[1]):
+                raise MalformedGraph(f"edge entry {i} is not two distinct ids in [0, {n})")
+        return cls.from_sorted(labels, obj["edges"], t=obj.get("t"), k=obj.get("k"))
 
     def to_edgelist(self) -> str:
         return "".join(f"{a} {b}\n" for a, b in self.edge_ids())
@@ -189,6 +210,10 @@ class Graph:
         if fmt == "edgelist":
             return self.to_edgelist().encode()
         raise ValueError(f"unknown export format: {fmt}")
+
+
+def _is_id(value, n: int) -> bool:
+    return type(value) is int and 0 <= value < n
 
 
 def degree(g: Graph, v: VertexLabel) -> int:

@@ -54,7 +54,3 @@ def pos_string(mask: int, order: int) -> str:
     if mask == 0:
         return ""
     return format(mask, f"0{order}b")
-
-
-def mask_of_pos(pos: str) -> int:
-    return int(pos, 2) if pos else 0

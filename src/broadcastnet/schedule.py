@@ -17,7 +17,6 @@ class Schedule:
 
     originator: VertexLabel
     rounds: list[list[Call]] = field(default_factory=list)
-    phase1_strategy: str = "paper"
 
     @property
     def num_calls(self) -> int:
@@ -40,6 +39,5 @@ class Schedule:
                 for calls in self.rounds
             ],
             "completes_at": self.completes_at,
-            "phase1_strategy": self.phase1_strategy,
         }
         return json.dumps(obj, separators=(",", ":")) + "\n"

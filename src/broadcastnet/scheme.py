@@ -101,84 +101,6 @@ def _block_sweep(layout: CaseOneLayout, j: int) -> list[list[CoordCall]]:
     return sweep_rounds(1 << j, list(range(j)), set(range(1 << j, 1 << (j + 1))))
 
 
-def _exact_phase1(layout: CaseOneLayout, seeds: set[int], budget: int) -> list[list[CoordCall]]:
-    """Optimal search fallback over the live cube subgraph (tiny instances only)."""
-    live = sorted(layout.live_coords)
-    if len(live) > 16:
-        raise SchemePhaseOverrun(f"cube phase incomplete and {len(live)} cube vertices "
-                                 "exceed the exact-search cap")
-    idx = {c: i for i, c in enumerate(live)}
-    nbr = {c: [] for c in live}
-    repl = {tuple(sorted(e)) for e in layout.replacement_coords}
-    for c in live:
-        for b in range(layout.k):
-            c2 = c ^ (1 << b)
-            if c2 in idx:
-                nbr[c].append(c2)
-        for a, bq in layout.replacement_coords:
-            if a == c:
-                nbr[c].append(bq)
-            elif bq == c:
-                nbr[c].append(a)
-    full = (1 << len(live)) - 1
-    start = 0
-    for s in seeds:
-        start |= 1 << idx[s]
-
-    def matchings(state: int) -> set[int]:
-        outs: set[int] = set()
-
-        def rec(vs: list[int], used: int, newly: int):
-            if not vs:
-                outs.add(newly)
-                return
-            v, rest = vs[0], vs[1:]
-            any_free = False
-            for w in nbr[v]:
-                bit = 1 << idx[w]
-                if not state & bit and not used & bit and not newly & bit:
-                    any_free = True
-                    rec(rest, used, newly | bit)
-            if not any_free:
-                rec(rest, used, newly)
-
-        rec([v for v in live if state & (1 << idx[v])], 0, 0)
-        return outs
-
-    # breadth-first over informed-set states
-    frontier = {start: []}
-    for r in range(budget):
-        if full in frontier:
-            break
-        nxt: dict[int, list] = {}
-        for state, hist in frontier.items():
-            for newly in matchings(state):
-                s2 = state | newly
-                if s2 not in nxt:
-                    calls = []  # reconstruct deterministically later; store newly sets
-                    nxt[s2] = hist + [(state, newly)]
-        frontier = nxt
-    if full not in frontier:
-        raise SchemePhaseOverrun("no cube schedule within budget")
-    rounds: list[list[CoordCall]] = []
-    for state, newly in frontier[full]:
-        calls = []
-        used = 0
-        todo = newly
-        for v in live:
-            if not state & (1 << idx[v]):
-                continue
-            for w in nbr[v]:
-                bit = 1 << idx[w]
-                if todo & bit and not used & (1 << idx[v]):
-                    calls.append((v, w))
-                    used |= 1 << idx[v]
-                    todo &= ~bit
-                    break
-        rounds.append(calls)
-    return rounds
-
-
 # ---------------------------------------------------------------------------
 # schedule assembly
 
@@ -200,8 +122,6 @@ def make_schedule(g: Graph, layout: CaseOneLayout, params: ConstructionParams,
                 rounds[start - 1 + off].append((coord_label(a), coord_label(b)))
 
     ukey = layout.key_of_label(u)
-    strategy = "paper"
-
     if case.on_cube:
         uc = layout.coord_of_tree[ukey[0]] if ukey[1] == 0 else 0
         if params.n == params.N:
@@ -240,7 +160,7 @@ def make_schedule(g: Graph, layout: CaseOneLayout, params: ConstructionParams,
                 rounds[i - 1].append((u, coord_label(1 << (j - 1))))
                 place(i + 1, _block_sweep(layout, j - 1))
 
-    # verify the cube phase made it; fall back to exact search if not
+    # the cube phase must have informed every live coordinate by round k
     cube_informed = _replay_coords(layout, rounds[:k], ukey)
     want = set(layout.live_coords)
     if case.on_cube or params.x > 0 or ukey == layout.w_key:
@@ -248,18 +168,7 @@ def make_schedule(g: Graph, layout: CaseOneLayout, params: ConstructionParams,
     else:
         missing = want - cube_informed - {0}  # w is reached through its tree
     if missing:
-        seeds = {layout.coord_of_tree[ukey[0]]} if ukey[1] == 0 else set()
-        if ukey == layout.w_key:
-            seeds = {0}
-        if not seeds:
-            raise SchemePhaseOverrun(f"cube vertices missed by round {k}: {sorted(missing)}")
-        for r in range(k):
-            rounds[r] = []
-        place(1, _exact_phase1(layout, seeds, k))
-        strategy = "exact"
-        cube_informed = _replay_coords(layout, rounds[:k], ukey)
-        if want - cube_informed - (set() if case.on_cube else {0}):
-            raise SchemePhaseOverrun("exact cube search failed")
+        raise SchemePhaseOverrun(f"cube vertices missed by round {k}: {sorted(missing)}")
 
     # tree phase
     w_informed = 0 in cube_informed and layout.w_alive
@@ -276,7 +185,7 @@ def make_schedule(g: Graph, layout: CaseOneLayout, params: ConstructionParams,
         for off, calls in enumerate(frag):
             rounds[k + off].extend(calls)
 
-    return Schedule(originator=u, rounds=rounds, phase1_strategy=strategy)
+    return Schedule(originator=u, rounds=rounds)
 
 
 def _replay_coords(layout: CaseOneLayout, coord_phase: list[list[Call]],

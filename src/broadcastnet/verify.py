@@ -118,7 +118,6 @@ class CertificationReport:
     passed: bool
     per_originator: list[tuple[int, int]] = field(default_factory=list)
     failures: list[dict] = field(default_factory=list)
-    strategies: dict[str, int] = field(default_factory=dict)
 
     def to_json(self) -> str:
         obj = {
@@ -127,7 +126,6 @@ class CertificationReport:
             "target": self.target,
             "max_round": self.max_round,
             "pass": self.passed,
-            "strategies": dict(sorted(self.strategies.items())),
             "failures": self.failures,
             "per_originator": [list(x) for x in self.per_originator],
         }
@@ -154,7 +152,7 @@ def _certify_one(g: Graph, layout, params, vid: int) -> dict:
     except BroadcastNetError as exc:
         return {"id": vid, "error": f"{type(exc).__name__}: {exc}"}
     res = check_schedule(g, sched)
-    out = {"id": vid, "strategy": sched.phase1_strategy}
+    out = {"id": vid}
     if res.ok:
         out["round"] = res.completion_round
     else:
@@ -189,7 +187,6 @@ def certify_graph(g: Graph, layout: CaseOneLayout, params: ConstructionParams,
             rnd = out["round"]
             report.per_originator.append((out["id"], rnd))
             worst = max(worst, rnd)
-            report.strategies[out["strategy"]] = report.strategies.get(out["strategy"], 0) + 1
             if rnd > target:
                 report.passed = False
                 if len(report.failures) < 10:

@@ -317,7 +317,7 @@ def test_criterion_8_mutation_soundness():
     assert check_schedule(g, valid).ok
 
     def mutated(extra_call):
-        s = Schedule(originator=u, phase1_strategy=valid.phase1_strategy)
+        s = Schedule(originator=u)
         s.rounds = [list(calls) for calls in valid.rounds]
         s.rounds[0].append(extra_call)
         return s

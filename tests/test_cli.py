@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -133,3 +134,80 @@ def test_byte_identical_reruns(capsys, tmp_path):
     _, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
     assert data1 == (tmp_path / "b").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ("certify", "--t", "7", "--k", "2", "--originator", "abc"),
+    ("certify", "--t", "7", "--k", "2", "--jobs", "0"),
+    ("certify", "--t", "7", "--k", "2", "--jobs", "-2"),
+    ("table2", "--t", "7", "--n-min", "150", "--n-max", "140"),
+])
+def test_bad_flag_values_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "error:" in captured.err and "Traceback" not in captured.err
+
+
+_TWO = '[{"id":0,"tree":1,"pos":"","cube":null},{"id":1,"tree":2,"pos":"","cube":null}]'
+
+
+@pytest.mark.parametrize("command", [("exact", "--originator", "0"),
+                                     ("export", "--format", "edgelist")])
+@pytest.mark.parametrize("text", [
+    "not json",
+    "[]",
+    '{"edges":[]}',
+    '{"vertices":"abc","edges":[]}',
+    '{"vertices":[{"id":0,"tree":1,"pos":""}],"edges":[]}',
+    '{"vertices":[{"id":"0","tree":1,"pos":"","cube":null}],"edges":[]}',
+    '{"vertices":' + _TWO + ',"edges":[[0,2]]}',
+    '{"vertices":' + _TWO + ',"edges":[[0,-1]]}',
+    '{"vertices":' + _TWO + ',"edges":[[1,1]]}',
+    '{"vertices":' + _TWO + ',"edges":[[0,1.0]]}',
+])
+def test_malformed_graph_file_exit_1(tmp_path, capsys, command, text):
+    path = tmp_path / "g.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, command[0], "--graph", str(path), *command[1:])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# SHA-256 of stdout (and of the written file for construct).  A change of
+# internal representation must keep these outputs byte-identical.
+GOLDEN = [
+    (("params", "--t", "14", "--k", "3", "--n", "16385"),
+     "d1de695c5ca665a58bbd4c4b1c32c6a720abe448bd119d868246d6bc4e6e5ee7", None),
+    (("bounds", "--n", "200"),
+     "dc09ddd250308899391f51e996593d1b2fa2597b97741629eac5a1a6040af76c", None),
+    (("construct", "--t", "7", "--k", "2", "--format", "json"),
+     "f97598df1eeaf0063c53e82f85dd806d45334ae4a8a4029feddd26ccf0a59d57",
+     "7f488fe62b40c2549fdbb770466f6bc7bd6cce82ef5eb80cbbf85f5b84246362"),
+    (("certify", "--t", "7", "--k", "2"),
+     "0fd06ead106918c2ce4e4dc1b0ef8323bea5d80e53e51ccbae423937507cad45", None),
+    (("certify", "--t", "7", "--k", "3", "--n", "161"),
+     "3c8b55d2d04b0e2e776779b7f0e68ee968305da98ebd10d96df6b533213c1084", None),
+    (("schedule", "--t", "7", "--k", "2", "--originator", "5"),
+     "56fc6f95eb69ecfb28ddd6eddbeac96b295e0d168e7deb4ec39049ae903027d1", None),
+    (("schedule", "--t", "7", "--k", "3", "--n", "161", "--originator", "0"),
+     "227f19a0cefccda390f805af276218125702ca9afa1d3ff29303bd9a6c8b35a0", None),
+    (("schedule", "--t", "7", "--k", "3", "--n", "161", "--originator", "100"),
+     "b8b6c6f2dc509b944fab59c5b20aa00f02fdf0f1e995ddd8fbacc5fa322f0011", None),
+]
+
+
+@pytest.mark.parametrize("argv,out_digest,file_digest", GOLDEN,
+                         ids=[" ".join(argv) for argv, _, _ in GOLDEN])
+def test_golden_output_digests(tmp_path, capsys, argv, out_digest, file_digest):
+    argv = list(argv)
+    if file_digest:
+        argv += ["--out", str(tmp_path / "g")]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == out_digest
+    if file_digest:
+        assert hashlib.sha256((tmp_path / "g").read_bytes()).hexdigest() == file_digest

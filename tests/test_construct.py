@@ -9,7 +9,8 @@ from broadcastnet import (
     build_case2,
     make_params,
 )
-from broadcastnet.construct import remaining_closed_form
+from broadcastnet.construct import _make_layout, _prune, remaining_closed_form
+from broadcastnet.params import max_k
 
 
 def test_case1_t7k2_totals(g72):
@@ -167,6 +168,26 @@ def test_case2_roots_never_pruned():
         for tree, masks in layout.pruned_masks.items():
             assert 0 not in masks
             assert tree not in layout.deleted_trees
+
+
+def test_pruning_capacity_at_worst_case_y():
+    """At y = M - 1, the largest pruning need for each x, the deep vertices
+    of the pruning trees suffice: no root child is taken, and an x = 0
+    build leaves every low-half tree whole."""
+    for t in range(7, 13):
+        for k in range(2, max_k(t, n_odd=True) + 1):
+            M = 1 << (t + 1 - k)
+            N = ((1 << k) - 1) * M
+            for x in range((1 << (k - 1)) - 1):
+                params = make_params(t, k, N - x * M - (M - 1))
+                assert (params.x, params.y) == (x, M - 1)
+                layout = _make_layout(params)
+                need = params.d - ((1 << params.p) - 1) * M
+                pruned = _prune(layout, need)
+                assert sum(len(masks) for masks in pruned.values()) == need
+                assert all(m & (m - 1) for masks in pruned.values() for m in masks)
+                if x == 0:
+                    assert all(layout.coord_of_tree[tree] >= layout.half for tree in pruned)
 
 
 def test_case2_descendants_deleted_before_ancestors():

@@ -1,9 +1,12 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from broadcastnet import (
     Graph,
+    MalformedGraph,
     UnknownVertex,
     VertexLabel,
     build_binomial,
@@ -114,3 +117,29 @@ def test_handshake_and_roundtrip_on_random_graphs(n, pairs):
 def test_handshake_on_constructed_graph(g72):
     _, g, _, _ = g72
     assert sum(g.degree(v) for v in g.labels) == 2 * g.num_edges
+
+
+_scalars = (st.none() | st.booleans() | st.integers(-2, 4) | st.floats(allow_nan=False)
+            | st.text(max_size=2))
+_json = st.recursive(_scalars, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+    st.sampled_from(["id", "tree", "pos", "cube", "vertices", "edges", "t", "k"]),
+    inner, max_size=4), max_leaves=12)
+_label = st.fixed_dictionaries({"tree": st.none() | st.integers(0, 3),
+                                "pos": st.sampled_from(["", "0", "1"]),
+                                "cube": st.none() | st.just("1")})
+_vertices = st.lists(_label, max_size=4).map(
+    lambda labels: [dict(label, id=i) for i, label in enumerate(labels)])
+_graph = st.fixed_dictionaries(
+    {"vertices": _vertices | st.lists(_json, max_size=3),
+     "edges": st.lists(st.lists(st.integers(-1, 4), min_size=2, max_size=2) | _json,
+                       max_size=4)},
+    optional={"t": st.integers(6, 8) | _scalars, "k": st.integers(1, 3) | _scalars})
+
+@settings(max_examples=300)
+@given(st.text(max_size=30) | _json.map(json.dumps) | _graph.map(json.dumps))
+def test_from_json_raises_only_malformed_graph(text):
+    try:
+        g = Graph.from_json(text)
+    except MalformedGraph:
+        return
+    assert Graph.from_json(g.to_json()) == g
