@@ -16,6 +16,7 @@ from .bounds import (
 from .construct import CaseOneLayout, EdgeAccounting, audit_edges, build, build_case1, build_case2
 from .errors import (
     BroadcastNetError,
+    DisconnectedGraph,
     MalformedGraph,
     ParamOutOfRange,
     RootNotInformed,
@@ -42,8 +43,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BinomialTree", "BoundReport", "BroadcastNetError", "CaseOneLayout",
-    "CertificationReport", "CheckResult", "ConstructionParams", "EdgeAccounting",
-    "Graph", "Hypercube", "MalformedGraph", "ParamOutOfRange", "RootNotInformed", "Schedule",
+    "CertificationReport", "CheckResult", "ConstructionParams", "DisconnectedGraph",
+    "EdgeAccounting", "Graph", "Hypercube", "MalformedGraph", "ParamOutOfRange",
+    "RootNotInformed", "Schedule",
     "SchemeCase", "SchemePhaseOverrun", "TooLarge", "UnknownVertex", "Violation",
     "VertexLabel", "audit_edges", "binomial_schedule", "bound_5a", "bound_5b",
     "bound_farley", "bound_hl_direct", "bound_hln_odd", "bound_knodel_even",

@@ -131,6 +131,8 @@ def run(argv: list[str]) -> int:
         return 0
 
     if cmd == "bounds":
+        if args.n < 2:
+            ap.error(f"bounds: --n must be at least 2, got {args.n}")
         sys.stdout.write(bounds_mod.bound_report(args.n).to_json())
         return 0
 
@@ -139,12 +141,15 @@ def run(argv: list[str]) -> int:
         return 0
 
     if cmd == "table2":
+        if args.t < 7:
+            ap.error(f"table2: --t must be at least 7, got {args.t}")
         n_values = None
         if args.n_min is not None or args.n_max is not None:
             lo = args.n_min if args.n_min is not None else (1 << args.t) + 1
             hi = args.n_max if args.n_max is not None else lo
-            if lo > hi:
-                ap.error(f"table2: n range [{lo}, {hi}] is empty")
+            if not (1 << args.t) < lo <= hi <= 1 << (args.t + 1):
+                ap.error(f"table2: n range [{lo}, {hi}] is empty or leaves "
+                         f"({1 << args.t}, {1 << (args.t + 1)}] for t={args.t}")
             n_values = list(range(lo, hi + 1))
         sys.stdout.write(bounds_mod.table2_csv(args.t, n_values,
                                                facsimile=args.paper_facsimile))

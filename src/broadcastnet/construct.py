@@ -6,6 +6,14 @@ every remaining tree vertex to a fixed set of roots.  Smaller graphs are
 obtained by deleting vertices: whole trees whose roots fill the low cube
 blocks, then single vertices pruned leaves-first.
 
+The builder numbers vertices by their full-size id (tree - 1) * M + mask,
+where M = 2^h and mask is the vertex's position code read in binary.
+Position codes have a fixed width, so ascending full id is the canonical
+label order: the dense ids of a built graph are the ranks of its surviving
+full ids, and labels are made once per surviving vertex, at assembly.  One
+classifier, _edge_classes, sorts full-id edges into the accounting classes
+for the build, the deletion ledger and audit_edges alike.
+
 Pruning never removes a root child: a root child's attachment to its own
 root coincides with its tree edge, so deleting it would remove one edge
 fewer than deleting any other vertex and break the uniform per-vertex edge
@@ -14,22 +22,23 @@ it touch a low-half tree when x = 0.  The deep (non-root-child) vertices of
 the pruning trees always suffice: pruning takes M(x - 2^p + 1) + y <= 2^p M - 1
 vertices (p = 0 when x = 0), and the 2^k - 2^p pruning trees (the 2^(k-1)
 first-half trees when x = 0) each hold M - 1 - h deep vertices, where
-M = 2^h and h = t + 1 - k >= 5.  _prune asserts this capacity.
+h = t + 1 - k >= 5.  _prune asserts this capacity.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .binomial import binomial_rounds_masks
 from .errors import ParamOutOfRange
 from .graph import Graph
-from .hypercube import Hypercube, build_hypercube
 from .labels import VertexLabel, pos_string
 from .params import ConstructionParams
 from .schedule import Call
 
 Key = tuple[int, int]  # (tree index, position mask)
+Edge = tuple[int, int]  # (low, high) full ids
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +56,6 @@ class CaseOneLayout:
     deleted_trees: frozenset[int] = frozenset()
     pruned_masks: dict[int, frozenset[int]] = field(default_factory=dict)
     replacement_coords: tuple[tuple[int, int], ...] = ()
-    deletion_items: dict | None = None
     _plain_rounds: dict[int, list[list[Call]]] = field(default_factory=dict, repr=False)
 
     @property
@@ -76,8 +84,7 @@ class CaseOneLayout:
 
     @property
     def live_coords(self) -> list[int]:
-        lo = 1 << self.params.p if self.params.x > 0 else 0
-        return list(range(lo, 1 << self.k)) if self.params.x > 0 else list(range(1 << self.k))
+        return list(range(1 << self.params.p if self.params.x > 0 else 0, 1 << self.k))
 
     def subcube_of_coord(self, c: int) -> int:
         """Index i of the block Q^i containing coordinate c (c in the low half, c > 0)."""
@@ -127,9 +134,6 @@ class CaseOneLayout:
             self._plain_rounds[index] = labeled
         return labeled
 
-    def cube(self) -> Hypercube:
-        return build_hypercube(self.k)
-
 
 def _make_layout(params: ConstructionParams) -> CaseOneLayout:
     k = params.k
@@ -145,55 +149,60 @@ def _make_layout(params: ConstructionParams) -> CaseOneLayout:
     return CaseOneLayout(params=params, coord_of_tree=coord_of_tree, tree_of_coord=tree_of_coord)
 
 
+def _full_id(layout: CaseOneLayout, key: Key) -> int:
+    return (key[0] - 1) * layout.tree_size + key[1]
+
+
 # ---------------------------------------------------------------------------
-# edge generation
+# edge generation and assembly
 
 
-def _attachment_targets(layout: CaseOneLayout, tree: int) -> list[Key]:
-    """Roots every non-root vertex of the given tree is wired to."""
+def _attachment_targets(layout: CaseOneLayout, tree: int) -> list[int]:
+    """Trees whose roots every non-root vertex of the given tree is wired to."""
     k = layout.k
     c = layout.coord_of_tree[tree]
     if c >= layout.half:
-        return [(j, 0) for j in range(1, k)] + [(tree, 0)]
+        return list(range(1, k)) + [tree]
     iq = layout.subcube_of_coord(c)
-    return [(tree, 0)] + [(j, 0) for j in range(1, k) if j != iq + 1] + [(k, 0)]
+    return [tree] + [j for j in range(1, k) if j != iq + 1] + [k]
 
 
-def _case1_edges(layout: CaseOneLayout) -> set[frozenset[Key]]:
+def _case1_edges(layout: CaseOneLayout) -> list[Edge]:
+    """Every full-size edge once, as a (low, high) pair of full ids."""
     params = layout.params
     M = layout.tree_size
-    edges: set[frozenset[Key]] = set()
-    for i in range(1, params.num_trees + 1):
-        for mask in range(1, M):
-            edges.add(frozenset(((i, mask), (i, mask & (mask - 1)))))
-    for c in range(1 << params.k):
+    w = _full_id(layout, layout.w_key)
+    edges: list[Edge] = []
+    for base in range(0, params.num_trees * M, M):
+        edges.extend((base + (m & (m - 1)), base + m) for m in range(1, M))
+    cube = [_full_id(layout, layout.key_of_coord(c)) for c in range(1 << params.k)]
+    for c, a in enumerate(cube):
         for b in range(params.k):
-            c2 = c ^ (1 << b)
-            if c < c2:
-                edges.add(frozenset((layout.key_of_coord(c), layout.key_of_coord(c2))))
-    w = layout.w_key
+            if c < c ^ (1 << b):
+                z = cube[c ^ (1 << b)]
+                edges.append((a, z) if a < z else (z, a))
+    nonroot = range(1, M)
+    deep = [m for m in nonroot if m & (m - 1)]  # a root child's own-root link is its tree edge
     for i in range(1, params.num_trees + 1):
-        targets = _attachment_targets(layout, i)
-        for mask in range(1, M):
-            v = (i, mask)
-            if v == w:
-                continue
-            for tgt in targets:
-                edges.add(frozenset((v, tgt)))
+        base = (i - 1) * M
+        for r in _attachment_targets(layout, i):
+            root = (r - 1) * M
+            for v in (base + m for m in (deep if r == i else nonroot)):
+                if v != w:
+                    edges.append((root, v) if root < v else (v, root))
     return edges
 
 
-def _graph_from_keys(layout: CaseOneLayout, keys: set[Key],
-                     edges: set[frozenset[Key]]) -> Graph:
-    ordered = sorted(keys)  # (tree, mask) order == canonical label order
-    index = {key: i for i, key in enumerate(ordered)}
-    labels = [layout.label_of_key(key) for key in ordered]
-    id_edges = []
-    for e in edges:
-        a, b = tuple(e)
-        ia, ib = index[a], index[b]
-        id_edges.append((ia, ib) if ia < ib else (ib, ia))
-    return Graph.from_sorted(labels, id_edges, t=layout.params.t, k=layout.params.k)
+def _assemble(layout: CaseOneLayout, edges: list[Edge], gone: bytearray) -> Graph:
+    """Graph on the full ids not marked in ``gone``; dense ids are their ranks."""
+    h, low = layout.h, layout.tree_size - 1
+    alive = [v for v, mark in enumerate(gone) if not mark]
+    rank = [0] * len(gone)
+    for i, v in enumerate(alive):
+        rank[v] = i
+    labels = [layout.label_of_key(((v >> h) + 1, v & low)) for v in alive]
+    return Graph.from_sorted(labels, ((rank[a], rank[b]) for a, b in edges),
+                             t=layout.params.t, k=layout.params.k)
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +252,22 @@ def _prune(layout: CaseOneLayout, need: int) -> dict[int, set[int]]:
     if need:
         raise AssertionError("pruning capacity exhausted")
     return taken
+
+
+# deletion marks, indexed by full id
+_PRUNED, _ROOT, _BODY = 1, 2, 3  # pruned vertex; root / non-root of a deleted tree
+
+
+def _deletion_marks(layout: CaseOneLayout) -> bytearray:
+    M = layout.tree_size
+    gone = bytearray(layout.params.num_trees * M)
+    for tree in layout.deleted_trees:
+        base = (tree - 1) * M
+        gone[base:base + M] = bytes([_ROOT]) + bytes([_BODY]) * (M - 1)
+    for tree, masks in layout.pruned_masks.items():
+        for m in masks:
+            gone[(tree - 1) * M + m] = _PRUNED
+    return gone
 
 
 # ---------------------------------------------------------------------------
@@ -328,55 +353,81 @@ def _case1_formulas(params: ConstructionParams) -> dict[str, int]:
     }
 
 
-def _classify_case1_edge(layout: CaseOneLayout, a: Key, b: Key) -> str:
-    on_cube_a = a[1] == 0 or a == layout.w_key
-    on_cube_b = b[1] == 0 or b == layout.w_key
-    if on_cube_a and on_cube_b:
-        return "cube"
-    if a[0] == b[0]:
-        ma, mb = a[1], b[1]
-        if ma & (ma - 1) == mb or mb & (mb - 1) == ma:
-            return "tree"
-        assert ma == 0 or mb == 0, f"non-adjacent tree pair {a}-{b}"
-        return "root_attach"  # to the root, not along a tree edge
-    root, v = (a, b) if a[1] == 0 else (b, a)
-    rc = layout.coord_of_tree[root[0]]
-    vc = layout.coord_of_tree[v[0]]
-    if root[0] == layout.params.k and rc >= layout.half > vc:
-        return "rk_attach"
-    if root[0] < layout.params.k:
-        return "v1_q1" if vc >= layout.half else "v1_q2"
-    raise AssertionError(f"unclassifiable edge {a}-{b}")
-
-
-def _measure_case1(layout: CaseOneLayout, edges: set[frozenset[Key]],
-                   replacement: set[frozenset[Key]]) -> dict[str, int]:
-    counts = {"tree": 0, "cube": 0, "root_attach": 0, "rk_attach": 0,
-              "v1_q1": 0, "v1_q2": 0, "replacement": 0}
-    for e in edges:
-        if e in replacement:
-            counts["replacement"] += 1
+def _edge_classes(layout: CaseOneLayout, edges: list[Edge]) -> list[str]:
+    """Class of each full-size edge, given as (low, high) full ids: "cube"
+    (both ends on the cube; replacement edges too), "tree", "root_attach" (to
+    the own root, not along a tree edge), "rk_attach", "v1_q1" or "v1_q2"."""
+    h, k, half = layout.h, layout.k, layout.half
+    low = layout.tree_size - 1  # mask bits, and the full id of w
+    coord = [layout.coord_of_tree[i] for i in range(1, layout.params.num_trees + 1)]
+    out = []
+    for a, b in edges:
+        ma, mb = a & low, b & low
+        if (ma == 0 or a == low) and (mb == 0 or b == low):
+            out.append("cube")
             continue
-        a, b = tuple(e)
-        counts[_classify_case1_edge(layout, a, b)] += 1
-    return counts
+        ta, tb = a >> h, b >> h  # zero-based tree index
+        if ta == tb:
+            if mb & (mb - 1) == ma:
+                out.append("tree")
+                continue
+            assert ma == 0, f"non-adjacent tree pair {a}-{b}"
+            out.append("root_attach")
+            continue
+        root, v = (ta, tb) if ma == 0 else (tb, ta)
+        if root == k - 1 and coord[v] < half:
+            out.append("rk_attach")
+        elif root < k - 1:
+            out.append("v1_q1" if coord[v] >= half else "v1_q2")
+        else:
+            raise AssertionError(f"unclassifiable edge {a}-{b}")
+    return out
 
 
-def _accounting_case1(layout: CaseOneLayout, edges: set[frozenset[Key]],
-                      replacement: set[frozenset[Key]] | None = None) -> EdgeAccounting:
+def _accounting(layout: CaseOneLayout, edges: list[Edge], replacements: int) -> EdgeAccounting:
     f = _case1_formulas(layout.params)
-    m = _measure_case1(layout, edges, replacement or set())
-    total = len(edges)
+    m = Counter(_edge_classes(layout, edges))
     return EdgeAccounting(
         tree_edges=ItemCheck(f["tree"], m["tree"]),
-        cube_edges=ItemCheck(f["cube"], m["cube"]),
+        cube_edges=ItemCheck(f["cube"], m["cube"] - replacements),
         root_links=ItemCheck(f["root"], m["root_attach"]),
         rk_links=ItemCheck(f["rk"], m["rk_attach"]),
         v1_first_half_links=ItemCheck(f["v1q1"], m["v1_q1"]),
         v1_second_half_links=ItemCheck(f["v1q2"], m["v1_q2"]),
-        total_edges=ItemCheck(f["total"], total),
-        replacements_added=m["replacement"],
+        total_edges=ItemCheck(f["total"], len(edges)),
+        replacements_added=replacements,
     )
+
+
+def _deletion_ledger(layout: CaseOneLayout, acc: EdgeAccounting,
+                     edges: list[Edge], gone: bytearray) -> None:
+    """Classify every full-size edge that deletion removed and fill the
+    removed_* block of ``acc`` (measured on the graph it describes)."""
+    params = layout.params
+    M, k, p, x = params.tree_size, params.k, params.p, params.x
+    hit = [(a, b) for a, b in edges if gone[a] or gone[b]]
+    d13 = d14g = d15 = d16 = 0
+    for (a, b), cls in zip(hit, _edge_classes(layout, hit)):
+        marks = (gone[a], gone[b])
+        if cls == "cube":
+            d14g += 1
+        elif _BODY in marks:
+            d13 += 1
+        elif marks in ((_ROOT, 0), (0, _ROOT)):
+            d15 += 1
+        else:
+            d16 += 1
+    added = acc.replacements_added
+    f13 = (k + 1) * (M - 1) * ((1 << p) - 1)
+    f14 = (k - 1) * ((1 << p) - 1)
+    f15 = p * (params.n - (1 << k) + (1 << p))
+    f16 = (k + 1) * (M * (x - ((1 << p) - 1)) + params.y) if x > 0 else (k + 1) * params.y
+    acc.removed_tree_vertex_edges = ItemCheck(f13, d13)
+    acc.removed_cube_net = ItemCheck(f14, d14g - added)
+    acc.removed_v1_links = ItemCheck(f15, d15)
+    acc.removed_pruned_edges = ItemCheck(f16, d16)
+    acc.removed_total = ItemCheck(removed_closed_form(params), d13 + d14g + d15 + d16 - added)
+    acc.remaining_edges = ItemCheck(remaining_closed_form(params), acc.total_edges.measured)
 
 
 def removed_closed_form(params: ConstructionParams) -> int:
@@ -400,9 +451,8 @@ def build_case1(params: ConstructionParams) -> tuple[Graph, CaseOneLayout, EdgeA
         raise ParamOutOfRange(f"n={params.n}: full-size build requires n = N = {params.N}")
     layout = _make_layout(params)
     edges = _case1_edges(layout)
-    keys = {(i, m) for i in range(1, params.num_trees + 1) for m in range(params.tree_size)}
-    g = _graph_from_keys(layout, keys, edges)
-    return g, layout, _accounting_case1(layout, edges)
+    g = _assemble(layout, edges, bytearray(params.N))
+    return g, layout, _accounting(layout, edges, 0)
 
 
 def build_case2(params: ConstructionParams) -> tuple[Graph, CaseOneLayout, EdgeAccounting]:
@@ -410,74 +460,29 @@ def build_case2(params: ConstructionParams) -> tuple[Graph, CaseOneLayout, EdgeA
     if not params.n < params.N:
         raise ParamOutOfRange(f"n={params.n}: deletion build requires n < N = {params.N}")
     layout = _make_layout(params)
-    edges = _case1_edges(layout)
     M, k, p, x = params.tree_size, params.k, params.p, params.x
-
-    a_nonroot: set[Key] = set()
-    a_root: set[Key] = set()
+    need = params.y
     if x > 0:
-        for c in range(1, 1 << p):
-            tree = layout.tree_of_coord[c]
-            layout.deleted_trees |= {tree}
-            a_root.add((tree, 0))
-            a_nonroot.update((tree, m) for m in range(1, M))
-        need = M * (x - ((1 << p) - 1)) + params.y
-    else:
-        need = params.y
-    pruned = _prune(layout, need)
-    layout.pruned_masks = {t: frozenset(s) for t, s in pruned.items()}
-    b_set: set[Key] = {(t, m) for t, s in pruned.items() for m in s}
-    deleted = a_nonroot | a_root | b_set
-    assert len(deleted) == params.d
-
-    added: set[frozenset[Key]] = set()
-    if x > 0:
+        layout.deleted_trees = frozenset(layout.tree_of_coord[c] for c in range(1, 1 << p))
+        need += M * (x - ((1 << p) - 1))
         receivers = list(range(1 << (k - 2), 1 << (k - 1)))
-        repl = []
-        for i, bcoord in enumerate(range(layout.half, layout.half + (1 << p))):
-            r = receivers[i % len(receivers)]
-            repl.append((bcoord, r))
-            added.add(frozenset((layout.key_of_coord(bcoord), layout.key_of_coord(r))))
-        layout.replacement_coords = tuple(repl)
-        assert not added & edges
+        layout.replacement_coords = tuple(
+            (b, receivers[i % len(receivers)])
+            for i, b in enumerate(range(layout.half, layout.half + (1 << p))))
+    layout.pruned_masks = {t: frozenset(s) for t, s in _prune(layout, need).items()}
+    gone = _deletion_marks(layout)
+    assert len(gone) - gone.count(0) == params.d
 
-    # classify every deleted edge before dropping it
-    d13 = d14g = d15 = d16 = 0
-    kept: set[frozenset[Key]] = set()
-    for e in edges:
-        hit = e & deleted
-        if not hit:
-            kept.add(e)
-            continue
-        a, b = tuple(e)
-        cube_edge = (a[1] == 0 or a == layout.w_key) and (b[1] == 0 or b == layout.w_key)
-        if cube_edge:
-            d14g += 1
-        elif a in a_nonroot or b in a_nonroot:
-            d13 += 1
-        elif (a in a_root) != (b in a_root) and not (e - a_root) & deleted:
-            d15 += 1
-        else:
-            d16 += 1
-    final_edges = kept | added
-    keys = {(i, m) for i in range(1, params.num_trees + 1)
-            for m in range(M)} - deleted
-    g = _graph_from_keys(layout, keys, final_edges)
-
-    acc = _accounting_case1(layout, final_edges, replacement=added)
-    f13 = (k + 1) * (M - 1) * ((1 << p) - 1)
-    f14 = (k - 1) * ((1 << p) - 1)
-    f15 = p * (params.n - (1 << k) + (1 << p))
-    f16 = (k + 1) * (M * (x - ((1 << p) - 1)) + params.y) if x > 0 else (k + 1) * params.y
-    deleted_total = d13 + d14g + d15 + d16
-    acc.removed_tree_vertex_edges = ItemCheck(f13, d13)
-    acc.removed_cube_net = ItemCheck(f14, d14g - len(added))
-    acc.removed_v1_links = ItemCheck(f15, d15)
-    acc.removed_pruned_edges = ItemCheck(f16, d16)
-    acc.removed_total = ItemCheck(removed_closed_form(params), deleted_total - len(added))
-    acc.remaining_edges = ItemCheck(remaining_closed_form(params), len(final_edges))
-    acc.replacements_added = len(added)
-    layout.deletion_items = acc.to_json_obj()
+    # a replacement joins two roots that differ in two coordinate bits, so
+    # it is no cube edge and never coincides with an edge of the full graph
+    added = [tuple(sorted(_full_id(layout, layout.key_of_coord(c)) for c in pair))
+             for pair in layout.replacement_coords]
+    edges = _case1_edges(layout)
+    final = [(a, b) for a, b in edges if not (gone[a] or gone[b])] + added
+    g = _assemble(layout, final, gone)
+    assert g.num_edges == len(final)
+    acc = _accounting(layout, final, len(added))
+    _deletion_ledger(layout, acc, edges, gone)
     return g, layout, acc
 
 
@@ -490,22 +495,9 @@ def build(params: ConstructionParams) -> tuple[Graph, CaseOneLayout, EdgeAccount
 def audit_edges(g: Graph, layout: CaseOneLayout,
                 params: ConstructionParams) -> EdgeAccounting:
     """Re-measure every edge class on a built graph against the closed forms."""
-    repl = {
-        frozenset((layout.key_of_coord(a), layout.key_of_coord(b)))
-        for a, b in layout.replacement_coords
-    }
-    edges = set()
-    for ia, ib in g.edge_ids():
-        edges.add(frozenset((layout.key_of_label(g.labels[ia]),
-                             layout.key_of_label(g.labels[ib]))))
-    acc = _accounting_case1(layout, edges, replacement=repl)
-    if layout.deletion_items:
-        stored = layout.deletion_items
-        for name in ("removed_tree_vertex_edges", "removed_cube_net",
-                     "removed_v1_links", "removed_pruned_edges",
-                     "removed_total", "remaining_edges"):
-            item = stored.get(name)
-            if item:
-                setattr(acc, name, ItemCheck(item["formula"], item["measured"]))
-        acc.replacements_added = stored["replacements_added"]
+    full = [_full_id(layout, layout.key_of_label(label)) for label in g.labels]
+    acc = _accounting(layout, [(full[a], full[b]) for a, b in g.edge_ids()],
+                      len(layout.replacement_coords))
+    if params.n < params.N:
+        _deletion_ledger(layout, acc, _case1_edges(layout), _deletion_marks(layout))
     return acc

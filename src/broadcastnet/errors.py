@@ -27,3 +27,7 @@ class SchemePhaseOverrun(BroadcastNetError):
 
 class MalformedGraph(BroadcastNetError):
     """A graph file is not a graph written by Graph.to_json."""
+
+
+class DisconnectedGraph(BroadcastNetError):
+    """A broadcast cannot complete because the graph is not connected."""

@@ -175,14 +175,23 @@ class Graph:
 
     @classmethod
     def from_edgelist(cls, data: str, n: int | None = None) -> "Graph":
-        """Rebuild from "id id" lines; labels are not recoverable from this format."""
+        """Rebuild from "id id" lines; labels are not recoverable from this format.
+
+        Raises MalformedGraph on a line that is not two distinct non-negative
+        integer ids, below ``n`` when it is given."""
         edges = []
         top = -1
-        for line in data.splitlines():
+        for num, line in enumerate(data.splitlines(), start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            a, b = (int(x) for x in line.split())
+            tokens = line.split()
+            if not (len(tokens) == 2 and all(x.isascii() and x.isdigit() for x in tokens)):
+                raise MalformedGraph(f"edge-list line {num} is not two non-negative ids: {line!r}")
+            a, b = int(tokens[0]), int(tokens[1])
+            if a == b or (n is not None and max(a, b) >= n):
+                bound = "" if n is None else f" below n={n}"
+                raise MalformedGraph(f"edge-list line {num} is not two distinct ids{bound}: {line!r}")
             edges.append((min(a, b), max(a, b)))
             top = max(top, a, b)
         count = n if n is not None else top + 1

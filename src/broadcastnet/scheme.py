@@ -96,9 +96,9 @@ def _low_region(layout: CaseOneLayout, entry: int) -> list[list[CoordCall]]:
     return _region_rounds(entry, 1 << layout.params.p, layout.k - 2)
 
 
-def _block_sweep(layout: CaseOneLayout, j: int) -> list[list[CoordCall]]:
-    """Sweep of block Q^j from its designated corner 2^j."""
-    return sweep_rounds(1 << j, list(range(j)), set(range(1 << j, 1 << (j + 1))))
+def _block_sweep(j: int, seed: int) -> list[list[CoordCall]]:
+    """Sweep of block Q^j (the coordinates whose highest set bit is j) from seed."""
+    return sweep_rounds(seed, list(range(j)), set(range(1 << j, 1 << (j + 1))))
 
 
 # ---------------------------------------------------------------------------
@@ -154,11 +154,10 @@ def make_schedule(g: Graph, layout: CaseOneLayout, params: ConstructionParams,
             j = k - i + 1
             if swap_round == i:
                 rounds[i - 1].append((u, root_label))
-                place(i + 1, sweep_rounds(rc, list(range(case.subcube)),
-                                          set(layout.cube().subcube(case.subcube))))
+                place(i + 1, _block_sweep(case.subcube, rc))
             else:
                 rounds[i - 1].append((u, coord_label(1 << (j - 1))))
-                place(i + 1, _block_sweep(layout, j - 1))
+                place(i + 1, _block_sweep(j - 1, 1 << (j - 1)))
 
     # the cube phase must have informed every live coordinate by round k
     cube_informed = _replay_coords(layout, rounds[:k], ukey)

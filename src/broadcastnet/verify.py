@@ -14,7 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .construct import CaseOneLayout
-from .errors import BroadcastNetError, TooLarge, UnknownVertex
+from .errors import BroadcastNetError, DisconnectedGraph, TooLarge, UnknownVertex
 from .graph import Graph
 from .labels import VertexLabel
 from .params import ConstructionParams, ceil_log2
@@ -210,6 +210,8 @@ def exact_broadcast_time(g: Graph, u: VertexLabel) -> int:
     if n > 16:
         raise TooLarge(f"exact search capped at 16 vertices, got {n}")
     start_id = g.vertex_id(u)
+    if not g.is_connected():
+        raise DisconnectedGraph("graph is disconnected; broadcast cannot complete")
     adj = [0] * n
     for a in range(n):
         for b in g.adj[a]:
@@ -266,7 +268,4 @@ def exact_broadcast_time(g: Graph, u: VertexLabel) -> int:
             memo[state] = result
         return result
 
-    value = best(1 << start_id, n)
-    if value >= INF:
-        raise UnknownVertex("graph is disconnected; broadcast cannot complete")
-    return value
+    return best(1 << start_id, n)

@@ -141,6 +141,16 @@ def test_byte_identical_reruns(capsys, tmp_path):
     ("certify", "--t", "7", "--k", "2", "--jobs", "0"),
     ("certify", "--t", "7", "--k", "2", "--jobs", "-2"),
     ("table2", "--t", "7", "--n-min", "150", "--n-max", "140"),
+    ("table2", "--t", "7", "--n-min", "5", "--n-max", "6"),
+    ("table2", "--t", "7", "--n-min", "128", "--n-max", "130"),
+    ("table2", "--t", "7", "--n-min", "250", "--n-max", "257"),
+    ("table2", "--t", "7", "--n-min", "1000", "--n-max", "1001"),
+    ("table2", "--t", "5"),
+    ("table2", "--t", "6", "--paper-facsimile"),
+    ("table2", "--t", "-1"),
+    ("bounds", "--n", "0"),
+    ("bounds", "--n", "1"),
+    ("bounds", "--n", "-3"),
 ])
 def test_bad_flag_values_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -177,6 +187,16 @@ def test_malformed_graph_file_exit_1(tmp_path, capsys, command, text):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_exact_disconnected_graph_exit_1(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text('{"vertices":' + _TWO + ',"edges":[]}')
+    code, out, err = run_cli(capsys, "exact", "--graph", str(path), "--originator", "0")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "disconnected" in err
+
+
 # SHA-256 of stdout (and of the written file for construct).  A change of
 # internal representation must keep these outputs byte-identical.
 GOLDEN = [
@@ -191,6 +211,15 @@ GOLDEN = [
      "0fd06ead106918c2ce4e4dc1b0ef8323bea5d80e53e51ccbae423937507cad45", None),
     (("certify", "--t", "7", "--k", "3", "--n", "161"),
      "3c8b55d2d04b0e2e776779b7f0e68ee968305da98ebd10d96df6b533213c1084", None),
+    (("construct", "--t", "7", "--k", "3", "--n", "161", "--format", "json"),
+     "a03e3524f6537883ef3037442f7a82451cec28b0c288b9f576663b9d9e26ac8d",
+     "ac215683305e1020d22500949585c79dacf5597e79efc3b57dc77a44c088a7ac"),
+    (("construct", "--t", "8", "--k", "3", "--n", "400", "--format", "edgelist"),
+     "7d2faf8dcce680e39c1524d892e80c04c104bfb398505141ef80e3d3552bee3a",
+     "2a283d101cb5878e38f5f57bb8cdc4b0f2351a2587bff7d7154e8ac34bf12a8b"),
+    (("construct", "--t", "9", "--k", "4", "--n", "703", "--format", "dot"),
+     "ea15ae366a87584abe3c3f62c153684da8e64b0898b691fd1744654ebf424be6",
+     "164509f564c8ae986040d4123ba15fce3a61b479920ba2191cf663990614f5d6"),
     (("schedule", "--t", "7", "--k", "2", "--originator", "5"),
      "56fc6f95eb69ecfb28ddd6eddbeac96b295e0d168e7deb4ec39049ae903027d1", None),
     (("schedule", "--t", "7", "--k", "3", "--n", "161", "--originator", "0"),

@@ -202,7 +202,11 @@ def test_case2_descendants_deleted_before_ancestors():
 
 
 def test_audit_matches_build_accounting(g72, g73_shrunk):
-    for params, g, layout, acc in (g72, g73_shrunk):
+    more = []
+    for t, k, n in ((8, 3, 400), (9, 4, 703)):  # x = 0; x = 4, p = 2
+        params = make_params(t, k, n)
+        more.append((params, *build(params)))
+    for params, g, layout, acc in (g72, g73_shrunk, *more):
         again = audit_edges(g, layout, params)
         assert again.to_json_obj() == acc.to_json_obj()
 

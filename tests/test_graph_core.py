@@ -81,6 +81,29 @@ def test_edgelist_round_trip_structure():
     assert again.edge_ids() == g.edge_ids()
 
 
+@pytest.mark.parametrize("text,n", [
+    ("0 a\n", None),
+    ("1.0 2\n", None),
+    ("0\n", None),
+    ("0 1 2\n", None),
+    ("0 1\n1\n", None),
+    ("0 -1\n", None),
+    ("-1 0\n", 3),
+    ("0 5\n", 2),
+    ("0 2\n", 2),
+    ("3 3\n", None),
+    ("0 1\n1 1\n", 4),
+])
+def test_from_edgelist_rejects_bad_lines(text, n):
+    with pytest.raises(MalformedGraph):
+        Graph.from_edgelist(text, n=n)
+
+
+def test_from_edgelist_accepts_comments_and_blank_lines():
+    g = Graph.from_edgelist("# q1\n\n 0 1 \n", n=3)
+    assert g.n == 3 and g.edge_ids() == [(0, 1)]
+
+
 def test_canonical_export_is_stable_under_input_order():
     labs = [VertexLabel(tree=i) for i in (1, 2, 3)]
     edges = [(labs[0], labs[1]), (labs[1], labs[2]), (labs[0], labs[2])]

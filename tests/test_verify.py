@@ -1,9 +1,12 @@
 import pytest
 
 from broadcastnet import (
+    BroadcastNetError,
+    DisconnectedGraph,
     Graph,
     Schedule,
     TooLarge,
+    UnknownVertex,
     VertexLabel,
     build,
     build_hypercube,
@@ -98,6 +101,15 @@ def test_exact_too_large():
     g = q.to_graph()
     with pytest.raises(TooLarge):
         exact_broadcast_time(g, g.labels[0])
+
+
+def test_exact_disconnected_graph_is_its_own_error():
+    labs = [VertexLabel(tree=i) for i in range(1, 4)]
+    g = Graph.build(labs, [(labs[0], labs[1])])
+    with pytest.raises(DisconnectedGraph) as exc:
+        exact_broadcast_time(g, labs[0])
+    assert not isinstance(exc.value, UnknownVertex)
+    assert isinstance(exc.value, BroadcastNetError)
 
 
 def test_exact_on_star_graph():
