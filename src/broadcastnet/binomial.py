@@ -102,41 +102,57 @@ def binomial_schedule(
     if informed is not None and tree.root not in informed:
         raise RootNotInformed(f"root of tree {tree.tree_index} must be informed")
     masks = {tree.mask_of(v) for v in informed} if informed else None
-    rounds = binomial_rounds_masks(tree.m, masks, alive, tree.tree_index)
-    sched = Schedule(originator=tree.root)
-    sched.rounds = [[] for _ in range(start_round - 1)] + [
+    pruned = set(range(tree.size)) - alive if alive is not None else None
+    rounds = binomial_rounds_masks(tree.m, masks, pruned, tree.tree_index)
+    return Schedule(originator=tree.root, rounds=[[] for _ in range(start_round - 1)] + [
         [(tree.label(a), tree.label(b)) for a, b in calls] for calls in rounds
-    ]
-    return sched
+    ])
 
 
 def binomial_rounds_masks(
     m: int,
     informed: set[int] | None = None,
-    alive: set[int] | None = None,
+    pruned: set[int] | frozenset[int] | None = None,
     tree_index: int = 1,
 ) -> list[list[tuple[int, int]]]:
-    """Rounds of (caller mask, callee mask) pairs for the tree broadcast."""
-    live = alive if alive is not None else set(range(1 << m))
-    done: set[int] = {0}
-    if informed:
-        done |= informed
-    done &= live
-    if 0 not in done:
+    """Rounds of (caller mask, callee mask) pairs for the tree broadcast.
+
+    ``pruned`` holds the masks removed from the tree.  Every informed vertex
+    keeps a pointer to the bit of its next child to call; the pointer only
+    moves down, so one call costs O(2^m) whatever the pre-informed set.
+    Calls within a round are in ascending caller order.
+    """
+    gone = pruned or frozenset()
+    start = sorted(({0} | (informed or set())) - gone)
+    if not start or start[0] != 0:
         raise RootNotInformed(f"root of tree {tree_index} must be informed")
+    done = bytearray(1 << m)
+    nxt = [0] * (1 << m)  # bit of the next child a vertex may call
+    for v in start:
+        done[v] = 1
+        nxt[v] = subtree_order(v, m) - 1
+    left = (1 << m) - len(gone) - len(start)
+    active = [v for v in start if nxt[v] >= 0]
     rounds: list[list[tuple[int, int]]] = []
-    while True:
+    while active:
         calls: list[tuple[int, int]] = []
-        newly: list[int] = []
-        for v in sorted(done):
-            for c in children_masks(v, m):
-                if c in live and c not in done and c not in newly:
-                    calls.append((v, c))
-                    newly.append(c)
-                    break
-        if not calls:
-            break
-        rounds.append(calls)
-        done.update(newly)
-    assert done == live, "pruned-tree broadcast left vertices uninformed"
+        callers: list[int] = []
+        for v in active:
+            b = nxt[v]
+            while b >= 0 and (done[v | 1 << b] or v | 1 << b in gone):
+                b -= 1
+            if b < 0:
+                continue
+            c = v | 1 << b
+            done[c] = 1
+            calls.append((v, c))
+            if b:  # c has order b, so both v and c go on with bit b-1
+                nxt[v] = nxt[c] = b - 1
+                callers.append(v)
+                callers.append(c)
+        if calls:
+            rounds.append(calls)
+            left -= len(calls)
+        active = sorted(callers)
+    assert left == 0, "pruned-tree broadcast left vertices uninformed"
     return rounds

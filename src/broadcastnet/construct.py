@@ -35,7 +35,7 @@ from .errors import ParamOutOfRange
 from .graph import Graph
 from .labels import VertexLabel, pos_string
 from .params import ConstructionParams
-from .schedule import Call
+from .schedule import IdCall
 
 Key = tuple[int, int]  # (tree index, position mask)
 Edge = tuple[int, int]  # (low, high) full ids
@@ -56,7 +56,12 @@ class CaseOneLayout:
     deleted_trees: frozenset[int] = frozenset()
     pruned_masks: dict[int, frozenset[int]] = field(default_factory=dict)
     replacement_coords: tuple[tuple[int, int], ...] = ()
-    _plain_rounds: dict[int, list[list[Call]]] = field(default_factory=dict, repr=False)
+    # set by the build: the built graph's labels, its dense id of every full
+    # id (-1 for a deleted vertex) and of every cube coordinate
+    labels: tuple[VertexLabel, ...] = field(default=(), repr=False)
+    dense: list[int] = field(default_factory=list, repr=False)
+    coord_ids: list[int] = field(default_factory=list, repr=False)
+    _plain_rounds: dict[int, list[list[IdCall]]] = field(default_factory=dict, repr=False)
 
     @property
     def k(self) -> int:
@@ -111,28 +116,26 @@ class CaseOneLayout:
         mask = int(label.pos, 2) if label.pos else 0
         return (tree, mask)
 
-    def alive_masks(self, tree: int) -> set[int]:
-        gone = self.pruned_masks.get(tree, frozenset())
-        return {m for m in range(self.tree_size) if m not in gone}
+    def dense_id(self, key: Key) -> int:
+        """Dense id of a vertex in the built graph (-1 if it was deleted)."""
+        return self.dense[(key[0] - 1) * self.tree_size + key[1]]
 
     def tree_rounds(self, index: int,
-                    informed_masks: set[int] | None = None) -> list[list[Call]]:
-        """Broadcast rounds of one surviving tree, as graph labels.
+                    informed_masks: set[int] | None = None) -> list[list[IdCall]]:
+        """Broadcast rounds of one surviving tree, as dense-id pairs.
 
         The root-only case is cached per tree; extra pre-informed vertices
         force a fresh simulation."""
         if not informed_masks and index in self._plain_rounds:
             return self._plain_rounds[index]
-        alive = self.alive_masks(index) if index in self.pruned_masks else None
-        rounds = binomial_rounds_masks(self.h, informed_masks, alive, index)
-        labeled = [
-            [(self.label_of_key((index, a)), self.label_of_key((index, b)))
-             for a, b in calls]
-            for calls in rounds
-        ]
+        rounds = binomial_rounds_masks(self.h, informed_masks,
+                                       self.pruned_masks.get(index), index)
+        base = (index - 1) * self.tree_size
+        ids = self.dense[base:base + self.tree_size]
+        frag = [[(ids[a], ids[b]) for a, b in calls] for calls in rounds]
         if not informed_masks:
-            self._plain_rounds[index] = labeled
-        return labeled
+            self._plain_rounds[index] = frag
+        return frag
 
 
 def _make_layout(params: ConstructionParams) -> CaseOneLayout:
@@ -194,15 +197,20 @@ def _case1_edges(layout: CaseOneLayout) -> list[Edge]:
 
 
 def _assemble(layout: CaseOneLayout, edges: list[Edge], gone: bytearray) -> Graph:
-    """Graph on the full ids not marked in ``gone``; dense ids are their ranks."""
+    """Graph on the full ids not marked in ``gone``; dense ids are their ranks.
+
+    Records the graph's numbering on the layout, for the schedules."""
     h, low = layout.h, layout.tree_size - 1
     alive = [v for v, mark in enumerate(gone) if not mark]
-    rank = [0] * len(gone)
+    rank = [-1] * len(gone)
     for i, v in enumerate(alive):
         rank[v] = i
     labels = [layout.label_of_key(((v >> h) + 1, v & low)) for v in alive]
-    return Graph.from_sorted(labels, ((rank[a], rank[b]) for a, b in edges),
-                             t=layout.params.t, k=layout.params.k)
+    g = Graph.from_sorted(labels, ((rank[a], rank[b]) for a, b in edges),
+                          t=layout.params.t, k=layout.params.k)
+    layout.labels, layout.dense = g.labels, rank
+    layout.coord_ids = [layout.dense_id(layout.key_of_coord(c)) for c in range(1 << layout.k)]
+    return g
 
 
 # ---------------------------------------------------------------------------

@@ -100,9 +100,6 @@ class Graph:
     def has_edge(self, a: VertexLabel, b: VertexLabel) -> bool:
         return self.vertex_id(b) in self.adj[self.vertex_id(a)]
 
-    def has_edge_ids(self, ia: int, ib: int) -> bool:
-        return ib in self.adj[ia]
-
     def edge_ids(self) -> list[tuple[int, int]]:
         return [(a, b) for a in range(self.n) for b in sorted(self.adj[a]) if a < b]
 

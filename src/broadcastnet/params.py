@@ -48,10 +48,6 @@ class ConstructionParams:
     def num_trees(self) -> int:
         return (1 << self.k) - 1
 
-    @property
-    def target_rounds(self) -> int:
-        return self.t + 1
-
     def to_json(self) -> str:
         return json.dumps(
             {"t": self.t, "k": self.k, "n": self.n, "N": self.N,

@@ -3,20 +3,62 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 
+from .errors import UnknownVertex
 from .graph import Graph
 from .labels import VertexLabel
 
 Call = tuple[VertexLabel, VertexLabel]
+IdCall = tuple[int, int]  # (caller, callee) dense ids
 
 
-@dataclass
 class Schedule:
-    """rounds[i] holds the calls placed during round i+1."""
+    """rounds[i] holds the calls placed during round i+1.
 
-    originator: VertexLabel
-    rounds: list[list[Call]] = field(default_factory=list)
+    A schedule holds its calls either as label pairs or, as make_schedule
+    makes it, as dense-id pairs together with the label tuple of the graph
+    numbering the ids index.  The id form reads through ``rounds`` as a
+    read-only label view; assigning ``rounds`` replaces it with label calls.
+    """
+
+    def __init__(self, originator: VertexLabel, rounds: list[list[Call]] | None = None):
+        self.originator = originator
+        self.rounds = [] if rounds is None else rounds
+
+    @classmethod
+    def from_ids(cls, labels: tuple[VertexLabel, ...], origin: int,
+                 id_rounds: list[list[IdCall]]) -> "Schedule":
+        s = cls(labels[origin] if 0 <= origin < len(labels) else None)
+        s.labels, s.origin, s.id_rounds = labels, origin, id_rounds
+        return s
+
+    @property
+    def rounds(self) -> Sequence[Sequence[Call]]:
+        if self.id_rounds is None:
+            return self._rounds
+        return tuple(_LabelCalls(self.labels, calls) for calls in self.id_rounds)
+
+    @rounds.setter
+    def rounds(self, value: list[list[Call]]) -> None:
+        self._rounds = value
+        self.labels = self.origin = self.id_rounds = None
+
+    def ids_in(self, g: Graph) -> tuple[int, list[list[IdCall]]]:
+        """The originator and the calls as ids of g's numbering; a label that
+        g lacks becomes -1.  The id form is used as it is when it was made on
+        g's own label tuple."""
+        if self.id_rounds is not None and self.labels is g.labels:
+            return self.origin, self.id_rounds
+
+        def vid(label: VertexLabel) -> int:
+            try:
+                return g.vertex_id(label)
+            except UnknownVertex:
+                return -1
+
+        return vid(self.originator), [[(vid(a), vid(b)) for a, b in calls]
+                                      for calls in self.rounds]
 
     @property
     def num_calls(self) -> int:
@@ -32,12 +74,32 @@ class Schedule:
         return last
 
     def to_json(self, g: Graph) -> str:
+        origin, id_rounds = self.ids_in(g)
+        if origin < 0 or any(x < 0 for calls in id_rounds for call in calls for x in call):
+            raise UnknownVertex("schedule names a vertex not in the graph")
         obj = {
-            "originator": g.vertex_id(self.originator),
-            "rounds": [
-                sorted((g.vertex_id(a), g.vertex_id(b)) for a, b in calls)
-                for calls in self.rounds
-            ],
+            "originator": origin,
+            "rounds": [sorted(calls) for calls in id_rounds],
             "completes_at": self.completes_at,
         }
         return json.dumps(obj, separators=(",", ":")) + "\n"
+
+
+class _LabelCalls(Sequence):
+    """One round of id calls, read as label pairs."""
+
+    __slots__ = ("_labels", "_calls")
+
+    def __init__(self, labels: tuple[VertexLabel, ...], calls: list[IdCall]):
+        self._labels, self._calls = labels, calls
+
+    def __len__(self) -> int:
+        return len(self._calls)
+
+    def __getitem__(self, i: int) -> Call:
+        a, b = self._calls[i]
+        return (self._labels[a], self._labels[b])
+
+    def __iter__(self):
+        labels = self._labels
+        return ((labels[a], labels[b]) for a, b in self._calls)

@@ -24,7 +24,7 @@ from .graph import Graph
 from .hypercube import sweep_rounds
 from .labels import VertexLabel
 from .params import ConstructionParams
-from .schedule import Call, Schedule
+from .schedule import IdCall, Schedule
 
 CoordCall = tuple[int, int]
 
@@ -107,21 +107,32 @@ def _block_sweep(j: int, seed: int) -> list[list[CoordCall]]:
 
 def make_schedule(g: Graph, layout: CaseOneLayout, params: ConstructionParams,
                   u: VertexLabel) -> Schedule:
-    """Legal schedule from originator u completing by round t+1."""
+    """Legal schedule from originator u completing by round t+1, as dense ids
+    of the graph the layout was built with."""
     case = classify(g, layout, u)
     k, p = params.k, params.p
-    total_rounds = params.t + 1
-    rounds: list[list[Call]] = [[] for _ in range(total_rounds)]
+    ids = layout.coord_ids
+    rounds: list[list[IdCall]] = [[] for _ in range(params.t + 1)]
+    ukey = layout.key_of_label(u)
+    uid = layout.dense_id(ukey)
+    # coordinates informed by the end of the cube phase (every call placed
+    # here lands in rounds 1..k)
+    cube_informed: set[int] = set()
+    if ukey[1] == 0:
+        cube_informed.add(layout.coord_of_tree[ukey[0]])
+    elif ukey == layout.w_key:
+        cube_informed.add(0)
 
-    def coord_label(c: int) -> VertexLabel:
-        return layout.label_of_key(layout.key_of_coord(c))
+    def call(rnd: int, a: int, c: int):
+        """In round rnd, the vertex of id a calls the vertex on coordinate c."""
+        rounds[rnd - 1].append((a, ids[c]))
+        cube_informed.add(c)
 
     def place(start: int, coord_rounds: list[list[CoordCall]]):
         for off, calls in enumerate(coord_rounds):
             for a, b in calls:
-                rounds[start - 1 + off].append((coord_label(a), coord_label(b)))
+                call(start + off, ids[a], b)
 
-    ukey = layout.key_of_label(u)
     if case.on_cube:
         uc = layout.coord_of_tree[ukey[0]] if ukey[1] == 0 else 0
         if params.n == params.N:
@@ -136,31 +147,29 @@ def make_schedule(g: Graph, layout: CaseOneLayout, params: ConstructionParams,
             else:
                 partner = uc | layout.half
                 q1_seed, q2_entry = partner, uc
-            rounds[0].append((coord_label(uc), coord_label(partner)))
+            call(1, ids[uc], partner)
             place(2, _half_sweep(layout, q1_seed, first=True))
             place(2, _low_region(layout, q2_entry))
     else:
         rc = layout.coord_of_tree[ukey[0]]
-        root_label = coord_label(rc)
         if case.tag in ("C12", "C22"):
-            rounds[0].append((u, root_label))
+            call(1, uid, rc)
             place(2, _half_sweep(layout, rc, first=True))
             swap_round = None
         else:
-            rounds[0].append((u, coord_label(layout.half)))
+            call(1, uid, layout.half)
             place(2, _half_sweep(layout, layout.half, first=True))
             swap_round = k - case.subcube
         for i in range(2, k - p + 1):
             j = k - i + 1
             if swap_round == i:
-                rounds[i - 1].append((u, root_label))
+                call(i, uid, rc)
                 place(i + 1, _block_sweep(case.subcube, rc))
             else:
-                rounds[i - 1].append((u, coord_label(1 << (j - 1))))
+                call(i, uid, 1 << (j - 1))
                 place(i + 1, _block_sweep(j - 1, 1 << (j - 1)))
 
     # the cube phase must have informed every live coordinate by round k
-    cube_informed = _replay_coords(layout, rounds[:k], ukey)
     want = set(layout.live_coords)
     if case.on_cube or params.x > 0 or ukey == layout.w_key:
         missing = want - cube_informed
@@ -184,24 +193,4 @@ def make_schedule(g: Graph, layout: CaseOneLayout, params: ConstructionParams,
         for off, calls in enumerate(frag):
             rounds[k + off].extend(calls)
 
-    return Schedule(originator=u, rounds=rounds)
-
-
-def _replay_coords(layout: CaseOneLayout, coord_phase: list[list[Call]],
-                   ukey) -> set[int]:
-    """Coordinates informed after the cube phase (label-level replay)."""
-    informed: set[int] = set()
-    if ukey[1] == 0:
-        informed.add(layout.coord_of_tree[ukey[0]])
-    elif ukey == layout.w_key:
-        informed.add(0)
-    coord_of_label = {}
-    for c in layout.live_coords:
-        coord_of_label[layout.label_of_key(layout.key_of_coord(c))] = c
-    for calls in coord_phase:
-        newly = []
-        for a, b in calls:
-            if b in coord_of_label:
-                newly.append(coord_of_label[b])
-        informed.update(newly)
-    return informed
+    return Schedule.from_ids(layout.labels, uid, rounds)

@@ -14,7 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .construct import CaseOneLayout
-from .errors import BroadcastNetError, DisconnectedGraph, TooLarge, UnknownVertex
+from .errors import BroadcastNetError, DisconnectedGraph, TooLarge
 from .graph import Graph
 from .labels import VertexLabel
 from .params import ConstructionParams, ceil_log2
@@ -54,55 +54,65 @@ def check_schedule(g: Graph, s: Schedule) -> CheckResult:
     Per round, in canonical call order: the caller must already be informed,
     the callee must not be, the edge must exist, and no vertex may take part
     in two calls.  Returns the round in which the last vertex learns the
-    message, or the earliest violation.
+    message, or the earliest violation.  The replay runs on dense ids: a
+    schedule made on g's numbering is replayed as it is, any other is
+    converted once from its labels.
     """
-    try:
-        origin = g.vertex_id(s.originator)
-    except UnknownVertex:
+    n, adj = g.n, g.adj
+    origin, id_rounds = s.ids_in(g)
+    if not 0 <= origin < n:
         return CheckResult(False, violation=Violation(
             "illegal-call", round=0, reason="unknown-originator"))
-    informed = bytearray(g.n)
-    informed[origin] = 1
+    # per vertex: 0 uninformed, 1 informed before this round, and within a
+    # round 2 once it has called, 3 once it has been called
+    state = bytearray(n)
+    state[origin] = 1
     count = 1
-    completion = 0 if count == g.n else None
+    completion = 0 if count == n else None
     sizes = [1]
-    for rnd, calls in enumerate(s.rounds, start=1):
-        try:
-            id_calls = sorted((g.vertex_id(a), g.vertex_id(b)) for a, b in calls)
-        except UnknownVertex:
-            return CheckResult(False, violation=Violation(
-                "illegal-call", round=rnd, reason="unknown-vertex"))
-        busy: set[int] = set()
+    for rnd, calls in enumerate(id_rounds, start=1):
+        calls = sorted(calls)
         newly: list[int] = []
-        for a, b in id_calls:
-            reason = None
-            if not informed[a]:
-                reason = "caller-uninformed"
-            elif informed[b]:
-                reason = "callee-informed"
-            elif not g.has_edge_ids(a, b):
-                reason = "no-edge"
-            elif a in busy:
-                reason = "busy-caller"
-            elif b in busy:
-                reason = "busy-callee"
-            if reason:
-                return CheckResult(False, violation=Violation(
-                    "illegal-call", round=rnd, caller=a, callee=b, reason=reason))
-            busy.add(a)
-            busy.add(b)
+        for a, b in calls:
+            if not (0 <= a < n and 0 <= b < n and state[a] == 1 and state[b] == 0
+                    and b in adj[a]):
+                return CheckResult(False, violation=_illegal_call(rnd, a, b, calls, state, adj))
+            state[a] = 2
+            state[b] = 3
             newly.append(b)
+        for a, _ in calls:
+            state[a] = 1
         for b in newly:
-            informed[b] = 1
+            state[b] = 1
         count += len(newly)
         sizes.append(count)
-        if completion is None and count == g.n:
+        if completion is None and count == n:
             completion = rnd
-    if count != g.n:
+    if count != n:
         return CheckResult(False, violation=Violation(
-            "incomplete", uninformed=g.n - count), informed_per_round=tuple(sizes))
+            "incomplete", uninformed=n - count), informed_per_round=tuple(sizes))
     return CheckResult(True, completion_round=completion,
                        informed_per_round=tuple(sizes))
+
+
+def _illegal_call(rnd: int, a: int, b: int, calls: list[tuple[int, int]],
+                  state: bytearray, adj) -> Violation:
+    """Why call (a, b) of round rnd fails, given the replay state at it."""
+    n = len(state)
+    if any(not 0 <= x < n for call in calls for x in call):
+        # an unknown vertex voids its whole round, whatever comes first
+        return Violation("illegal-call", round=rnd, reason="unknown-vertex")
+    if state[a] in (0, 3):
+        reason = "caller-uninformed"
+    elif state[b] in (1, 2):
+        reason = "callee-informed"
+    elif b not in adj[a]:
+        reason = "no-edge"
+    elif state[a] == 2:
+        reason = "busy-caller"
+    else:
+        reason = "busy-callee"
+    return Violation("illegal-call", round=rnd, caller=a, callee=b, reason=reason)
 
 
 # ---------------------------------------------------------------------------

@@ -226,6 +226,16 @@ GOLDEN = [
      "227f19a0cefccda390f805af276218125702ca9afa1d3ff29303bd9a6c8b35a0", None),
     (("schedule", "--t", "7", "--k", "3", "--n", "161", "--originator", "100"),
      "b8b6c6f2dc509b944fab59c5b20aa00f02fdf0f1e995ddd8fbacc5fa322f0011", None),
+    # p=2 regime (tree 1, and with it w, is deleted): a cube root and a
+    # low-half tree vertex; then w as originator where it survives
+    (("schedule", "--t", "9", "--k", "4", "--n", "703", "--originator", "0"),
+     "ac646fa32960a8a82132d11d1a09a6043dbbf11905366146b92cbc0bc1e59cee", None),
+    (("schedule", "--t", "9", "--k", "4", "--n", "703", "--originator", "650"),
+     "a41d837f68726e46db1211947d6afb5369ab997bb681c4380d8937a2e464fae4", None),
+    (("schedule", "--t", "8", "--k", "3", "--n", "400", "--originator", "63"),
+     "f7cac12bde68b7f91fde3489d079e7ea0d8b7627a3abd8f5a8d4024b1ed01078", None),
+    (("certify", "--t", "8", "--k", "3", "--n", "400"),
+     "6769a4d0098f0f6ebde1dfd2ebbd0eb61b588cffab6cba6c6780bd37b7484d4f", None),
 ]
 
 

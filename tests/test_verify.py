@@ -15,6 +15,7 @@ from broadcastnet import (
     exact_broadcast_time,
     hypercube_schedule,
     make_params,
+    make_schedule,
 )
 
 
@@ -166,6 +167,49 @@ def test_certify_mutated_graph_reported_honestly(g72):
     assert report.failures
     assert any("violation" in f or f.get("reason") == "late-completion"
                for f in report.failures)
+
+
+@pytest.mark.parametrize("bad", [-1, -192, 192, 10**6])
+def test_check_rejects_out_of_range_ids(g72, bad):
+    # a negative id must not wrap onto the last vertex: every id outside
+    # [0, n) in an id-backed schedule is an unknown vertex of its round
+    params, g, layout, _ = g72
+    s = make_schedule(g, layout, params, g.labels[5])
+    origin, id_rounds = s.ids_in(g)
+    rounds = [list(calls) for calls in id_rounds]
+    a, _ = rounds[3][-1]
+    rounds[3][-1] = (a, bad)
+    res = check_schedule(g, Schedule.from_ids(g.labels, origin, rounds))
+    assert not res.ok
+    assert res.violation.to_json_obj() == {"kind": "illegal-call", "round": 4,
+                                           "reason": "unknown-vertex"}
+    res = check_schedule(g, Schedule.from_ids(g.labels, origin, [[(bad, origin)]] + rounds))
+    assert not res.ok and res.violation.round == 1
+    assert res.violation.reason == "unknown-vertex"
+    res = check_schedule(g, Schedule.from_ids(g.labels, bad, id_rounds))
+    assert not res.ok and res.violation.reason == "unknown-originator"
+
+
+def test_assigning_rounds_drops_the_id_form(g72):
+    params, g, layout, _ = g72
+    s = make_schedule(g, layout, params, g.labels[5])
+    assert check_schedule(g, s).ok
+    s.rounds = [list(calls) for calls in s.rounds[:-1]]
+    res = check_schedule(g, s)
+    assert not res.ok and res.violation.kind == "incomplete"
+
+
+@pytest.mark.parametrize("tkn", [(7, 3, 161), (9, 4, 703)])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_certify_equal_graph_on_other_label_tuple(tkn, jobs):
+    # an equal graph read back from its export holds another label tuple, so
+    # the checker converts the schedules' labels instead of trusting their ids
+    params = make_params(*tkn)
+    g, layout, _ = build(params)
+    loaded = Graph.from_json(g.export("json"))
+    assert loaded == g and loaded.labels is not g.labels
+    want = certify_graph(g, layout, params, jobs=jobs).to_json()
+    assert certify_graph(loaded, layout, params, jobs=jobs).to_json() == want
 
 
 def test_certify_report_json_round_trip(g72):
