@@ -39,6 +39,7 @@ from .schedule import IdCall
 
 Key = tuple[int, int]  # (tree index, position mask)
 Edge = tuple[int, int]  # (low, high) full ids
+Fragment = tuple[tuple[IdCall, ...], ...]  # rounds of one tree's broadcast
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +62,7 @@ class CaseOneLayout:
     labels: tuple[VertexLabel, ...] = field(default=(), repr=False)
     dense: list[int] = field(default_factory=list, repr=False)
     coord_ids: list[int] = field(default_factory=list, repr=False)
-    _plain_rounds: dict[int, list[list[IdCall]]] = field(default_factory=dict, repr=False)
+    _plain_rounds: dict[int, Fragment] = field(default_factory=dict, repr=False)
 
     @property
     def k(self) -> int:
@@ -120,10 +121,10 @@ class CaseOneLayout:
         """Dense id of a vertex in the built graph (-1 if it was deleted)."""
         return self.dense[(key[0] - 1) * self.tree_size + key[1]]
 
-    def tree_rounds(self, index: int,
-                    informed_masks: set[int] | None = None) -> list[list[IdCall]]:
+    def tree_rounds(self, index: int, informed_masks: set[int] | None = None) -> Fragment:
         """Broadcast rounds of one surviving tree, as dense-id pairs.
 
+        Fragments are immutable, so a verdict recorded for one stays true.
         The root-only case is cached per tree; extra pre-informed vertices
         force a fresh simulation."""
         if not informed_masks and index in self._plain_rounds:
@@ -132,7 +133,7 @@ class CaseOneLayout:
                                        self.pruned_masks.get(index), index)
         base = (index - 1) * self.tree_size
         ids = self.dense[base:base + self.tree_size]
-        frag = [[(ids[a], ids[b]) for a, b in calls] for calls in rounds]
+        frag = tuple(tuple((ids[a], ids[b]) for a, b in calls) for calls in rounds)
         if not informed_masks:
             self._plain_rounds[index] = frag
         return frag

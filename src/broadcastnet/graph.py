@@ -17,7 +17,7 @@ from .labels import VertexLabel
 class Graph:
     """Simple undirected graph; construct via :meth:`build` or :meth:`from_sorted`."""
 
-    __slots__ = ("labels", "_index", "adj", "_edge_count", "t", "k")
+    __slots__ = ("labels", "_index", "adj", "_edge_count", "t", "k", "_verdicts")
 
     def __init__(
         self,
@@ -33,6 +33,7 @@ class Graph:
         self._edge_count = edge_count
         self.t = t
         self.k = k
+        self._verdicts = None  # filled by verify: what it has checked on this graph
 
     # -- constructors ------------------------------------------------------
 

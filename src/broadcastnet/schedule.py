@@ -20,6 +20,9 @@ class Schedule:
     makes it, as dense-id pairs together with the label tuple of the graph
     numbering the ids index.  The id form reads through ``rounds`` as a
     read-only label view; assigning ``rounds`` replaces it with label calls.
+    A schedule made from pieces keeps them (``pieces``): its cube-phase
+    rounds and one (tree, fragment) pair per tree, each fragment starting in
+    the round after the cube phase; its calls are those the pieces hold.
     """
 
     def __init__(self, originator: VertexLabel, rounds: list[list[Call]] | None = None):
@@ -28,10 +31,35 @@ class Schedule:
 
     @classmethod
     def from_ids(cls, labels: tuple[VertexLabel, ...], origin: int,
-                 id_rounds: list[list[IdCall]]) -> "Schedule":
+                 id_rounds: Sequence[Sequence[IdCall]] | None) -> "Schedule":
         s = cls(labels[origin] if 0 <= origin < len(labels) else None)
-        s.labels, s.origin, s.id_rounds = labels, origin, id_rounds
+        s.labels, s.origin, s._id_rounds = labels, origin, id_rounds
         return s
+
+    @classmethod
+    def from_pieces(cls, labels: tuple[VertexLabel, ...], origin: int,
+                    cube_rounds: list[list[IdCall]],
+                    fragments: list[tuple[int, Sequence[Sequence[IdCall]]]]) -> "Schedule":
+        """The id schedule of cube_rounds (rounds 1..k) followed by every
+        fragment from round k+1 on.  The fragments are kept as given, so they
+        should be immutable, as tree_rounds makes them."""
+        s = cls.from_ids(labels, origin, None)
+        s.pieces = (tuple(tuple(calls) for calls in cube_rounds), tuple(fragments))
+        return s
+
+    @property
+    def id_rounds(self) -> Sequence[Sequence[IdCall]] | None:
+        """The calls as dense-id pairs per round (None for label calls); made
+        from the pieces, read-only, on first use."""
+        if self._id_rounds is None and self.pieces is not None:
+            cube, fragments = self.pieces
+            rounds = [list(calls) for calls in cube]
+            rounds += [[] for _ in range(max((len(f) for _, f in fragments), default=0))]
+            for _, frag in fragments:
+                for rnd, calls in enumerate(frag, start=len(cube)):
+                    rounds[rnd].extend(calls)
+            self._id_rounds = tuple(map(tuple, rounds))
+        return self._id_rounds
 
     @property
     def rounds(self) -> Sequence[Sequence[Call]]:
@@ -42,9 +70,9 @@ class Schedule:
     @rounds.setter
     def rounds(self, value: list[list[Call]]) -> None:
         self._rounds = value
-        self.labels = self.origin = self.id_rounds = None
+        self.labels = self.origin = self._id_rounds = self.pieces = None
 
-    def ids_in(self, g: Graph) -> tuple[int, list[list[IdCall]]]:
+    def ids_in(self, g: Graph) -> tuple[int, Sequence[Sequence[IdCall]]]:
         """The originator and the calls as ids of g's numbering; a label that
         g lacks becomes -1.  The id form is used as it is when it was made on
         g's own label tuple."""

@@ -112,11 +112,10 @@ def make_schedule(g: Graph, layout: CaseOneLayout, params: ConstructionParams,
     case = classify(g, layout, u)
     k, p = params.k, params.p
     ids = layout.coord_ids
-    rounds: list[list[IdCall]] = [[] for _ in range(params.t + 1)]
+    cube: list[list[IdCall]] = [[] for _ in range(k)]  # rounds 1..k
     ukey = layout.key_of_label(u)
     uid = layout.dense_id(ukey)
-    # coordinates informed by the end of the cube phase (every call placed
-    # here lands in rounds 1..k)
+    # coordinates informed by the end of the cube phase
     cube_informed: set[int] = set()
     if ukey[1] == 0:
         cube_informed.add(layout.coord_of_tree[ukey[0]])
@@ -125,7 +124,7 @@ def make_schedule(g: Graph, layout: CaseOneLayout, params: ConstructionParams,
 
     def call(rnd: int, a: int, c: int):
         """In round rnd, the vertex of id a calls the vertex on coordinate c."""
-        rounds[rnd - 1].append((a, ids[c]))
+        cube[rnd - 1].append((a, ids[c]))
         cube_informed.add(c)
 
     def place(start: int, coord_rounds: list[list[CoordCall]]):
@@ -178,8 +177,9 @@ def make_schedule(g: Graph, layout: CaseOneLayout, params: ConstructionParams,
     if missing:
         raise SchemePhaseOverrun(f"cube vertices missed by round {k}: {sorted(missing)}")
 
-    # tree phase
+    # tree phase: every surviving tree broadcasts alone from round k+1
     w_informed = 0 in cube_informed and layout.w_alive
+    fragments = []
     for tree in range(1, params.num_trees + 1):
         if tree in layout.deleted_trees:
             continue
@@ -190,7 +190,6 @@ def make_schedule(g: Graph, layout: CaseOneLayout, params: ConstructionParams,
             pre.add(layout.w_key[1])
         frag = layout.tree_rounds(tree, pre or None)
         assert len(frag) <= params.tree_order
-        for off, calls in enumerate(frag):
-            rounds[k + off].extend(calls)
+        fragments.append((tree, frag))
 
-    return Schedule.from_ids(layout.labels, uid, rounds)
+    return Schedule.from_pieces(layout.labels, uid, cube, fragments)

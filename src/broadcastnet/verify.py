@@ -5,11 +5,18 @@ check_schedule trusts nothing about how a schedule was produced: it replays
 the calls round by round and rejects the first violation in deterministic
 order.  certify_graph runs the generator plus the checker for every
 originator; the accepted schedules are the witness that the graph
-broadcasts within its target."""
+broadcasts within its target.  A schedule made from pieces is checked
+piece by piece first: the cube phase and every tree fragment that starts
+from more than its tree's root are replayed, while a fragment this graph
+has already accepted from its root alone is not replayed again.  Whatever
+that check does not accept is replayed whole, which gives every failure's
+witness."""
 
 from __future__ import annotations
 
 import json
+import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -54,65 +61,149 @@ def check_schedule(g: Graph, s: Schedule) -> CheckResult:
     Per round, in canonical call order: the caller must already be informed,
     the callee must not be, the edge must exist, and no vertex may take part
     in two calls.  Returns the round in which the last vertex learns the
-    message, or the earliest violation.  The replay runs on dense ids: a
-    schedule made on g's numbering is replayed as it is, any other is
-    converted once from its labels.
+    message, or the earliest violation.  A schedule made from pieces on g's
+    numbering is accepted from its pieces when they pass (_check_pieces);
+    any other is replayed whole on dense ids, converted once from its labels
+    when it was not made on g's numbering.
     """
-    n, adj = g.n, g.adj
+    sizes = _check_pieces(g, s)
+    if sizes is not None:
+        return CheckResult(True, completion_round=sizes.index(g.n),
+                           informed_per_round=tuple(sizes))
+    n = g.n
     origin, id_rounds = s.ids_in(g)
     if not 0 <= origin < n:
         return CheckResult(False, violation=Violation(
             "illegal-call", round=0, reason="unknown-originator"))
-    # per vertex: 0 uninformed, 1 informed before this round, and within a
-    # round 2 once it has called, 3 once it has been called
-    state = bytearray(n)
-    state[origin] = 1
-    count = 1
-    completion = 0 if count == n else None
+    when, used = _fresh(n, origin)
     sizes = [1]
-    for rnd, calls in enumerate(id_rounds, start=1):
-        calls = sorted(calls)
-        newly: list[int] = []
-        for a, b in calls:
-            if not (0 <= a < n and 0 <= b < n and state[a] == 1 and state[b] == 0
-                    and b in adj[a]):
-                return CheckResult(False, violation=_illegal_call(rnd, a, b, calls, state, adj))
-            state[a] = 2
-            state[b] = 3
-            newly.append(b)
-        for a, _ in calls:
-            state[a] = 1
-        for b in newly:
-            state[b] = 1
-        count += len(newly)
-        sizes.append(count)
-        if completion is None and count == n:
-            completion = rnd
-    if count != n:
+    bad = _replay(when, used, g.adj, (sorted(calls) for calls in id_rounds), 0, 0, n, sizes)
+    if bad is not None:
+        return CheckResult(False, violation=_illegal_call(*bad, when, used, g.adj))
+    if sizes[-1] != n:
         return CheckResult(False, violation=Violation(
-            "incomplete", uninformed=n - count), informed_per_round=tuple(sizes))
-    return CheckResult(True, completion_round=completion,
+            "incomplete", uninformed=n - sizes[-1]), informed_per_round=tuple(sizes))
+    return CheckResult(True, completion_round=sizes.index(n),
                        informed_per_round=tuple(sizes))
 
 
+_NEVER = sys.maxsize  # the informing round of a vertex not yet informed
+
+
+def _fresh(n: int, origin: int) -> tuple[list[int], list[int]]:
+    """Replay state before round 1: per vertex, the round it was informed in
+    (0 for the originator) and the last round it called in."""
+    when = [_NEVER] * n
+    when[origin] = 0
+    return when, [0] * n
+
+
+def _replay(when: list[int], used: list[int], adj, rounds, rnd: int, lo: int, hi: int,
+            sizes: list[int]) -> tuple | None:
+    """Replay ``rounds`` as rounds rnd+1, rnd+2, ... on the state ``when``,
+    ``used`` (see _fresh), in the order given.  A call is legal when both
+    ends are ids in [lo, hi), the caller was informed before this round and
+    has not called in it, the callee is not informed, and they are adjacent.
+    The informed count after each round is appended to ``sizes``, which
+    starts with the count before.  Returns the first illegal call as (round,
+    caller, callee, the calls of its round), or None.
+    """
+    count = sizes[-1]
+    for rnd, calls in enumerate(rounds, start=rnd + 1):
+        for a, b in calls:
+            if not (lo <= a < hi and lo <= b < hi and when[a] < rnd and used[a] != rnd
+                    and when[b] == _NEVER and b in adj[a]):
+                return rnd, a, b, calls
+            when[b] = rnd
+            used[a] = rnd
+        count += len(calls)
+        sizes.append(count)
+    return None
+
+
 def _illegal_call(rnd: int, a: int, b: int, calls: list[tuple[int, int]],
-                  state: bytearray, adj) -> Violation:
+                  when: list[int], used: list[int], adj) -> Violation:
     """Why call (a, b) of round rnd fails, given the replay state at it."""
-    n = len(state)
+    n = len(when)
     if any(not 0 <= x < n for call in calls for x in call):
         # an unknown vertex voids its whole round, whatever comes first
         return Violation("illegal-call", round=rnd, reason="unknown-vertex")
-    if state[a] in (0, 3):
+    if when[a] >= rnd:  # never informed, or called in this round
         reason = "caller-uninformed"
-    elif state[b] in (1, 2):
+    elif when[b] < rnd:
         reason = "callee-informed"
     elif b not in adj[a]:
         reason = "no-edge"
-    elif state[a] == 2:
+    elif used[a] == rnd:
         reason = "busy-caller"
-    else:
+    else:  # called earlier in this round
         reason = "busy-callee"
     return Violation("illegal-call", round=rnd, caller=a, callee=b, reason=reason)
+
+
+def _tree_table(g: Graph) -> tuple:
+    """g's per-graph record for the piecewise check, made on first use: the
+    tree of every vertex, each tree's id range [lo, hi) (None when some tree's
+    ids do not form one range), and per tree the fragment accepted from the
+    tree's root alone."""
+    if g._verdicts is None:
+        home = [label.tree for label in g.labels]
+        spans: dict | None = {}
+        for i, tree in enumerate(home):
+            lo, hi = spans.get(tree, (i, i))
+            if hi != i:
+                spans = None
+                break
+            spans[tree] = (lo, i + 1)
+        g._verdicts = (home, spans, {})
+    return g._verdicts
+
+
+def _check_pieces(g: Graph, s: Schedule) -> list[int] | None:
+    """The informed count after each round of a schedule accepted from its
+    pieces, or None when the whole replay must decide.
+
+    The cube rounds are replayed from the originator.  Then each fragment is
+    replayed inside its tree's id range, from the tree's vertices informed by
+    the cube phase, unless that set is the tree's root alone and this graph
+    has already accepted the very same fragment object from it.  Accepted
+    when every piece is legal, no tree has two fragments, and every vertex is
+    informed.  Sound because the trees share no vertex and the fragments
+    start after the cube phase, so no call of one piece bears on another.
+    """
+    if s.pieces is None or s.labels is not g.labels:
+        return None
+    home, spans, verdicts = _tree_table(g)
+    n, adj, labels, origin = g.n, g.adj, g.labels, s.origin
+    cube_rounds, fragments = s.pieces
+    if spans is None or not 0 <= origin < n:
+        return None
+    when, used = _fresh(n, origin)
+    sizes = [1]
+    if _replay(when, used, adj, cube_rounds, 0, 0, n, sizes) is not None:
+        return None
+    k = len(cube_rounds)
+    informed: dict = {}
+    for v in [origin] + [b for calls in cube_rounds for _, b in calls]:
+        informed.setdefault(home[v], []).append(v)
+    grow = [0] * max((len(frag) for _, frag in fragments), default=0)
+    done = set()
+    for tree, frag in fragments:
+        if tree in done or tree not in spans:
+            return None
+        done.add(tree)
+        pre = informed.get(tree, [])
+        from_root = len(pre) == 1 and labels[pre[0]].is_root
+        if not (from_root and verdicts.get(tree) is frag):
+            if _replay(when, used, adj, frag, k, *spans[tree], [len(pre)]) is not None:
+                return None
+            if from_root:
+                verdicts[tree] = frag
+        for i, calls in enumerate(frag):
+            grow[i] += len(calls)
+    for added in grow:
+        sizes.append(sizes[-1] + added)
+    return sizes if sizes[-1] == n else None
 
 
 # ---------------------------------------------------------------------------
@@ -178,9 +269,12 @@ def certify_graph(g: Graph, layout: CaseOneLayout, params: ConstructionParams,
     target = ceil_log2(g.n)
     ids = ([g.vertex_id(v) for v in originators] if originators is not None
            else list(range(g.n)))
-    if jobs > 1 and len(ids) > 1:
-        chunks = [ids[i::jobs] for i in range(jobs)]
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
+    # the pool starts all its workers at the first submit: start no more
+    # than there are originators and CPUs
+    workers = min(jobs, len(ids), os.cpu_count() or 1)
+    if workers > 1:
+        chunks = [ids[i::workers] for i in range(workers)]
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=(g, layout, params)) as pool:
             parts = list(pool.map(_certify_ids, chunks))
         outcomes = [o for part in parts for o in part]

@@ -191,20 +191,43 @@ def test_criterion_3_case1_construction_fidelity():
           f"form exactly and are connected ({time.time() - start:.1f}s)")
 
 
-def test_criterion_4_broadcast_certification():
+def test_criterion_4_broadcast_certification(monkeypatch):
+    # certify_graph checks every schedule from its pieces; each must be
+    # accepted there, and the whole replay of its calls, without the pieces,
+    # must give the same completion round
+    from broadcastnet import verify
+
+    check_pieces, checked = verify._check_pieces, []
+
+    def recording(g, s):
+        checked.append((s, check_pieces(g, s)))
+        return checked[-1][1]
+
+    monkeypatch.setattr(verify, "_check_pieces", recording)
     start = time.time()
     lines = []
+    originators = 0
     for t, k, n in _certification_instances():
         params = make_params(t, k, n)
         g, layout, _ = build(params)
+        checked.clear()
         report = certify_graph(g, layout, params)
         assert report.passed, (t, k, n, report.failures[:3])
         assert report.max_round == report.target == t + 1, (t, k, n)
         assert len(report.per_originator) == n
+        assert all(sizes is not None for _, sizes in checked), (t, k, n)
+        schedules = [s for s, _ in checked]
+        whole = [check_schedule(g, Schedule.from_ids(g.labels, s.origin, s.id_rounds))
+                 for s in schedules]
+        assert report.per_originator == [(s.origin, res.completion_round)
+                                         for s, res in zip(schedules, whole)], (t, k, n)
+        originators += n
         lines.append(f"t={t} k={k} n={n}: max={report.max_round}")
     assert len(lines) >= 20
+    assert originators == 16142
     print(f"\nCRITERION 4: PASS - {len(lines)} graphs certified over every "
-          f"originator, all completing exactly at t+1 "
+          f"originator, all completing exactly at t+1, the piecewise check "
+          f"agreeing with the whole replay on all {originators} "
           f"({time.time() - start:.1f}s)")
 
 

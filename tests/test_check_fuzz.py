@@ -1,18 +1,33 @@
-"""Differential and mutation fuzzing of check_schedule.
+"""Differential and mutation fuzzing of check_schedule and certify_graph.
 
 The oracle is a plain set replay of label calls, written here and sharing
 nothing with the checker.  Each example builds an admissible instance with
 t <= 9, generates the schedule of a random originator, applies one mutation
 to its id calls, and asks the checker and the oracle for the verdict and the
-completion round, on the id-backed schedule and on a label copy of it.
+completion round, on the id-backed schedule and on a label copy of it.  The
+factored certifier is asked too, with the mutation placed in one piece of
+the schedule: a cube-phase call, the originator's own tree fragment, or a
+copy of a plain (root-only) fragment.  Two mutations act on pieces only:
+"leave" sends a call across a piece boundary, and "twin" lists a plain
+fragment twice in place of another tree's.
 """
 
+from collections import Counter
 from functools import lru_cache
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from broadcastnet import Schedule, build, check_schedule, make_params, make_schedule
+from broadcastnet import (
+    Schedule,
+    build,
+    certify_graph,
+    check_schedule,
+    make_params,
+    make_schedule,
+    verify,
+)
 from broadcastnet.params import max_k
 
 
@@ -126,3 +141,91 @@ def test_checker_agrees_with_set_replay(tkn, pick, kind, rng):
     assert _verdict(check_schedule(g, label_copy)) == want
     if kind == "none":
         assert want == (True, params.t + 1)
+
+
+PLACES = ("cube", "own", "plain", "twin")
+PIECE_MUTATIONS = MUTATIONS + ("leave",)
+
+
+def _leave(rounds, later, g, rng, same_tree):
+    """A call whose callee calls no one in this piece now goes to a neighbour
+    of its caller that another piece calls in the same round or later, so
+    the piece stays legal on its own but no longer fits the others.  ``later``
+    maps each vertex another piece calls to its round, counted in this
+    piece's rounds.  The new callee lies, where it can, in the old callee's
+    tree (same_tree) or in another tree (not same_tree)."""
+    rounds = [list(calls) for calls in rounds]
+    callers = {a for calls in rounds for a, _ in calls}
+    spots = [(r, i, c) for r, calls in enumerate(rounds) for i, (a, b) in enumerate(calls)
+             if b not in callers for c in sorted(g.adj[a]) if later.get(c, -1) >= r]
+    aimed = [(r, i, c) for r, i, c in spots
+             if (g.labels[c].tree == g.labels[rounds[r][i][1]].tree) == same_tree]
+    if spots:
+        r, i, c = rng.choice(aimed or spots)
+        rounds[r][i] = (rounds[r][i][0], c)
+    return rounds
+
+
+def _pieces_with(place, kind, generated, u, g, layout, rng):
+    """The generated schedule's pieces with one mutation: in the cube rounds,
+    in u's own fragment or in a copy of a plain (root-only) fragment, or, for
+    "twin", a plain fragment listed a second time in place of another tree's
+    fragment of as many vertices."""
+    cube, fragments = generated.pieces
+    fragments = list(fragments)
+    plain = [i for i, (tree, frag) in enumerate(fragments)
+             if tree != u.tree and frag is layout.tree_rounds(tree)]
+    if place == "twin":
+        i = rng.choice(plain)
+        size = Counter(v.tree for v in g.labels)
+        others = [j for j in range(len(fragments)) if j != i]
+        same = [j for j in others if size[fragments[j][0]] == size[fragments[i][0]]]
+        fragments[rng.choice(same or others)] = fragments[i]
+        return cube, fragments
+    pieces = [(0, cube)] + [(len(cube), frag) for _, frag in fragments]
+    if place == "cube":
+        at = 0
+    elif place == "own":
+        at = 1 + next(i for i, (tree, _) in enumerate(fragments) if tree == u.tree)
+    else:
+        at = 1 + rng.choice(plain)
+    start, piece = pieces[at]
+    piece = tuple(tuple(calls) for calls in piece)  # a new object, never verified before
+    if kind == "leave":
+        later = {b: start0 + r - start for j, (start0, rounds) in enumerate(pieces) if j != at
+                 for r, calls in enumerate(rounds) for _, b in calls}
+        # in the cube, another vertex of a root's tree takes the root's call;
+        # in a fragment, a vertex of another tree takes a call
+        piece = tuple(map(tuple, _leave(piece, later, g, rng, same_tree=at == 0)))
+    elif kind != "none":
+        piece = tuple(map(tuple, _mutate(kind, piece, g, rng)))
+    if at == 0:
+        return piece, fragments
+    fragments[at - 1] = (fragments[at - 1][0], piece)
+    return cube, fragments
+
+
+@pytest.mark.parametrize("place, kind", [(place, kind) for place in PLACES[:3]
+                                         for kind in PIECE_MUTATIONS] + [("twin", None)])
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(instances(), st.integers(0, 1 << 30), st.randoms(use_true_random=False))
+def test_factored_certifier_agrees_with_set_replay(place, kind, tkn, pick, rng):
+    params, g, layout = _instance(*tkn)
+    u = g.labels[pick % g.n]
+    generated = make_schedule(g, layout, params, u)
+    cube, fragments = _pieces_with(place, kind, generated, u, g, layout, rng)
+    s = Schedule.from_pieces(g.labels, generated.origin, cube, fragments)
+    want = oracle(g, u, s.rounds)
+    # the unmutated schedule first, so the mutated one meets recorded verdicts
+    assert certify_graph(g, layout, params, originators=[u]).passed
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "make_schedule", lambda *args: s)
+        report = certify_graph(g, layout, params, originators=[u])
+    [(_, rnd)] = report.per_originator or [(None, None)]
+    assert (bool(report.per_originator), rnd) == want
+    if kind == "none":
+        assert verify._check_pieces(g, s) is not None
+    if not want[0]:
+        whole = check_schedule(g, Schedule.from_ids(g.labels, s.origin, s.id_rounds))
+        assert report.failures == [{"id": g.vertex_id(u),
+                                    "violation": whole.violation.to_json_obj()}]

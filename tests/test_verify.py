@@ -16,6 +16,7 @@ from broadcastnet import (
     hypercube_schedule,
     make_params,
     make_schedule,
+    verify,
 )
 
 
@@ -220,3 +221,129 @@ def test_certify_report_json_round_trip(g72):
     assert obj["pass"] is True
     assert obj["n"] == 192
     assert len(obj["per_originator"]) == 2
+
+
+def _drop_edge(g, a, b):
+    """A copy of g without edge a-b, on the same label tuple."""
+    edges = [e for e in g.edge_ids() if e != (min(a, b), max(a, b))]
+    return Graph.from_sorted(g.labels, edges, t=g.t, k=g.k)
+
+
+def _plain_certify(monkeypatch, g, layout, params):
+    """certify_graph with every schedule checked by the whole replay alone."""
+    with monkeypatch.context() as mp:
+        mp.setattr(verify, "_check_pieces", lambda g, s: None)
+        return certify_graph(g, layout, params)
+
+
+def _mutations(g, layout):
+    """Copies of g on its label tuple without one edge: an attachment edge
+    (as in test_certify_mutated_graph_reported_honestly), and a tree edge
+    that the root-only fragment of tree 2 uses."""
+    r1 = g.vertex_id(layout.label_of_key((1, 0)))
+    victim = next(v for v in sorted(g.adj[r1])
+                  if g.labels[v].tree != 1 and not g.labels[v].is_root)
+    caller, callee = layout.tree_rounds(2)[-1][0]
+    return [_drop_edge(g, r1, victim), _drop_edge(g, caller, callee)]
+
+
+def test_verdicts_do_not_carry_to_another_graph(monkeypatch):
+    params = make_params(7, 2, 192)
+    g, layout, _ = build(params)
+    assert certify_graph(g, layout, params).passed
+    for mutated in _mutations(g, layout):
+        report = certify_graph(mutated, layout, params)
+        assert not report.passed
+        assert report.to_json() == _plain_certify(monkeypatch, mutated, layout, params).to_json()
+
+
+def test_verdicts_on_a_mutated_graph_leave_the_graph_alone(monkeypatch):
+    params = make_params(7, 2, 192)
+    g, layout, _ = build(params)
+    want = _plain_certify(monkeypatch, g, layout, params).to_json()
+    for mutated in _mutations(g, layout):
+        assert not certify_graph(mutated, layout, params).passed
+    report = certify_graph(g, layout, params)
+    assert report.passed and report.to_json() == want
+
+
+def test_tree_fragments_are_immutable(g72):
+    params, g, layout, _ = g72
+    for frag in (layout.tree_rounds(2), layout.tree_rounds(1, {3})):
+        assert isinstance(frag, tuple) and all(isinstance(calls, tuple) for calls in frag)
+        with pytest.raises(TypeError):
+            frag[0] = ()
+        with pytest.raises(AttributeError):
+            frag[0].append((0, 1))
+    s = make_schedule(g, layout, params, g.labels[5])
+    with pytest.raises(AttributeError):
+        s.id_rounds[0].append((0, 1))
+
+
+def test_check_from_pieces_equals_whole_replay(g72):
+    # every generated schedule is accepted from its pieces, with the result
+    # the whole replay of its calls gives, informed counts per round included
+    params, g, layout, _ = g72
+    for u in g.labels:
+        s = make_schedule(g, layout, params, u)
+        assert verify._check_pieces(g, s) is not None
+        whole = Schedule.from_ids(g.labels, s.origin, s.id_rounds)
+        assert check_schedule(g, s) == check_schedule(g, whole)
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.sizes.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, chunks):
+        return map(fn, chunks)
+
+
+@pytest.mark.parametrize("cpus, originators, want", [
+    (64, None, 64), (2, None, 2), (None, None, None), (1, None, None),
+    (64, [0, 3, 17], 3), (64, [5], None),
+])
+def test_certify_starts_no_more_workers_than_originators_or_cpus(
+        g72, monkeypatch, cpus, originators, want):
+    params, g, layout, _ = g72
+    labels = None if originators is None else [g.labels[i] for i in originators]
+    serial = certify_graph(g, layout, params, originators=labels).to_json()
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
+    _InlinePool.sizes = []
+    report = certify_graph(g, layout, params, jobs=5000, originators=labels)
+    assert _InlinePool.sizes == ([] if want is None else [want])
+    assert report.to_json() == serial
+
+
+def test_recorded_verdict_is_tied_to_its_start_vertex(g72, monkeypatch):
+    # tree 3's root-only fragment is recorded from its root; when the cube
+    # phase informs another vertex of tree 3 instead, the fragment must be
+    # replayed from that vertex, not accepted on the record
+    params, g, layout, _ = g72
+    r1, r3 = layout.label_of_key((1, 0)), layout.label_of_key((3, 0))
+    s = make_schedule(g, layout, params, r1)
+    assert certify_graph(g, layout, params, originators=[r1]).passed
+    cube, fragments = s.pieces
+    assert (3, layout.tree_rounds(3)) in fragments
+    a, b = g.vertex_id(r1), g.vertex_id(r3)
+    x = max(v for v in g.adj[a] if g.labels[v].tree == 3)
+    assert (a, b) in cube[-1] and b not in {c for calls in cube for c, _ in calls}
+    cube = [[(a, x) if call == (a, b) else call for call in calls] for calls in cube]
+    bad = Schedule.from_pieces(g.labels, a, cube, fragments)
+    monkeypatch.setattr(verify, "make_schedule", lambda *args: bad)
+    report = certify_graph(g, layout, params, originators=[r1])
+    violation = check_schedule(g, bad).violation
+    assert violation.reason == "caller-uninformed"
+    assert report.failures == [{"id": a, "violation": violation.to_json_obj()}]
