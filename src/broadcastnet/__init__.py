@@ -1,6 +1,6 @@
 """Sparse broadcast graphs: construction, schedule certification, bound tables."""
 
-from .binomial import BinomialTree, binomial_schedule, build_binomial, farthest_leaf
+from .binomial import BinomialTree, binomial_schedule, build_binomial
 from .bounds import (
     BoundReport,
     bound_5a,
@@ -24,7 +24,7 @@ from .errors import (
     TooLarge,
     UnknownVertex,
 )
-from .graph import Graph, degree, export, is_connected
+from .graph import Graph
 from .hypercube import Hypercube, build_hypercube, hypercube_schedule
 from .labels import VertexLabel
 from .params import ConstructionParams, make_params
@@ -50,7 +50,7 @@ __all__ = [
     "VertexLabel", "audit_edges", "binomial_schedule", "bound_5a", "bound_5b",
     "bound_farley", "bound_hl_direct", "bound_hln_odd", "bound_knodel_even",
     "bound_report", "build", "build_binomial", "build_case1", "build_case2",
-    "build_hypercube", "certify_graph", "check_schedule", "classify", "degree",
-    "exact_broadcast_time", "export", "farthest_leaf", "hypercube_schedule",
-    "is_connected", "make_params", "make_schedule", "table1", "table2",
+    "build_hypercube", "certify_graph", "check_schedule", "classify",
+    "exact_broadcast_time", "hypercube_schedule", "make_params", "make_schedule",
+    "table1", "table2",
 ]

@@ -9,12 +9,12 @@ just descending bit order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import RootNotInformed
 from .graph import Graph
 from .labels import VertexLabel, pos_string
-from .schedule import Call, Schedule
+from .schedule import Schedule
 
 
 def subtree_order(mask: int, m: int) -> int:
@@ -25,24 +25,11 @@ def parent_mask(mask: int) -> int:
     return mask & (mask - 1)
 
 
-def children_masks(mask: int, m: int) -> list[int]:
-    """Children in decreasing subtree order."""
-    limit = subtree_order(mask, m)
-    return [mask | (1 << b) for b in range(limit - 1, -1, -1)]
-
-
 @dataclass
 class BinomialTree:
-    """B^m rooted at mask 0; 2^m vertices, height m."""
+    """B^m rooted at mask 0; 2^m vertices, height m, labelled as tree 1."""
 
     m: int
-    tree_index: int = 1
-    children: dict[int, list[int]] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.children:
-            for mask in range(1 << self.m):
-                self.children[mask] = children_masks(mask, self.m)
 
     @property
     def size(self) -> int:
@@ -52,20 +39,11 @@ class BinomialTree:
     def root(self) -> VertexLabel:
         return self.label(0)
 
-    def order_of(self, mask: int) -> int:
-        return subtree_order(mask, self.m)
-
-    def depth(self, mask: int) -> int:
-        return bin(mask).count("1")
-
     def label(self, mask: int) -> VertexLabel:
-        return VertexLabel(tree=self.tree_index, pos=pos_string(mask, self.m))
+        return VertexLabel(tree=1, pos=pos_string(mask, self.m))
 
     def mask_of(self, label: VertexLabel) -> int:
         return int(label.pos, 2) if label.pos else 0
-
-    def height(self) -> int:
-        return max(self.depth(v) for v in range(self.size))
 
     def to_graph(self) -> Graph:
         labels = [self.label(mask) for mask in range(self.size)]
@@ -74,37 +52,24 @@ class BinomialTree:
         return Graph.build(labels, edges)
 
 
-def build_binomial(m: int, tree_index: int = 1) -> BinomialTree:
+def build_binomial(m: int) -> BinomialTree:
     if m < 0:
         raise ValueError("order must be >= 0")
-    return BinomialTree(m=m, tree_index=tree_index)
+    return BinomialTree(m=m)
 
 
-def farthest_leaf(tree: BinomialTree) -> VertexLabel:
-    """Deepest leaf, ties broken by always descending into the largest subtree."""
-    return tree.label(tree.size - 1)
+def binomial_schedule(tree: BinomialTree, informed: set[VertexLabel] | None = None) -> Schedule:
+    """Broadcast the tree from its root.
 
-
-def binomial_schedule(
-    tree: BinomialTree,
-    informed: set[VertexLabel] | None = None,
-    start_round: int = 1,
-    alive: set[int] | None = None,
-) -> Schedule:
-    """Broadcast the (optionally pruned) tree from its root.
-
-    Every informed vertex calls its largest-order uninformed surviving child
-    each round; vertices in ``informed`` are never called but place calls
-    from ``start_round`` on.  ``alive`` restricts to a surviving mask set
-    (the root must survive).  The returned rounds list covers rounds
-    1..start_round-1 with empty rounds, then the tree rounds.
+    Every informed vertex calls its largest-order uninformed child each
+    round; vertices in ``informed`` (which must hold the root) are never
+    called but place calls from round 1 on.
     """
     if informed is not None and tree.root not in informed:
-        raise RootNotInformed(f"root of tree {tree.tree_index} must be informed")
+        raise RootNotInformed("root of tree 1 must be informed")
     masks = {tree.mask_of(v) for v in informed} if informed else None
-    pruned = set(range(tree.size)) - alive if alive is not None else None
-    rounds = binomial_rounds_masks(tree.m, masks, pruned, tree.tree_index)
-    return Schedule(originator=tree.root, rounds=[[] for _ in range(start_round - 1)] + [
+    rounds = binomial_rounds_masks(tree.m, masks)
+    return Schedule(originator=tree.root, rounds=[
         [(tree.label(a), tree.label(b)) for a, b in calls] for calls in rounds
     ])
 

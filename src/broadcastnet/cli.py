@@ -96,6 +96,7 @@ def _read_graph(path: str) -> Graph:
 def run(argv: list[str]) -> int:
     ap = _parser()
     args = ap.parse_args(argv)
+    sys.set_int_max_str_digits(0)  # outputs may print ints of any size; main restores it
     cmd = args.command
 
     if cmd == "params":
@@ -137,6 +138,8 @@ def run(argv: list[str]) -> int:
         return 0
 
     if cmd == "table1":
+        if not 7 <= args.t_min <= args.t_max:
+            ap.error(f"table1: t range [{args.t_min}, {args.t_max}] is empty or starts below 7")
         sys.stdout.write(bounds_mod.table1_csv(args.t_min, args.t_max))
         return 0
 
@@ -181,14 +184,14 @@ def run(argv: list[str]) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    digits = sys.get_int_max_str_digits()
     try:
         return run(sys.argv[1:] if argv is None else argv)
-    except BroadcastNetError as exc:
+    except (BroadcastNetError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
+    finally:
+        sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

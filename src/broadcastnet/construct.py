@@ -325,10 +325,6 @@ class EdgeAccounting:
     replacements_added: int = 0
 
     @property
-    def delta_removed(self) -> int | None:
-        return self.removed_total.delta if self.removed_total else None
-
-    @property
     def delta_remaining(self) -> int | None:
         return self.remaining_edges.delta if self.remaining_edges else None
 

@@ -42,8 +42,6 @@ class Graph:
         cls,
         vertices: Iterable[VertexLabel],
         edges: Iterable[tuple[VertexLabel, VertexLabel]],
-        t: int | None = None,
-        k: int | None = None,
     ) -> "Graph":
         labels = tuple(sorted(set(vertices), key=VertexLabel.sort_key))
         index = {lab: i for i, lab in enumerate(labels)}
@@ -53,7 +51,7 @@ class Graph:
             if ia == ib:
                 raise ValueError(f"self-loop at {a}")
             id_edges.add((min(ia, ib), max(ia, ib)))
-        return cls.from_sorted(labels, id_edges, t=t, k=k)
+        return cls.from_sorted(labels, id_edges)
 
     @classmethod
     def from_sorted(
@@ -222,14 +220,3 @@ class Graph:
 def _is_id(value, n: int) -> bool:
     return type(value) is int and 0 <= value < n
 
-
-def degree(g: Graph, v: VertexLabel) -> int:
-    return g.degree(v)
-
-
-def is_connected(g: Graph) -> bool:
-    return g.is_connected()
-
-
-def export(g: Graph, fmt: str) -> bytes:
-    return g.export(fmt)

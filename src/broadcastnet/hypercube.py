@@ -1,10 +1,11 @@
-"""Hypercube graphs, their canonical decomposition, and dimension-sweep broadcasting.
+"""Hypercube graphs and dimension-sweep broadcasting.
 
-The decomposition is fixed by coordinates: Q^{m-1} is the half with the top
+The scheme decomposes the cube by coordinates: Q^{m-1} is the half with the top
 bit set (this is the first half Q_1); inside the zero half, Q^{m-2} is the
 set with the next bit as its highest set bit, and so on down to Q^0 = {1};
 the all-zeros corner is the extra dimension-0 block Q^{01}.  Consequently
 Q^{01} together with Q^0..Q^{j-1} always induces a j-dimensional subcube.
+The layout and the scheme read these blocks as coordinate ranges.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from .errors import UnknownVertex
 from .graph import Graph
 from .labels import VertexLabel
-from .schedule import Call, Schedule
+from .schedule import Schedule
 
 
 @dataclass(frozen=True)
@@ -26,10 +27,6 @@ class Hypercube:
     @property
     def size(self) -> int:
         return 1 << self.m
-
-    @property
-    def num_edges(self) -> int:
-        return self.m * (1 << (self.m - 1)) if self.m else 0
 
     def coord_string(self, c: int) -> str:
         return format(c, f"0{self.m}b") if self.m else ""
@@ -44,26 +41,6 @@ class Hypercube:
         if not 0 <= c < self.size:
             raise UnknownVertex(f"{label} outside Q^{self.m}")
         return c
-
-    def neighbors(self, c: int) -> list[int]:
-        return [c ^ (1 << b) for b in range(self.m)]
-
-    def subcube(self, i: int) -> list[int]:
-        """Coordinates of Q^i: highest set bit is i.  Q^{01} is [0]."""
-        return list(range(1 << i, 1 << (i + 1)))
-
-    @property
-    def corner(self) -> int:
-        """The Q^{01} block: the all-zeros coordinate."""
-        return 0
-
-    def half(self, first: bool) -> list[int]:
-        top = 1 << (self.m - 1)
-        return list(range(top, 2 * top)) if first else list(range(top))
-
-    def matched(self, c: int) -> int:
-        """Cross-matching partner in the opposite half."""
-        return c ^ (1 << (self.m - 1))
 
     def to_graph(self) -> Graph:
         labels = [self.label(c) for c in range(self.size)]

@@ -25,10 +25,6 @@ class VertexLabel:
     def is_root(self) -> bool:
         return self.pos == "" and self.tree is not None
 
-    @property
-    def on_cube(self) -> bool:
-        return self.cube is not None
-
     def sort_key(self) -> tuple:
         return (self.tree if self.tree is not None else -1, self.pos, self.cube or "")
 

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from broadcastnet import (
     RootNotInformed,
@@ -6,53 +8,107 @@ from broadcastnet import (
     binomial_schedule,
     check_schedule,
     exact_broadcast_time,
-    farthest_leaf,
 )
+from broadcastnet.binomial import binomial_rounds_masks, parent_mask, subtree_order
+
+
+def _orders(t, labels):
+    return [subtree_order(t.mask_of(v), t.m) for v in labels]
+
+
+def _component(g, start, removed):
+    """Vertices reachable from start in g without passing through removed."""
+    seen, stack = {start}, [start]
+    while stack:
+        for v in g.neighbors(stack.pop()):
+            if v != removed and v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return seen
 
 
 def test_trivial_tree():
     t = build_binomial(0)
     g = t.to_graph()
     assert g.n == 1 and g.num_edges == 0
-    assert farthest_leaf(t) == t.root
+    assert g.labels == (t.root,)
 
 
 def test_b3_shape():
     t = build_binomial(3)
     g = t.to_graph()
     assert g.n == 8 and g.num_edges == 7
-    kids = t.children[0]
-    assert [t.order_of(c) for c in kids] == [2, 1, 0]
+    assert sorted(_orders(t, g.neighbors(t.root)), reverse=True) == [2, 1, 0]
 
 
 def test_b4_size_and_height():
     t = build_binomial(4)
-    assert t.size == 16
-    assert t.height() == 4
+    g = t.to_graph()
+    assert t.size == g.n == 16
+    # height: the root's eccentricity in the tree
+    depth, frontier, seen = 0, [t.root], {t.root}
+    while frontier:
+        frontier = [v for u in frontier for v in g.neighbors(u) if v not in seen]
+        seen.update(frontier)
+        depth += bool(frontier)
+    assert depth == 4
 
 
 def test_recursive_structure():
     # root's child of order j is the root of a copy of the order-j tree
     t = build_binomial(4)
-    for child in t.children[0]:
-        j = t.order_of(child)
-        low = (1 << j) - 1
-        descendants = [m for m in range(t.size) if m & ~low == child]
-        assert len(descendants) == 1 << j
+    g = t.to_graph()
+    for child in g.neighbors(t.root):
+        j = subtree_order(t.mask_of(child), t.m)
+        below = _component(g, child, t.root)
+        assert len(below) == 1 << j
+        assert sorted(_orders(t, g.neighbors(child)), reverse=True)[1:] == list(
+            range(j - 1, -1, -1))
 
 
 def test_vertex_child_count_equals_subtree_order():
     t = build_binomial(5)
+    g = t.to_graph()
     for mask in range(t.size):
-        assert len(t.children[mask]) == t.order_of(mask)
+        children = g.degree(t.label(mask)) - (mask != 0)
+        assert children == subtree_order(mask, t.m)
 
 
-def test_farthest_leaf_depth():
-    for m in (1, 3, 6):
-        t = build_binomial(m)
-        leaf = farthest_leaf(t)
-        assert t.depth(t.mask_of(leaf)) == m
-        assert m == 1 or not t.children[t.mask_of(leaf)]
+@st.composite
+def _pruned_broadcasts(draw):
+    """(m, pruned, informed): pruned is closed under descendants and never
+    holds the root; informed is a set of survivors."""
+    m = draw(st.integers(0, 8))
+    cuts = draw(st.sets(st.integers(1, (1 << m) - 1), max_size=6)) if m else set()
+
+    def cut(v):
+        while v and v not in cuts:
+            v = parent_mask(v)
+        return v != 0
+
+    pruned = {v for v in range(1 << m) if cut(v)}
+    survivors = sorted(set(range(1 << m)) - pruned)
+    informed = draw(st.sets(st.sampled_from(survivors), max_size=8))
+    return m, pruned, informed
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_pruned_broadcasts())
+def test_rounds_masks_broadcast_the_surviving_tree(case):
+    m, pruned, informed = case
+    rounds = binomial_rounds_masks(m, informed, pruned)
+    known = {0} | informed
+    for calls in rounds:
+        callers = [a for a, _ in calls]
+        assert len(callers) == len(set(callers))
+        for a, b in calls:
+            assert parent_mask(b) == a
+            assert a in known and b not in known and b not in pruned
+        callees = {b for _, b in calls}
+        assert len(callees) == len(calls)
+        known |= callees
+    assert known == set(range(1 << m)) - pruned
+    assert len(rounds) <= m
 
 
 def test_schedule_from_root_completes_in_m_rounds():
@@ -97,13 +153,6 @@ def test_root_must_be_informed():
     t = build_binomial(2)
     with pytest.raises(RootNotInformed):
         binomial_schedule(t, informed={t.label(1)})
-
-
-def test_start_round_offsets_fragment():
-    t = build_binomial(2)
-    s = binomial_schedule(t, start_round=4)
-    assert s.rounds[0] == [] and s.rounds[1] == [] and s.rounds[2] == []
-    assert len(s.rounds) == 3 + 2
 
 
 def test_root_schedule_matches_exact_oracle_small():

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -151,6 +152,9 @@ def test_byte_identical_reruns(capsys, tmp_path):
     ("bounds", "--n", "0"),
     ("bounds", "--n", "1"),
     ("bounds", "--n", "-3"),
+    ("table1", "--t-min", "9", "--t-max", "7"),
+    ("table1", "--t-min", "1", "--t-max", "7"),
+    ("table1", "--t-min", "6", "--t-max", "6"),
 ])
 def test_bad_flag_values_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -159,6 +163,18 @@ def test_bad_flag_values_exit_2(capsys, argv):
     assert exc.value.code == 2
     assert captured.out == ""
     assert "error:" in captured.err and "Traceback" not in captured.err
+
+
+def test_huge_int_flags_print_without_traceback(capsys):
+    # both commands format values past Python's default 4300-digit limit
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(capsys, "params", "--t", "14300", "--k", "2", "--n", "3")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    code, out, err = run_cli(capsys, "bounds", "--n", "9" * 4299)
+    assert code == 0 and err == ""
+    assert json.loads(out, parse_int=str)["n"] == "9" * 4299
+    assert sys.get_int_max_str_digits() == limit
 
 
 _TWO = '[{"id":0,"tree":1,"pos":"","cube":null},{"id":1,"tree":2,"pos":"","cube":null}]'

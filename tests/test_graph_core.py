@@ -11,9 +11,6 @@ from broadcastnet import (
     VertexLabel,
     build_binomial,
     build_hypercube,
-    degree,
-    export,
-    is_connected,
 )
 
 
@@ -25,43 +22,43 @@ def _triangle():
 def test_degree_single_vertex():
     v = VertexLabel(tree=1)
     g = Graph.build([v], [])
-    assert degree(g, v) == 0
+    assert g.degree(v) == 0
 
 
 def test_degree_triangle_and_q3():
     g = _triangle()
-    assert all(degree(g, v) == 2 for v in g.labels)
+    assert all(g.degree(v) == 2 for v in g.labels)
     q3 = build_hypercube(3).to_graph()
-    assert all(degree(q3, v) == 3 for v in q3.labels)
+    assert all(q3.degree(v) == 3 for v in q3.labels)
 
 
 def test_degree_unknown_vertex():
     g = _triangle()
     with pytest.raises(UnknownVertex):
-        degree(g, VertexLabel(tree=9))
+        g.degree(VertexLabel(tree=9))
 
 
 def test_connectivity():
     v1, v2 = VertexLabel(tree=1), VertexLabel(tree=2)
-    assert is_connected(Graph.build([v1], []))
-    assert not is_connected(Graph.build([v1, v2], []))
-    assert is_connected(build_hypercube(4).to_graph())
+    assert Graph.build([v1], []).is_connected()
+    assert not Graph.build([v1, v2], []).is_connected()
+    assert build_hypercube(4).to_graph().is_connected()
 
 
 def test_export_json_single_vertex():
     g = Graph.build([VertexLabel(tree=1)], [])
-    data = export(g, "json").decode()
+    data = g.export("json").decode()
     assert '"n":1' in data and '"edges":[]' in data
 
 
 def test_export_edgelist_triangle_sorted():
-    lines = export(_triangle(), "edgelist").decode().splitlines()
+    lines = _triangle().export("edgelist").decode().splitlines()
     assert lines == ["0 1", "0 2", "1 2"]
     assert lines == sorted(lines)
 
 
 def test_export_dot_q2():
-    dot = export(build_hypercube(2).to_graph(), "dot").decode()
+    dot = build_hypercube(2).to_graph().export("dot").decode()
     assert dot.startswith("graph ")
     assert dot.count("--") == 4
     assert dot.count("label=") == 4

@@ -3,11 +3,14 @@ import pytest
 from broadcastnet import (
     UnknownVertex,
     VertexLabel,
+    build,
     build_hypercube,
     check_schedule,
     exact_broadcast_time,
     hypercube_schedule,
+    make_params,
 )
+from broadcastnet.scheme import _block_sweep, _half_sweep
 
 
 def test_sizes():
@@ -25,33 +28,64 @@ def test_regularity():
         assert g.num_edges == m * (1 << (m - 1))
 
 
-def test_decomposition_blocks_partition_second_half():
-    q = build_hypercube(5)
-    second = set(q.half(first=False))
-    blocks = [q.corner]
-    for i in range(q.m - 1):
-        blocks.extend(q.subcube(i))
-    assert sorted(blocks) == sorted(second)
-    assert set(q.half(first=True)) == set(q.subcube(q.m - 1))
+def _covered(rounds, seed):
+    return [seed] + [b for calls in rounds for _, b in calls]
+
+
+@pytest.fixture(scope="module")
+def g104():
+    """Full-size build at t=10, k=4: the cube has blocks Q^0..Q^3 and the corner."""
+    params = make_params(10, 4, 1920)
+    g, layout, _ = build(params)
+    return params, g, layout
+
+
+def test_scheme_blocks_partition_the_cube(g104):
+    # the first half is Q^{k-1}; the low half is the corner plus Q^0..Q^{k-2}
+    _, _, layout = g104
+    k, half = layout.k, layout.half
+    first = _covered(_half_sweep(layout, half, first=True), half)
+    assert sorted(first) == list(range(half, 1 << k))
+    assert sorted(first) == sorted(_covered(_block_sweep(k - 1, half), half))
+    blocks = [0]
+    for j in range(k - 1):
+        block = _covered(_block_sweep(j, 1 << j), 1 << j)
+        assert sorted(block) == list(range(1 << j, 1 << (j + 1)))
+        assert all(layout.subcube_of_coord(c) == j for c in block)
+        blocks.extend(block)
+    assert sorted(blocks) == sorted(_covered(_half_sweep(layout, 0, first=False), 0))
+    assert sorted(blocks) == list(range(half))
 
 
 def test_low_blocks_with_corner_form_a_cube():
     # corner + Q^0..Q^{j-1} always spans the j-dimensional prefix cube
     q = build_hypercube(5)
-    coords = [q.corner]
-    for j in range(4):
-        coords.extend(q.subcube(j))
-        assert sorted(coords) == list(range(1 << (j + 1)))
-
-
-def test_cross_matching_is_perfect():
-    q = build_hypercube(4)
     g = q.to_graph()
-    first, second = q.half(True), q.half(False)
-    partners = [q.matched(c) for c in first]
-    assert sorted(partners) == sorted(second)
-    for c in first:
-        assert g.has_edge(q.label(c), q.label(q.matched(c)))
+    coords = [0]
+    for j in range(q.m):
+        coords.extend(_covered(_block_sweep(j, 1 << j), 1 << j))
+        assert sorted(coords) == list(range(1 << (j + 1)))
+        inside = set(coords)
+        for c in coords:
+            assert sum(q.coord_of(v) in inside for v in g.neighbors(q.label(c))) == j + 1
+
+
+@pytest.mark.parametrize("fixture", ["g83", "g104", "g73_shrunk"])
+def test_roots_reach_their_partner_across_the_halves(request, fixture):
+    # every first-half coordinate c is joined to c ^ half, or to its
+    # replacement partner when c ^ half lies in a deleted low block
+    g, layout = request.getfixturevalue(fixture)[1:3]
+    half = layout.half
+    replaced = dict(layout.replacement_coords)
+    dead = (1 << layout.params.p) if layout.params.x > 0 else 0
+    partners = []
+    ids = layout.coord_ids
+    for c in range(half, 1 << layout.k):
+        partner = c ^ half if c ^ half >= dead else replaced[c]
+        assert ids[partner] in g.adj[ids[c]], (c, partner)
+        partners.append(partner)
+    if not dead:
+        assert sorted(partners) == list(range(half))
 
 
 def test_schedule_unknown_originator():
