@@ -13,7 +13,7 @@ from .bounds import (
     table1,
     table2,
 )
-from .construct import CaseOneLayout, EdgeAccounting, audit_edges, build, build_case1, build_case2
+from .construct import CaseOneLayout, EdgeAccounting, audit_edges, build
 from .errors import (
     BroadcastNetError,
     DisconnectedGraph,
@@ -49,8 +49,7 @@ __all__ = [
     "SchemeCase", "SchemePhaseOverrun", "TooLarge", "UnknownVertex", "Violation",
     "VertexLabel", "audit_edges", "binomial_schedule", "bound_5a", "bound_5b",
     "bound_farley", "bound_hl_direct", "bound_hln_odd", "bound_knodel_even",
-    "bound_report", "build", "build_binomial", "build_case1", "build_case2",
-    "build_hypercube", "certify_graph", "check_schedule", "classify",
-    "exact_broadcast_time", "hypercube_schedule", "make_params", "make_schedule",
-    "table1", "table2",
+    "bound_report", "build", "build_binomial", "build_hypercube", "certify_graph",
+    "check_schedule", "classify", "exact_broadcast_time", "hypercube_schedule",
+    "make_params", "make_schedule", "table1", "table2",
 ]

@@ -78,7 +78,6 @@ def binomial_rounds_masks(
     m: int,
     informed: set[int] | None = None,
     pruned: set[int] | frozenset[int] | None = None,
-    tree_index: int = 1,
 ) -> list[list[tuple[int, int]]]:
     """Rounds of (caller mask, callee mask) pairs for the tree broadcast.
 
@@ -90,7 +89,7 @@ def binomial_rounds_masks(
     gone = pruned or frozenset()
     start = sorted(({0} | (informed or set())) - gone)
     if not start or start[0] != 0:
-        raise RootNotInformed(f"root of tree {tree_index} must be informed")
+        raise RootNotInformed("root of the tree must be informed")
     done = bytearray(1 << m)
     nxt = [0] * (1 << m)  # bit of the next child a vertex may call
     for v in start:

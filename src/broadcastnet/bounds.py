@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import ParamOutOfRange
-from .params import ceil_log2, floor_log2, make_params, max_k
+from .params import ceil_log2, floor_log2, full_size, make_params, max_k
 
 
 def bound_farley(n: int) -> int:
@@ -24,7 +24,8 @@ def bound_farley(n: int) -> int:
 def hl_decomposition(n: int) -> tuple[int, int, int] | None:
     """Unique (p, k, r) with n = 2^p - 2^k - r, 0 <= k <= p-2, 0 <= r < 2^k.
 
-    None when n is a power of two (no admissible k exists)."""
+    None when n < 4 or n is a power of two (no admissible k exists).  With
+    p = ceil(log2 n), 2^p - n < 2^(p-1), so k <= p-2 and r < 2^k always hold."""
     if n < 4:
         return None
     p = ceil_log2(n)
@@ -32,21 +33,25 @@ def hl_decomposition(n: int) -> tuple[int, int, int] | None:
     if rem == 0:
         return None
     k = floor_log2(rem)
-    r = rem - (1 << k)
-    if k > p - 2 or r >= 1 << k:
+    return p, k, rem - (1 << k)
+
+
+def _hl_value(n: int) -> int | None:
+    """Direct-construction bound at n, None where n has no decomposition."""
+    dec = hl_decomposition(n)
+    if dec is None:
         return None
-    return p, k, r
+    p, k, _ = dec
+    return n * (p - k + 1) - (1 << (p - k)) - (p - k) * (3 * p + k - 3) // 2 + 2 * k
 
 
 def bound_hl_direct(n: int) -> int:
     """Direct-construction bound n(p-k+1) - 2^(p-k) - (p-k)(3p+k-3)/2 + 2k."""
-    if n < 4:
-        raise ParamOutOfRange("bound defined for n >= 4")
-    dec = hl_decomposition(n)
-    if dec is None:
-        raise ParamOutOfRange(f"n={n} is a power of two; no decomposition n = 2^p - 2^k - r")
-    p, k, _ = dec
-    return n * (p - k + 1) - (1 << (p - k)) - (p - k) * (3 * p + k - 3) // 2 + 2 * k
+    value = _hl_value(n)
+    if value is None:
+        raise ParamOutOfRange("bound defined for n >= 4" if n < 4 else
+                              f"n={n} is a power of two; no decomposition n = 2^p - 2^k - r")
+    return value
 
 
 def bound_knodel_even(n: int) -> int:
@@ -70,34 +75,52 @@ def hln_hypotheses(n_even: int) -> dict[str, bool]:
             "log_divides_n": divides, "two_has_full_order": order_ok}
 
 
+def _hln_value(n: int) -> int:
+    """The odd-n bound at the even n = n_odd - 1:
+    ceil(n*floor(log n)/2 + n/ceil(log n)) + ceil(log n) - 2."""
+    fl, cl = floor_log2(n), ceil_log2(n)
+    return n * fl // 2 + (n + cl - 1) // cl + cl - 2
+
+
 def bound_hln_odd(n_odd: int) -> tuple[int, dict[str, bool]]:
-    """Odd-n bound evaluated at n = n_odd - 1:
-    ceil(n*floor(log n)/2 + n/ceil(log n)) + ceil(log n) - 2.
+    """Odd-n bound evaluated at n = n_odd - 1.
 
     The numeric value is always computed; the hypothesis flags say whether
     the bound's stated hypotheses actually hold at this n."""
     if n_odd % 2 == 0:
         raise ParamOutOfRange(f"n={n_odd} must be odd")
-    n = n_odd - 1
-    fl, cl = floor_log2(n), ceil_log2(n)
-    value = n * fl // 2 + (n + cl - 1) // cl + cl - 2
-    flags = hln_hypotheses(n)
-    return value, flags
+    return _hln_value(n_odd - 1), hln_hypotheses(n_odd - 1)
+
+
+def closed_form_5a(t: int, k: int) -> int:
+    """(5a): (k+1)N - (t - k/2 + 2)2^k + t - k + 2, for an admissible (t, k)."""
+    return (k + 1) * full_size(t, k) - (t + 2) * (1 << k) + k * (1 << (k - 1)) + t - k + 2
+
+
+def closed_form_5b(t: int, k: int, n: int, p: int) -> int:
+    """(5b): (k+1-p)n - (t - k/2 + p + 2)2^k + t - k - (p-2)2^p, for an admissible (t, k, n)."""
+    return ((k + 1 - p) * n - (t + p + 2) * (1 << k) + k * (1 << (k - 1))
+            + t - k - (p - 2) * (1 << p))
 
 
 def bound_5a(t: int, k: int) -> int:
-    """Full-size edge count (k+1)N - (t - k/2 + 2)2^k + t - k + 2."""
-    params = make_params(t, k, ((1 << k) - 1) << (t + 1 - k))
-    N = params.N
-    return (k + 1) * N - (t + 2) * (1 << k) + k * (1 << (k - 1)) + t - k + 2
+    """(5a) at (t, k); ParamOutOfRange unless (t, k, N) is admissible."""
+    make_params(t, k, full_size(t, k))
+    return closed_form_5a(t, k)
 
 
 def bound_5b(t: int, k: int, n: int) -> int:
-    """Shrunk-size bound (k+1-p)n - (t - k/2 + p + 2)2^k + t - k - (p-2)2^p."""
-    params = make_params(t, k, n)
-    p = params.p
-    return ((k + 1 - p) * n - (t + p + 2) * (1 << k) + k * (1 << (k - 1))
-            + t - k - (p - 2) * (1 << p))
+    """(5b) at (t, k, n); ParamOutOfRange unless (t, k, n) is admissible."""
+    return closed_form_5b(t, k, n, make_params(t, k, n).p)
+
+
+def _window_5b(t: int, k: int, N: int, n: int) -> int | None:
+    """(5b) at n inside the window 2^t < n <= N = full_size(t, k), else None;
+    k must already meet the parity bound of n.  p = floor(log2(x + 1)) with
+    x = (N - n) div 2^(t+1-k), as make_params derives it."""
+    if not (1 << t) < n <= N:
+        return None
+    return closed_form_5b(t, k, n, floor_log2(((N - n) >> (t + 1 - k)) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -141,33 +164,22 @@ def bound_report(n: int) -> BoundReport:
     else:
         bounds["knodel_even"] = {"value": None, "applicable": False, "reason": "n is odd"}
     if n % 2 == 1:
-        try:
-            value, flags = bound_hln_odd(n)
-            bounds["hln_odd"] = {"value": value, "applicable": all(flags.values()),
-                                 "reason": json.dumps(flags, sort_keys=True),
-                                 "hypotheses": flags}
-        except ParamOutOfRange as exc:
-            bounds["hln_odd"] = {"value": None, "applicable": False, "reason": str(exc)}
+        value, flags = bound_hln_odd(n)
+        bounds["hln_odd"] = {"value": value, "applicable": all(flags.values()),
+                             "reason": json.dumps(flags, sort_keys=True),
+                             "hypotheses": flags}
     else:
         bounds["hln_odd"] = {"value": None, "applicable": False, "reason": "n is even"}
 
     t = ceil_log2(n) - 1
-    best_val = None
-    best_k = None
-    if t >= 7:
-        for k in range(2, max_k(t, n_odd=bool(n % 2)) + 1):
-            try:
-                val = bound_5b(t, k, n)
-            except ParamOutOfRange:
-                continue
-            if best_val is None or val < best_val:
-                best_val, best_k = val, k
-    if best_val is None:
+    ks = range(2, max_k(t, n_odd=bool(n % 2)) + 1) if t >= 7 else ()
+    cells = [(v, k) for k in ks if (v := _window_5b(t, k, full_size(t, k), n)) is not None]
+    if cells:
+        value, k = min(cells)
+        bounds["construction"] = {"value": value, "applicable": True, "reason": f"t={t}, k={k}"}
+    else:
         bounds["construction"] = {"value": None, "applicable": False,
                                   "reason": f"no admissible k at t={t}"}
-    else:
-        bounds["construction"] = {"value": best_val, "applicable": True,
-                                  "reason": f"t={t}, k={best_k}"}
     return BoundReport(n=n, bounds=bounds)
 
 
@@ -179,9 +191,9 @@ def table1(t_min: int, t_max: int) -> list[tuple[int, int, int, int, int]]:
     """Rows (t, k, N, ours, hl) over the full-size parameter grid."""
     rows = []
     for t in range(t_min, t_max + 1):
-        for k in range(2, t // 2):
-            N = ((1 << k) - 1) << (t + 1 - k)
-            rows.append((t, k, N, bound_5a(t, k), bound_hl_direct(N)))
+        for k in range(2, max_k(t, n_odd=False) + 1):
+            N = full_size(t, k)
+            rows.append((t, k, N, closed_form_5a(t, k), bound_hl_direct(N)))
     return rows
 
 
@@ -198,12 +210,11 @@ _FACSIMILE_ROWS_T14 = [
 ]
 
 
-def _facsimile_rows(t: int, k_range: list[int]) -> list[int]:
+def _facsimile_rows(t: int, tops: list[int]) -> list[int]:
     if t == 14:
         return list(_FACSIMILE_ROWS_T14)
     lo = (1 << t) + 1
     rows = {lo, lo + 1, lo + 2}
-    tops = [((1 << k) - 1) << (t + 1 - k) for k in k_range]
     for N in tops[:-1]:
         rows.update(range(N - 1, N + 4))
     rows.add(tops[-1] - 1)
@@ -211,47 +222,35 @@ def _facsimile_rows(t: int, k_range: list[int]) -> list[int]:
 
 
 def table2(t: int, n_values: list[int] | None = None,
-           k_range: list[int] | None = None,
            facsimile: bool = False) -> tuple[list[str], list[list]]:
     """Header and rows for the shrunk-size comparison table.
 
     Cells hold ints or None (blank).  Columns: n, one per k, the odd-n
-    bound, the direct-construction bound."""
-    ks = k_range if k_range is not None else list(range(2, t // 2))
+    bound, the direct-construction bound.  Every k column meets the parity
+    bound for odd and even n alike, so a k cell is (5b) inside the window
+    2^t < n <= N_k and blank outside it."""
+    ks = range(2, max_k(t, n_odd=False) + 1)
+    tops = [full_size(t, k) for k in ks]
     if n_values is None:
         if facsimile:
-            n_values = _facsimile_rows(t, ks)
+            n_values = _facsimile_rows(t, tops)
         else:
-            top = ((1 << ks[-1]) - 1) << (t + 1 - ks[-1])
-            n_values = list(range((1 << t) + 1, top))
+            n_values = range((1 << t) + 1, tops[-1])
     header = ["n"] + [f"k={k}" for k in ks] + ["hln", "hl"]
-    hl_floor = ((1 << ks[-2]) - 1) << (t + 1 - ks[-2]) if len(ks) > 1 else 0
+    hl_floor = tops[-2] if len(tops) > 1 else 0
     rows = []
     for n in n_values:
         row: list = [n]
-        for k in ks:
-            try:
-                row.append(bound_5b(t, k, n))
-            except ParamOutOfRange:
-                row.append(None)
-        if n % 2:
-            row.append(bound_hln_odd(n)[0])
-        else:
-            row.append(None)
-        if facsimile and n <= hl_floor:
-            row.append(None)
-        else:
-            try:
-                row.append(bound_hl_direct(n))
-            except ParamOutOfRange:
-                row.append(None)
+        for k, N in zip(ks, tops):
+            row.append(_window_5b(t, k, N, n))
+        row.append(_hln_value(n - 1) if n % 2 else None)
+        row.append(None if facsimile and n <= hl_floor else _hl_value(n))
         rows.append(row)
     return header, rows
 
 
-def table2_csv(t: int, n_values: list[int] | None = None,
-               k_range: list[int] | None = None, facsimile: bool = False) -> str:
-    header, rows = table2(t, n_values, k_range, facsimile)
+def table2_csv(t: int, n_values: list[int] | None = None, facsimile: bool = False) -> str:
+    header, rows = table2(t, n_values, facsimile)
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join("" if c is None else str(c) for c in row))

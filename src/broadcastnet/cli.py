@@ -15,7 +15,7 @@ from . import bounds as bounds_mod
 from .construct import audit_edges, build
 from .errors import BroadcastNetError, UnknownVertex
 from .graph import Graph
-from .params import make_params
+from .params import full_size, make_params
 from .verify import certify_graph, check_schedule, exact_broadcast_time
 from .scheme import make_schedule
 
@@ -76,9 +76,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _params_for(args):
-    n = args.n
-    if n is None:
-        n = ((1 << args.k) - 1) << (args.t + 1 - args.k)
+    n = full_size(args.t, args.k) if args.n is None else args.n
     return make_params(args.t, args.k, n)
 
 

@@ -31,7 +31,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .binomial import binomial_rounds_masks
-from .errors import ParamOutOfRange
+from .bounds import closed_form_5a, closed_form_5b
 from .graph import Graph
 from .labels import VertexLabel, pos_string
 from .params import ConstructionParams
@@ -129,8 +129,7 @@ class CaseOneLayout:
         force a fresh simulation."""
         if not informed_masks and index in self._plain_rounds:
             return self._plain_rounds[index]
-        rounds = binomial_rounds_masks(self.h, informed_masks,
-                                       self.pruned_masks.get(index), index)
+        rounds = binomial_rounds_masks(self.h, informed_masks, self.pruned_masks.get(index))
         base = (index - 1) * self.tree_size
         ids = self.dense[base:base + self.tree_size]
         frag = tuple(tuple((ids[a], ids[b]) for a, b in calls) for calls in rounds)
@@ -354,7 +353,7 @@ def _case1_formulas(params: ConstructionParams) -> dict[str, int]:
         "rk": (K // 2 - 1) * (M - 1) - 1,
         "v1q1": (k - 1) * (K // 2) * (M - 1),
         "v1q2": (k - 2) * (K // 2 - 1) * (M - 2),
-        "total": (k + 1) * params.N - (t + 2) * K + k * (K // 2) + t + 2 - k,
+        "total": closed_form_5a(t, k),
     }
 
 
@@ -441,29 +440,21 @@ def removed_closed_form(params: ConstructionParams) -> int:
 
 
 def remaining_closed_form(params: ConstructionParams) -> int:
-    t, k, n, p = params.t, params.k, params.n, params.p
-    return ((k + 1 - p) * n - (t + p + 2) * (1 << k) + k * (1 << (k - 1))
-            + t - k - (p - 2) * (1 << p))
+    return closed_form_5b(params.t, params.k, params.n, params.p)
 
 
 # ---------------------------------------------------------------------------
 # public builders
 
 
-def build_case1(params: ConstructionParams) -> tuple[Graph, CaseOneLayout, EdgeAccounting]:
-    """Full-size graph on N vertices with exactly the closed-form edge count."""
-    if params.n != params.N:
-        raise ParamOutOfRange(f"n={params.n}: full-size build requires n = N = {params.N}")
-    layout = _make_layout(params)
-    edges = _case1_edges(layout)
-    g = _assemble(layout, edges, bytearray(params.N))
-    return g, layout, _accounting(layout, edges, 0)
+def build(params: ConstructionParams) -> tuple[Graph, CaseOneLayout, EdgeAccounting]:
+    """The graph on n vertices: the full-size graph less d = N - n vertices,
+    with itemized accounting and, when d > 0, the deletion ledger.
 
-
-def build_case2(params: ConstructionParams) -> tuple[Graph, CaseOneLayout, EdgeAccounting]:
-    """Deletion build for 2^t < n < N, with the full deletion ledger."""
-    if not params.n < params.N:
-        raise ParamOutOfRange(f"n={params.n}: deletion build requires n < N = {params.N}")
+    For x > 0 the trees on coordinates 1..2^p - 1 go, with replacement edges
+    for the cube partners they leave unmatched; pruned vertices make up the
+    rest of d.  At n = N nothing is deleted and the full-size edge list is
+    used as it is."""
     layout = _make_layout(params)
     M, k, p, x = params.tree_size, params.k, params.p, params.x
     need = params.y
@@ -483,18 +474,14 @@ def build_case2(params: ConstructionParams) -> tuple[Graph, CaseOneLayout, EdgeA
     added = [tuple(sorted(_full_id(layout, layout.key_of_coord(c)) for c in pair))
              for pair in layout.replacement_coords]
     edges = _case1_edges(layout)
-    final = [(a, b) for a, b in edges if not (gone[a] or gone[b])] + added
+    final = ([(a, b) for a, b in edges if not (gone[a] or gone[b])] + added
+             if params.d else edges)
     g = _assemble(layout, final, gone)
     assert g.num_edges == len(final)
     acc = _accounting(layout, final, len(added))
-    _deletion_ledger(layout, acc, edges, gone)
+    if params.d:
+        _deletion_ledger(layout, acc, edges, gone)
     return g, layout, acc
-
-
-def build(params: ConstructionParams) -> tuple[Graph, CaseOneLayout, EdgeAccounting]:
-    if params.n == params.N:
-        return build_case1(params)
-    return build_case2(params)
 
 
 def audit_edges(g: Graph, layout: CaseOneLayout,
@@ -503,6 +490,6 @@ def audit_edges(g: Graph, layout: CaseOneLayout,
     full = [_full_id(layout, layout.key_of_label(label)) for label in g.labels]
     acc = _accounting(layout, [(full[a], full[b]) for a, b in g.edge_ids()],
                       len(layout.replacement_coords))
-    if params.n < params.N:
+    if params.d:
         _deletion_ledger(layout, acc, _case1_edges(layout), _deletion_marks(layout))
     return acc

@@ -55,27 +55,37 @@ class ConstructionParams:
         ) + "\n"
 
 
-def make_params(t: int, k: int, n: int) -> ConstructionParams:
-    """Validate (t, k, n) and derive N, d, x, y, p.
+def full_size(t: int, k: int) -> int:
+    """N = (2^k - 1) * 2^(t+1-k), the vertex count of the full-size graph.
 
-    Raises ParamOutOfRange naming the violated constraint.
-    """
+    Raises ParamOutOfRange for t < 7, k < 2 or k > t+1."""
     if t < 7:
         raise ParamOutOfRange(f"t={t}: t must be >= 7")
     if k < 2:
         raise ParamOutOfRange(f"k={k}: k must be >= 2")
+    if k > t + 1:
+        raise ParamOutOfRange(f"k={k}: k must be <= t+1 = {t + 1}")
+    return ((1 << k) - 1) << (t + 1 - k)
+
+
+def make_params(t: int, k: int, n: int) -> ConstructionParams:
+    """Validate (t, k, n) and derive N, d, x, y, p.
+
+    Raises ParamOutOfRange naming the violated constraint, checked in the
+    order t, k >= 2, the parity bound on k, then the range of n.
+    """
     km = max_k(t, n_odd=bool(n % 2))
-    if k > km:
+    if t >= 7 and k > km:  # km >= 2 for t >= 7: a k < 2 falls through to full_size
         bound = "ceil(t/2)-1" if n % 2 else "floor(t/2)-1"
         raise ParamOutOfRange(f"k={k}: k must be <= {bound} = {km} for this n parity")
+    N = full_size(t, k)
     M = 1 << (t + 1 - k)
-    N = ((1 << k) - 1) * M
     if not (1 << t) < n <= N:
         raise ParamOutOfRange(f"n={n}: need 2^t = {1 << t} < n <= N = {N}")
     d = N - n
     x = d // M
     y = d - x * M
-    p = floor_log2(x + 1) if x > 0 else 0
+    p = floor_log2(x + 1)
     assert 0 <= x < 1 << (k - 1) and 0 <= y < M and p < k
     assert ceil_log2(N) == t + 1
     return ConstructionParams(t=t, k=k, n=n, N=N, d=d, x=x, y=y, p=p)

@@ -75,6 +75,13 @@ def test_bounds_5a_5b():
         bound_5a(7, 4)
 
 
+@pytest.mark.parametrize("t,k", [(7, 9), (7, -1)])
+def test_bound_5a_undefined_full_size(t, k):
+    # 2^(t+1-k) or 2^k is undefined: a domain error, not a shift error
+    with pytest.raises(ParamOutOfRange):
+        bound_5a(t, k)
+
+
 def test_5b_reduces_to_5a_at_full_size():
     for t in range(7, 15):
         for k in range(2, t // 2):
@@ -166,3 +173,28 @@ def test_bound_report_power_of_two():
     assert rep.bounds["hl_direct"]["applicable"] is False
     assert rep.bounds["construction"]["applicable"] is False
     assert rep.bounds["farley"]["value"] == 1024
+
+
+def test_direct_cells_match_validating_bounds():
+    # every table2 k cell is bound_5b where it is admissible and blank where
+    # it raises (the hl cell likewise bound_hl_direct); the hln cell is the
+    # odd-n value; the construction entry of bound_report is the least
+    # bound_5b over the admissible k
+    def validating(fn, *args):
+        try:
+            return fn(*args)
+        except ParamOutOfRange:
+            return None
+
+    for t in (7, 8, 9):
+        ns = range((1 << t) + 1, (1 << (t + 1)) + 1)
+        header, rows = table2(t, n_values=ns)
+        ks = [int(name[2:]) for name in header[1:-2]]
+        assert [row[0] for row in rows] == list(ns)
+        for n, row in zip(ns, rows):
+            assert row[1:-2] == [validating(bound_5b, t, k, n) for k in ks], n
+            assert row[-2] == (bound_hln_odd(n)[0] if n % 2 else None), n
+            assert row[-1] == validating(bound_hl_direct, n), n
+            values = [v for k in range(2, t) if (v := validating(bound_5b, t, k, n)) is not None]
+            construction = bound_report(n).bounds["construction"]
+            assert construction["value"] == (min(values) if values else None), n

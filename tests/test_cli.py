@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from broadcastnet import Schedule
 from broadcastnet.cli import main
 
 
@@ -25,6 +26,38 @@ def test_params_domain_error_exit_1(capsys):
     assert code == 1
     assert "error" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("certify", "--t", "7", "--k", "9"),
+    ("construct", "--t", "7", "--k", "-1", "--out", "g.json"),
+])
+def test_full_size_out_of_range_exit_1(tmp_path, monkeypatch, capsys, argv):
+    # no --n: the full size N is undefined for these (t, k)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "g.json").exists()
+
+
+def test_schedule_failing_its_own_check_exit_1(monkeypatch, capsys):
+    import broadcastnet.cli as cli
+    make = cli.make_schedule
+
+    def with_illegal_call(g, layout, params, u):
+        s = make(g, layout, params, u)
+        rounds = [list(calls) for calls in s.id_rounds]
+        rounds[0].append((s.origin, s.origin))  # the originator calls itself
+        return Schedule.from_ids(g.labels, s.origin, rounds)
+
+    monkeypatch.setattr(cli, "make_schedule", with_illegal_call)
+    code, out, err = run_cli(capsys, "schedule", "--t", "7", "--k", "2", "--originator", "5")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("generated schedule failed its own check: ")
+    assert err.count("\n") == 1
 
 
 def test_usage_error_exit_2(capsys):
@@ -252,6 +285,22 @@ GOLDEN = [
      "f7cac12bde68b7f91fde3489d079e7ea0d8b7627a3abd8f5a8d4024b1ed01078", None),
     (("certify", "--t", "8", "--k", "3", "--n", "400"),
      "6769a4d0098f0f6ebde1dfd2ebbd0eb61b588cffab6cba6c6780bd37b7484d4f", None),
+    (("table1", "--t-min", "7", "--t-max", "18"),
+     "d3fd3460e232365bc481060a846c2ca3462c4d9da510391823f6c06f76aec9fd", None),
+    (("table2", "--t", "9"),
+     "9f1f51c8049243481caf78f33572f101aa81304e1d2f452dd6d099dfe5ffd607", None),
+    # t != 14: facsimile rows around every k column's ceiling
+    (("table2", "--t", "9", "--paper-facsimile"),
+     "e29e300e64f03efee6cfc4c5c5c75bf7cb3806e4a6f0cbce8a02aceaa7ea34ef", None),
+    # up to n = 2^(t+1), where the direct bound is inapplicable
+    (("table2", "--t", "10", "--n-min", "1025", "--n-max", "2048"),
+     "2070c35852df0b848aaa968d2fb9e10e98225600726893dd4af45b241f214b35", None),
+    (("bounds", "--n", "16385"),
+     "183e18a51fc72d1be38084c76de58338b34746bb31a4d9a1ffb92d9c29146881", None),
+    (("bounds", "--n", "24577"),
+     "a844f62372c1844beb076ecd9cc5bc87d0f67754e43c49c7e5a5c5dcfdf9a2ee", None),
+    (("bounds", "--n", "31745"),
+     "62bbba92d67a418d24813c7f3e791d2b3adab43bda637fe8545e368b60089e07", None),
 ]
 
 

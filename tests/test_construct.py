@@ -1,14 +1,4 @@
-import pytest
-
-from broadcastnet import (
-    ParamOutOfRange,
-    audit_edges,
-    bound_5a,
-    build,
-    build_case1,
-    build_case2,
-    make_params,
-)
+from broadcastnet import audit_edges, bound_5a, build, make_params
 from broadcastnet.construct import _make_layout, _prune, remaining_closed_form
 from broadcastnet.params import max_k
 
@@ -76,13 +66,6 @@ def test_case1_w_degree(g72):
     params, g, layout, _ = g72
     w = layout.label_of_key(layout.w_key)
     assert g.degree(w) == params.k + 1  # k cube edges plus the tree parent
-
-
-def test_case1_requires_full_n():
-    with pytest.raises(ParamOutOfRange):
-        build_case1(make_params(7, 2, 191))
-    with pytest.raises(ParamOutOfRange):
-        build_case2(make_params(7, 2, 192))
 
 
 def test_case1_log_target():

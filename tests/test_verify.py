@@ -191,6 +191,26 @@ def test_check_rejects_out_of_range_ids(g72, bad):
     assert not res.ok and res.violation.reason == "unknown-originator"
 
 
+def test_label_schedule_naming_foreign_labels():
+    # ids_in turns a label the graph lacks into -1: an unknown originator,
+    # or an unknown vertex voiding the round of the call that names it
+    g, labs = _path3()
+    stranger = VertexLabel(tree=9)
+    s = Schedule(originator=stranger, rounds=[[(labs[0], labs[1])]])
+    res = check_schedule(g, s)
+    assert not res.ok and res.violation.to_json_obj() == {
+        "kind": "illegal-call", "round": 0, "reason": "unknown-originator"}
+    with pytest.raises(UnknownVertex):
+        s.to_json(g)
+    s = Schedule(originator=labs[0],
+                 rounds=[[(labs[0], labs[1])], [(labs[1], stranger), (labs[1], labs[2])]])
+    res = check_schedule(g, s)
+    assert not res.ok and res.violation.to_json_obj() == {
+        "kind": "illegal-call", "round": 2, "reason": "unknown-vertex"}
+    with pytest.raises(UnknownVertex):
+        s.to_json(g)
+
+
 def test_assigning_rounds_drops_the_id_form(g72):
     params, g, layout, _ = g72
     s = make_schedule(g, layout, params, g.labels[5])
