@@ -45,11 +45,15 @@ class BinomialTree:
     def mask_of(self, label: VertexLabel) -> int:
         return int(label.pos, 2) if label.pos else 0
 
+    @property
+    def labels(self) -> tuple[VertexLabel, ...]:
+        """Every vertex in mask order, as to_graph() numbers them."""
+        return tuple(map(self.label, range(self.size)))
+
     def to_graph(self) -> Graph:
-        labels = [self.label(mask) for mask in range(self.size)]
         edges = [(self.label(mask), self.label(parent_mask(mask)))
                  for mask in range(1, self.size)]
-        return Graph.build(labels, edges)
+        return Graph.build(self.labels, edges)
 
 
 def build_binomial(m: int) -> BinomialTree:
@@ -63,15 +67,12 @@ def binomial_schedule(tree: BinomialTree, informed: set[VertexLabel] | None = No
 
     Every informed vertex calls its largest-order uninformed child each
     round; vertices in ``informed`` (which must hold the root) are never
-    called but place calls from round 1 on.
+    called but place calls from round 1 on.  The ids are the masks.
     """
     if informed is not None and tree.root not in informed:
         raise RootNotInformed("root of tree 1 must be informed")
     masks = {tree.mask_of(v) for v in informed} if informed else None
-    rounds = binomial_rounds_masks(tree.m, masks)
-    return Schedule(originator=tree.root, rounds=[
-        [(tree.label(a), tree.label(b)) for a, b in calls] for calls in rounds
-    ])
+    return Schedule(tree.labels, 0, binomial_rounds_masks(tree.m, masks))
 
 
 def binomial_rounds_masks(

@@ -58,6 +58,8 @@ def bound_knodel_even(n: int) -> int:
     """Modified-Knoedel-graph bound n * floor(log2 n) / 2 for even n."""
     if n % 2:
         raise ParamOutOfRange(f"n={n} must be even")
+    if n < 2:
+        raise ParamOutOfRange(f"n={n}: bound defined for n >= 2")
     return n * floor_log2(n) // 2
 
 
@@ -89,6 +91,8 @@ def bound_hln_odd(n_odd: int) -> tuple[int, dict[str, bool]]:
     the bound's stated hypotheses actually hold at this n."""
     if n_odd % 2 == 0:
         raise ParamOutOfRange(f"n={n_odd} must be odd")
+    if n_odd < 3:
+        raise ParamOutOfRange(f"n={n_odd}: bound defined for n >= 3")
     return _hln_value(n_odd - 1), hln_hypotheses(n_odd - 1)
 
 
@@ -146,7 +150,9 @@ class BoundReport:
 
 
 def bound_report(n: int) -> BoundReport:
-    """Evaluate bounds (1)-(5) at one n with applicability flags."""
+    """Evaluate bounds (1)-(5) at one n >= 2 with applicability flags."""
+    if n < 2:
+        raise ParamOutOfRange(f"n={n}: bounds defined for n >= 2")
     bounds: dict[str, dict] = {}
 
     def entry(name, fn, *args, reason=""):
@@ -188,7 +194,9 @@ def bound_report(n: int) -> BoundReport:
 
 
 def table1(t_min: int, t_max: int) -> list[tuple[int, int, int, int, int]]:
-    """Rows (t, k, N, ours, hl) over the full-size parameter grid."""
+    """Rows (t, k, N, ours, hl) over the full-size parameter grid, 7 <= t_min <= t_max."""
+    if not 7 <= t_min <= t_max:
+        raise ParamOutOfRange(f"t range [{t_min}, {t_max}] is empty or starts below 7")
     rows = []
     for t in range(t_min, t_max + 1):
         for k in range(2, max_k(t, n_odd=False) + 1):
@@ -228,7 +236,9 @@ def table2(t: int, n_values: list[int] | None = None,
     Cells hold ints or None (blank).  Columns: n, one per k, the odd-n
     bound, the direct-construction bound.  Every k column meets the parity
     bound for odd and even n alike, so a k cell is (5b) inside the window
-    2^t < n <= N_k and blank outside it."""
+    2^t < n <= N_k and blank outside it.  Needs t >= 7 and every n >= 2."""
+    if t < 7:
+        raise ParamOutOfRange(f"t={t}: t must be >= 7")
     ks = range(2, max_k(t, n_odd=False) + 1)
     tops = [full_size(t, k) for k in ks]
     if n_values is None:
@@ -240,6 +250,8 @@ def table2(t: int, n_values: list[int] | None = None,
     hl_floor = tops[-2] if len(tops) > 1 else 0
     rows = []
     for n in n_values:
+        if n < 2:
+            raise ParamOutOfRange(f"n={n}: rows defined for n >= 2")
         row: list = [n]
         for k, N in zip(ks, tops):
             row.append(_window_5b(t, k, N, n))

@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import bounds as bounds_mod
-from .construct import audit_edges, build
+from .construct import build
 from .errors import BroadcastNetError, UnknownVertex
 from .graph import Graph
 from .params import full_size, make_params

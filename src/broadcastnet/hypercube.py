@@ -34,6 +34,11 @@ class Hypercube:
     def label(self, c: int) -> VertexLabel:
         return VertexLabel(tree=None, pos="", cube=self.coord_string(c))
 
+    @property
+    def labels(self) -> tuple[VertexLabel, ...]:
+        """Every vertex in coordinate order, as to_graph() numbers them."""
+        return tuple(map(self.label, range(self.size)))
+
     def coord_of(self, label: VertexLabel) -> int:
         if label.cube is None or len(label.cube) != self.m and self.m > 0:
             raise UnknownVertex(f"{label} is not a coordinate of Q^{self.m}")
@@ -43,14 +48,13 @@ class Hypercube:
         return c
 
     def to_graph(self) -> Graph:
-        labels = [self.label(c) for c in range(self.size)]
         edges = [
             (self.label(c), self.label(c ^ (1 << b)))
             for c in range(self.size)
             for b in range(self.m)
             if c < c ^ (1 << b)
         ]
-        return Graph.build(labels, edges)
+        return Graph.build(self.labels, edges)
 
 
 def build_hypercube(m: int) -> Hypercube:
@@ -83,11 +87,7 @@ def sweep_rounds(
 
 
 def hypercube_schedule(cube: Hypercube, originator: VertexLabel) -> Schedule:
-    """Inform all 2^m vertices in exactly m rounds (dimension sweep)."""
+    """Inform all 2^m vertices in exactly m rounds (dimension sweep); the
+    ids are the coordinates."""
     seed = cube.coord_of(originator)
-    rounds = sweep_rounds(seed, list(range(cube.m)))
-    sched = Schedule(originator=originator)
-    sched.rounds = [
-        [(cube.label(a), cube.label(b)) for a, b in calls] for calls in rounds
-    ]
-    return sched
+    return Schedule(cube.labels, seed, sweep_rounds(seed, list(range(cube.m))))

@@ -1,92 +1,72 @@
-"""Broadcast schedules: one originator, then per-round sets of (caller, callee) calls."""
+"""Broadcast schedules: an originator, then per-round (caller, callee) calls.
+
+A schedule is immutable.  Its vertices are dense ids indexing a label tuple,
+as the graph numbering them holds it; labels are read only at the boundary.
+The calls are kept in the shape of the broadcast scheme's two phases: the
+rounds from round 1 on, then optionally one (tree, fragment) pair per tree,
+every fragment starting in the round after those rounds.  A plain schedule
+has no fragments.
+"""
 
 from __future__ import annotations
 
 import json
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import UnknownVertex
 from .graph import Graph
 from .labels import VertexLabel
 
-Call = tuple[VertexLabel, VertexLabel]
 IdCall = tuple[int, int]  # (caller, callee) dense ids
 
 
 class Schedule:
-    """rounds[i] holds the calls placed during round i+1.
+    """The broadcast from ``labels[origin]``; the calls of ``rounds[i]`` are
+    placed during round i+1, every id indexing ``labels``.
 
-    A schedule holds its calls either as label pairs or, as make_schedule
-    makes it, as dense-id pairs together with the label tuple of the graph
-    numbering the ids index.  The id form reads through ``rounds`` as a
-    read-only label view; assigning ``rounds`` replaces it with label calls.
-    A schedule made from pieces keeps them (``pieces``): its cube-phase
-    rounds and one (tree, fragment) pair per tree, each fragment starting in
-    the round after the cube phase; its calls are those the pieces hold.
+    ``pieces`` is (the rounds given, the (tree, fragment) pairs given).  The
+    fragments are kept as they are given, so they should be immutable, as
+    tree_rounds makes them.
     """
 
-    def __init__(self, originator: VertexLabel, rounds: list[list[Call]] | None = None):
-        self.originator = originator
-        self.rounds = [] if rounds is None else rounds
+    __slots__ = ("labels", "origin", "pieces", "_assembled")
 
-    @classmethod
-    def from_ids(cls, labels: tuple[VertexLabel, ...], origin: int,
-                 id_rounds: Sequence[Sequence[IdCall]] | None) -> "Schedule":
-        s = cls(labels[origin] if 0 <= origin < len(labels) else None)
-        s.labels, s.origin, s._id_rounds = labels, origin, id_rounds
-        return s
-
-    @classmethod
-    def from_pieces(cls, labels: tuple[VertexLabel, ...], origin: int,
-                    cube_rounds: list[list[IdCall]],
-                    fragments: list[tuple[int, Sequence[Sequence[IdCall]]]]) -> "Schedule":
-        """The id schedule of cube_rounds (rounds 1..k) followed by every
-        fragment from round k+1 on.  The fragments are kept as given, so they
-        should be immutable, as tree_rounds makes them."""
-        s = cls.from_ids(labels, origin, None)
-        s.pieces = (tuple(tuple(calls) for calls in cube_rounds), tuple(fragments))
-        return s
+    def __init__(self, labels: tuple[VertexLabel, ...], origin: int,
+                 rounds: Iterable[Iterable[IdCall]],
+                 fragments: Iterable[tuple[int, Sequence[Sequence[IdCall]]]] = ()):
+        self.labels = labels
+        self.origin = origin
+        self.pieces = (tuple(tuple(calls) for calls in rounds), tuple(fragments))
+        self._assembled: tuple[tuple[IdCall, ...], ...] | None = None
 
     @property
-    def id_rounds(self) -> Sequence[Sequence[IdCall]] | None:
-        """The calls as dense-id pairs per round (None for label calls); made
-        from the pieces, read-only, on first use."""
-        if self._id_rounds is None and self.pieces is not None:
-            cube, fragments = self.pieces
-            rounds = [list(calls) for calls in cube]
+    def rounds(self) -> tuple[tuple[IdCall, ...], ...]:
+        """The calls of every piece per round, read-only, made on first use."""
+        if self._assembled is None:
+            first, fragments = self.pieces
+            rounds = [list(calls) for calls in first]
             rounds += [[] for _ in range(max((len(f) for _, f in fragments), default=0))]
             for _, frag in fragments:
-                for rnd, calls in enumerate(frag, start=len(cube)):
+                for rnd, calls in enumerate(frag, start=len(first)):
                     rounds[rnd].extend(calls)
-            self._id_rounds = tuple(map(tuple, rounds))
-        return self._id_rounds
-
-    @property
-    def rounds(self) -> Sequence[Sequence[Call]]:
-        if self.id_rounds is None:
-            return self._rounds
-        return tuple(_LabelCalls(self.labels, calls) for calls in self.id_rounds)
-
-    @rounds.setter
-    def rounds(self, value: list[list[Call]]) -> None:
-        self._rounds = value
-        self.labels = self.origin = self._id_rounds = self.pieces = None
+            self._assembled = tuple(map(tuple, rounds))
+        return self._assembled
 
     def ids_in(self, g: Graph) -> tuple[int, Sequence[Sequence[IdCall]]]:
-        """The originator and the calls as ids of g's numbering; a label that
-        g lacks becomes -1.  The id form is used as it is when it was made on
-        g's own label tuple."""
-        if self.id_rounds is not None and self.labels is g.labels:
-            return self.origin, self.id_rounds
+        """The originator and the calls as ids of g's numbering: as they are
+        when the schedule is on g's own label tuple, else mapped through one
+        table over the schedule's labels.  A label g lacks, and an id outside
+        the schedule's tuple, becomes -1."""
+        if self.labels is g.labels:
+            return self.origin, self.rounds
+        table = [g.vertex_id(label) if label in g else -1 for label in self.labels]
+        n = len(table)
 
-        def vid(label: VertexLabel) -> int:
-            try:
-                return g.vertex_id(label)
-            except UnknownVertex:
-                return -1
+        def vid(i: int) -> int:
+            return table[i] if 0 <= i < n else -1
 
-        return vid(self.originator), [[(vid(a), vid(b)) for a, b in calls]
-                                      for calls in self.rounds]
+        return vid(self.origin), [[(vid(a), vid(b)) for a, b in calls]
+                                  for calls in self.rounds]
 
     @property
     def num_calls(self) -> int:
@@ -111,23 +91,3 @@ class Schedule:
             "completes_at": self.completes_at,
         }
         return json.dumps(obj, separators=(",", ":")) + "\n"
-
-
-class _LabelCalls(Sequence):
-    """One round of id calls, read as label pairs."""
-
-    __slots__ = ("_labels", "_calls")
-
-    def __init__(self, labels: tuple[VertexLabel, ...], calls: list[IdCall]):
-        self._labels, self._calls = labels, calls
-
-    def __len__(self) -> int:
-        return len(self._calls)
-
-    def __getitem__(self, i: int) -> Call:
-        a, b = self._calls[i]
-        return (self._labels[a], self._labels[b])
-
-    def __iter__(self):
-        labels = self._labels
-        return ((labels[a], labels[b]) for a, b in self._calls)

@@ -34,7 +34,6 @@ class SchemeCase:
     """Originator classification: which case rule drives phase 1."""
 
     tag: str  # C11, C12, C13, C21, C22, C23
-    tree: int | None = None
     subcube: int | None = None  # block index of the tree's root, low half only
 
     @property
@@ -51,9 +50,8 @@ def classify(g: Graph, layout: CaseOneLayout, u: VertexLabel) -> SchemeCase:
         return SchemeCase(tag="C21" if shrunk else "C11")
     c = layout.coord_of_tree[key[0]]
     if c >= layout.half:
-        return SchemeCase(tag="C22" if shrunk else "C12", tree=key[0])
-    return SchemeCase(tag="C23" if shrunk else "C13", tree=key[0],
-                      subcube=layout.subcube_of_coord(c))
+        return SchemeCase(tag="C22" if shrunk else "C12")
+    return SchemeCase(tag="C23" if shrunk else "C13", subcube=layout.subcube_of_coord(c))
 
 
 # ---------------------------------------------------------------------------
@@ -192,4 +190,4 @@ def make_schedule(g: Graph, layout: CaseOneLayout, params: ConstructionParams,
         assert len(frag) <= params.tree_order
         fragments.append((tree, frag))
 
-    return Schedule.from_pieces(layout.labels, uid, cube, fragments)
+    return Schedule(layout.labels, uid, cube, fragments)

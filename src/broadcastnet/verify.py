@@ -5,12 +5,12 @@ check_schedule trusts nothing about how a schedule was produced: it replays
 the calls round by round and rejects the first violation in deterministic
 order.  certify_graph runs the generator plus the checker for every
 originator; the accepted schedules are the witness that the graph
-broadcasts within its target.  A schedule made from pieces is checked
-piece by piece first: the cube phase and every tree fragment that starts
-from more than its tree's root are replayed, while a fragment this graph
-has already accepted from its root alone is not replayed again.  Whatever
-that check does not accept is replayed whole, which gives every failure's
-witness."""
+broadcasts within its target.  A schedule on the graph's own label tuple is
+checked piece by piece first: its first rounds (the cube phase) and every
+tree fragment that starts from more than its tree's root are replayed,
+while a fragment this graph has already accepted from its root alone is not
+replayed again.  Whatever that check does not accept is replayed whole,
+which gives every failure's witness."""
 
 from __future__ import annotations
 
@@ -61,10 +61,10 @@ def check_schedule(g: Graph, s: Schedule) -> CheckResult:
     Per round, in canonical call order: the caller must already be informed,
     the callee must not be, the edge must exist, and no vertex may take part
     in two calls.  Returns the round in which the last vertex learns the
-    message, or the earliest violation.  A schedule made from pieces on g's
-    numbering is accepted from its pieces when they pass (_check_pieces);
-    any other is replayed whole on dense ids, converted once from its labels
-    when it was not made on g's numbering.
+    message, or the earliest violation.  A schedule on g's own label tuple
+    is accepted from its pieces when they pass (_check_pieces); any other is
+    replayed whole on dense ids, converted once (Schedule.ids_in) when it is
+    on another label tuple.
     """
     sizes = _check_pieces(g, s)
     if sizes is not None:
@@ -160,18 +160,19 @@ def _tree_table(g: Graph) -> tuple:
 
 
 def _check_pieces(g: Graph, s: Schedule) -> list[int] | None:
-    """The informed count after each round of a schedule accepted from its
-    pieces, or None when the whole replay must decide.
+    """The informed count after each round of a schedule on g's own label
+    tuple accepted from its pieces, or None when the whole replay must decide.
 
-    The cube rounds are replayed from the originator.  Then each fragment is
-    replayed inside its tree's id range, from the tree's vertices informed by
-    the cube phase, unless that set is the tree's root alone and this graph
-    has already accepted the very same fragment object from it.  Accepted
+    The first rounds (the cube phase; all rounds of a plain schedule) are
+    replayed from the originator.  Then each fragment is replayed inside its
+    tree's id range, from the tree's vertices informed by the cube phase,
+    unless that set is the tree's root alone and this graph has already
+    accepted the very same fragment object from it.  Accepted
     when every piece is legal, no tree has two fragments, and every vertex is
     informed.  Sound because the trees share no vertex and the fragments
     start after the cube phase, so no call of one piece bears on another.
     """
-    if s.pieces is None or s.labels is not g.labels:
+    if s.labels is not g.labels:
         return None
     home, spans, verdicts = _tree_table(g)
     n, adj, labels, origin = g.n, g.adj, g.labels, s.origin

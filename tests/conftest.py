@@ -1,6 +1,24 @@
 import pytest
 
-from broadcastnet import build, make_params
+from broadcastnet import Schedule, build, make_params
+
+
+def label_schedule(originator, rounds):
+    """A schedule of the label calls ``rounds`` from ``originator``, on a
+    label tuple of its own (the labels in order of first use), so a check
+    against a graph converts it."""
+    ids = {originator: 0}
+    for calls in rounds:
+        for call in calls:
+            for label in call:
+                ids.setdefault(label, len(ids))
+    return Schedule(tuple(ids), 0, [[(ids[a], ids[b]) for a, b in calls] for calls in rounds])
+
+
+def label_rounds(s):
+    """The calls of schedule s as label pairs of its own label tuple."""
+    labels = s.labels
+    return [[(labels[a], labels[b]) for a, b in calls] for calls in s.rounds]
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import label_rounds
 
 from broadcastnet import (
     RootNotInformed,
@@ -121,6 +122,17 @@ def test_schedule_from_root_completes_in_m_rounds():
         assert res.ok and (res.completion_round or 0) == m
 
 
+def test_schedule_ids_are_masks_of_the_graph_numbering():
+    # the schedule's label tuple is the one to_graph() numbers the vertices in
+    for m in range(6):
+        t = build_binomial(m)
+        pre = {t.root, t.label((1 << m) - 1)}
+        s = binomial_schedule(t, informed=pre)
+        assert s.labels == t.to_graph().labels
+        assert s.origin == 0
+        assert s.rounds == tuple(map(tuple, binomial_rounds_masks(m, {0, (1 << m) - 1})))
+
+
 def test_schedule_with_preinformed_deep_child():
     # hand enumeration: pre-informing the order-1 child lets both sides call
     # in parallel, finishing the 4-vertex tree in a single round
@@ -128,7 +140,7 @@ def test_schedule_with_preinformed_deep_child():
     deep = t.label(2)  # child of subtree order 1
     s = binomial_schedule(t, informed={t.root, deep})
     assert s.completes_at == 1
-    assert set(s.rounds[0]) == {(t.root, t.label(1)), (deep, t.label(3))}
+    assert set(label_rounds(s)[0]) == {(t.root, t.label(1)), (deep, t.label(3))}
     # pre-informing the order-0 child saves no round: 2 rounds by hand
     s2 = binomial_schedule(t, informed={t.root, t.label(1)})
     assert s2.completes_at == 2
@@ -139,14 +151,14 @@ def test_schedule_skips_informed_callees():
     t = build_binomial(3)
     pre = {t.root, t.label(4)}
     s = binomial_schedule(t, informed=pre)
-    callees = [b for calls in s.rounds for _, b in calls]
+    callees = [b for calls in label_rounds(s) for _, b in calls]
     assert t.label(4) not in callees
     assert len(callees) == t.size - 2
 
 
 def test_empty_schedule_for_order_zero():
     s = binomial_schedule(build_binomial(0))
-    assert s.rounds == []
+    assert s.rounds == ()
 
 
 def test_root_must_be_informed():

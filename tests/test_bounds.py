@@ -198,3 +198,26 @@ def test_direct_cells_match_validating_bounds():
             values = [v for k in range(2, t) if (v := validating(bound_5b, t, k, n)) is not None]
             construction = bound_report(n).bounds["construction"]
             assert construction["value"] == (min(values) if values else None), n
+
+
+@pytest.mark.parametrize("call, args, named", [
+    (bound_report, (1,), "n=1"),
+    (bound_report, (0,), "n=0"),
+    (bound_report, (-3,), "n=-3"),
+    (bound_knodel_even, (0,), "n=0"),
+    (bound_knodel_even, (-2,), "n=-2"),
+    (bound_hln_odd, (1,), "n=1"),
+    (bound_hln_odd, (-1,), "n=-1"),
+    (table2, (5,), "t=5"),
+    (table2, (2,), "t=2"),
+    (table2, (7, [129, 1]), "n=1"),
+    (table1, (5, 5), "[5, 5]"),
+    (table1, (9, 7), "[9, 7]"),
+    (table1, (3, 8), "[3, 8]"),
+])
+def test_out_of_domain_is_a_domain_error_naming_the_value(call, args, named):
+    # outside its domain a library entry point raises ParamOutOfRange that
+    # names the value it was given, never a bare exception or an empty table
+    with pytest.raises(ParamOutOfRange) as exc:
+        call(*args)
+    assert named in str(exc.value)

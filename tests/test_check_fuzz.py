@@ -4,7 +4,8 @@ The oracle is a plain set replay of label calls, written here and sharing
 nothing with the checker.  Each example builds an admissible instance with
 t <= 9, generates the schedule of a random originator, applies one mutation
 to its id calls, and asks the checker and the oracle for the verdict and the
-completion round, on the id-backed schedule and on a label copy of it.  The
+completion round, on the id schedule over the graph's label tuple and on a
+copy of its label calls over a label tuple of their own.  The
 factored certifier is asked too, with the mutation placed in one piece of
 the schedule: a cube-phase call, the originator's own tree fragment, or a
 copy of a plain (root-only) fragment.  Two mutations act on pieces only:
@@ -18,6 +19,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import label_rounds, label_schedule
 
 from broadcastnet import (
     Schedule,
@@ -134,9 +136,10 @@ def test_checker_agrees_with_set_replay(tkn, pick, kind, rng):
     generated = make_schedule(g, layout, params, u)
     origin, id_rounds = generated.ids_in(g)
     rounds = id_rounds if kind == "none" else _mutate(kind, id_rounds, g, rng)
-    id_backed = Schedule.from_ids(g.labels, origin, rounds)
-    label_copy = Schedule(originator=u, rounds=[list(c) for c in id_backed.rounds])
-    want = oracle(g, u, label_copy.rounds)
+    id_backed = Schedule(g.labels, origin, rounds)
+    calls = label_rounds(id_backed)
+    label_copy = label_schedule(u, calls)
+    want = oracle(g, u, calls)
     assert _verdict(check_schedule(g, id_backed)) == want
     assert _verdict(check_schedule(g, label_copy)) == want
     if kind == "none":
@@ -214,8 +217,8 @@ def test_factored_certifier_agrees_with_set_replay(place, kind, tkn, pick, rng):
     u = g.labels[pick % g.n]
     generated = make_schedule(g, layout, params, u)
     cube, fragments = _pieces_with(place, kind, generated, u, g, layout, rng)
-    s = Schedule.from_pieces(g.labels, generated.origin, cube, fragments)
-    want = oracle(g, u, s.rounds)
+    s = Schedule(g.labels, generated.origin, cube, fragments)
+    want = oracle(g, u, label_rounds(s))
     # the unmutated schedule first, so the mutated one meets recorded verdicts
     assert certify_graph(g, layout, params, originators=[u]).passed
     with pytest.MonkeyPatch.context() as mp:
@@ -226,6 +229,8 @@ def test_factored_certifier_agrees_with_set_replay(place, kind, tkn, pick, rng):
     if kind == "none":
         assert verify._check_pieces(g, s) is not None
     if not want[0]:
-        whole = check_schedule(g, Schedule.from_ids(g.labels, s.origin, s.id_rounds))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verify, "_check_pieces", lambda g, s: None)
+            whole = check_schedule(g, s)
         assert report.failures == [{"id": g.vertex_id(u),
                                     "violation": whole.violation.to_json_obj()}]

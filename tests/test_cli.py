@@ -48,9 +48,9 @@ def test_schedule_failing_its_own_check_exit_1(monkeypatch, capsys):
 
     def with_illegal_call(g, layout, params, u):
         s = make(g, layout, params, u)
-        rounds = [list(calls) for calls in s.id_rounds]
+        rounds = [list(calls) for calls in s.rounds]
         rounds[0].append((s.origin, s.origin))  # the originator calls itself
-        return Schedule.from_ids(g.labels, s.origin, rounds)
+        return Schedule(g.labels, s.origin, rounds)
 
     monkeypatch.setattr(cli, "make_schedule", with_illegal_call)
     code, out, err = run_cli(capsys, "schedule", "--t", "7", "--k", "2", "--originator", "5")

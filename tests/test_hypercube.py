@@ -10,6 +10,7 @@ from broadcastnet import (
     hypercube_schedule,
     make_params,
 )
+from broadcastnet.hypercube import sweep_rounds
 from broadcastnet.scheme import _block_sweep, _half_sweep
 
 
@@ -96,7 +97,16 @@ def test_schedule_unknown_originator():
 
 def test_schedule_zero_rounds_for_point():
     s = hypercube_schedule(build_hypercube(0), build_hypercube(0).label(0))
-    assert s.rounds == []
+    assert s.rounds == ()
+
+
+def test_schedule_ids_are_coordinates_of_the_graph_numbering():
+    # the schedule's label tuple is the one to_graph() numbers the vertices in
+    for m in range(5):
+        q = build_hypercube(m)
+        s = hypercube_schedule(q, q.label(m))
+        assert s.labels == q.to_graph().labels
+        assert s.origin == m and s.rounds == tuple(map(tuple, sweep_rounds(m, list(range(m)))))
 
 
 def test_schedule_two_rounds_three_calls():

@@ -1,4 +1,5 @@
 import pytest
+from conftest import label_rounds
 
 from broadcastnet import (
     UnknownVertex,
@@ -86,7 +87,7 @@ def test_w_is_reached_exactly_at_the_last_round_from_tree_vertices(g72):
     u = layout.label_of_key((2, 3))
     s = make_schedule(g, layout, params, u)
     informed_at = None
-    for rnd, calls in enumerate(s.rounds, start=1):
+    for rnd, calls in enumerate(label_rounds(s), start=1):
         for _, b in calls:
             if b == w:
                 informed_at = rnd
@@ -97,7 +98,7 @@ def test_no_vertex_called_twice(g72, g73_shrunk):
     for params, g, layout, _ in (g72, g73_shrunk):
         for u in (g.labels[0], g.labels[17], g.labels[-1]):
             s = make_schedule(g, layout, params, u)
-            callees = [b for calls in s.rounds for _, b in calls]
+            callees = [b for calls in label_rounds(s) for _, b in calls]
             assert len(callees) == len(set(callees))
             assert len(callees) == g.n - 1
             assert u not in callees

@@ -1,4 +1,7 @@
+import random
+
 import pytest
+from conftest import label_schedule
 
 from broadcastnet import (
     BroadcastNetError,
@@ -35,8 +38,7 @@ def test_check_dimension_sweep_on_q2():
 def test_check_rejects_busy_caller():
     g, labs = _path3()
     center = labs[1]
-    s = Schedule(originator=center,
-                 rounds=[[(center, labs[0]), (center, labs[2])]])
+    s = label_schedule(center, [[(center, labs[0]), (center, labs[2])]])
     res = check_schedule(g, s)
     assert not res.ok
     assert res.violation.reason == "busy-caller"
@@ -45,22 +47,21 @@ def test_check_rejects_busy_caller():
 
 def test_check_rejects_uninformed_caller():
     g, labs = _path3()
-    s = Schedule(originator=labs[0], rounds=[[(labs[1], labs[2])]])
+    s = label_schedule(labs[0], [[(labs[1], labs[2])]])
     res = check_schedule(g, s)
     assert not res.ok and res.violation.reason == "caller-uninformed"
 
 
 def test_check_rejects_non_edge_call():
     g, labs = _path3()
-    s = Schedule(originator=labs[0], rounds=[[(labs[0], labs[2])]])
+    s = label_schedule(labs[0], [[(labs[0], labs[2])]])
     res = check_schedule(g, s)
     assert not res.ok and res.violation.reason == "no-edge"
 
 
 def test_check_rejects_informed_callee():
     g, labs = _path3()
-    s = Schedule(originator=labs[0],
-                 rounds=[[(labs[0], labs[1])], [(labs[1], labs[0])]])
+    s = label_schedule(labs[0], [[(labs[0], labs[1])], [(labs[1], labs[0])]])
     res = check_schedule(g, s)
     assert not res.ok and res.violation.reason == "callee-informed"
     assert res.violation.round == 2
@@ -68,7 +69,7 @@ def test_check_rejects_informed_callee():
 
 def test_check_reports_incomplete():
     g, labs = _path3()
-    s = Schedule(originator=labs[0], rounds=[[(labs[0], labs[1])]])
+    s = label_schedule(labs[0], [[(labs[0], labs[1])]])
     res = check_schedule(g, s)
     assert not res.ok
     assert res.violation.kind == "incomplete"
@@ -77,8 +78,7 @@ def test_check_reports_incomplete():
 
 def test_check_replay_counts_every_informed_vertex():
     g, labs = _path3()
-    s = Schedule(originator=labs[0],
-                 rounds=[[(labs[0], labs[1])], [(labs[1], labs[2])]])
+    s = label_schedule(labs[0], [[(labs[0], labs[1])], [(labs[1], labs[2])]])
     res = check_schedule(g, s)
     assert res.ok and res.completion_round == 2
     assert list(res.informed_per_round) == [1, 2, 3]
@@ -180,14 +180,14 @@ def test_check_rejects_out_of_range_ids(g72, bad):
     rounds = [list(calls) for calls in id_rounds]
     a, _ = rounds[3][-1]
     rounds[3][-1] = (a, bad)
-    res = check_schedule(g, Schedule.from_ids(g.labels, origin, rounds))
+    res = check_schedule(g, Schedule(g.labels, origin, rounds))
     assert not res.ok
     assert res.violation.to_json_obj() == {"kind": "illegal-call", "round": 4,
                                            "reason": "unknown-vertex"}
-    res = check_schedule(g, Schedule.from_ids(g.labels, origin, [[(bad, origin)]] + rounds))
+    res = check_schedule(g, Schedule(g.labels, origin, [[(bad, origin)]] + rounds))
     assert not res.ok and res.violation.round == 1
     assert res.violation.reason == "unknown-vertex"
-    res = check_schedule(g, Schedule.from_ids(g.labels, bad, id_rounds))
+    res = check_schedule(g, Schedule(g.labels, bad, id_rounds))
     assert not res.ok and res.violation.reason == "unknown-originator"
 
 
@@ -196,14 +196,13 @@ def test_label_schedule_naming_foreign_labels():
     # or an unknown vertex voiding the round of the call that names it
     g, labs = _path3()
     stranger = VertexLabel(tree=9)
-    s = Schedule(originator=stranger, rounds=[[(labs[0], labs[1])]])
+    s = label_schedule(stranger, [[(labs[0], labs[1])]])
     res = check_schedule(g, s)
     assert not res.ok and res.violation.to_json_obj() == {
         "kind": "illegal-call", "round": 0, "reason": "unknown-originator"}
     with pytest.raises(UnknownVertex):
         s.to_json(g)
-    s = Schedule(originator=labs[0],
-                 rounds=[[(labs[0], labs[1])], [(labs[1], stranger), (labs[1], labs[2])]])
+    s = label_schedule(labs[0], [[(labs[0], labs[1])], [(labs[1], stranger), (labs[1], labs[2])]])
     res = check_schedule(g, s)
     assert not res.ok and res.violation.to_json_obj() == {
         "kind": "illegal-call", "round": 2, "reason": "unknown-vertex"}
@@ -211,13 +210,45 @@ def test_label_schedule_naming_foreign_labels():
         s.to_json(g)
 
 
-def test_assigning_rounds_drops_the_id_form(g72):
-    params, g, layout, _ = g72
-    s = make_schedule(g, layout, params, g.labels[5])
-    assert check_schedule(g, s).ok
-    s.rounds = [list(calls) for calls in s.rounds[:-1]]
-    res = check_schedule(g, s)
-    assert not res.ok and res.violation.kind == "incomplete"
+def test_ids_outside_a_foreign_label_tuple_are_unknown():
+    # on another label tuple an id outside that tuple is an unknown vertex,
+    # never wrapped or looked up
+    g, labs = _path3()
+    other = tuple(reversed(labs))  # labs[0] is id 2 here
+    res = check_schedule(g, Schedule(other, 2, [[(2, 1)], [(1, -1)]]))
+    assert not res.ok and res.violation.to_json_obj() == {
+        "kind": "illegal-call", "round": 2, "reason": "unknown-vertex"}
+    res = check_schedule(g, Schedule(other, 3, [[(2, 1)]]))
+    assert not res.ok and res.violation.reason == "unknown-originator"
+    assert check_schedule(g, Schedule(other, 2, [[(2, 1)], [(1, 0)]])).ok
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_check_converts_ids_on_a_permuted_label_tuple(g73_shrunk, seed):
+    # the same calls, moved onto a shuffled copy of g's label tuple, give the
+    # same result, witness ids included: the checker maps them through the
+    # schedule's own tuple instead of reading them as g's ids
+    params, g, layout, _ = g73_shrunk
+    rng = random.Random(seed)
+    perm = list(range(g.n))
+    rng.shuffle(perm)  # g's id i sits at perm[i] of the other tuple
+    labels = [None] * g.n
+    for i, j in enumerate(perm):
+        labels[j] = g.labels[i]
+    labels = tuple(labels)
+    assert labels != g.labels
+    s = make_schedule(g, layout, params, g.labels[rng.randrange(g.n)])
+    swapped = [list(calls) for calls in s.rounds]
+    a, b = swapped[1][0]
+    swapped[1][0] = (b, a)
+    for rounds in (s.rounds, swapped):
+        own = check_schedule(g, Schedule(g.labels, s.origin, rounds))
+        moved = Schedule(labels, perm[s.origin],
+                         [[(perm[a], perm[b]) for a, b in calls] for calls in rounds])
+        assert check_schedule(g, moved) == own
+        assert moved.to_json(g) == Schedule(g.labels, s.origin, rounds).to_json(g)
+    assert own.violation.to_json_obj() == {"kind": "illegal-call", "round": 2, "caller": b,
+                                           "callee": a, "reason": "caller-uninformed"}
 
 
 @pytest.mark.parametrize("tkn", [(7, 3, 161), (9, 4, 703)])
@@ -297,18 +328,20 @@ def test_tree_fragments_are_immutable(g72):
             frag[0].append((0, 1))
     s = make_schedule(g, layout, params, g.labels[5])
     with pytest.raises(AttributeError):
-        s.id_rounds[0].append((0, 1))
+        s.rounds[0].append((0, 1))
+    with pytest.raises(AttributeError):
+        s.rounds = ()
 
 
-def test_check_from_pieces_equals_whole_replay(g72):
+def test_check_from_pieces_equals_whole_replay(g72, monkeypatch):
     # every generated schedule is accepted from its pieces, with the result
     # the whole replay of its calls gives, informed counts per round included
     params, g, layout, _ = g72
-    for u in g.labels:
-        s = make_schedule(g, layout, params, u)
-        assert verify._check_pieces(g, s) is not None
-        whole = Schedule.from_ids(g.labels, s.origin, s.id_rounds)
-        assert check_schedule(g, s) == check_schedule(g, whole)
+    schedules = [make_schedule(g, layout, params, u) for u in g.labels]
+    assert all(verify._check_pieces(g, s) is not None for s in schedules)
+    pieces = [check_schedule(g, s) for s in schedules]
+    monkeypatch.setattr(verify, "_check_pieces", lambda g, s: None)
+    assert pieces == [check_schedule(g, s) for s in schedules]
 
 
 class _InlinePool:
@@ -361,7 +394,7 @@ def test_recorded_verdict_is_tied_to_its_start_vertex(g72, monkeypatch):
     x = max(v for v in g.adj[a] if g.labels[v].tree == 3)
     assert (a, b) in cube[-1] and b not in {c for calls in cube for c, _ in calls}
     cube = [[(a, x) if call == (a, b) else call for call in calls] for calls in cube]
-    bad = Schedule.from_pieces(g.labels, a, cube, fragments)
+    bad = Schedule(g.labels, a, cube, fragments)
     monkeypatch.setattr(verify, "make_schedule", lambda *args: bad)
     report = certify_graph(g, layout, params, originators=[r1])
     violation = check_schedule(g, bad).violation
