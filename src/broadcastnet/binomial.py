@@ -51,9 +51,8 @@ class BinomialTree:
         return tuple(map(self.label, range(self.size)))
 
     def to_graph(self) -> Graph:
-        edges = [(self.label(mask), self.label(parent_mask(mask)))
-                 for mask in range(1, self.size)]
-        return Graph.build(self.labels, edges)
+        edges = [(parent_mask(mask), mask) for mask in range(1, self.size)]
+        return Graph.from_sorted(self.labels, edges)
 
 
 def build_binomial(m: int) -> BinomialTree:

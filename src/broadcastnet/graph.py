@@ -1,8 +1,8 @@
 """Immutable simple undirected graph over structural vertex labels.
 
-Vertices are kept in canonical order (tree index, position code, cube
-coordinate); dense integer ids are their ranks in that order, so exports
-are byte-identical across runs.
+Vertex id i is labels[i], in the order the builder gives (the primitives by
+coordinate or mask, the construction by tree and position), so exports are
+byte-identical across runs; everything else works on the ids and ``adj``.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from .labels import VertexLabel
 
 
 class Graph:
-    """Simple undirected graph; construct via :meth:`build` or :meth:`from_sorted`."""
+    """Simple undirected graph over dense ids; construct via :meth:`from_sorted`
+    (or :meth:`from_json`, which reads what :meth:`to_json` writes)."""
 
     __slots__ = ("labels", "_index", "adj", "_edge_count", "t", "k", "_verdicts")
 
@@ -38,22 +39,6 @@ class Graph:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def build(
-        cls,
-        vertices: Iterable[VertexLabel],
-        edges: Iterable[tuple[VertexLabel, VertexLabel]],
-    ) -> "Graph":
-        labels = tuple(sorted(set(vertices), key=VertexLabel.sort_key))
-        index = {lab: i for i, lab in enumerate(labels)}
-        id_edges = set()
-        for a, b in edges:
-            ia, ib = index[a], index[b]
-            if ia == ib:
-                raise ValueError(f"self-loop at {a}")
-            id_edges.add((min(ia, ib), max(ia, ib)))
-        return cls.from_sorted(labels, id_edges)
-
-    @classmethod
     def from_sorted(
         cls,
         labels: Sequence[VertexLabel],
@@ -61,7 +46,8 @@ class Graph:
         t: int | None = None,
         k: int | None = None,
     ) -> "Graph":
-        """Fast path: labels already in canonical order, edges as id pairs."""
+        """The graph on ``labels`` in the order given, edges as id pairs;
+        a repeated edge counts once."""
         nbrs: list[set[int]] = [set() for _ in labels]
         count = 0
         for a, b in id_edges:
@@ -89,15 +75,6 @@ class Graph:
             return self._index[label]
         except KeyError:
             raise UnknownVertex(f"vertex {label} not in graph") from None
-
-    def degree(self, v: VertexLabel) -> int:
-        return len(self.adj[self.vertex_id(v)])
-
-    def neighbors(self, v: VertexLabel) -> list[VertexLabel]:
-        return [self.labels[i] for i in sorted(self.adj[self.vertex_id(v)])]
-
-    def has_edge(self, a: VertexLabel, b: VertexLabel) -> bool:
-        return self.vertex_id(b) in self.adj[self.vertex_id(a)]
 
     def edge_ids(self) -> list[tuple[int, int]]:
         return [(a, b) for a in range(self.n) for b in sorted(self.adj[a]) if a < b]
@@ -154,8 +131,8 @@ class Graph:
         for i, v in enumerate(obj["vertices"]):
             if not (isinstance(v, dict) and _is_id(v.get("id"), n) and labels[v["id"]] is None
                     and "tree" in v and (v["tree"] is None or type(v["tree"]) is int)
-                    and isinstance(v.get("pos"), str)
-                    and "cube" in v and (v["cube"] is None or isinstance(v["cube"], str))):
+                    and _is_bits(v.get("pos"))
+                    and "cube" in v and (v["cube"] is None or _is_bits(v["cube"]))):
                 raise MalformedGraph(f"vertex entry {i} is malformed or repeats an id")
             labels[v["id"]] = VertexLabel.from_json(v)
         if len(set(labels)) != n:
@@ -168,31 +145,6 @@ class Graph:
 
     def to_edgelist(self) -> str:
         return "".join(f"{a} {b}\n" for a, b in self.edge_ids())
-
-    @classmethod
-    def from_edgelist(cls, data: str, n: int | None = None) -> "Graph":
-        """Rebuild from "id id" lines; labels are not recoverable from this format.
-
-        Raises MalformedGraph on a line that is not two distinct non-negative
-        integer ids, below ``n`` when it is given."""
-        edges = []
-        top = -1
-        for num, line in enumerate(data.splitlines(), start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            tokens = line.split()
-            if not (len(tokens) == 2 and all(x.isascii() and x.isdigit() for x in tokens)):
-                raise MalformedGraph(f"edge-list line {num} is not two non-negative ids: {line!r}")
-            a, b = int(tokens[0]), int(tokens[1])
-            if a == b or (n is not None and max(a, b) >= n):
-                bound = "" if n is None else f" below n={n}"
-                raise MalformedGraph(f"edge-list line {num} is not two distinct ids{bound}: {line!r}")
-            edges.append((min(a, b), max(a, b)))
-            top = max(top, a, b)
-        count = n if n is not None else top + 1
-        labels = [VertexLabel(tree=i + 1) for i in range(count)]
-        return cls.from_sorted(labels, edges)
 
     def to_dot(self) -> str:
         lines = ["graph G {"]
@@ -219,4 +171,9 @@ class Graph:
 
 def _is_id(value, n: int) -> bool:
     return type(value) is int and 0 <= value < n
+
+
+def _is_bits(value) -> bool:
+    """A position code or cube coordinate: a string of 0s and 1s, maybe empty."""
+    return isinstance(value, str) and not value.strip("01")
 

@@ -48,13 +48,9 @@ class Hypercube:
         return c
 
     def to_graph(self) -> Graph:
-        edges = [
-            (self.label(c), self.label(c ^ (1 << b)))
-            for c in range(self.size)
-            for b in range(self.m)
-            if c < c ^ (1 << b)
-        ]
-        return Graph.build(self.labels, edges)
+        edges = [(c, c | 1 << b) for c in range(self.size) for b in range(self.m)
+                 if not c >> b & 1]
+        return Graph.from_sorted(self.labels, edges)
 
 
 def build_hypercube(m: int) -> Hypercube:

@@ -25,9 +25,6 @@ class VertexLabel:
     def is_root(self) -> bool:
         return self.pos == "" and self.tree is not None
 
-    def sort_key(self) -> tuple:
-        return (self.tree if self.tree is not None else -1, self.pos, self.cube or "")
-
     def __str__(self) -> str:
         if self.tree is None:
             return f"q{self.cube}" if self.cube is not None else "v"

@@ -5,11 +5,11 @@ check_schedule trusts nothing about how a schedule was produced: it replays
 the calls round by round and rejects the first violation in deterministic
 order.  certify_graph runs the generator plus the checker for every
 originator; the accepted schedules are the witness that the graph
-broadcasts within its target.  A schedule on the graph's own label tuple is
-checked piece by piece first: its first rounds (the cube phase) and every
-tree fragment that starts from more than its tree's root are replayed,
-while a fragment this graph has already accepted from its root alone is not
-replayed again.  Whatever that check does not accept is replayed whole,
+broadcasts within its target.  A schedule on the graph's label tuple, or an
+equal one, is checked piece by piece first: its first rounds (the cube
+phase) and every tree fragment that starts from more than its tree's root
+are replayed, while a fragment this graph has already accepted from its root
+alone is not replayed again.  Whatever that check does not accept is replayed whole,
 which gives every failure's witness."""
 
 from __future__ import annotations
@@ -61,10 +61,10 @@ def check_schedule(g: Graph, s: Schedule) -> CheckResult:
     Per round, in canonical call order: the caller must already be informed,
     the callee must not be, the edge must exist, and no vertex may take part
     in two calls.  Returns the round in which the last vertex learns the
-    message, or the earliest violation.  A schedule on g's own label tuple
-    is accepted from its pieces when they pass (_check_pieces); any other is
-    replayed whole on dense ids, converted once (Schedule.ids_in) when it is
-    on another label tuple.
+    message, or the earliest violation.  A schedule on g's label tuple, or on
+    an equal one, is accepted from its pieces when they pass (_check_pieces);
+    any other is replayed whole on dense ids, converted once (Schedule.ids_in)
+    when it is on another label tuple.
     """
     sizes = _check_pieces(g, s)
     if sizes is not None:
@@ -144,8 +144,9 @@ def _illegal_call(rnd: int, a: int, b: int, calls: list[tuple[int, int]],
 def _tree_table(g: Graph) -> tuple:
     """g's per-graph record for the piecewise check, made on first use: the
     tree of every vertex, each tree's id range [lo, hi) (None when some tree's
-    ids do not form one range), and per tree the fragment accepted from the
-    tree's root alone."""
+    ids do not form one range), per tree the fragment accepted from the
+    tree's root alone, and the last label tuple compared with g's with
+    whether it is equal."""
     if g._verdicts is None:
         home = [label.tree for label in g.labels]
         spans: dict | None = {}
@@ -155,13 +156,15 @@ def _tree_table(g: Graph) -> tuple:
                 spans = None
                 break
             spans[tree] = (lo, i + 1)
-        g._verdicts = (home, spans, {})
+        g._verdicts = (home, spans, {}, [g.labels, True])
     return g._verdicts
 
 
 def _check_pieces(g: Graph, s: Schedule) -> list[int] | None:
-    """The informed count after each round of a schedule on g's own label
-    tuple accepted from its pieces, or None when the whole replay must decide.
+    """The informed count after each round of a schedule on g's label tuple,
+    or on an equal one, accepted from its pieces, or None when the whole
+    replay must decide.  An equal tuple numbers the vertices as g does; a
+    tuple is compared only when it is not the last one compared.
 
     The first rounds (the cube phase; all rounds of a plain schedule) are
     replayed from the originator.  Then each fragment is replayed inside its
@@ -172,9 +175,11 @@ def _check_pieces(g: Graph, s: Schedule) -> list[int] | None:
     informed.  Sound because the trees share no vertex and the fragments
     start after the cube phase, so no call of one piece bears on another.
     """
-    if s.labels is not g.labels:
+    home, spans, verdicts, seen = _tree_table(g)
+    if s.labels is not seen[0]:
+        seen[:] = s.labels, s.labels == g.labels
+    if not seen[1]:
         return None
-    home, spans, verdicts = _tree_table(g)
     n, adj, labels, origin = g.n, g.adj, g.labels, s.origin
     cube_rounds, fragments = s.pieces
     if spans is None or not 0 <= origin < n:

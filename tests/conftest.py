@@ -15,6 +15,11 @@ def label_schedule(originator, rounds):
     return Schedule(tuple(ids), 0, [[(ids[a], ids[b]) for a, b in calls] for calls in rounds])
 
 
+def neighbours(g, label):
+    """The neighbours of ``label`` in g, as labels in id order."""
+    return [g.labels[i] for i in sorted(g.adj[g.vertex_id(label)])]
+
+
 def label_rounds(s):
     """The calls of schedule s as label pairs of its own label tuple."""
     labels = s.labels

@@ -19,7 +19,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import label_rounds, label_schedule
+from conftest import label_rounds, label_schedule, neighbours
 
 from broadcastnet import (
     Schedule,
@@ -42,7 +42,7 @@ def oracle(g, originator, rounds):
         if not informed or len(set(ends)) != len(ends):
             return False, None
         for a, b in calls:
-            if a not in informed or b in informed or b not in g or not g.has_edge(a, b):
+            if a not in informed or b in informed or b not in g or b not in neighbours(g, a):
                 return False, None
         informed.update(b for _, b in calls)
         if completion is None and len(informed) == g.n:

@@ -211,10 +211,12 @@ def test_huge_int_flags_print_without_traceback(capsys):
 
 
 _TWO = '[{"id":0,"tree":1,"pos":"","cube":null},{"id":1,"tree":2,"pos":"","cube":null}]'
+_EVIL = json.dumps('a" ];\n evil [label="x')  # would add a node to a DOT export
 
 
 @pytest.mark.parametrize("command", [("exact", "--originator", "0"),
-                                     ("export", "--format", "edgelist")])
+                                     ("export", "--format", "edgelist"),
+                                     ("export", "--format", "dot")])
 @pytest.mark.parametrize("text", [
     "not json",
     "[]",
@@ -226,6 +228,8 @@ _TWO = '[{"id":0,"tree":1,"pos":"","cube":null},{"id":1,"tree":2,"pos":"","cube"
     '{"vertices":' + _TWO + ',"edges":[[0,-1]]}',
     '{"vertices":' + _TWO + ',"edges":[[1,1]]}',
     '{"vertices":' + _TWO + ',"edges":[[0,1.0]]}',
+    '{"vertices":[{"id":0,"tree":1,"pos":"","cube":' + _EVIL + '}],"edges":[]}',
+    '{"vertices":[{"id":0,"tree":1,"pos":' + _EVIL + ',"cube":null}],"edges":[]}',
 ])
 def test_malformed_graph_file_exit_1(tmp_path, capsys, command, text):
     path = tmp_path / "g.json"

@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import neighbours
 
 from broadcastnet import (
     Graph,
@@ -16,37 +18,39 @@ from broadcastnet import (
 
 def _triangle():
     labs = [VertexLabel(tree=i) for i in (1, 2, 3)]
-    return Graph.build(labs, [(labs[0], labs[1]), (labs[1], labs[2]), (labs[0], labs[2])])
+    return Graph.from_sorted(labs, [(0, 1), (1, 2), (0, 2)])
 
 
 def test_degree_single_vertex():
     v = VertexLabel(tree=1)
-    g = Graph.build([v], [])
-    assert g.degree(v) == 0
+    g = Graph.from_sorted([v], [])
+    assert neighbours(g, v) == []
 
 
 def test_degree_triangle_and_q3():
     g = _triangle()
-    assert all(g.degree(v) == 2 for v in g.labels)
+    assert all(len(neighbours(g, v)) == 2 for v in g.labels)
     q3 = build_hypercube(3).to_graph()
-    assert all(q3.degree(v) == 3 for v in q3.labels)
+    assert all(len(neighbours(q3, v)) == 3 for v in q3.labels)
 
 
-def test_degree_unknown_vertex():
+def test_vertex_id_of_unknown_vertex():
     g = _triangle()
+    assert [g.vertex_id(v) for v in g.labels] == [0, 1, 2]
+    assert VertexLabel(tree=9) not in g
     with pytest.raises(UnknownVertex):
-        g.degree(VertexLabel(tree=9))
+        g.vertex_id(VertexLabel(tree=9))
 
 
 def test_connectivity():
     v1, v2 = VertexLabel(tree=1), VertexLabel(tree=2)
-    assert Graph.build([v1], []).is_connected()
-    assert not Graph.build([v1, v2], []).is_connected()
+    assert Graph.from_sorted([v1], []).is_connected()
+    assert not Graph.from_sorted([v1, v2], []).is_connected()
     assert build_hypercube(4).to_graph().is_connected()
 
 
 def test_export_json_single_vertex():
-    g = Graph.build([VertexLabel(tree=1)], [])
+    g = Graph.from_sorted([VertexLabel(tree=1)], [])
     data = g.export("json").decode()
     assert '"n":1' in data and '"edges":[]' in data
 
@@ -71,56 +75,39 @@ def test_json_round_trip_identity():
         assert again.to_json() == g.to_json()
 
 
-def test_edgelist_round_trip_structure():
-    g = build_hypercube(3).to_graph()
-    again = Graph.from_edgelist(g.to_edgelist(), n=g.n)
-    assert again.n == g.n
-    assert again.edge_ids() == g.edge_ids()
-
-
-@pytest.mark.parametrize("text,n", [
-    ("0 a\n", None),
-    ("1.0 2\n", None),
-    ("0\n", None),
-    ("0 1 2\n", None),
-    ("0 1\n1\n", None),
-    ("0 -1\n", None),
-    ("-1 0\n", 3),
-    ("0 5\n", 2),
-    ("0 2\n", 2),
-    ("3 3\n", None),
-    ("0 1\n1 1\n", 4),
-])
-def test_from_edgelist_rejects_bad_lines(text, n):
-    with pytest.raises(MalformedGraph):
-        Graph.from_edgelist(text, n=n)
-
-
-def test_from_edgelist_accepts_comments_and_blank_lines():
-    g = Graph.from_edgelist("# q1\n\n 0 1 \n", n=3)
-    assert g.n == 3 and g.edge_ids() == [(0, 1)]
-
-
-def test_canonical_export_is_stable_under_input_order():
-    labs = [VertexLabel(tree=i) for i in (1, 2, 3)]
-    edges = [(labs[0], labs[1]), (labs[1], labs[2]), (labs[0], labs[2])]
-    a = Graph.build(labs, edges)
-    b = Graph.build(list(reversed(labs)), list(reversed([(y, x) for x, y in edges])))
-    assert a.export("json") == b.export("json")
-    assert a.export("dot") == b.export("dot")
-    assert a.export("edgelist") == b.export("edgelist")
-
-
 def test_duplicate_edges_inserted_once():
-    labs = [VertexLabel(tree=1), VertexLabel(tree=2)]
-    g = Graph.build(labs, [(labs[0], labs[1]), (labs[1], labs[0])])
-    assert g.num_edges == 1
+    vertices = [VertexLabel(tree=i + 1).to_json(i) for i in range(2)]
+    g = Graph.from_json(json.dumps({"vertices": vertices, "edges": [[0, 1], [1, 0], [0, 1]]}))
+    assert g.num_edges == 1 and g.edge_ids() == [(0, 1)]
+
+
+@pytest.mark.parametrize("field,value", [("pos", "2"), ("pos", "0 1"), ("cube", "x"),
+                                         ("cube", "1\n"), ("pos", '0"')])
+def test_from_json_rejects_a_label_that_is_not_binary(field, value):
+    vertex = {"id": 0, "tree": 1, "pos": "01", "cube": ""}
+    assert Graph.from_json(json.dumps({"vertices": [vertex], "edges": []})).n == 1
+    vertex[field] = value
+    with pytest.raises(MalformedGraph):
+        Graph.from_json(json.dumps({"vertices": [vertex], "edges": []}))
+
+
+# SHA-256 of export(fmt) for fmt in json, dot, edgelist of Q^m then B^m, m = 0..6
+PRIMITIVES_DIGEST = "0d5deeddeaeb92bb1516af8021957b2f7d422def8955b0ba68438d2e169796a3"
+
+
+def test_primitive_exports_are_pinned():
+    digest = hashlib.sha256()
+    for m in range(7):
+        for g in (build_hypercube(m).to_graph(), build_binomial(m).to_graph()):
+            for fmt in ("json", "dot", "edgelist"):
+                digest.update(g.export(fmt))
+    assert digest.hexdigest() == PRIMITIVES_DIGEST
 
 
 @given(st.integers(min_value=0, max_value=6))
 def test_handshake_identity_on_primitives(m):
     for g in (build_binomial(m).to_graph(), build_hypercube(min(m, 4)).to_graph()):
-        assert sum(g.degree(v) for v in g.labels) == 2 * g.num_edges
+        assert sum(map(len, g.adj)) == 2 * g.num_edges
 
 
 @settings(max_examples=25)
@@ -128,15 +115,16 @@ def test_handshake_identity_on_primitives(m):
        st.sets(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=20))
 def test_handshake_and_roundtrip_on_random_graphs(n, pairs):
     labs = [VertexLabel(tree=i + 1) for i in range(n)]
-    edges = [(labs[a % n], labs[b % n]) for a, b in pairs if a % n != b % n]
-    g = Graph.build(labs, edges)
-    assert sum(g.degree(v) for v in g.labels) == 2 * g.num_edges
+    edges = [(a % n, b % n) for a, b in pairs if a % n != b % n]
+    g = Graph.from_sorted(labs, edges)
+    assert sum(map(len, g.adj)) == 2 * g.num_edges
+    assert g.num_edges == len({frozenset(e) for e in edges})
     assert Graph.from_json(g.to_json()) == g
 
 
 def test_handshake_on_constructed_graph(g72):
     _, g, _, _ = g72
-    assert sum(g.degree(v) for v in g.labels) == 2 * g.num_edges
+    assert sum(map(len, g.adj)) == 2 * g.num_edges
 
 
 _scalars = (st.none() | st.booleans() | st.integers(-2, 4) | st.floats(allow_nan=False)

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from conftest import label_schedule
+from conftest import label_schedule, neighbours
 
 from broadcastnet import (
     BroadcastNetError,
@@ -25,7 +25,7 @@ from broadcastnet import (
 
 def _path3():
     labs = [VertexLabel(tree=i) for i in (1, 2, 3)]
-    g = Graph.build(labs, [(labs[0], labs[1]), (labs[1], labs[2])])
+    g = Graph.from_sorted(labs, [(0, 1), (1, 2)])
     return g, labs
 
 
@@ -107,7 +107,7 @@ def test_exact_too_large():
 
 def test_exact_disconnected_graph_is_its_own_error():
     labs = [VertexLabel(tree=i) for i in range(1, 4)]
-    g = Graph.build(labs, [(labs[0], labs[1])])
+    g = Graph.from_sorted(labs, [(0, 1)])
     with pytest.raises(DisconnectedGraph) as exc:
         exact_broadcast_time(g, labs[0])
     assert not isinstance(exc.value, UnknownVertex)
@@ -116,7 +116,7 @@ def test_exact_disconnected_graph_is_its_own_error():
 
 def test_exact_on_star_graph():
     labs = [VertexLabel(tree=i) for i in range(1, 6)]
-    g = Graph.build(labs, [(labs[0], x) for x in labs[1:]])
+    g = Graph.from_sorted(labs, [(0, i) for i in range(1, 5)])
     # the hub must call leaves one at a time
     assert exact_broadcast_time(g, labs[0]) == 4
     assert exact_broadcast_time(g, labs[1]) == 4
@@ -157,7 +157,7 @@ def test_certify_mutated_graph_reported_honestly(g72):
     # checker must flag it; the report stays internally consistent
     params, g, layout, _ = g72
     r1 = layout.label_of_key((1, 0))
-    victim = next(v for v in g.neighbors(r1)
+    victim = next(v for v in neighbours(g, r1)
                   if v.tree is not None and v.tree != 1 and not v.is_root)
     vid, rid = g.vertex_id(victim), g.vertex_id(r1)
     edges = [e for e in g.edge_ids() if e != (min(vid, rid), max(vid, rid))]
@@ -254,14 +254,26 @@ def test_check_converts_ids_on_a_permuted_label_tuple(g73_shrunk, seed):
 @pytest.mark.parametrize("tkn", [(7, 3, 161), (9, 4, 703)])
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_certify_equal_graph_on_other_label_tuple(tkn, jobs):
-    # an equal graph read back from its export holds another label tuple, so
-    # the checker converts the schedules' labels instead of trusting their ids
+    # an equal graph read back from its export holds another label tuple,
+    # equal to the one the schedules are on
     params = make_params(*tkn)
     g, layout, _ = build(params)
     loaded = Graph.from_json(g.export("json"))
     assert loaded == g and loaded.labels is not g.labels
     want = certify_graph(g, layout, params, jobs=jobs).to_json()
     assert certify_graph(loaded, layout, params, jobs=jobs).to_json() == want
+
+
+def test_ids_on_an_unequal_label_tuple_are_converted():
+    # the same ids on an equal copy of g's tuple, then on one with two labels
+    # swapped: only the first reads them as g's ids
+    g, labs = _path3()
+    rounds = [[(0, 1)], [(1, 2)]]
+    assert check_schedule(g, Schedule(tuple(list(g.labels)), 0, rounds)).ok
+    res = check_schedule(g, Schedule((labs[1], labs[0], labs[2]), 0, rounds))
+    assert not res.ok
+    assert res.violation == verify.Violation("illegal-call", round=2, caller=0, callee=2,
+                                             reason="no-edge")
 
 
 def test_certify_report_json_round_trip(g72):
@@ -316,6 +328,17 @@ def test_verdicts_on_a_mutated_graph_leave_the_graph_alone(monkeypatch):
         assert not certify_graph(mutated, layout, params).passed
     report = certify_graph(g, layout, params)
     assert report.passed and report.to_json() == want
+
+
+def test_certify_on_a_loaded_graph_runs_piecewise(g73_shrunk):
+    # the reloaded graph holds an equal label tuple of its own
+    params, g, layout, _ = g73_shrunk
+    loaded = Graph.from_json(g.to_json())
+    assert loaded.labels == layout.labels and loaded.labels is not layout.labels
+    report = certify_graph(loaded, layout, params)
+    assert report.passed
+    assert report.to_json() == certify_graph(g, layout, params).to_json()
+    assert verify._tree_table(loaded)[2], "no plain fragment was recorded"
 
 
 def test_tree_fragments_are_immutable(g72):
