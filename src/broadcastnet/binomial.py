@@ -10,10 +10,11 @@ just descending bit order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import RootNotInformed
 from .graph import Graph
-from .labels import VertexLabel, pos_string
+from .labels import VertexLabel, bits, pos_mask
 from .schedule import Schedule
 
 
@@ -25,7 +26,7 @@ def parent_mask(mask: int) -> int:
     return mask & (mask - 1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BinomialTree:
     """B^m rooted at mask 0; 2^m vertices, height m, labelled as tree 1."""
 
@@ -40,12 +41,9 @@ class BinomialTree:
         return self.label(0)
 
     def label(self, mask: int) -> VertexLabel:
-        return VertexLabel(tree=1, pos=pos_string(mask, self.m))
+        return VertexLabel(tree=1, pos=bits(mask, self.m) if mask else "")
 
-    def mask_of(self, label: VertexLabel) -> int:
-        return int(label.pos, 2) if label.pos else 0
-
-    @property
+    @cached_property
     def labels(self) -> tuple[VertexLabel, ...]:
         """Every vertex in mask order, as to_graph() numbers them."""
         return tuple(map(self.label, range(self.size)))
@@ -70,7 +68,7 @@ def binomial_schedule(tree: BinomialTree, informed: set[VertexLabel] | None = No
     """
     if informed is not None and tree.root not in informed:
         raise RootNotInformed("root of tree 1 must be informed")
-    masks = {tree.mask_of(v) for v in informed} if informed else None
+    masks = {pos_mask(v.pos) for v in informed} if informed else None
     return Schedule(tree.labels, 0, binomial_rounds_masks(tree.m, masks))
 
 

@@ -188,6 +188,9 @@ def main(argv: list[str] | None = None) -> int:
     except (BroadcastNetError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    except MemoryError:  # N or 2^t of a huge --t
+        sys.stderr.write("error: out of memory; is --t too large?\n")
+        return 1
     finally:
         sys.set_int_max_str_digits(digits)
 

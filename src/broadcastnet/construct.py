@@ -7,10 +7,11 @@ obtained by deleting vertices: whole trees whose roots fill the low cube
 blocks, then single vertices pruned leaves-first.
 
 The builder numbers vertices by their full-size id (tree - 1) * M + mask,
-where M = 2^h and mask is the vertex's position code read in binary.
-Position codes have a fixed width, so ascending full id is the canonical
-label order: the dense ids of a built graph are the ranks of its surviving
-full ids, and labels are made once per surviving vertex, at assembly.  One
+where M = 2^h and mask is the vertex's position code read in binary; the
+layout and the scheme name every vertex by this full id too.  Position
+codes have a fixed width, so ascending full id is the canonical label
+order: the dense ids of a built graph are the ranks of its surviving full
+ids, and labels are made once per surviving vertex, at assembly.  One
 classifier, _edge_classes, sorts full-id edges into the accounting classes
 for the build, the deletion ledger and audit_edges alike.
 
@@ -28,16 +29,15 @@ h = t + 1 - k >= 5.  _prune asserts this capacity.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .binomial import binomial_rounds_masks
 from .bounds import closed_form_5a, closed_form_5b
 from .graph import Graph
-from .labels import VertexLabel, pos_string
+from .labels import VertexLabel, bits, pos_mask
 from .params import ConstructionParams
 from .schedule import IdCall
 
-Key = tuple[int, int]  # (tree index, position mask)
 Edge = tuple[int, int]  # (low, high) full ids
 Fragment = tuple[tuple[IdCall, ...], ...]  # rounds of one tree's broadcast
 
@@ -81,8 +81,9 @@ class CaseOneLayout:
         return 1 << (self.k - 1)
 
     @property
-    def w_key(self) -> Key:
-        return (1, self.tree_size - 1)
+    def w(self) -> int:
+        """Full id of w, the deepest leaf of tree 1."""
+        return self.tree_size - 1
 
     @property
     def w_alive(self) -> bool:
@@ -96,30 +97,12 @@ class CaseOneLayout:
         """Index i of the block Q^i containing coordinate c (c in the low half, c > 0)."""
         return c.bit_length() - 1
 
-    def coord_string(self, c: int) -> str:
-        return format(c, f"0{self.k}b")
+    def full_of_coord(self, c: int) -> int:
+        """Full id of the vertex on cube coordinate c: w, or a tree root."""
+        return self.w if c == 0 else (self.tree_of_coord[c] - 1) * self.tree_size
 
-    def key_of_coord(self, c: int) -> Key:
-        if c == 0:
-            return self.w_key
-        return (self.tree_of_coord[c], 0)
-
-    def label_of_key(self, key: Key) -> VertexLabel:
-        tree, mask = key
-        if mask == 0:
-            return VertexLabel(tree=tree, pos="", cube=self.coord_string(self.coord_of_tree[tree]))
-        if key == self.w_key:
-            return VertexLabel(tree=1, pos=pos_string(mask, self.h), cube=self.coord_string(0))
-        return VertexLabel(tree=tree, pos=pos_string(mask, self.h))
-
-    def key_of_label(self, label: VertexLabel) -> Key:
-        tree = label.tree
-        mask = int(label.pos, 2) if label.pos else 0
-        return (tree, mask)
-
-    def dense_id(self, key: Key) -> int:
-        """Dense id of a vertex in the built graph (-1 if it was deleted)."""
-        return self.dense[(key[0] - 1) * self.tree_size + key[1]]
+    def full_id(self, label: VertexLabel) -> int:
+        return (label.tree - 1) * self.tree_size + pos_mask(label.pos)
 
     def tree_rounds(self, index: int, informed_masks: set[int] | None = None) -> Fragment:
         """Broadcast rounds of one surviving tree, as dense-id pairs.
@@ -152,10 +135,6 @@ def _make_layout(params: ConstructionParams) -> CaseOneLayout:
     return CaseOneLayout(params=params, coord_of_tree=coord_of_tree, tree_of_coord=tree_of_coord)
 
 
-def _full_id(layout: CaseOneLayout, key: Key) -> int:
-    return (key[0] - 1) * layout.tree_size + key[1]
-
-
 # ---------------------------------------------------------------------------
 # edge generation and assembly
 
@@ -174,11 +153,11 @@ def _case1_edges(layout: CaseOneLayout) -> list[Edge]:
     """Every full-size edge once, as a (low, high) pair of full ids."""
     params = layout.params
     M = layout.tree_size
-    w = _full_id(layout, layout.w_key)
+    w = layout.w
     edges: list[Edge] = []
     for base in range(0, params.num_trees * M, M):
         edges.extend((base + (m & (m - 1)), base + m) for m in range(1, M))
-    cube = [_full_id(layout, layout.key_of_coord(c)) for c in range(1 << params.k)]
+    cube = [layout.full_of_coord(c) for c in range(1 << params.k)]
     for c, a in enumerate(cube):
         for b in range(params.k):
             if c < c ^ (1 << b):
@@ -200,16 +179,25 @@ def _assemble(layout: CaseOneLayout, edges: list[Edge], gone: bytearray) -> Grap
     """Graph on the full ids not marked in ``gone``; dense ids are their ranks.
 
     Records the graph's numbering on the layout, for the schedules."""
-    h, low = layout.h, layout.tree_size - 1
-    alive = [v for v, mark in enumerate(gone) if not mark]
+    h, k, w, low = layout.h, layout.k, layout.w, layout.tree_size - 1
+    cube = [bits(layout.coord_of_tree[i], k) for i in range(1, layout.params.num_trees + 1)]
     rank = [-1] * len(gone)
-    for i, v in enumerate(alive):
-        rank[v] = i
-    labels = [layout.label_of_key(((v >> h) + 1, v & low)) for v in alive]
+    labels = []
+    for v, mark in enumerate(gone):
+        if mark:
+            continue
+        rank[v] = len(labels)
+        tree, mask = v >> h, v & low  # zero-based tree index
+        if mask == 0:
+            labels.append(VertexLabel(tree + 1, "", cube[tree]))
+        elif v == w:
+            labels.append(VertexLabel(1, bits(mask, h), bits(0, k)))
+        else:
+            labels.append(VertexLabel(tree + 1, bits(mask, h)))
     g = Graph.from_sorted(labels, ((rank[a], rank[b]) for a, b in edges),
-                          t=layout.params.t, k=layout.params.k)
+                          t=layout.params.t, k=k)
     layout.labels, layout.dense = g.labels, rank
-    layout.coord_ids = [layout.dense_id(layout.key_of_coord(c)) for c in range(1 << layout.k)]
+    layout.coord_ids = [rank[layout.full_of_coord(c)] for c in range(1 << k)]
     return g
 
 
@@ -328,19 +316,8 @@ class EdgeAccounting:
         return self.remaining_edges.delta if self.remaining_edges else None
 
     def to_json_obj(self) -> dict:
-        obj = {}
-        for name in (
-            "tree_edges", "cube_edges", "root_links", "rk_links",
-            "v1_first_half_links", "v1_second_half_links", "total_edges",
-            "removed_tree_vertex_edges", "removed_cube_net",
-            "removed_v1_links", "removed_pruned_edges",
-            "removed_total", "remaining_edges",
-        ):
-            item = getattr(self, name)
-            if item is not None:
-                obj[name] = item.to_json()
-        obj["replacements_added"] = self.replacements_added
-        return obj
+        return {f.name: v.to_json() if isinstance(v, ItemCheck) else v
+                for f in fields(self) if (v := getattr(self, f.name)) is not None}
 
 
 def _case1_formulas(params: ConstructionParams) -> dict[str, int]:
@@ -471,7 +448,7 @@ def build(params: ConstructionParams) -> tuple[Graph, CaseOneLayout, EdgeAccount
 
     # a replacement joins two roots that differ in two coordinate bits, so
     # it is no cube edge and never coincides with an edge of the full graph
-    added = [tuple(sorted(_full_id(layout, layout.key_of_coord(c)) for c in pair))
+    added = [tuple(sorted(layout.full_of_coord(c) for c in pair))
              for pair in layout.replacement_coords]
     edges = _case1_edges(layout)
     final = ([(a, b) for a, b in edges if not (gone[a] or gone[b])] + added
@@ -487,7 +464,7 @@ def build(params: ConstructionParams) -> tuple[Graph, CaseOneLayout, EdgeAccount
 def audit_edges(g: Graph, layout: CaseOneLayout,
                 params: ConstructionParams) -> EdgeAccounting:
     """Re-measure every edge class on a built graph against the closed forms."""
-    full = [_full_id(layout, layout.key_of_label(label)) for label in g.labels]
+    full = [layout.full_id(label) for label in g.labels]
     acc = _accounting(layout, [(full[a], full[b]) for a, b in g.edge_ids()],
                       len(layout.replacement_coords))
     if params.d:

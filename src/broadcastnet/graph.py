@@ -48,14 +48,12 @@ class Graph:
     ) -> "Graph":
         """The graph on ``labels`` in the order given, edges as id pairs;
         a repeated edge counts once."""
-        nbrs: list[set[int]] = [set() for _ in labels]
-        count = 0
+        nbrs: list[list[int]] = [[] for _ in labels]
         for a, b in id_edges:
-            if b not in nbrs[a]:
-                nbrs[a].add(b)
-                nbrs[b].add(a)
-                count += 1
-        return cls(tuple(labels), tuple(frozenset(s) for s in nbrs), count, t=t, k=k)
+            nbrs[a].append(b)
+            nbrs[b].append(a)
+        adj = tuple(map(frozenset, nbrs))
+        return cls(tuple(labels), adj, sum(map(len, adj)) // 2, t=t, k=k)
 
     # -- queries -----------------------------------------------------------
 

@@ -11,10 +11,11 @@ The layout and the scheme read these blocks as coordinate ranges.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import UnknownVertex
 from .graph import Graph
-from .labels import VertexLabel
+from .labels import VertexLabel, bits, pos_mask
 from .schedule import Schedule
 
 
@@ -28,13 +29,10 @@ class Hypercube:
     def size(self) -> int:
         return 1 << self.m
 
-    def coord_string(self, c: int) -> str:
-        return format(c, f"0{self.m}b") if self.m else ""
-
     def label(self, c: int) -> VertexLabel:
-        return VertexLabel(tree=None, pos="", cube=self.coord_string(c))
+        return VertexLabel(tree=None, pos="", cube=bits(c, self.m))
 
-    @property
+    @cached_property
     def labels(self) -> tuple[VertexLabel, ...]:
         """Every vertex in coordinate order, as to_graph() numbers them."""
         return tuple(map(self.label, range(self.size)))
@@ -42,7 +40,7 @@ class Hypercube:
     def coord_of(self, label: VertexLabel) -> int:
         if label.cube is None or len(label.cube) != self.m and self.m > 0:
             raise UnknownVertex(f"{label} is not a coordinate of Q^{self.m}")
-        c = int(label.cube, 2) if label.cube else 0
+        c = pos_mask(label.cube)
         if not 0 <= c < self.size:
             raise UnknownVertex(f"{label} outside Q^{self.m}")
         return c

@@ -5,7 +5,8 @@ code inside that tree; vertices that also sit on the hypercube (the tree
 roots and the promoted leaf w) carry a cube coordinate.  The position code
 is a bit string of the tree's order: reading left to right, character q
 says whether the path from the root picks the child of subtree order
-h-1-q.  Roots have an empty position code.
+h-1-q.  Roots have an empty position code.  Only this module writes
+(``bits``) and reads (``pos_mask``) these bit strings.
 """
 
 from __future__ import annotations
@@ -42,8 +43,12 @@ class VertexLabel:
         return cls(tree=obj["tree"], pos=obj["pos"], cube=obj["cube"])
 
 
-def pos_string(mask: int, order: int) -> str:
-    """Position code of the tree vertex reached by the child-order set ``mask``."""
-    if mask == 0:
-        return ""
-    return format(mask, f"0{order}b")
+def bits(value: int, width: int) -> str:
+    """``value`` as a bit string of ``width`` characters ("" at width 0): a
+    position code of a tree of order ``width``, or a cube coordinate."""
+    return format(value, f"0{width}b") if width else ""
+
+
+def pos_mask(pos: str) -> int:
+    """The integer a position code (or cube coordinate) spells; "" reads 0."""
+    return int(pos, 2) if pos else 0

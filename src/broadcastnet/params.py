@@ -78,10 +78,13 @@ def make_params(t: int, k: int, n: int) -> ConstructionParams:
     if t >= 7 and k > km:  # km >= 2 for t >= 7: a k < 2 falls through to full_size
         bound = "ceil(t/2)-1" if n % 2 else "floor(t/2)-1"
         raise ParamOutOfRange(f"k={k}: k must be <= {bound} = {km} for this n parity")
+    # n > 2^t, checked before a huge t makes 2^t; full_size checks t and k
+    if t >= 7 and k >= 2 and (n < 1 or ceil_log2(n) <= t):
+        raise ParamOutOfRange(f"n={n}: need n > 2^t for t={t}")
     N = full_size(t, k)
     M = 1 << (t + 1 - k)
-    if not (1 << t) < n <= N:
-        raise ParamOutOfRange(f"n={n}: need 2^t = {1 << t} < n <= N = {N}")
+    if n > N:
+        raise ParamOutOfRange(f"n={n}: need n <= N = {N}")
     d = N - n
     x = d // M
     y = d - x * M

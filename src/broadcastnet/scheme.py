@@ -45,10 +45,11 @@ def classify(g: Graph, layout: CaseOneLayout, u: VertexLabel) -> SchemeCase:
     if u not in g:
         raise UnknownVertex(f"{u} not in graph")
     shrunk = layout.params.n < layout.params.N
-    key = layout.key_of_label(u)
-    if key[1] == 0 or key == layout.w_key:
+    f = layout.full_id(u)
+    tree, mask = divmod(f, layout.tree_size)  # zero-based tree index
+    if mask == 0 or f == layout.w:
         return SchemeCase(tag="C21" if shrunk else "C11")
-    c = layout.coord_of_tree[key[0]]
+    c = layout.coord_of_tree[tree + 1]
     if c >= layout.half:
         return SchemeCase(tag="C22" if shrunk else "C12")
     return SchemeCase(tag="C23" if shrunk else "C13", subcube=layout.subcube_of_coord(c))
@@ -111,13 +112,14 @@ def make_schedule(g: Graph, layout: CaseOneLayout, params: ConstructionParams,
     k, p = params.k, params.p
     ids = layout.coord_ids
     cube: list[list[IdCall]] = [[] for _ in range(k)]  # rounds 1..k
-    ukey = layout.key_of_label(u)
-    uid = layout.dense_id(ukey)
+    f = layout.full_id(u)
+    uid = layout.dense[f]
+    utree, umask = f // params.tree_size + 1, f % params.tree_size
     # coordinates informed by the end of the cube phase
     cube_informed: set[int] = set()
-    if ukey[1] == 0:
-        cube_informed.add(layout.coord_of_tree[ukey[0]])
-    elif ukey == layout.w_key:
+    if umask == 0:
+        cube_informed.add(layout.coord_of_tree[utree])
+    elif f == layout.w:
         cube_informed.add(0)
 
     def call(rnd: int, a: int, c: int):
@@ -131,7 +133,7 @@ def make_schedule(g: Graph, layout: CaseOneLayout, params: ConstructionParams,
                 call(start + off, ids[a], b)
 
     if case.on_cube:
-        uc = layout.coord_of_tree[ukey[0]] if ukey[1] == 0 else 0
+        uc = layout.coord_of_tree[utree] if umask == 0 else 0
         if params.n == params.N:
             place(1, sweep_rounds(uc, list(range(k))))
         else:
@@ -148,7 +150,7 @@ def make_schedule(g: Graph, layout: CaseOneLayout, params: ConstructionParams,
             place(2, _half_sweep(layout, q1_seed, first=True))
             place(2, _low_region(layout, q2_entry))
     else:
-        rc = layout.coord_of_tree[ukey[0]]
+        rc = layout.coord_of_tree[utree]
         if case.tag in ("C12", "C22"):
             call(1, uid, rc)
             place(2, _half_sweep(layout, rc, first=True))
@@ -168,7 +170,7 @@ def make_schedule(g: Graph, layout: CaseOneLayout, params: ConstructionParams,
 
     # the cube phase must have informed every live coordinate by round k
     want = set(layout.live_coords)
-    if case.on_cube or params.x > 0 or ukey == layout.w_key:
+    if case.on_cube or params.x > 0 or f == layout.w:
         missing = want - cube_informed
     else:
         missing = want - cube_informed - {0}  # w is reached through its tree
@@ -182,10 +184,10 @@ def make_schedule(g: Graph, layout: CaseOneLayout, params: ConstructionParams,
         if tree in layout.deleted_trees:
             continue
         pre: set[int] = set()
-        if ukey[0] == tree and ukey[1] != 0:
-            pre.add(ukey[1])
+        if utree == tree and umask != 0:
+            pre.add(umask)
         if tree == 1 and w_informed:
-            pre.add(layout.w_key[1])
+            pre.add(layout.w)  # tree 1 starts at full id 0, so w's mask is its full id
         frag = layout.tree_rounds(tree, pre or None)
         assert len(frag) <= params.tree_order
         fragments.append((tree, frag))

@@ -18,7 +18,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .construct import CaseOneLayout
 from .errors import BroadcastNetError, DisconnectedGraph, TooLarge
@@ -39,12 +39,7 @@ class Violation:
     uninformed: int | None = None
 
     def to_json_obj(self) -> dict:
-        obj = {"kind": self.kind}
-        for name in ("round", "caller", "callee", "reason", "uninformed"):
-            val = getattr(self, name)
-            if val is not None:
-                obj[name] = val
-        return obj
+        return {f.name: v for f in fields(self) if (v := getattr(self, f.name)) is not None}
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,12 @@ def neighbours(g, label):
     return [g.labels[i] for i in sorted(g.adj[g.vertex_id(label)])]
 
 
+def vertex(g, layout, tree, mask):
+    """The label of the vertex at ``mask`` in tree ``tree`` of the graph
+    built with ``layout``."""
+    return g.labels[layout.dense[(tree - 1) * layout.tree_size + mask]]
+
+
 def label_rounds(s):
     """The calls of schedule s as label pairs of its own label tuple."""
     labels = s.labels

@@ -11,10 +11,11 @@ from broadcastnet import (
     exact_broadcast_time,
 )
 from broadcastnet.binomial import binomial_rounds_masks, parent_mask, subtree_order
+from broadcastnet.labels import pos_mask
 
 
 def _orders(t, labels):
-    return [subtree_order(t.mask_of(v), t.m) for v in labels]
+    return [subtree_order(pos_mask(v.pos), t.m) for v in labels]
 
 
 def _component(g, start, removed):
@@ -60,7 +61,7 @@ def test_recursive_structure():
     t = build_binomial(4)
     g = t.to_graph()
     for child in neighbours(g, t.root):
-        j = subtree_order(t.mask_of(child), t.m)
+        j = subtree_order(pos_mask(child.pos), t.m)
         below = _component(g, child, t.root)
         assert len(below) == 1 << j
         assert sorted(_orders(t, neighbours(g, child)), reverse=True)[1:] == list(
@@ -131,6 +132,12 @@ def test_schedule_ids_are_masks_of_the_graph_numbering():
         assert s.labels == t.to_graph().labels
         assert s.origin == 0
         assert s.rounds == tuple(map(tuple, binomial_rounds_masks(m, {0, (1 << m) - 1})))
+
+
+def test_schedule_and_graph_share_one_label_tuple():
+    # labels is made once per tree, so the check compares the tuples by identity
+    t = build_binomial(4)
+    assert binomial_schedule(t).labels is t.to_graph().labels
 
 
 def test_schedule_with_preinformed_deep_child():

@@ -210,6 +210,24 @@ def test_huge_int_flags_print_without_traceback(capsys):
     assert sys.get_int_max_str_digits() == limit
 
 
+@pytest.mark.parametrize("argv", [
+    ("params", "--k", "2", "--n", "5"),
+    ("construct", "--k", "2", "--out", "g.json"),
+    ("certify", "--k", "2"),
+    ("schedule", "--k", "2", "--originator", "0"),
+    ("table2",),
+])
+def test_huge_t_ends_in_one_error_line(tmp_path, monkeypatch, capsys, argv):
+    # 2^t of t = 10^19 cannot be allocated: params rejects n before making
+    # it, and the commands that need N or 2^t fail at once
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, argv[0], "--t", str(10 ** 19), *argv[1:])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if argv[0] == "params":
+        assert err == f"error: n=5: need n > 2^t for t={10 ** 19}\n"
+
+
 _TWO = '[{"id":0,"tree":1,"pos":"","cube":null},{"id":1,"tree":2,"pos":"","cube":null}]'
 _EVIL = json.dumps('a" ];\n evil [label="x')  # would add a node to a DOT export
 

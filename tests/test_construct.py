@@ -1,8 +1,26 @@
-from conftest import neighbours
+import pytest
+from conftest import neighbours, vertex
 
 from broadcastnet import audit_edges, bound_5a, build, make_params
 from broadcastnet.construct import _make_layout, _prune, remaining_closed_form
 from broadcastnet.params import max_k
+
+
+@pytest.mark.parametrize("t,k,n", [(8, 3, 448), (9, 4, 703)])
+def test_one_vertex_numbering(t, k, n):
+    # full size, and a p=2 build in which tree 1, and with it w, is deleted
+    params = make_params(t, k, n)
+    g, layout, _ = build(params)
+    assert (n == params.N) != (1 in layout.deleted_trees)
+    for i, label in enumerate(g.labels):
+        assert layout.dense[layout.full_id(label)] == g.vertex_id(label) == i
+    live = set(layout.live_coords)
+    for c in range(1 << k):
+        i = layout.dense[layout.full_of_coord(c)]
+        if c in live:
+            assert g.labels[i].cube == format(c, f"0{k}b") and i == layout.coord_ids[c]
+        else:
+            assert i == -1
 
 
 def test_case1_t7k2_totals(g72):
@@ -55,9 +73,9 @@ def test_case1_degree_law(g72, g83):
     for params, g, layout, _ in (g72, g83):
         k, h = params.k, params.tree_order
         for label in g.labels:
-            key = layout.key_of_label(label)
-            tree, mask = key
-            if mask == 0 or key == layout.w_key:
+            f = layout.full_id(label)
+            mask = f % layout.tree_size
+            if mask == 0 or f == layout.w:
                 continue
             j = h if mask == 0 else (mask & -mask).bit_length() - 1
             expect = k + j + (0 if mask & (mask - 1) == 0 else 1)
@@ -66,7 +84,7 @@ def test_case1_degree_law(g72, g83):
 
 def test_case1_w_degree(g72):
     params, g, layout, _ = g72
-    w = layout.label_of_key(layout.w_key)
+    w = vertex(g, layout, 1, layout.tree_size - 1)
     assert len(neighbours(g, w)) == params.k + 1  # k cube edges plus the tree parent
 
 
@@ -118,7 +136,7 @@ def test_case2_cross_neighbor_property(g73_shrunk):
     params, g, layout, _ = g73_shrunk
     half = layout.half
     for c in range(half, 1 << params.k):
-        lab = layout.label_of_key(layout.key_of_coord(c))
+        lab = g.labels[layout.coord_ids[c]]
         partners = [
             nb for nb in neighbours(g, lab)
             if nb.is_root and layout.coord_of_tree[nb.tree] < half

@@ -110,6 +110,12 @@ def test_schedule_ids_are_coordinates_of_the_graph_numbering():
         assert s.origin == m and s.rounds == tuple(map(tuple, sweep_rounds(m, list(range(m)))))
 
 
+def test_schedule_and_graph_share_one_label_tuple():
+    # labels is made once per cube, so the check compares the tuples by identity
+    q = build_hypercube(4)
+    assert hypercube_schedule(q, q.label(5)).labels is q.to_graph().labels
+
+
 def test_schedule_two_rounds_three_calls():
     q = build_hypercube(2)
     for c in range(4):

@@ -1,5 +1,5 @@
 import pytest
-from conftest import label_rounds
+from conftest import label_rounds, vertex
 
 from broadcastnet import (
     UnknownVertex,
@@ -11,31 +11,31 @@ from broadcastnet import (
 )
 
 
-def _label_of_coord(layout, c):
-    return layout.label_of_key(layout.key_of_coord(c))
+def _label_of_coord(g, layout, c):
+    return g.labels[layout.coord_ids[c]]
 
 
 def test_classify_case1(g72):
     params, g, layout, _ = g72
-    rk = _label_of_coord(layout, layout.half)
+    rk = _label_of_coord(g, layout, layout.half)
     assert classify(g, layout, rk).tag == "C11"
-    w = layout.label_of_key(layout.w_key)
+    w = vertex(g, layout, 1, layout.tree_size - 1)
     assert classify(g, layout, w).tag == "C11"
     # a tree vertex whose root sits in the first half
-    v_q1 = layout.label_of_key((3, 5))
+    v_q1 = vertex(g, layout, 3, 5)
     assert classify(g, layout, v_q1).tag == "C12"
     # tree 1 is rooted on the low corner block
-    v_q2 = layout.label_of_key((1, 5))
+    v_q2 = vertex(g, layout, 1, 5)
     case = classify(g, layout, v_q2)
     assert case.tag == "C13" and case.subcube == 0
 
 
 def test_classify_case2(g73_shrunk):
     params, g, layout, _ = g73_shrunk
-    assert classify(g, layout, _label_of_coord(layout, layout.half)).tag == "C21"
-    assert classify(g, layout, layout.label_of_key((2, 1))).tag == "C23"
+    assert classify(g, layout, _label_of_coord(g, layout, layout.half)).tag == "C21"
+    assert classify(g, layout, vertex(g, layout, 2, 1)).tag == "C23"
     q1_tree = layout.tree_of_coord[layout.half]
-    assert classify(g, layout, layout.label_of_key((q1_tree, 1))).tag == "C22"
+    assert classify(g, layout, vertex(g, layout, q1_tree, 1)).tag == "C22"
 
 
 def test_classify_total_over_graph(g72, g73_shrunk):
@@ -55,7 +55,7 @@ def test_classify_unknown_vertex(g72):
 
 def test_case1_schedule_from_root(g72):
     params, g, layout, _ = g72
-    u = _label_of_coord(layout, 1)  # the first root
+    u = _label_of_coord(g, layout, 1)  # the first root
     s = make_schedule(g, layout, params, u)
     res = check_schedule(g, s)
     assert res.ok
@@ -64,7 +64,7 @@ def test_case1_schedule_from_root(g72):
 
 def test_case1_schedule_from_w(g72):
     params, g, layout, _ = g72
-    w = layout.label_of_key(layout.w_key)
+    w = vertex(g, layout, 1, layout.tree_size - 1)
     s = make_schedule(g, layout, params, w)
     res = check_schedule(g, s)
     assert res.ok and res.completion_round <= 8
@@ -75,7 +75,7 @@ def test_case1_schedule_from_w(g72):
 
 def test_case2_schedule_from_rk_with_whole_tree_deleted(g73_shrunk):
     params, g, layout, _ = g73_shrunk
-    rk = _label_of_coord(layout, layout.half)
+    rk = _label_of_coord(g, layout, layout.half)
     s = make_schedule(g, layout, params, rk)
     res = check_schedule(g, s)
     assert res.ok and res.completion_round <= params.t + 1
@@ -83,8 +83,8 @@ def test_case2_schedule_from_rk_with_whole_tree_deleted(g73_shrunk):
 
 def test_w_is_reached_exactly_at_the_last_round_from_tree_vertices(g72):
     params, g, layout, _ = g72
-    w = layout.label_of_key(layout.w_key)
-    u = layout.label_of_key((2, 3))
+    w = vertex(g, layout, 1, layout.tree_size - 1)
+    u = vertex(g, layout, 2, 3)
     s = make_schedule(g, layout, params, u)
     informed_at = None
     for rnd, calls in enumerate(label_rounds(s), start=1):
@@ -148,7 +148,7 @@ def test_cube_phase_shortfall_is_reported_not_scheduled(g72, monkeypatch):
     from broadcastnet import SchemePhaseOverrun, certify_graph
     params, g, layout, _ = g72
     monkeypatch.setattr(scheme, "_half_sweep", lambda layout, seed, first: [])
-    u = layout.label_of_key((3, 5))  # C12: the first half is swept from its root
+    u = vertex(g, layout, 3, 5)  # C12: the first half is swept from its root
     message = "cube vertices missed by round 2: [2]"
     with pytest.raises(SchemePhaseOverrun) as exc:
         make_schedule(g, layout, params, u)

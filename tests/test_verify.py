@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from conftest import label_schedule, neighbours
+from conftest import label_schedule, neighbours, vertex
 
 from broadcastnet import (
     BroadcastNetError,
@@ -156,7 +156,7 @@ def test_certify_mutated_graph_reported_honestly(g72):
     # and rerun: the generator still schedules the missing edge, so the
     # checker must flag it; the report stays internally consistent
     params, g, layout, _ = g72
-    r1 = layout.label_of_key((1, 0))
+    r1 = vertex(g, layout, 1, 0)
     victim = next(v for v in neighbours(g, r1)
                   if v.tree is not None and v.tree != 1 and not v.is_root)
     vid, rid = g.vertex_id(victim), g.vertex_id(r1)
@@ -303,7 +303,7 @@ def _mutations(g, layout):
     """Copies of g on its label tuple without one edge: an attachment edge
     (as in test_certify_mutated_graph_reported_honestly), and a tree edge
     that the root-only fragment of tree 2 uses."""
-    r1 = g.vertex_id(layout.label_of_key((1, 0)))
+    r1 = g.vertex_id(vertex(g, layout, 1, 0))
     victim = next(v for v in sorted(g.adj[r1])
                   if g.labels[v].tree != 1 and not g.labels[v].is_root)
     caller, callee = layout.tree_rounds(2)[-1][0]
@@ -408,7 +408,7 @@ def test_recorded_verdict_is_tied_to_its_start_vertex(g72, monkeypatch):
     # phase informs another vertex of tree 3 instead, the fragment must be
     # replayed from that vertex, not accepted on the record
     params, g, layout, _ = g72
-    r1, r3 = layout.label_of_key((1, 0)), layout.label_of_key((3, 0))
+    r1, r3 = vertex(g, layout, 1, 0), vertex(g, layout, 3, 0)
     s = make_schedule(g, layout, params, r1)
     assert certify_graph(g, layout, params, originators=[r1]).passed
     cube, fragments = s.pieces
