@@ -19,7 +19,8 @@ Pruning never removes a root child: a root child's attachment to its own
 root coincides with its tree edge, so deleting it would remove one edge
 fewer than deleting any other vertex and break the uniform per-vertex edge
 loss (and the flat accounting deltas across each (x, p) regime).  Nor does
-it touch a low-half tree when x = 0.  The deep (non-root-child) vertices of
+it touch a low-half tree when x = 0, so tree 1, which holds w, is never
+pruned: for x > 0 it is deleted whole.  The deep (non-root-child) vertices of
 the pruning trees always suffice: pruning takes M(x - 2^p + 1) + y <= 2^p M - 1
 vertices (p = 0 when x = 0), and the 2^k - 2^p pruning trees (the 2^(k-1)
 first-half trees when x = 0) each hold M - 1 - h deep vertices, where
@@ -36,7 +37,7 @@ from .bounds import closed_form_5a, closed_form_5b
 from .graph import Graph
 from .labels import VertexLabel, bits, pos_mask
 from .params import ConstructionParams
-from .schedule import IdCall
+from .schedule import IdCall, ShiftedFragment
 
 Edge = tuple[int, int]  # (low, high) full ids
 Fragment = tuple[tuple[IdCall, ...], ...]  # rounds of one tree's broadcast
@@ -104,21 +105,32 @@ class CaseOneLayout:
     def full_id(self, label: VertexLabel) -> int:
         return (label.tree - 1) * self.tree_size + pos_mask(label.pos)
 
-    def tree_rounds(self, index: int, informed_masks: set[int] | None = None) -> Fragment:
-        """Broadcast rounds of one surviving tree, as dense-id pairs.
+    def tree_rounds(self, index: int, informed_masks: set[int] | None = None
+                    ) -> Fragment | ShiftedFragment:
+        """Broadcast rounds of one surviving tree, as dense-id pairs, from its
+        root and the vertices in ``informed_masks``: none, or one (u, or w in
+        tree 1; the cube phase never informs both).
 
-        Fragments are immutable, so a verdict recorded for one stays true.
-        The root-only case is cached per tree; extra pre-informed vertices
-        force a fresh simulation."""
-        if not informed_masks and index in self._plain_rounds:
-            return self._plain_rounds[index]
-        rounds = binomial_rounds_masks(self.h, informed_masks, self.pruned_masks.get(index))
+        The root-only fragment is simulated once per tree and cached.  With u
+        informed, the rounds are those of the simulation from {root, u}, got
+        without simulating by the shift lemma: drop the call to u = p | 1<<b,
+        move u's subtree r(u) rounds earlier and the subtrees of u's younger
+        siblings p | 1<<b' (b' < b, called after u) one round earlier.  So
+        this returns, in O(1), the ShiftedFragment of the cached fragment and
+        u, whose rounds are made only when read.  w = 2^h - 1 is a leaf with
+        no younger sibling, so for w the lemma only drops its call.
+        Fragments are immutable, so a verdict recorded for one stays true."""
+        plain = self._plain_rounds.get(index)
         base = (index - 1) * self.tree_size
-        ids = self.dense[base:base + self.tree_size]
-        frag = tuple(tuple((ids[a], ids[b]) for a, b in calls) for calls in rounds)
+        if plain is None:
+            rounds = binomial_rounds_masks(self.h, None, self.pruned_masks.get(index))
+            ids = self.dense[base:base + self.tree_size]
+            plain = tuple(tuple((ids[a], ids[b]) for a, b in calls) for calls in rounds)
+            self._plain_rounds[index] = plain
         if not informed_masks:
-            self._plain_rounds[index] = frag
-        return frag
+            return plain
+        (mask,) = informed_masks
+        return ShiftedFragment(plain, self.dense[base + mask])
 
 
 def _make_layout(params: ConstructionParams) -> CaseOneLayout:
@@ -247,6 +259,7 @@ def _prune(layout: CaseOneLayout, need: int) -> dict[int, set[int]]:
         need -= len(taken[tree])
     if need:
         raise AssertionError("pruning capacity exhausted")
+    assert 1 not in taken, "tree 1 pruned"
     return taken
 
 

@@ -5,7 +5,9 @@ as the graph numbering them holds it; labels are read only at the boundary.
 The calls are kept in the shape of the broadcast scheme's two phases: the
 rounds from round 1 on, then optionally one (tree, fragment) pair per tree,
 every fragment starting in the round after those rounds.  A plain schedule
-has no fragments.
+has no fragments.  A fragment is a tuple of rounds, or a ShiftedFragment: a
+tuple fragment with one more vertex informed before it starts, described in
+O(1) and made into rounds only when they are read.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ class Schedule:
 
     ``pieces`` is (the rounds given, the (tree, fragment) pairs given).  The
     fragments are kept as they are given, so they should be immutable, as
-    tree_rounds makes them.
+    tree_rounds makes them (tuples, or ShiftedFragments).
     """
 
     __slots__ = ("labels", "origin", "pieces", "_assembled")
@@ -91,3 +93,67 @@ class Schedule:
             "completes_at": self.completes_at,
         }
         return json.dumps(obj, separators=(",", ":")) + "\n"
+
+
+class ShiftedFragment(Sequence):
+    """The rounds of a tree fragment ``base`` when its vertex ``u`` is informed
+    too before the fragment starts.
+
+    ``base`` broadcasts a tree from its root alone and calls u in round r(u),
+    from p.  The rounds are base's with three changes: the call p->u is
+    dropped; the calls inside u's subtree (every vertex u informs, directly or
+    not) move r(u) rounds earlier; the calls by which p informs the vertices
+    it calls after u, and the calls inside their subtrees, move 1 round
+    earlier.  Within a round the calls are in ascending caller order, and
+    trailing empty rounds are left out.  Made in O(1); the rounds are made,
+    once, when first read.  Immutable, like ``base`` must be.
+    """
+
+    __slots__ = ("base", "u", "_rounds")
+
+    def __init__(self, base: Sequence[Sequence[IdCall]], u: int):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "_rounds", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ShiftedFragment is immutable: cannot set {name}")
+
+    def __reduce__(self):
+        return ShiftedFragment, (self.base, self.u)
+
+    @property
+    def rounds(self) -> tuple[tuple[IdCall, ...], ...]:
+        if self._rounds is None:
+            object.__setattr__(self, "_rounds", _shifted(self.base, self.u))
+        return self._rounds
+
+    def __len__(self) -> int:
+        return len(self.rounds)
+
+    def __getitem__(self, i):
+        return self.rounds[i]
+
+    def __iter__(self):
+        return iter(self.rounds)
+
+
+def _shifted(base: Sequence[Sequence[IdCall]], u: int) -> tuple[tuple[IdCall, ...], ...]:
+    """The rounds a ShiftedFragment stands for, in one pass over ``base``:
+    each callee inherits the shift of its caller, except u (dropped) and the
+    later callees of u's caller (shifted by 1)."""
+    shift: dict[int, int] = {}  # vertex -> rounds its calls move earlier
+    rounds: list[list[IdCall]] = [[] for _ in base]
+    p = None
+    for r, calls in enumerate(base):
+        for a, b in calls:
+            if b == u:
+                p, shift[u] = a, r + 1
+                continue
+            s = 1 if a == p else shift.get(a, 0)
+            if s:
+                shift[b] = s
+            rounds[r - s].append((a, b))
+    while rounds and not rounds[-1]:
+        rounds.pop()
+    return tuple(tuple(sorted(calls)) for calls in rounds)

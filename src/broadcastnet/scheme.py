@@ -188,8 +188,6 @@ def make_schedule(g: Graph, layout: CaseOneLayout, params: ConstructionParams,
             pre.add(umask)
         if tree == 1 and w_informed:
             pre.add(layout.w)  # tree 1 starts at full id 0, so w's mask is its full id
-        frag = layout.tree_rounds(tree, pre or None)
-        assert len(frag) <= params.tree_order
-        fragments.append((tree, frag))
+        fragments.append((tree, layout.tree_rounds(tree, pre or None)))
 
     return Schedule(layout.labels, uid, cube, fragments)

@@ -9,14 +9,18 @@ broadcasts within its target.  A schedule on the graph's label tuple, or an
 equal one, is checked piece by piece first: its first rounds (the cube
 phase) and every tree fragment that starts from more than its tree's root
 are replayed, while a fragment this graph has already accepted from its root
-alone is not replayed again.  Whatever that check does not accept is replayed whole,
-which gives every failure's witness."""
+alone is not replayed again.  The fragment of the originator's own tree (or
+of tree 1, when the cube phase informs w) is a ShiftedFragment of such a
+fragment, and the shift lemma accepts it in O(h log M) for a tree of M
+vertices and h rounds (_accepted).  Whatever that check does not accept is
+replayed whole, which gives every failure's witness."""
 
 from __future__ import annotations
 
 import json
 import os
 import sys
+from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 
@@ -25,7 +29,7 @@ from .errors import BroadcastNetError, DisconnectedGraph, TooLarge
 from .graph import Graph
 from .labels import VertexLabel
 from .params import ConstructionParams, ceil_log2
-from .schedule import Schedule
+from .schedule import Schedule, ShiftedFragment
 from .scheme import make_schedule
 
 
@@ -140,8 +144,9 @@ def _tree_table(g: Graph) -> tuple:
     """g's per-graph record for the piecewise check, made on first use: the
     tree of every vertex, each tree's id range [lo, hi) (None when some tree's
     ids do not form one range), per tree the fragment accepted from the
-    tree's root alone, and the last label tuple compared with g's with
-    whether it is equal."""
+    tree's root alone (see _accepted), the last label tuple compared with g's
+    with whether it is equal, and replay state (see _fresh) that every check
+    leaves as it found it."""
     if g._verdicts is None:
         home = [label.tree for label in g.labels]
         spans: dict | None = {}
@@ -151,7 +156,7 @@ def _tree_table(g: Graph) -> tuple:
                 spans = None
                 break
             spans[tree] = (lo, i + 1)
-        g._verdicts = (home, spans, {}, [g.labels, True])
+        g._verdicts = (home, spans, {}, [g.labels, True], [_NEVER] * g.n, [0] * g.n)
     return g._verdicts
 
 
@@ -164,47 +169,171 @@ def _check_pieces(g: Graph, s: Schedule) -> list[int] | None:
     The first rounds (the cube phase; all rounds of a plain schedule) are
     replayed from the originator.  Then each fragment is replayed inside its
     tree's id range, from the tree's vertices informed by the cube phase,
-    unless that set is the tree's root alone and this graph has already
-    accepted the very same fragment object from it.  Accepted
-    when every piece is legal, no tree has two fragments, and every vertex is
+    unless _accepted vouches for it: the same fragment object this graph has
+    accepted from the tree's root, started from that root alone, or a
+    ShiftedFragment of it started from that root and its u.  Accepted when
+    every piece is legal, no tree has two fragments, and every vertex is
     informed.  Sound because the trees share no vertex and the fragments
     start after the cube phase, so no call of one piece bears on another.
+    The replay state lives on g's record; only the entries the replayed
+    pieces write are reset, so a check costs no O(n) set-up.
     """
-    home, spans, verdicts, seen = _tree_table(g)
+    home, spans, verdicts, seen, when, used = _tree_table(g)
     if s.labels is not seen[0]:
         seen[:] = s.labels, s.labels == g.labels
     if not seen[1]:
         return None
-    n, adj, labels, origin = g.n, g.adj, g.labels, s.origin
+    n, adj, origin = g.n, g.adj, s.origin
     cube_rounds, fragments = s.pieces
     if spans is None or not 0 <= origin < n:
         return None
-    when, used = _fresh(n, origin)
-    sizes = [1]
-    if _replay(when, used, adj, cube_rounds, 0, 0, n, sizes) is not None:
-        return None
-    k = len(cube_rounds)
-    informed: dict = {}
-    for v in [origin] + [b for calls in cube_rounds for _, b in calls]:
-        informed.setdefault(home[v], []).append(v)
-    grow = [0] * max((len(frag) for _, frag in fragments), default=0)
-    done = set()
-    for tree, frag in fragments:
-        if tree in done or tree not in spans:
+    when[origin] = 0
+    replayed = [cube_rounds]
+    try:
+        sizes = [1]
+        if _replay(when, used, adj, cube_rounds, 0, 0, n, sizes) is not None:
             return None
-        done.add(tree)
-        pre = informed.get(tree, [])
-        from_root = len(pre) == 1 and labels[pre[0]].is_root
-        if not (from_root and verdicts.get(tree) is frag):
-            if _replay(when, used, adj, frag, k, *spans[tree], [len(pre)]) is not None:
+        k = len(cube_rounds)
+        informed: dict = {}
+        for v in [origin] + [b for calls in cube_rounds for _, b in calls]:
+            informed.setdefault(home[v], []).append(v)
+        grow: list[int] = []
+        done = set()
+
+        def replay(tree: int, frag, pre: list[int]) -> list[int] | None:
+            """frag's calls per round, replayed in its tree from pre; recorded
+            when pre is the tree's root alone."""
+            replayed.append(frag)
+            counts = [len(pre)]
+            if _replay(when, used, adj, frag, k, *spans[tree], counts) is not None:
                 return None
-            if from_root:
-                verdicts[tree] = frag
-        for i, calls in enumerate(frag):
-            grow[i] += len(calls)
-    for added in grow:
-        sizes.append(sizes[-1] + added)
-    return sizes if sizes[-1] == n else None
+            added = [b - a for a, b in zip(counts, counts[1:])]
+            if len(pre) == 1 and g.labels[pre[0]].is_root:
+                verdicts[tree] = [frag, pre[0], added, None]
+            return added
+
+        for tree, frag in fragments:
+            if tree in done or tree not in spans:
+                return None
+            done.add(tree)
+            pre = informed.get(tree, [])
+            added = _accepted(verdicts.get(tree), frag, pre, spans[tree])
+            if (added is None and isinstance(frag, ShiftedFragment) and len(pre) == 2
+                    and frag.u in pre):
+                # its base, not accepted here yet, is replayed once from the
+                # root alone (u uninformed meanwhile), spending the tree's state
+                when[frag.u] = _NEVER
+                if replay(tree, frag.base, [pre[pre[0] == frag.u]]) is None:
+                    return None
+                added = _accepted(verdicts.get(tree), frag, pre, spans[tree])
+            elif added is None:
+                added = replay(tree, frag, pre)
+            if added is None:
+                return None
+            grow.extend([0] * (len(added) - len(grow)))
+            for i, c in enumerate(added):
+                grow[i] += c
+        for c in grow:
+            sizes.append(sizes[-1] + c)
+        return sizes if sizes[-1] == n else None
+    finally:
+        when[origin], used[origin] = _NEVER, 0
+        for piece in replayed:
+            for calls in piece:
+                for _, b in calls:
+                    if 0 <= b < n:
+                        when[b], used[b] = _NEVER, 0
+
+
+def _accepted(record: list | None, frag, pre: list[int], span: tuple[int, int]
+              ) -> list[int] | None:
+    """The calls per round of ``frag``, vouched for without replay by the
+    record of its tree (the fragment accepted from the root, that root, its
+    calls per round and, made on first use, its _tree_shape), or None.
+
+    The shift lemma.  Let the accepted fragment B broadcast the tree from its
+    root, and let a ShiftedFragment of B and u start from {root, u}.  Its
+    calls fall in three groups by callee: inside u's subtree (moved r(u)
+    rounds earlier), inside the subtrees of the vertices u's caller p calls
+    after u, those calls of p included (moved 1 earlier), and the rest (not
+    moved, less p->u).  The shifted fragment is legal:
+    - every call is one of B, so an edge, and every callee but the informed
+      root and u is called once, as in B;
+    - the groups share no vertex but p, which is in the last, and a group's
+      calls are made by its own vertices or p; a group moves as one, so
+      each of its callers is still informed before it calls and calls once
+      per round, and u (informed at 0) calls after round 0;
+    - p keeps its calls before r(u) and moves its calls after r(u) one
+      round earlier, into the round it no longer calls u in: its remaining
+      calls stay in distinct rounds (consecutive ones, in a binomial
+      fragment), all after p is informed.
+    Its calls per round come from B alone: in B's preorder, checked once by
+    _tree_shape, u's subtree is the id range [u, u + size) and the other
+    moved subtrees are (p, u), so per round a few bisections on B's sorted
+    callees count each group.  This is O(h log M) for a tree of M vertices
+    and h rounds; the whole replay of the same rounds gives the same counts.
+    """
+    if record is None:
+        return None
+    base, root, counts, shape = record
+    if frag is base:
+        return counts if pre == [root] else None
+    if not (isinstance(frag, ShiftedFragment) and frag.base is base
+            and len(pre) == 2 and root in pre and frag.u in pre and frag.u != root):
+        return None
+    if shape is None:
+        shape = record[3] = _tree_shape(base, *span)
+    if not shape:
+        return None
+    callees, at, by, size = shape
+    u = frag.u - span[0]
+    ru, p, end, last = at[u], by[u], u + size[u], len(callees)
+    # per round of B, its callees in u's subtree and in (p, u); none before r(u)
+    inside, between = [0] * (last + ru + 1), [0] * (last + 2)
+    for r in range(ru, last + 1):
+        cs = callees[r - 1]
+        mid = bisect_left(cs, u)
+        inside[r] = bisect_left(cs, end, mid) - mid
+        between[r] = mid - bisect_left(cs, p + 1, 0, mid)
+    added = [len(callees[r - 1]) - inside[r] - between[r] + inside[r + ru] + between[r + 1]
+             for r in range(1, last + 1)]
+    while added and not added[-1]:
+        added.pop()
+    return added
+
+
+def _tree_shape(frag, lo: int, hi: int) -> tuple:
+    """What _accepted needs of a fragment accepted from the root of the tree
+    [lo, hi), in local ids (id - lo): per round its sorted callees, and per
+    vertex the round it is called in, its caller and its subtree size.
+
+    Empty unless the fragment informs every vertex from the root lo and
+    numbers its call tree in preorder, children in the reverse of the order
+    they are called: every vertex comes after its caller, inside its
+    caller's subtree range, and a caller's next child in id order is called
+    earlier.  Then each subtree is one id range [v, v + size[v]), and the
+    children a vertex p calls after its child v have the ranges that make
+    up (p, v).  A binomial fragment has this shape, pruned or not: a subtree
+    is a range of masks, and a vertex calls its children by descending mask.
+    """
+    m = hi - lo
+    at, by, size = [0] * m, [-1] * m, [1] * m
+    callees = []
+    for r, calls in enumerate(frag, start=1):
+        for a, b in calls:
+            at[b - lo], by[b - lo] = r, a - lo
+        callees.append(sorted(b - lo for _, b in calls))
+    if sum(map(len, callees)) != m - 1:
+        return ()
+    for v in range(m - 1, 0, -1):
+        if not 0 <= by[v] < v:
+            return ()
+        size[by[v]] += size[v]
+    for v in range(1, m):
+        p, end = by[v], v + size[v]
+        if end > p + size[p] or end < p + size[p] and at[end] >= at[v]:
+            return ()
+    return callees, at, by, size
 
 
 # ---------------------------------------------------------------------------

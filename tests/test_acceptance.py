@@ -29,6 +29,7 @@ from broadcastnet import (
 )
 from broadcastnet.construct import remaining_closed_form
 from broadcastnet.params import max_k
+from broadcastnet.schedule import ShiftedFragment
 
 # Reference full-size table: (t, k) -> (N, our edge count, direct-construction bound).
 TABLE1 = {
@@ -195,19 +196,27 @@ def test_criterion_3_case1_construction_fidelity():
 def test_criterion_4_broadcast_certification(monkeypatch):
     # certify_graph checks every schedule from its pieces; each must be
     # accepted there, and the whole replay of its calls, without the pieces,
-    # must give the same completion round
+    # must give the same completion round and informed count per round
     from broadcastnet import verify
 
     check_pieces, checked = verify._check_pieces, []
+    accepted, lemma = verify._accepted, []
 
     def recording(g, s):
         checked.append((s, check_pieces(g, s)))
         return checked[-1][1]
 
+    def vouching(record, frag, pre, span):
+        added = accepted(record, frag, pre, span)
+        if added is not None and isinstance(frag, ShiftedFragment):
+            lemma.append(frag)
+        return added
+
     monkeypatch.setattr(verify, "_check_pieces", recording)
+    monkeypatch.setattr(verify, "_accepted", vouching)
     start = time.time()
     lines = []
-    originators = 0
+    originators = shifted = 0
     for t, k, n in _certification_instances():
         params = make_params(t, k, n)
         g, layout, _ = build(params)
@@ -218,18 +227,26 @@ def test_criterion_4_broadcast_certification(monkeypatch):
         assert len(report.per_originator) == n
         assert all(sizes is not None for _, sizes in checked), (t, k, n)
         schedules = [s for s, _ in checked]
+        # every originator's own tree, and tree 1 from w, by the shift lemma
+        assert lemma == [frag for s in schedules for _, frag in s.pieces[1]
+                         if isinstance(frag, ShiftedFragment)], (t, k, n)
+        shifted += len(lemma)
+        lemma.clear()
         with monkeypatch.context() as mp:
             mp.setattr(verify, "_check_pieces", lambda g, s: None)
             whole = [check_schedule(g, s) for s in schedules]
         assert report.per_originator == [(s.origin, res.completion_round)
                                          for s, res in zip(schedules, whole)], (t, k, n)
+        assert [tuple(sizes) for _, sizes in checked] == [
+            res.informed_per_round for res in whole], (t, k, n)
         originators += n
         lines.append(f"t={t} k={k} n={n}: max={report.max_round}")
     assert len(lines) >= 20
     assert originators == 16142
     print(f"\nCRITERION 4: PASS - {len(lines)} graphs certified over every "
           f"originator, all completing exactly at t+1, the piecewise check "
-          f"agreeing with the whole replay on all {originators} "
+          f"({shifted} fragments by the shift lemma) agreeing with the whole "
+          f"replay on all {originators}, round and informed counts "
           f"({time.time() - start:.1f}s)")
 
 

@@ -10,14 +10,18 @@ factored certifier is asked too, with the mutation placed in one piece of
 the schedule: a cube-phase call, the originator's own tree fragment, or a
 copy of a plain (root-only) fragment.  Two mutations act on pieces only:
 "leave" sends a call across a piece boundary, and "twin" lists a plain
-fragment twice in place of another tree's.
+fragment twice in place of another tree's.  The originator's own fragment,
+a ShiftedFragment, is mutated as a descriptor too (its u, its base, its
+tree): the shift lemma must vouch for no illegal mutant, and an equal base
+not met before (another build's, or a copy) is replayed from the root
+before the lemma uses it; every verdict must be the set replay's.
 """
 
 from collections import Counter
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from conftest import label_rounds, label_schedule, neighbours
 
@@ -31,6 +35,7 @@ from broadcastnet import (
     verify,
 )
 from broadcastnet.params import max_k
+from broadcastnet.schedule import ShiftedFragment
 
 
 def oracle(g, originator, rounds):
@@ -229,6 +234,95 @@ def test_factored_certifier_agrees_with_set_replay(place, kind, tkn, pick, rng):
     if kind == "none":
         assert verify._check_pieces(g, s) is not None
     if not want[0]:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verify, "_check_pieces", lambda g, s: None)
+            whole = check_schedule(g, s)
+        assert report.failures == [{"id": g.vertex_id(u),
+                                    "violation": whole.violation.to_json_obj()}]
+
+
+DESCRIPTOR_MUTATIONS = ("none", "wrong-u", "root-u", "foreign-u", "other-tree-base",
+                        "other-graph-base", "unaccepted-base", "w-elsewhere", "twice")
+
+
+def _descriptor_with(kind, fragments, own, g, layout, rng):
+    """The fragments with the ShiftedFragment at index ``own`` (the
+    originator's tree) mutated: its u replaced by another vertex of its tree,
+    by the tree's root or by a vertex of another tree; its base replaced by
+    another tree's fragment, by an equal fragment of another build of the
+    graph or by an equal copy not met before; the descriptor of w placed on
+    another tree; or the descriptor listed a second time, for another tree."""
+    fragments = list(fragments)
+    tree, frag = fragments[own]
+    others = [i for i in range(len(fragments)) if i != own]
+    members = [i for i, label in enumerate(g.labels) if label.tree == tree]
+    strangers = [i for i, label in enumerate(g.labels)
+                 if label.tree != tree and not label.is_root]
+    if kind == "wrong-u":
+        frag = ShiftedFragment(frag.base, rng.choice([i for i in members[1:] if i != frag.u]))
+    elif kind == "root-u":
+        frag = ShiftedFragment(frag.base, members[0])
+    elif kind == "foreign-u":
+        frag = ShiftedFragment(frag.base, rng.choice(strangers))
+    elif kind == "other-tree-base":
+        frag = ShiftedFragment(layout.tree_rounds(fragments[rng.choice(others)][0]), frag.u)
+    elif kind == "other-graph-base":
+        _, again, _ = build(make_params(g.t, g.k, g.n))
+        frag = ShiftedFragment(again.tree_rounds(tree), frag.u)
+        assert frag.base == layout.tree_rounds(tree) and frag.base is not layout.tree_rounds(tree)
+    elif kind == "unaccepted-base":
+        frag = ShiftedFragment(tuple(map(tuple, frag.base)), frag.u)
+    elif kind == "w-elsewhere":
+        other = fragments[rng.choice(others)][0] if tree == 1 else tree
+        fragments[own] = (other, layout.tree_rounds(other, {layout.w}))
+        return fragments
+    elif kind == "twice":
+        fragments[rng.choice(others)] = fragments[own]
+        return fragments
+    fragments[own] = (tree, frag)
+    return fragments
+
+
+@pytest.mark.parametrize("kind", DESCRIPTOR_MUTATIONS)
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(instances(), st.integers(0, 1 << 30), st.randoms(use_true_random=False))
+def test_shift_lemma_vouches_only_for_its_own_descriptor(kind, tkn, pick, rng):
+    params, g, layout = _instance(*tkn)
+    assume(kind != "w-elsewhere" or layout.w_alive)
+    off_cube = [u for u in g.labels if u.cube is None]
+    u = off_cube[pick % len(off_cube)]
+    generated = make_schedule(g, layout, params, u)
+    cube, fragments = generated.pieces
+    [own] = [i for i, (_, frag) in enumerate(fragments) if isinstance(frag, ShiftedFragment)]
+    s = Schedule(g.labels, generated.origin, cube,
+                 _descriptor_with(kind, fragments, own, g, layout, rng))
+    want = oracle(g, u, label_rounds(s))
+    assert certify_graph(g, layout, params, originators=[u]).passed
+    accepted, vouched = verify._accepted, []
+
+    def recording(record, frag, pre, span):
+        added = accepted(record, frag, pre, span)
+        if added is not None and isinstance(frag, ShiftedFragment):
+            vouched.append(frag)
+        return added
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "make_schedule", lambda *args: s)
+        mp.setattr(verify, "_accepted", recording)
+        report = certify_graph(g, layout, params, originators=[u])
+    [(_, rnd)] = report.per_originator or [(None, None)]
+    assert (bool(report.per_originator), rnd) == want
+    mutated = [frag for _, frag in s.pieces[1] if isinstance(frag, ShiftedFragment)]
+    if kind in ("none", "other-graph-base", "unaccepted-base"):
+        # legal; a base not met before is replayed from the root first
+        assert want == (True, params.t + 1) and vouched == mutated
+        tree = s.pieces[1][own][0]
+        assert verify._tree_table(g)[2][tree][0] is mutated[0].base
+    else:
+        # of two copies of a descriptor, the first met is vouched for and
+        # the second sends the schedule to the whole replay
+        assert not want[0] and verify._check_pieces(g, s) is None
+        assert vouched == (mutated[:1] if kind == "twice" else [])
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(verify, "_check_pieces", lambda g, s: None)
             whole = check_schedule(g, s)

@@ -2,7 +2,9 @@ import pytest
 from conftest import neighbours, vertex
 
 from broadcastnet import audit_edges, bound_5a, build, make_params
+from broadcastnet.binomial import binomial_rounds_masks
 from broadcastnet.construct import _make_layout, _prune, remaining_closed_form
+from broadcastnet.schedule import ShiftedFragment
 from broadcastnet.params import max_k
 
 
@@ -191,6 +193,59 @@ def test_pruning_capacity_at_worst_case_y():
                 assert all(m & (m - 1) for masks in pruned.values() for m in masks)
                 if x == 0:
                     assert all(layout.coord_of_tree[tree] >= layout.half for tree in pruned)
+
+
+def _admissible(t, stride=1):
+    for k in range(2, max_k(t, n_odd=True) + 1):
+        N = ((1 << k) - 1) << (t + 1 - k)
+        for n in range((1 << t) + 1, N + 1, stride):
+            if k <= max_k(t, n_odd=bool(n % 2)):
+                yield t, k, n
+
+
+def test_tree_one_is_never_pruned():
+    """Tree 1 holds w: it is deleted whole (x > 0) or left whole (x = 0),
+    never pruned, so the fragment of tree 1 from {root, w} is always the
+    shift of a whole binomial tree.  _prune asserts it; this runs it on
+    every admissible (t, k, n) with t <= 10 and every 37th n up to t = 13."""
+    triples = 0
+    for t in range(7, 14):
+        for t, k, n in _admissible(t, 1 if t <= 10 else 37):
+            params = make_params(t, k, n)
+            layout = _make_layout(params)
+            M = params.tree_size
+            pruned = _prune(layout, params.d - ((1 << params.p) - 1) * M)
+            assert 1 not in pruned, (t, k, n)
+            triples += 1
+    assert triples == 4746
+
+
+@pytest.mark.parametrize("t,k,n", [(8, 2, 384), (9, 3, 860), (9, 3, 700), (8, 3, 300)])
+def test_shift_lemma_matches_simulation(t, k, n):
+    """With u (w in tree 1 included) informed next to the root, a tree's
+    rounds are the shift of its root-only fragment: equal to the simulation
+    from {root, u}, call for call, on whole and on pruned trees."""
+    params = make_params(t, k, n)
+    _, layout, _ = build(params)
+    M = layout.tree_size
+    live = [i for i in range(1, params.num_trees + 1) if i not in layout.deleted_trees]
+    whole = [i for i in live if i not in layout.pruned_masks]
+    assert whole
+    for tree in sorted(set(layout.pruned_masks) | {whole[0]} | ({1} & set(live))):
+        gone = layout.pruned_masks.get(tree, frozenset())
+        ids = layout.dense[(tree - 1) * M:tree * M]
+        for u in range(1, M):
+            if u in gone:
+                continue
+            frag = layout.tree_rounds(tree, {u})
+            assert isinstance(frag, ShiftedFragment) and frag.base is layout.tree_rounds(tree)
+            want = binomial_rounds_masks(layout.h, {u}, gone)
+            assert tuple(frag) == tuple(tuple((ids[a], ids[b]) for a, b in calls)
+                                        for calls in want), (tree, u)
+    if 1 in live:
+        assert tuple(layout.tree_rounds(1, {layout.w})) == tuple(
+            tuple(call for call in calls if call[1] != layout.dense[layout.w])
+            for calls in layout.tree_rounds(1))
 
 
 def test_case2_descendants_deleted_before_ancestors():

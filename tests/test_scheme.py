@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from conftest import label_rounds, vertex
 
@@ -157,3 +159,26 @@ def test_cube_phase_shortfall_is_reported_not_scheduled(g72, monkeypatch):
     assert not report.passed and report.max_round is None
     assert report.failures == [{"id": g.vertex_id(u),
                                 "error": f"SchemePhaseOverrun: {message}"}]
+
+
+def test_originators_need_no_tree_simulation(monkeypatch):
+    # each tree is simulated once, from its root; after one originator per
+    # class, 30 more at t=12 k=2 schedule and certify their own trees by the
+    # shift lemma alone, with no call to the simulation
+    from broadcastnet import certify_graph, construct
+
+    params = make_params(12, 2, 6144)
+    g, layout, _ = build(params)
+    classes = {}
+    for label in g.labels:
+        classes.setdefault(classify(g, layout, label).tag, label)
+    assert sorted(classes) == ["C11", "C12", "C13"]
+    assert certify_graph(g, layout, params, originators=list(classes.values())).passed
+    calls = []
+    simulate = construct.binomial_rounds_masks
+    monkeypatch.setattr(construct, "binomial_rounds_masks",
+                        lambda *args: calls.append(args) or simulate(*args))
+    picked = [g.labels[i] for i in random.Random(12).sample(range(g.n), 30)]
+    report = certify_graph(g, layout, params, originators=picked)
+    assert report.passed and report.max_round == 13
+    assert calls == []

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -21,6 +22,7 @@ from broadcastnet import (
     make_schedule,
     verify,
 )
+from broadcastnet.schedule import ShiftedFragment
 
 
 def _path3():
@@ -343,8 +345,15 @@ def test_certify_on_a_loaded_graph_runs_piecewise(g73_shrunk):
 
 def test_tree_fragments_are_immutable(g72):
     params, g, layout, _ = g72
-    for frag in (layout.tree_rounds(2), layout.tree_rounds(1, {3})):
-        assert isinstance(frag, tuple) and all(isinstance(calls, tuple) for calls in frag)
+    plain, shifted = layout.tree_rounds(2), layout.tree_rounds(1, {3})
+    assert isinstance(plain, tuple) and isinstance(shifted, ShiftedFragment)
+    for name, value in (("base", plain), ("u", 0), ("_rounds", ())):
+        with pytest.raises(AttributeError):
+            setattr(shifted, name, value)
+    again = pickle.loads(pickle.dumps(shifted))
+    assert (again.base, again.u, tuple(again)) == (shifted.base, shifted.u, tuple(shifted))
+    for frag in (plain, shifted):
+        assert all(isinstance(calls, tuple) for calls in frag)
         with pytest.raises(TypeError):
             frag[0] = ()
         with pytest.raises(AttributeError):
@@ -423,3 +432,85 @@ def test_recorded_verdict_is_tied_to_its_start_vertex(g72, monkeypatch):
     violation = check_schedule(g, bad).violation
     assert violation.reason == "caller-uninformed"
     assert report.failures == [{"id": a, "violation": violation.to_json_obj()}]
+
+
+def _stop_mid_round(rounds, informed):
+    """A copy of ``rounds`` whose last call in the first round of two or more
+    calls goes to ``informed`` instead: the replay stops after the calls
+    before it in that round have written their state."""
+    rounds = [list(calls) for calls in rounds]
+    calls = next(calls for calls in rounds if len(calls) > 1)
+    calls[-1] = (calls[-1][0], informed)
+    return tuple(map(tuple, rounds))
+
+
+def test_piecewise_replay_state_is_reset_after_every_check(g73_shrunk):
+    # the piecewise check keeps its replay state on the graph's record and
+    # resets only what the replayed pieces wrote; legal and violating
+    # schedules, interleaved, each get the result of a fresh state, and
+    # leave the state as they found it
+    params, g, layout, _ = g73_shrunk
+    fresh = lambda: Graph.from_sorted(g.labels, g.edge_ids(), t=g.t, k=g.k)
+    off_cube = [u for u in g.labels if u.cube is None]
+    legal = [make_schedule(g, layout, params, u) for u in off_cube[::37]]
+    cases = []
+    for s in legal:
+        cube, fragments = s.pieces
+        own = next(i for i, (_, frag) in enumerate(fragments) if isinstance(frag, ShiftedFragment))
+        tree, frag = fragments[own]
+        lo = g.vertex_id(vertex(g, layout, tree, 0))
+        bad_cube = _stop_mid_round(cube, s.origin)
+        bad_frag = _stop_mid_round(frag, lo)
+        bad_base = ShiftedFragment(_stop_mid_round(frag.base, lo), frag.u)
+        cases += [
+            s,
+            Schedule(g.labels, s.origin, bad_cube, fragments),
+            s,
+            Schedule(g.labels, s.origin, cube, fragments[:own] + ((tree, bad_frag),)
+                     + fragments[own + 1:]),
+            Schedule(g.labels, s.origin, cube, fragments[:own] + ((tree, bad_base),)
+                     + fragments[own + 1:]),
+            Schedule(g.labels, s.origin, cube, fragments[:own] + fragments[own + 1:]),
+            Schedule(g.labels, s.origin, cube, fragments[:own] + ((tree, (((frag[0][0][0], -1),),)),)
+                     + fragments[own + 1:]),
+        ]
+    _, _, _, _, when, used = verify._tree_table(g)
+    outcomes = []
+    for s in cases:
+        res = check_schedule(g, s)
+        assert res == check_schedule(fresh(), s)
+        assert when == [verify._NEVER] * g.n and used == [0] * g.n
+        outcomes.append(res.ok)
+    assert len(legal) == 5
+    assert outcomes == [True, False, True, False, False, False, False] * len(legal)
+
+
+def test_shift_lemma_counts_only_a_base_in_preorder(g72):
+    # a legal root-only fragment of tree 2 in which every vertex calls its
+    # children smallest subtree first: its subtrees are still id ranges, but
+    # the children a vertex calls after v lie above v, not in (p, v), so the
+    # lemma's counts do not fit it; the shifted fragment goes to the whole
+    # replay, which accepts it late
+    params, g, layout, _ = g72
+    M, h = layout.tree_size, layout.h
+    ids = layout.dense[M:2 * M]
+    left = {0: list(range(h))}  # per informed mask, the bits of its children to call
+    rounds = []
+    while any(left.values()):
+        calls = [(v, v | 1 << bits.pop(0)) for v, bits in sorted(left.items()) if bits]
+        for _, c in calls:
+            left[c] = list(range((c & -c).bit_length() - 1))
+        rounds.append(tuple((ids[a], ids[b]) for a, b in calls))
+    base = tuple(rounds)
+    lo = ids[0]
+    assert verify._tree_shape(base, lo, lo + M) == ()
+    u = vertex(g, layout, 2, 5)
+    s = make_schedule(g, layout, params, u)
+    cube, fragments = s.pieces
+    fragments = [(tree, ShiftedFragment(base, frag.u) if tree == 2 else frag)
+                 for tree, frag in fragments]
+    shifted = Schedule(g.labels, s.origin, cube, fragments)
+    assert verify._check_pieces(g, shifted) is None
+    res = check_schedule(g, shifted)
+    assert res.ok and res.completion_round > params.t + 1
+    assert verify._tree_table(g)[2][2][0] is base
