@@ -453,26 +453,32 @@ def test_piecewise_replay_state_is_reset_after_every_check(g73_shrunk):
     fresh = lambda: Graph.from_sorted(g.labels, g.edge_ids(), t=g.t, k=g.k)
     off_cube = [u for u in g.labels if u.cube is None]
     legal = [make_schedule(g, layout, params, u) for u in off_cube[::37]]
+
+    def own_fragment(s):
+        """The schedule's own-tree fragment, and a copy of s with it replaced
+        (or dropped, for None)."""
+        cube, fragments = s.pieces
+        i = next(i for i, (_, f) in enumerate(fragments) if isinstance(f, ShiftedFragment))
+        tree, frag = fragments[i]
+
+        def replaced(new):
+            rest = fragments[:i] + ((tree, new),) * (new is not None) + fragments[i + 1:]
+            return Schedule(g.labels, s.origin, cube, rest)
+
+        return tree, frag, replaced
+
     cases = []
     for s in legal:
-        cube, fragments = s.pieces
-        own = next(i for i, (_, frag) in enumerate(fragments) if isinstance(frag, ShiftedFragment))
-        tree, frag = fragments[own]
-        lo = g.vertex_id(vertex(g, layout, tree, 0))
-        bad_cube = _stop_mid_round(cube, s.origin)
-        bad_frag = _stop_mid_round(frag, lo)
-        bad_base = ShiftedFragment(_stop_mid_round(frag.base, lo), frag.u)
+        tree, frag, replaced = own_fragment(s)
+        root = g.vertex_id(vertex(g, layout, tree, 0))
         cases += [
             s,
-            Schedule(g.labels, s.origin, bad_cube, fragments),
+            Schedule(g.labels, s.origin, _stop_mid_round(s.pieces[0], s.origin), s.pieces[1]),
             s,
-            Schedule(g.labels, s.origin, cube, fragments[:own] + ((tree, bad_frag),)
-                     + fragments[own + 1:]),
-            Schedule(g.labels, s.origin, cube, fragments[:own] + ((tree, bad_base),)
-                     + fragments[own + 1:]),
-            Schedule(g.labels, s.origin, cube, fragments[:own] + fragments[own + 1:]),
-            Schedule(g.labels, s.origin, cube, fragments[:own] + ((tree, (((frag[0][0][0], -1),),)),)
-                     + fragments[own + 1:]),
+            replaced(_stop_mid_round(frag, root)),
+            replaced(ShiftedFragment(_stop_mid_round(frag.base, root), frag.u)),
+            replaced(None),
+            replaced((((frag[0][0][0], -1),),)),
         ]
     _, _, _, _, when, used = verify._tree_table(g)
     outcomes = []
@@ -483,6 +489,24 @@ def test_piecewise_replay_state_is_reset_after_every_check(g73_shrunk):
         outcomes.append(res.ok)
     assert len(legal) == 5
     assert outcomes == [True, False, True, False, False, False, False] * len(legal)
+    # an id that is no index: met by the replay it raises, as it always has;
+    # after a violation the whole replay decides; either way the state is
+    # left as it was found
+    s = legal[0]
+    cube, fragments = s.pieces
+    rounds = [list(calls) for calls in cube]
+    rounds[-1][-1] = (rounds[-1][-1][0], "x")
+    with pytest.raises(TypeError):
+        check_schedule(g, Schedule(g.labels, s.origin, rounds, fragments))
+    assert when == [verify._NEVER] * g.n and used == [0] * g.n
+    _, frag, replaced = own_fragment(s)
+    rounds = [list(calls) for calls in _stop_mid_round(frag, s.origin)]
+    rounds[-1][-1] = (rounds[-1][-1][0], 0.5)
+    late = replaced(tuple(map(tuple, rounds)))
+    res = check_schedule(g, late)
+    assert not res.ok and res == check_schedule(fresh(), late)
+    assert when == [verify._NEVER] * g.n and used == [0] * g.n
+    assert check_schedule(g, s).ok
 
 
 def test_shift_lemma_counts_only_a_base_in_preorder(g72):
