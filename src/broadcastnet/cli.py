@@ -149,8 +149,11 @@ def run(argv: list[str]) -> int:
             lo = args.n_min if args.n_min is not None else (1 << args.t) + 1
             hi = args.n_max if args.n_max is not None else lo
             if not (1 << args.t) < lo <= hi <= 1 << (args.t + 1):
-                ap.error(f"table2: n range [{lo}, {hi}] is empty or leaves "
-                         f"({1 << args.t}, {1 << (args.t + 1)}] for t={args.t}")
+                # powers of two stay symbolic: 2^t has about 0.3 t digits
+                lo_text = str(args.n_min) if args.n_min is not None else "2^t+1"
+                hi_text = str(args.n_max) if args.n_max is not None else lo_text
+                ap.error(f"table2: n range [{lo_text}, {hi_text}] is empty or leaves "
+                         f"(2^t, 2^(t+1)] for t={args.t}")
             n_values = list(range(lo, hi + 1))
         sys.stdout.write(bounds_mod.table2_csv(args.t, n_values,
                                                facsimile=args.paper_facsimile))

@@ -29,8 +29,12 @@ h = t + 1 - k >= 5.  _prune asserts this capacity.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
 from collections import Counter
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields
+from itertools import chain, repeat, tee
 
 from .binomial import binomial_rounds_masks
 from .bounds import closed_form_5a, closed_form_5b
@@ -59,9 +63,10 @@ class CaseOneLayout:
     pruned_masks: dict[int, frozenset[int]] = field(default_factory=dict)
     replacement_coords: tuple[tuple[int, int], ...] = ()
     # set by the build: the built graph's labels, its dense id of every full
-    # id (-1 for a deleted vertex) and of every cube coordinate
+    # id (-1 for a deleted vertex) and of every cube coordinate (a list: the
+    # scheme reads it per call)
     labels: tuple[VertexLabel, ...] = field(default=(), repr=False)
-    dense: list[int] = field(default_factory=list, repr=False)
+    dense: array = field(default_factory=lambda: array("i"), repr=False)
     coord_ids: list[int] = field(default_factory=list, repr=False)
     _plain_rounds: dict[int, Fragment] = field(default_factory=dict, repr=False)
 
@@ -124,7 +129,8 @@ class CaseOneLayout:
         base = (index - 1) * self.tree_size
         if plain is None:
             rounds = binomial_rounds_masks(self.h, None, self.pruned_masks.get(index))
-            ids = self.dense[base:base + self.tree_size]
+            # one int object per vertex, shared by all its calls
+            ids = self.dense[base:base + self.tree_size].tolist()
             plain = tuple(tuple((ids[a], ids[b]) for a, b in calls) for calls in rounds)
             self._plain_rounds[index] = plain
         if not informed_masks:
@@ -161,38 +167,61 @@ def _attachment_targets(layout: CaseOneLayout, tree: int) -> list[int]:
     return [tree] + [j for j in range(1, k) if j != iq + 1] + [k]
 
 
-def _case1_edges(layout: CaseOneLayout) -> list[Edge]:
-    """Every full-size edge once, as a (low, high) pair of full ids."""
+def _case1_edges(layout: CaseOneLayout) -> Iterator[Edge]:
+    """Every full-size edge once, as a (low, high) pair of full ids, made as
+    it is read: per tree, runs of pairs over slices of one list of the full
+    ids, so the pairs share that list's int objects."""
     params = layout.params
     M = layout.tree_size
-    w = layout.w
-    edges: list[Edge] = []
-    for base in range(0, params.num_trees * M, M):
-        edges.extend((base + (m & (m - 1)), base + m) for m in range(1, M))
+    ids = list(range(params.num_trees * M))
     cube = [layout.full_of_coord(c) for c in range(1 << params.k)]
+    cube_edges = []
     for c, a in enumerate(cube):
         for b in range(params.k):
             if c < c ^ (1 << b):
                 z = cube[c ^ (1 << b)]
-                edges.append((a, z) if a < z else (z, a))
-    nonroot = range(1, M)
-    deep = [m for m in nonroot if m & (m - 1)]  # a root child's own-root link is its tree edge
-    for i in range(1, params.num_trees + 1):
-        base = (i - 1) * M
-        for r in _attachment_targets(layout, i):
-            root = (r - 1) * M
-            for v in (base + m for m in (deep if r == i else nonroot)):
-                if v != w:
-                    edges.append((root, v) if root < v else (v, root))
-    return edges
+                cube_edges.append((a, z) if a < z else (z, a))
+    parent = [m & (m - 1) for m in range(1, M)]
+    deep = [m for m in range(1, M) if m & (m - 1)]  # a root child's own-root link is its tree edge
+
+    def runs():
+        for i in range(1, params.num_trees + 1):
+            base = (i - 1) * M
+            tree = ids[base:base + M]
+            yield zip(map(tree.__getitem__, parent), tree[1:])
+            nonroot, own = tree[1:], list(map(tree.__getitem__, deep))
+            if base == 0:  # w, mask M - 1, last in both, is attached to no root
+                nonroot, own = nonroot[:-1], own[:-1]
+            for r in _attachment_targets(layout, i):
+                root, vs = ids[(r - 1) * M], own if r == i else nonroot
+                yield zip(repeat(root), vs) if r <= i else zip(vs, repeat(root))
+
+    return chain(cube_edges, chain.from_iterable(runs()))
 
 
-def _assemble(layout: CaseOneLayout, edges: list[Edge], gone: bytearray) -> Graph:
-    """Graph on the full ids not marked in ``gone``; dense ids are their ranks.
+def _built_edges(layout: CaseOneLayout, gone: bytearray) -> Iterator[Edge]:
+    """The edges of the graph built, as (low, high) full ids, made as they
+    are read: the full-size edges between vertices not marked in ``gone``,
+    then the replacement edges."""
+    edges = _case1_edges(layout)
+    if not layout.params.d:
+        return edges
+    # a replacement joins two roots that differ in two coordinate bits, so
+    # it is no cube edge and never coincides with an edge of the full graph
+    added = [tuple(sorted(layout.full_of_coord(c) for c in pair))
+             for pair in layout.replacement_coords]
+    return chain((e for e in edges if not (gone[e[0]] or gone[e[1]])), added)
+
+
+def _assemble(layout: CaseOneLayout, gone: bytearray) -> Graph:
+    """Graph on the full ids not marked in ``gone``; dense ids are their
+    ranks, and the edges stream from _built_edges into the graph.
 
     Records the graph's numbering on the layout, for the schedules."""
+    params = layout.params
     h, k, w, low = layout.h, layout.k, layout.w, layout.tree_size - 1
-    cube = [bits(layout.coord_of_tree[i], k) for i in range(1, layout.params.num_trees + 1)]
+    cube = [bits(layout.coord_of_tree[i], k) for i in range(1, params.num_trees + 1)]
+    pos = [bits(m, h) for m in range(layout.tree_size)]  # shared by the trees
     rank = [-1] * len(gone)
     labels = []
     for v, mark in enumerate(gone):
@@ -203,12 +232,14 @@ def _assemble(layout: CaseOneLayout, edges: list[Edge], gone: bytearray) -> Grap
         if mask == 0:
             labels.append(VertexLabel(tree + 1, "", cube[tree]))
         elif v == w:
-            labels.append(VertexLabel(1, bits(mask, h), bits(0, k)))
+            labels.append(VertexLabel(1, pos[mask], bits(0, k)))
         else:
-            labels.append(VertexLabel(tree + 1, bits(mask, h)))
-    g = Graph.from_sorted(labels, ((rank[a], rank[b]) for a, b in edges),
-                          t=layout.params.t, k=k)
-    layout.labels, layout.dense = g.labels, rank
+            labels.append(VertexLabel(tree + 1, pos[mask]))
+    edges = _built_edges(layout, gone)
+    if params.d:  # else every rank is the full id
+        edges = ((rank[a], rank[b]) for a, b in edges)
+    g = Graph.from_sorted(labels, edges, t=params.t, k=k)
+    layout.labels, layout.dense = g.labels, array("i", rank)
     layout.coord_ids = [rank[layout.full_of_coord(c)] for c in range(1 << k)]
     return g
 
@@ -347,38 +378,37 @@ def _case1_formulas(params: ConstructionParams) -> dict[str, int]:
     }
 
 
-def _edge_classes(layout: CaseOneLayout, edges: list[Edge]) -> list[str]:
-    """Class of each full-size edge, given as (low, high) full ids: "cube"
-    (both ends on the cube; replacement edges too), "tree", "root_attach" (to
-    the own root, not along a tree edge), "rk_attach", "v1_q1" or "v1_q2"."""
+def _edge_classes(layout: CaseOneLayout, edges: Iterable[Edge]) -> Iterator[str]:
+    """Class of each full-size edge, given as (low, high) full ids, as it is
+    read: "cube" (both ends on the cube; replacement edges too), "tree",
+    "root_attach" (to the own root, not along a tree edge), "rk_attach",
+    "v1_q1" or "v1_q2"."""
     h, k, half = layout.h, layout.k, layout.half
     low = layout.tree_size - 1  # mask bits, and the full id of w
     coord = [layout.coord_of_tree[i] for i in range(1, layout.params.num_trees + 1)]
-    out = []
     for a, b in edges:
         ma, mb = a & low, b & low
         if (ma == 0 or a == low) and (mb == 0 or b == low):
-            out.append("cube")
+            yield "cube"
             continue
         ta, tb = a >> h, b >> h  # zero-based tree index
         if ta == tb:
             if mb & (mb - 1) == ma:
-                out.append("tree")
+                yield "tree"
                 continue
             assert ma == 0, f"non-adjacent tree pair {a}-{b}"
-            out.append("root_attach")
+            yield "root_attach"
             continue
         root, v = (ta, tb) if ma == 0 else (tb, ta)
         if root == k - 1 and coord[v] < half:
-            out.append("rk_attach")
+            yield "rk_attach"
         elif root < k - 1:
-            out.append("v1_q1" if coord[v] >= half else "v1_q2")
+            yield "v1_q1" if coord[v] >= half else "v1_q2"
         else:
             raise AssertionError(f"unclassifiable edge {a}-{b}")
-    return out
 
 
-def _accounting(layout: CaseOneLayout, edges: list[Edge], replacements: int) -> EdgeAccounting:
+def _accounting(layout: CaseOneLayout, edges: Iterable[Edge], replacements: int) -> EdgeAccounting:
     f = _case1_formulas(layout.params)
     m = Counter(_edge_classes(layout, edges))
     return EdgeAccounting(
@@ -388,20 +418,19 @@ def _accounting(layout: CaseOneLayout, edges: list[Edge], replacements: int) -> 
         rk_links=ItemCheck(f["rk"], m["rk_attach"]),
         v1_first_half_links=ItemCheck(f["v1q1"], m["v1_q1"]),
         v1_second_half_links=ItemCheck(f["v1q2"], m["v1_q2"]),
-        total_edges=ItemCheck(f["total"], len(edges)),
+        total_edges=ItemCheck(f["total"], m.total()),
         replacements_added=replacements,
     )
 
 
-def _deletion_ledger(layout: CaseOneLayout, acc: EdgeAccounting,
-                     edges: list[Edge], gone: bytearray) -> None:
+def _deletion_ledger(layout: CaseOneLayout, acc: EdgeAccounting, gone: bytearray) -> None:
     """Classify every full-size edge that deletion removed and fill the
     removed_* block of ``acc`` (measured on the graph it describes)."""
     params = layout.params
     M, k, p, x = params.tree_size, params.k, params.p, params.x
-    hit = [(a, b) for a, b in edges if gone[a] or gone[b]]
+    hit, again = tee(e for e in _case1_edges(layout) if gone[e[0]] or gone[e[1]])
     d13 = d14g = d15 = d16 = 0
-    for (a, b), cls in zip(hit, _edge_classes(layout, hit)):
+    for (a, b), cls in zip(hit, _edge_classes(layout, again)):
         marks = (gone[a], gone[b])
         if cls == "cube":
             d14g += 1
@@ -443,8 +472,8 @@ def build(params: ConstructionParams) -> tuple[Graph, CaseOneLayout, EdgeAccount
 
     For x > 0 the trees on coordinates 1..2^p - 1 go, with replacement edges
     for the cube partners they leave unmatched; pruned vertices make up the
-    rest of d.  At n = N nothing is deleted and the full-size edge list is
-    used as it is."""
+    rest of d.  The edges stream from their generator into the graph, and
+    again into the accounting; no list of them is kept."""
     layout = _make_layout(params)
     M, k, p, x = params.tree_size, params.k, params.p, params.x
     need = params.y
@@ -458,28 +487,25 @@ def build(params: ConstructionParams) -> tuple[Graph, CaseOneLayout, EdgeAccount
     layout.pruned_masks = {t: frozenset(s) for t, s in _prune(layout, need).items()}
     gone = _deletion_marks(layout)
     assert len(gone) - gone.count(0) == params.d
-
-    # a replacement joins two roots that differ in two coordinate bits, so
-    # it is no cube edge and never coincides with an edge of the full graph
-    added = [tuple(sorted(layout.full_of_coord(c) for c in pair))
-             for pair in layout.replacement_coords]
-    edges = _case1_edges(layout)
-    final = ([(a, b) for a, b in edges if not (gone[a] or gone[b])] + added
-             if params.d else edges)
-    g = _assemble(layout, final, gone)
-    assert g.num_edges == len(final)
-    acc = _accounting(layout, final, len(added))
+    g = _assemble(layout, gone)
+    acc = _accounting(layout, _built_edges(layout, gone), len(layout.replacement_coords))
+    assert acc.total_edges.measured == g.num_edges  # no edge made twice
     if params.d:
-        _deletion_ledger(layout, acc, edges, gone)
+        _deletion_ledger(layout, acc, gone)
     return g, layout, acc
 
 
 def audit_edges(g: Graph, layout: CaseOneLayout,
                 params: ConstructionParams) -> EdgeAccounting:
-    """Re-measure every edge class on a built graph against the closed forms."""
+    """Re-measure every edge class on a built graph against the closed forms:
+    its edges are read off the CSR as (low, high) full ids."""
     full = [layout.full_id(label) for label in g.labels]
-    acc = _accounting(layout, [(full[a], full[b]) for a, b in g.edge_ids()],
-                      len(layout.replacement_coords))
+    off, nbrs = g.offsets, g.targets
+    edges = chain.from_iterable(
+        zip(repeat(full[a]),
+            map(full.__getitem__, nbrs[bisect_right(nbrs, a, off[a], off[a + 1]):off[a + 1]]))
+        for a in range(g.n))
+    acc = _accounting(layout, edges, len(layout.replacement_coords))
     if params.d:
-        _deletion_ledger(layout, acc, _case1_edges(layout), _deletion_marks(layout))
+        _deletion_ledger(layout, acc, _deletion_marks(layout))
     return acc

@@ -2,13 +2,23 @@
 
 Vertex id i is labels[i], in the order the builder gives (the primitives by
 coordinate or mask, the construction by tree and position), so exports are
-byte-identical across runs; everything else works on the ids and ``adj``.
+byte-identical across runs; everything else works on the ids.
+
+The adjacency is kept in CSR (compressed sparse row) form, two arrays of C
+ints and no container per vertex: ``offsets`` holds n + 1 entries and
+``targets`` the 2|E| neighbour ids, those of vertex v, ascending, being
+``targets[offsets[v]:offsets[v + 1]]``.  ``adj[v]`` is that slice as a
+read-only memoryview: a sorted sequence of ints that supports ``len``,
+iteration, indexing and ``in`` (a scan; a hot edge test bisects the slice).
+The label -> id index is made on the first lookup by label.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Iterable, Sequence
+from array import array
+from bisect import bisect_right
+from typing import Iterable, Iterator, Sequence
 
 from .errors import MalformedGraph, UnknownVertex
 from .labels import VertexLabel
@@ -18,23 +28,27 @@ class Graph:
     """Simple undirected graph over dense ids; construct via :meth:`from_sorted`
     (or :meth:`from_json`, which reads what :meth:`to_json` writes)."""
 
-    __slots__ = ("labels", "_index", "adj", "_edge_count", "t", "k", "_verdicts")
+    __slots__ = ("labels", "offsets", "targets", "t", "k", "_index", "_verdicts")
 
     def __init__(
         self,
         labels: tuple[VertexLabel, ...],
-        adj: tuple[frozenset[int], ...],
-        edge_count: int,
+        offsets: array,
+        targets: array,
         t: int | None = None,
         k: int | None = None,
     ):
         self.labels = labels
-        self._index = {lab: i for i, lab in enumerate(labels)}
-        self.adj = adj
-        self._edge_count = edge_count
+        self.offsets = offsets
+        self.targets = targets
         self.t = t
         self.k = k
+        self._index: dict[VertexLabel, int] | None = None  # made on first lookup
         self._verdicts = None  # filled by verify: what it has checked on this graph
+
+    def __reduce__(self):
+        # the label index and verify's record are caches, made again on demand
+        return Graph, (self.labels, self.offsets, self.targets, self.t, self.k)
 
     # -- constructors ------------------------------------------------------
 
@@ -46,14 +60,18 @@ class Graph:
         t: int | None = None,
         k: int | None = None,
     ) -> "Graph":
-        """The graph on ``labels`` in the order given, edges as id pairs;
-        a repeated edge counts once."""
-        nbrs: list[list[int]] = [[] for _ in labels]
+        """The graph on ``labels`` in the order given, edges as id pairs read
+        once; a repeated edge counts once."""
+        rows: list[list[int] | None] = [[] for _ in labels]
         for a, b in id_edges:
-            nbrs[a].append(b)
-            nbrs[b].append(a)
-        adj = tuple(map(frozenset, nbrs))
-        return cls(tuple(labels), adj, sum(map(len, adj)) // 2, t=t, k=k)
+            rows[a].append(b)
+            rows[b].append(a)
+        offsets, targets = array("i", [0]), array("i")
+        for v, row in enumerate(rows):
+            rows[v] = None  # each row goes once it is in the arrays
+            targets.extend(sorted(set(row)))
+            offsets.append(len(targets))
+        return cls(tuple(labels), offsets, targets, t=t, k=k)
 
     # -- queries -----------------------------------------------------------
 
@@ -63,30 +81,45 @@ class Graph:
 
     @property
     def num_edges(self) -> int:
-        return self._edge_count
+        return len(self.targets) // 2
+
+    @property
+    def adj(self) -> "_Rows":
+        """``adj[v]``: the ids of v's neighbours, ascending, read-only."""
+        return _Rows(self.offsets, memoryview(self.targets).toreadonly())
+
+    def _ids(self) -> dict[VertexLabel, int]:
+        if self._index is None:
+            self._index = {lab: i for i, lab in enumerate(self.labels)}
+        return self._index
 
     def __contains__(self, label: VertexLabel) -> bool:
-        return label in self._index
+        return label in (self._index or self._ids())
 
     def vertex_id(self, label: VertexLabel) -> int:
         try:
-            return self._index[label]
+            return (self._index or self._ids())[label]
         except KeyError:
             raise UnknownVertex(f"vertex {label} not in graph") from None
 
     def edge_ids(self) -> list[tuple[int, int]]:
-        return [(a, b) for a in range(self.n) for b in sorted(self.adj[a]) if a < b]
+        """Every edge once, as (low, high) ids, ascending: each row read from
+        its first neighbour above the vertex."""
+        off, nbrs = self.offsets, self.targets
+        return [(a, b) for a in range(self.n)
+                for b in nbrs[bisect_right(nbrs, a, off[a], off[a + 1]):off[a + 1]]]
 
     def is_connected(self) -> bool:
         if self.n == 0:
             return True
+        off, nbrs = self.offsets, self.targets
         seen = bytearray(self.n)
         stack = [0]
         seen[0] = 1
         found = 1
         while stack:
             u = stack.pop()
-            for v in self.adj[u]:
+            for v in nbrs[off[u]:off[u + 1]]:
                 if not seen[v]:
                     seen[v] = 1
                     found += 1
@@ -96,7 +129,8 @@ class Graph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.labels == other.labels and self.adj == other.adj
+        return (self.labels == other.labels and self.offsets == other.offsets
+                and self.targets == other.targets)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.num_edges})"
@@ -124,22 +158,22 @@ class Graph:
                 and isinstance(obj.get("edges"), list)
                 and all(obj.get(key) is None or type(obj[key]) is int for key in ("t", "k"))):
             raise MalformedGraph("graph JSON needs 'vertices' and 'edges' lists, int 't' and 'k'")
-        n = len(obj["vertices"])
+        vertices = obj.pop("vertices")
+        n = len(vertices)
         labels: list[VertexLabel | None] = [None] * n
-        for i, v in enumerate(obj["vertices"]):
+        for i, v in enumerate(vertices):
             if not (isinstance(v, dict) and _is_id(v.get("id"), n) and labels[v["id"]] is None
                     and "tree" in v and (v["tree"] is None or type(v["tree"]) is int)
                     and _is_bits(v.get("pos"))
                     and "cube" in v and (v["cube"] is None or _is_bits(v["cube"]))):
                 raise MalformedGraph(f"vertex entry {i} is malformed or repeats an id")
             labels[v["id"]] = VertexLabel.from_json(v)
+        del vertices
         if len(set(labels)) != n:
             raise MalformedGraph("two vertices share a label")
-        for i, e in enumerate(obj["edges"]):
-            if not (isinstance(e, list) and len(e) == 2 and _is_id(e[0], n)
-                    and _is_id(e[1], n) and e[0] != e[1]):
-                raise MalformedGraph(f"edge entry {i} is not two distinct ids in [0, {n})")
-        return cls.from_sorted(labels, obj["edges"], t=obj.get("t"), k=obj.get("k"))
+        # only the reader holds the parsed edge list, so it goes once read
+        return cls.from_sorted(labels, _edge_pairs(obj.pop("edges"), n),
+                               t=obj.get("t"), k=obj.get("k"))
 
     def to_edgelist(self) -> str:
         return "".join(f"{a} {b}\n" for a, b in self.edge_ids())
@@ -175,3 +209,33 @@ def _is_bits(value) -> bool:
     """A position code or cube coordinate: a string of 0s and 1s, maybe empty."""
     return isinstance(value, str) and not value.strip("01")
 
+
+def _edge_pairs(edges: list, n: int) -> Iterator[tuple[int, int]]:
+    """The entries of a graph file's edge list as id pairs, as they are read;
+    raise MalformedGraph at the first that is not two distinct ids in [0, n)."""
+    for i, e in enumerate(edges):
+        if type(e) is list and len(e) == 2:
+            a, b = e
+            if type(a) is int and type(b) is int and 0 <= a < n and 0 <= b < n and a != b:
+                yield a, b
+                continue
+        raise MalformedGraph(f"edge entry {i} is not two distinct ids in [0, {n})")
+
+
+class _Rows:
+    """What :attr:`Graph.adj` returns: ``rows[v]`` is v's slice of the CSR
+    (see the module docstring), for v in range(n)."""
+
+    __slots__ = ("offsets", "view")
+
+    def __init__(self, offsets: array, view: memoryview):
+        self.offsets = offsets
+        self.view = view
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, v: int) -> memoryview:
+        if not 0 <= v < len(self.offsets) - 1:
+            raise IndexError(f"no vertex {v}")
+        return self.view[self.offsets[v]:self.offsets[v + 1]]

@@ -23,6 +23,7 @@ import sys
 from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
+from itertools import compress
 
 from .construct import CaseOneLayout
 from .errors import BroadcastNetError, DisconnectedGraph, TooLarge
@@ -76,9 +77,10 @@ def check_schedule(g: Graph, s: Schedule) -> CheckResult:
             "illegal-call", round=0, reason="unknown-originator"))
     when, used = _fresh(n, origin)
     sizes = [1]
-    bad = _replay(when, used, g.adj, (sorted(calls) for calls in id_rounds), 0, 0, n, sizes)
+    bad = _replay(when, used, g, _neighbour_sets(g), (sorted(calls) for calls in id_rounds),
+                  0, 0, n, sizes)
     if bad is not None:
-        return CheckResult(False, violation=_illegal_call(*bad, when, used, g.adj))
+        return CheckResult(False, violation=_illegal_call(*bad, when, used, g))
     if sizes[-1] != n:
         return CheckResult(False, violation=Violation(
             "incomplete", uninformed=n - sizes[-1]), informed_per_round=tuple(sizes))
@@ -97,12 +99,27 @@ def _fresh(n: int, origin: int) -> tuple[list[int], list[int]]:
     return when, [0] * n
 
 
-def _replay(when: list[int], used: list[int], adj, rounds, rnd: int, lo: int, hi: int,
-            sizes: list[int]) -> tuple | None:
+def _neighbour_sets(g: Graph) -> list[frozenset[int]]:
+    """The whole replay's edge test: per vertex of g, its neighbour ids as a
+    frozenset, which holds what a frozenset adjacency would.  Kept on g's
+    record (see _tree_table) and made by the first whole replay on g: one
+    replay calls from about every other vertex, so making the sets lazily
+    would save at most half.  The piecewise check never makes them."""
+    sets = _tree_table(g)[7]
+    if not sets:
+        off, nbrs = g.offsets, g.targets
+        sets.extend(frozenset(nbrs[off[v]:off[v + 1]]) for v in range(g.n))
+    return sets
+
+
+def _replay(when: list[int], used: list[int], g: Graph, sets: list | None, rounds,
+            rnd: int, lo: int, hi: int, sizes: list[int]) -> tuple | None:
     """Replay ``rounds`` as rounds rnd+1, rnd+2, ... on the state ``when``,
     ``used`` (see _fresh), in the order given.  A call is legal when both
     ends are ids in [lo, hi), the caller was informed before this round and
-    has not called in it, the callee is not informed, and they are adjacent.
+    has not called in it, the callee is not informed, and they are adjacent
+    in g: b in sets[a] (_neighbour_sets, or the cube rows of _tree_table),
+    or with no sets _has_edge.
     The informed count after each round is appended to ``sizes``, which
     starts with the count before.  Returns the first illegal call as (round,
     caller, callee, the calls of its round), or None.
@@ -111,7 +128,8 @@ def _replay(when: list[int], used: list[int], adj, rounds, rnd: int, lo: int, hi
     for rnd, calls in enumerate(rounds, start=rnd + 1):
         for a, b in calls:
             if not (lo <= a < hi and lo <= b < hi and when[a] < rnd and used[a] != rnd
-                    and when[b] == _NEVER and b in adj[a]):
+                    and when[b] == _NEVER
+                    and (b in sets[a] if sets is not None else _has_edge(g, a, b))):
                 return rnd, a, b, calls
             when[b] = rnd
             used[a] = rnd
@@ -120,8 +138,16 @@ def _replay(when: list[int], used: list[int], adj, rounds, rnd: int, lo: int, hi
     return None
 
 
+def _has_edge(g: Graph, a: int, b: int) -> bool:
+    """Whether b is a neighbour of a: a bisection of a's slice of g's CSR,
+    which keeps nothing per vertex (O(log deg a), with no set to make)."""
+    end = g.offsets[a + 1]
+    i = bisect_left(g.targets, b, g.offsets[a], end)
+    return i < end and g.targets[i] == b
+
+
 def _illegal_call(rnd: int, a: int, b: int, calls: list[tuple[int, int]],
-                  when: list[int], used: list[int], adj) -> Violation:
+                  when: list[int], used: list[int], g: Graph) -> Violation:
     """Why call (a, b) of round rnd fails, given the replay state at it."""
     n = len(when)
     if any(not 0 <= x < n for call in calls for x in call):
@@ -131,7 +157,7 @@ def _illegal_call(rnd: int, a: int, b: int, calls: list[tuple[int, int]],
         reason = "caller-uninformed"
     elif when[b] < rnd:
         reason = "callee-informed"
-    elif b not in adj[a]:
+    elif not _has_edge(g, a, b):
         reason = "no-edge"
     elif used[a] == rnd:
         reason = "busy-caller"
@@ -145,8 +171,17 @@ def _tree_table(g: Graph) -> tuple:
     tree of every vertex, each tree's id range [lo, hi) (None when some tree's
     ids do not form one range), per tree the fragment accepted from the
     tree's root alone (see _accepted), the last label tuple compared with g's
-    with whether it is equal, and replay state (see _fresh) that every check
-    leaves as it found it."""
+    with whether it is equal, replay state (see _fresh) that every check
+    leaves as it found it, the cube rows (below) and the whole replay's
+    neighbour sets (_neighbour_sets).  A cache: pickling g leaves it out.
+
+    The cube rows are the edge test of the first rounds: per vertex, its
+    neighbours that have a cube coordinate, as a frozenset shared by every
+    vertex with the same such neighbours.  A call to a cube vertex, which
+    is every call the scheme's first rounds make, is tested exactly; any
+    other call reads as no edge there, and the whole replay decides the
+    schedule.  Beside a list of n references they hold a few ids per tree
+    and per cube vertex, not g's adjacency."""
     if g._verdicts is None:
         home = [label.tree for label in g.labels]
         spans: dict | None = {}
@@ -156,7 +191,16 @@ def _tree_table(g: Graph) -> tuple:
                 spans = None
                 break
             spans[tree] = (lo, i + 1)
-        g._verdicts = (home, spans, {}, [g.labels, True], [_NEVER] * g.n, [0] * g.n)
+        off, nbrs = g.offsets, g.targets
+        on_cube = bytes(label.cube is not None for label in g.labels)
+        shared: dict = {}
+        cube_rows = []
+        for v in range(g.n):
+            row = nbrs[off[v]:off[v + 1]]
+            ids = frozenset(compress(row, map(on_cube.__getitem__, row)))
+            cube_rows.append(shared.setdefault(ids, ids))
+        g._verdicts = (home, spans, {}, [g.labels, True], [_NEVER] * g.n, [0] * g.n,
+                       cube_rows, [])
     return g._verdicts
 
 
@@ -167,7 +211,8 @@ def _check_pieces(g: Graph, s: Schedule) -> list[int] | None:
     tuple is compared only when it is not the last one compared.
 
     The first rounds (the cube phase; all rounds of a plain schedule) are
-    replayed from the originator.  Then each fragment is replayed inside its
+    replayed from the originator, their edges tested in the cube rows (see
+    _tree_table).  Then each fragment is replayed inside its
     tree's id range, from the tree's vertices informed by the cube phase,
     unless _accepted vouches for it: the same fragment object this graph has
     accepted from the tree's root, started from that root alone, or a
@@ -178,12 +223,12 @@ def _check_pieces(g: Graph, s: Schedule) -> list[int] | None:
     The replay state lives on g's record; only the entries the replayed
     pieces write are reset, so a check costs no O(n) set-up.
     """
-    home, spans, verdicts, seen, when, used = _tree_table(g)
+    home, spans, verdicts, seen, when, used, cube_rows, _ = _tree_table(g)
     if s.labels is not seen[0]:
         seen[:] = s.labels, s.labels == g.labels
     if not seen[1]:
         return None
-    n, adj, origin = g.n, g.adj, s.origin
+    n, origin = g.n, s.origin
     cube_rounds, fragments = s.pieces
     if spans is None or not 0 <= origin < n:
         return None
@@ -191,7 +236,7 @@ def _check_pieces(g: Graph, s: Schedule) -> list[int] | None:
     replayed = [cube_rounds]
     try:
         sizes = [1]
-        if _replay(when, used, adj, cube_rounds, 0, 0, n, sizes) is not None:
+        if _replay(when, used, g, cube_rows, cube_rounds, 0, 0, n, sizes) is not None:
             return None
         k = len(cube_rounds)
         informed: dict = {}
@@ -205,7 +250,7 @@ def _check_pieces(g: Graph, s: Schedule) -> list[int] | None:
             when pre is the tree's root alone."""
             replayed.append(frag)
             counts = [len(pre)]
-            if _replay(when, used, adj, frag, k, *spans[tree], counts) is not None:
+            if _replay(when, used, g, None, frag, k, *spans[tree], counts) is not None:
                 return None
             added = [b - a for a, b in zip(counts, counts[1:])]
             if len(pre) == 1 and g.labels[pre[0]].is_root:
@@ -450,9 +495,9 @@ def exact_broadcast_time(g: Graph, u: VertexLabel) -> int:
     if not g.is_connected():
         raise DisconnectedGraph("graph is disconnected; broadcast cannot complete")
     adj = [0] * n
-    for a in range(n):
-        for b in g.adj[a]:
-            adj[a] |= 1 << b
+    for a, b in g.edge_ids():
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
     full = (1 << n) - 1
     if n == 1:
         return 0

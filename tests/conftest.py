@@ -17,7 +17,7 @@ def label_schedule(originator, rounds):
 
 def neighbours(g, label):
     """The neighbours of ``label`` in g, as labels in id order."""
-    return [g.labels[i] for i in sorted(g.adj[g.vertex_id(label)])]
+    return [g.labels[i] for i in g.adj[g.vertex_id(label)]]
 
 
 def vertex(g, layout, tree, mask):

@@ -120,7 +120,7 @@ def _mutate(kind, rounds, g, rng):
             r2, i2 = rng.choice(near)
             c = rounds[r2].pop(i2)[1]
         else:
-            c = rng.choice(sorted(g.adj[a] - {b}) or [b])
+            c = rng.choice(sorted(set(g.adj[a]) - {b}) or [b])
         rounds[r].append((a, c))
     return rounds
 

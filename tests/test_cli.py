@@ -210,6 +210,17 @@ def test_huge_int_flags_print_without_traceback(capsys):
     assert sys.get_int_max_str_digits() == limit
 
 
+@pytest.mark.parametrize("flags", [("--n-min", "3", "--n-max", "2"), ("--n-max", "2")])
+def test_table2_range_error_for_huge_t_is_short(capsys, flags):
+    # the range (2^t, 2^(t+1)] is written with t's value, not spelled out
+    with pytest.raises(SystemExit) as exc:
+        main(["table2", "--t", "100000", *flags])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and len(err.encode()) < 300
+    (line,) = [x for x in err.splitlines() if "error:" in x]
+    assert line.endswith("is empty or leaves (2^t, 2^(t+1)] for t=100000")
+
+
 @pytest.mark.parametrize("argv", [
     ("params", "--k", "2", "--n", "5"),
     ("construct", "--k", "2", "--out", "g.json"),

@@ -1,5 +1,9 @@
+import gc
 import hashlib
 import json
+import pickle
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +15,11 @@ from broadcastnet import (
     MalformedGraph,
     UnknownVertex,
     VertexLabel,
+    build,
     build_binomial,
     build_hypercube,
+    certify_graph,
+    make_params,
 )
 
 
@@ -151,3 +158,43 @@ def test_from_json_raises_only_malformed_graph(text):
     except MalformedGraph:
         return
     assert Graph.from_json(g.to_json()) == g
+
+
+def test_csr_memory_guard():
+    # the adjacency is two C-int arrays and nothing per vertex, so a return
+    # of per-vertex sets (about 35 B per directed edge) fails here
+    params = make_params(10, 3, 1500)
+    g, _, _ = build(params)
+    n, m = g.n, g.num_edges
+    assert (g.offsets.itemsize, g.targets.itemsize) == (4, 4)
+    assert len(g.offsets) * 4 + len(g.targets) * 4 == 4 * (n + 1) + 4 * 2 * m
+    held = [r for r in gc.get_referents(g) if isinstance(r, (list, tuple, dict, set, frozenset))]
+    assert held == [g.labels]
+    assert isinstance(g.adj[0], memoryview) and g.adj[0].readonly
+    labels, edges = list(g.labels), g.edge_ids()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        again = Graph.from_sorted(labels, edges)
+        kept = tracemalloc.get_traced_memory()[0] - before - sys.getsizeof(again.labels)
+    finally:
+        tracemalloc.stop()
+    assert again == g
+    assert kept < 16 * 2 * m, kept / (2 * m)
+
+
+def test_pickle_leaves_out_the_caches():
+    # the label index and the checker's record are rebuilt where needed, so
+    # a certification leaves the pickle as it was
+    params = make_params(12, 5, 7936)
+    g, layout, _ = build(params)
+    originators = list(g.labels[::61])
+    size = len(pickle.dumps(g))
+    report = certify_graph(g, layout, params, originators=originators)
+    assert report.passed and g._verdicts is not None and g._index is not None
+    assert len(pickle.dumps(g)) == size
+    loaded = pickle.loads(pickle.dumps(g))
+    assert loaded == g and (loaded.t, loaded.k) == (g.t, g.k)
+    assert loaded._verdicts is None and loaded._index is None
+    again = certify_graph(loaded, layout, params, originators=originators)
+    assert again.to_json() == report.to_json()

@@ -480,7 +480,7 @@ def test_piecewise_replay_state_is_reset_after_every_check(g73_shrunk):
             replaced(None),
             replaced((((frag[0][0][0], -1),),)),
         ]
-    _, _, _, _, when, used = verify._tree_table(g)
+    when, used = verify._tree_table(g)[4:6]
     outcomes = []
     for s in cases:
         res = check_schedule(g, s)
