@@ -110,11 +110,10 @@ class CaseOneLayout:
     def full_id(self, label: VertexLabel) -> int:
         return (label.tree - 1) * self.tree_size + pos_mask(label.pos)
 
-    def tree_rounds(self, index: int, informed_masks: set[int] | None = None
-                    ) -> Fragment | ShiftedFragment:
+    def tree_rounds(self, tree: int, mask: int = 0) -> Fragment | ShiftedFragment:
         """Broadcast rounds of one surviving tree, as dense-id pairs, from its
-        root and the vertices in ``informed_masks``: none, or one (u, or w in
-        tree 1; the cube phase never informs both).
+        root and, unless ``mask`` is 0, the vertex at ``mask`` too (u, or w
+        in tree 1; the cube phase never informs both).
 
         The root-only fragment is simulated once per tree and cached.  With u
         informed, the rounds are those of the simulation from {root, u}, got
@@ -125,17 +124,16 @@ class CaseOneLayout:
         u, whose rounds are made only when read.  w = 2^h - 1 is a leaf with
         no younger sibling, so for w the lemma only drops its call.
         Fragments are immutable, so a verdict recorded for one stays true."""
-        plain = self._plain_rounds.get(index)
-        base = (index - 1) * self.tree_size
+        plain = self._plain_rounds.get(tree)
+        base = (tree - 1) * self.tree_size
         if plain is None:
-            rounds = binomial_rounds_masks(self.h, None, self.pruned_masks.get(index))
+            rounds = binomial_rounds_masks(self.h, None, self.pruned_masks.get(tree))
             # one int object per vertex, shared by all its calls
             ids = self.dense[base:base + self.tree_size].tolist()
             plain = tuple(tuple((ids[a], ids[b]) for a, b in calls) for calls in rounds)
-            self._plain_rounds[index] = plain
-        if not informed_masks:
+            self._plain_rounds[tree] = plain
+        if not mask:
             return plain
-        (mask,) = informed_masks
         return ShiftedFragment(plain, self.dense[base + mask])
 
 
@@ -450,16 +448,13 @@ def _deletion_ledger(layout: CaseOneLayout, acc: EdgeAccounting, gone: bytearray
     acc.removed_v1_links = ItemCheck(f15, d15)
     acc.removed_pruned_edges = ItemCheck(f16, d16)
     acc.removed_total = ItemCheck(removed_closed_form(params), d13 + d14g + d15 + d16 - added)
-    acc.remaining_edges = ItemCheck(remaining_closed_form(params), acc.total_edges.measured)
+    acc.remaining_edges = ItemCheck(closed_form_5b(params.t, k, params.n, p),
+                                    acc.total_edges.measured)
 
 
 def removed_closed_form(params: ConstructionParams) -> int:
     n, k, d, p = params.n, params.k, params.d, params.p
     return n * p + (k + 1) * d - p * (1 << k) + (p - 2) * (1 << p) + 2
-
-
-def remaining_closed_form(params: ConstructionParams) -> int:
-    return closed_form_5b(params.t, params.k, params.n, params.p)
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,8 @@ byte-identical across runs; everything else works on the ids.
 The adjacency is kept in CSR (compressed sparse row) form, two arrays of C
 ints and no container per vertex: ``offsets`` holds n + 1 entries and
 ``targets`` the 2|E| neighbour ids, those of vertex v, ascending, being
-``targets[offsets[v]:offsets[v + 1]]``.  ``adj[v]`` is that slice as a
-read-only memoryview: a sorted sequence of ints that supports ``len``,
-iteration, indexing and ``in`` (a scan; a hot edge test bisects the slice).
-The label -> id index is made on the first lookup by label.
+``targets[offsets[v]:offsets[v + 1]]``.  The label -> id index is made on
+the first lookup by label.
 """
 
 from __future__ import annotations
@@ -82,11 +80,6 @@ class Graph:
     @property
     def num_edges(self) -> int:
         return len(self.targets) // 2
-
-    @property
-    def adj(self) -> "_Rows":
-        """``adj[v]``: the ids of v's neighbours, ascending, read-only."""
-        return _Rows(self.offsets, memoryview(self.targets).toreadonly())
 
     def _ids(self) -> dict[VertexLabel, int]:
         if self._index is None:
@@ -221,21 +214,3 @@ def _edge_pairs(edges: list, n: int) -> Iterator[tuple[int, int]]:
                 continue
         raise MalformedGraph(f"edge entry {i} is not two distinct ids in [0, {n})")
 
-
-class _Rows:
-    """What :attr:`Graph.adj` returns: ``rows[v]`` is v's slice of the CSR
-    (see the module docstring), for v in range(n)."""
-
-    __slots__ = ("offsets", "view")
-
-    def __init__(self, offsets: array, view: memoryview):
-        self.offsets = offsets
-        self.view = view
-
-    def __len__(self) -> int:
-        return len(self.offsets) - 1
-
-    def __getitem__(self, v: int) -> memoryview:
-        if not 0 <= v < len(self.offsets) - 1:
-            raise IndexError(f"no vertex {v}")
-        return self.view[self.offsets[v]:self.offsets[v + 1]]

@@ -57,26 +57,21 @@ def build_hypercube(m: int) -> Hypercube:
     return Hypercube(m=m)
 
 
-def sweep_rounds(
-    seed: int,
-    dims: list[int],
-    members: set[int] | None = None,
-) -> list[list[tuple[int, int]]]:
-    """Dimension sweep from ``seed``: round r doubles along dims[r-1].
+def sweep_rounds(seed: int, m: int, block: range | None = None) -> list[list[tuple[int, int]]]:
+    """Dimension sweep from ``seed`` over dimensions 0..m-1: in round r every
+    informed vertex calls its neighbour along dimension r-1.
 
-    Restricted to ``members`` when given; every informed member calls its
-    neighbor along the round's dimension if that neighbor is a member.
+    Restricted to ``block``, a range of coordinates, when given: a neighbour
+    outside it is not called.  The dimensions are distinct, so no vertex is
+    called twice.
     """
-    informed = {seed}
+    informed = [seed]
     rounds = []
-    for b in dims:
-        calls = []
-        for c in sorted(informed):
-            c2 = c ^ (1 << b)
-            if c2 not in informed and (members is None or c2 in members):
-                calls.append((c, c2))
+    for b in range(m):
+        calls = [(c, c ^ 1 << b) for c in sorted(informed)
+                 if block is None or (c ^ 1 << b) in block]
         rounds.append(calls)
-        informed.update(c2 for _, c2 in calls)
+        informed += [c2 for _, c2 in calls]
     return rounds
 
 
@@ -84,4 +79,4 @@ def hypercube_schedule(cube: Hypercube, originator: VertexLabel) -> Schedule:
     """Inform all 2^m vertices in exactly m rounds (dimension sweep); the
     ids are the coordinates."""
     seed = cube.coord_of(originator)
-    return Schedule(cube.labels, seed, sweep_rounds(seed, list(range(cube.m))))
+    return Schedule(cube.labels, seed, sweep_rounds(seed, cube.m))

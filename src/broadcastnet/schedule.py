@@ -71,10 +71,6 @@ class Schedule:
                                   for calls in self.rounds]
 
     @property
-    def num_calls(self) -> int:
-        return sum(len(r) for r in self.rounds)
-
-    @property
     def completes_at(self) -> int:
         """Index of the last round that places a call (0 for a trivial schedule)."""
         last = 0

@@ -42,17 +42,22 @@ class SchemeCase:
 
 
 def classify(g: Graph, layout: CaseOneLayout, u: VertexLabel) -> SchemeCase:
+    return _case(g, layout, u)[1]
+
+
+def _case(g: Graph, layout: CaseOneLayout, u: VertexLabel) -> tuple[int, SchemeCase]:
+    """u's full id and its case."""
     if u not in g:
         raise UnknownVertex(f"{u} not in graph")
     shrunk = layout.params.n < layout.params.N
     f = layout.full_id(u)
     tree, mask = divmod(f, layout.tree_size)  # zero-based tree index
     if mask == 0 or f == layout.w:
-        return SchemeCase(tag="C21" if shrunk else "C11")
+        return f, SchemeCase(tag="C21" if shrunk else "C11")
     c = layout.coord_of_tree[tree + 1]
     if c >= layout.half:
-        return SchemeCase(tag="C22" if shrunk else "C12")
-    return SchemeCase(tag="C23" if shrunk else "C13", subcube=layout.subcube_of_coord(c))
+        return f, SchemeCase(tag="C22" if shrunk else "C12")
+    return f, SchemeCase(tag="C23" if shrunk else "C13", subcube=layout.subcube_of_coord(c))
 
 
 # ---------------------------------------------------------------------------
@@ -62,15 +67,15 @@ def classify(g: Graph, layout: CaseOneLayout, u: VertexLabel) -> SchemeCase:
 def _region_rounds(entry: int, lo: int, m: int) -> list[list[CoordCall]]:
     """Broadcast coords [lo, 2^(m+1)) from entry within m+1 rounds (lo <= 2^m)."""
     top = 1 << m
-    block = set(range(top, 2 * top))
+    block = range(top, 2 * top)
     if lo == top:
-        return sweep_rounds(entry, list(range(m)), block)
+        return sweep_rounds(entry, m, block)
     if entry >= top:
-        rounds = sweep_rounds(entry, list(range(m)), block)
+        rounds = sweep_rounds(entry, m, block)
         rounds.append([(c + top, c) for c in range(lo, top)])
         return rounds
     low = _region_rounds(entry, lo, m - 1)
-    high = sweep_rounds(entry + top, list(range(m)), block)
+    high = sweep_rounds(entry + top, m, block)
     merged: list[list[CoordCall]] = [[(entry, entry + top)]]
     for i in range(max(len(low), len(high))):
         cur: list[CoordCall] = []
@@ -82,22 +87,11 @@ def _region_rounds(entry: int, lo: int, m: int) -> list[list[CoordCall]]:
     return merged
 
 
-def _half_sweep(layout: CaseOneLayout, seed: int, first: bool) -> list[list[CoordCall]]:
-    k = layout.k
-    lo, hi = (layout.half, 1 << k) if first else (0, layout.half)
-    return sweep_rounds(seed, list(range(k - 1)), set(range(lo, hi)))
-
-
 def _low_region(layout: CaseOneLayout, entry: int) -> list[list[CoordCall]]:
     """Cover the surviving low half from entry within k-1 rounds."""
     if layout.params.x == 0:
-        return _half_sweep(layout, entry, first=False)
+        return sweep_rounds(entry, layout.k - 1, range(layout.half))
     return _region_rounds(entry, 1 << layout.params.p, layout.k - 2)
-
-
-def _block_sweep(j: int, seed: int) -> list[list[CoordCall]]:
-    """Sweep of block Q^j (the coordinates whose highest set bit is j) from seed."""
-    return sweep_rounds(seed, list(range(j)), set(range(1 << j, 1 << (j + 1))))
 
 
 # ---------------------------------------------------------------------------
@@ -108,13 +102,13 @@ def make_schedule(g: Graph, layout: CaseOneLayout, params: ConstructionParams,
                   u: VertexLabel) -> Schedule:
     """Legal schedule from originator u completing by round t+1, as dense ids
     of the graph the layout was built with."""
-    case = classify(g, layout, u)
+    f, case = _case(g, layout, u)
     k, p = params.k, params.p
     ids = layout.coord_ids
     cube: list[list[IdCall]] = [[] for _ in range(k)]  # rounds 1..k
-    f = layout.full_id(u)
     uid = layout.dense[f]
     utree, umask = f // params.tree_size + 1, f % params.tree_size
+    q1 = range(layout.half, 1 << k)  # the first half, the block Q^{k-1}
     # coordinates informed by the end of the cube phase
     cube_informed: set[int] = set()
     if umask == 0:
@@ -135,7 +129,7 @@ def make_schedule(g: Graph, layout: CaseOneLayout, params: ConstructionParams,
     if case.on_cube:
         uc = layout.coord_of_tree[utree] if umask == 0 else 0
         if params.n == params.N:
-            place(1, sweep_rounds(uc, list(range(k))))
+            place(1, sweep_rounds(uc, k))
         else:
             dead = (1 << p) if params.x > 0 else 0
             if uc >= layout.half:
@@ -147,26 +141,21 @@ def make_schedule(g: Graph, layout: CaseOneLayout, params: ConstructionParams,
                 partner = uc | layout.half
                 q1_seed, q2_entry = partner, uc
             call(1, ids[uc], partner)
-            place(2, _half_sweep(layout, q1_seed, first=True))
+            place(2, sweep_rounds(q1_seed, k - 1, q1))
             place(2, _low_region(layout, q2_entry))
     else:
         rc = layout.coord_of_tree[utree]
         if case.tag in ("C12", "C22"):
             call(1, uid, rc)
-            place(2, _half_sweep(layout, rc, first=True))
-            swap_round = None
+            place(2, sweep_rounds(rc, k - 1, q1))
         else:
             call(1, uid, layout.half)
-            place(2, _half_sweep(layout, layout.half, first=True))
-            swap_round = k - case.subcube
+            place(2, sweep_rounds(layout.half, k - 1, q1))
         for i in range(2, k - p + 1):
-            j = k - i + 1
-            if swap_round == i:
-                call(i, uid, rc)
-                place(i + 1, _block_sweep(case.subcube, rc))
-            else:
-                call(i, uid, 1 << (j - 1))
-                place(i + 1, _block_sweep(j - 1, 1 << (j - 1)))
+            j = k - i  # in round i u calls into block Q^j: its own root if that lies there
+            seed = rc if rc >> j == 1 else 1 << j
+            call(i, uid, seed)
+            place(i + 1, sweep_rounds(seed, j, range(1 << j, 2 << j)))
 
     # the cube phase must have informed every live coordinate by round k
     want = set(layout.live_coords)
@@ -177,17 +166,18 @@ def make_schedule(g: Graph, layout: CaseOneLayout, params: ConstructionParams,
     if missing:
         raise SchemePhaseOverrun(f"cube vertices missed by round {k}: {sorted(missing)}")
 
-    # tree phase: every surviving tree broadcasts alone from round k+1
+    # tree phase: every surviving tree broadcasts alone from round k+1, from
+    # its root and at most one more vertex, u in its own tree or w in tree 1
     w_informed = 0 in cube_informed and layout.w_alive
+    assert not (w_informed and utree == 1 and umask not in (0, layout.w)), \
+        "the cube phase informed both u and w of tree 1"
     fragments = []
     for tree in range(1, params.num_trees + 1):
         if tree in layout.deleted_trees:
             continue
-        pre: set[int] = set()
-        if utree == tree and umask != 0:
-            pre.add(umask)
+        mask = umask if tree == utree else 0
         if tree == 1 and w_informed:
-            pre.add(layout.w)  # tree 1 starts at full id 0, so w's mask is its full id
-        fragments.append((tree, layout.tree_rounds(tree, pre or None)))
+            mask = layout.w  # tree 1 starts at full id 0, so w's mask is its full id
+        fragments.append((tree, layout.tree_rounds(tree, mask)))
 
     return Schedule(layout.labels, uid, cube, fragments)

@@ -15,9 +15,14 @@ def label_schedule(originator, rounds):
     return Schedule(tuple(ids), 0, [[(ids[a], ids[b]) for a, b in calls] for calls in rounds])
 
 
+def row(g, v):
+    """The ids of v's neighbours in g, ascending: v's slice of the CSR arrays."""
+    return g.targets[g.offsets[v]:g.offsets[v + 1]]
+
+
 def neighbours(g, label):
     """The neighbours of ``label`` in g, as labels in id order."""
-    return [g.labels[i] for i in g.adj[g.vertex_id(label)]]
+    return [g.labels[i] for i in row(g, g.vertex_id(label))]
 
 
 def vertex(g, layout, tree, mask):

@@ -27,7 +27,7 @@ from broadcastnet import (
     table1,
     table2,
 )
-from broadcastnet.construct import remaining_closed_form
+from broadcastnet.bounds import closed_form_5b
 from broadcastnet.params import max_k
 from broadcastnet.schedule import ShiftedFragment
 
@@ -293,7 +293,7 @@ def _accounting_observations():
             params = make_params(t, k, n)
             g, _, acc = build(params)
             assert acc.delta_remaining is not None  # always reported
-            assert g.num_edges == remaining_closed_form(params) + acc.delta_remaining
+            assert g.num_edges == closed_form_5b(t, k, n, params.p) + acc.delta_remaining
             _OBSERVED.append((t, k, params.x, params.p, n, acc.delta_remaining))
     return _OBSERVED
 

@@ -23,7 +23,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from conftest import label_rounds, label_schedule, neighbours
+from conftest import label_rounds, label_schedule, neighbours, row
 
 from broadcastnet import (
     Schedule,
@@ -89,7 +89,7 @@ def _mutate(kind, rounds, g, rng):
         # own callee, now never called, would make no call either
         callers = {x for calls in rounds for x, _ in calls}
         others = [s for s in spots if s != (r, i)]
-        near = [s for s in others if b in g.adj[rounds[s[0]][s[1]][0]]]
+        near = [s for s in others if b in row(g, rounds[s[0]][s[1]][0])]
         quiet = [s for s in near if rounds[s[0]][s[1]][1] not in callers]
         r2, i2 = rng.choice(quiet or near or others)
         rounds[r2][i2] = (rounds[r2][i2][0], b)
@@ -103,24 +103,24 @@ def _mutate(kind, rounds, g, rng):
         rounds[r][i] = (b, a)
     elif kind == "retarget":
         # trade callees with a call of the same round whose callee a does not neighbour
-        far = [j for j in range(len(rounds[r])) if rounds[r][j][1] not in g.adj[a]]
+        far = [j for j in range(len(rounds[r])) if rounds[r][j][1] not in row(g, a)]
         if far:
             j = rng.choice(far)
             x, c = rounds[r][j]
             rounds[r][i], rounds[r][j] = (a, c), (x, b)
         else:
-            strangers = [c for c in range(g.n) if c != a and c not in g.adj[a]]
+            strangers = [c for c in range(g.n) if c != a and c not in row(g, a)]
             rounds[r][i] = (a, rng.choice(strangers))
     elif kind == "two-calls":
         # a also makes, in this round, a call of this or a later round to
         # one of its neighbours
         near = [s for s in spots if s[0] >= r and s != (r, i)
-                and rounds[s[0]][s[1]][1] in g.adj[a]]
+                and rounds[s[0]][s[1]][1] in row(g, a)]
         if near:
             r2, i2 = rng.choice(near)
             c = rounds[r2].pop(i2)[1]
         else:
-            c = rng.choice(sorted(set(g.adj[a]) - {b}) or [b])
+            c = rng.choice(sorted(set(row(g, a)) - {b}) or [b])
         rounds[r].append((a, c))
     return rounds
 
@@ -165,7 +165,7 @@ def _leave(rounds, later, g, rng, same_tree):
     rounds = [list(calls) for calls in rounds]
     callers = {a for calls in rounds for a, _ in calls}
     spots = [(r, i, c) for r, calls in enumerate(rounds) for i, (a, b) in enumerate(calls)
-             if b not in callers for c in sorted(g.adj[a]) if later.get(c, -1) >= r]
+             if b not in callers for c in sorted(row(g, a)) if later.get(c, -1) >= r]
     aimed = [(r, i, c) for r, i, c in spots
              if (g.labels[c].tree == g.labels[rounds[r][i][1]].tree) == same_tree]
     if spots:
@@ -274,7 +274,7 @@ def _descriptor_with(kind, fragments, own, g, layout, rng):
         frag = ShiftedFragment(tuple(map(tuple, frag.base)), frag.u)
     elif kind == "w-elsewhere":
         other = fragments[rng.choice(others)][0] if tree == 1 else tree
-        fragments[own] = (other, layout.tree_rounds(other, {layout.w}))
+        fragments[own] = (other, layout.tree_rounds(other, layout.w))
         return fragments
     elif kind == "twice":
         fragments[rng.choice(others)] = fragments[own]

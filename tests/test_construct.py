@@ -3,7 +3,8 @@ from conftest import neighbours, vertex
 
 from broadcastnet import audit_edges, bound_5a, build, make_params
 from broadcastnet.binomial import binomial_rounds_masks
-from broadcastnet.construct import _make_layout, _prune, remaining_closed_form
+from broadcastnet.bounds import closed_form_5b
+from broadcastnet.construct import _make_layout, _prune
 from broadcastnet.schedule import ShiftedFragment
 from broadcastnet.params import max_k
 
@@ -112,7 +113,7 @@ def test_case2_x0_matches_closed_form_even_at_extreme():
     for n in (191, 160, 136, 130, 129):
         params = make_params(7, 2, n)
         g, _, acc = build(params)
-        assert g.num_edges == remaining_closed_form(params), n
+        assert g.num_edges == closed_form_5b(7, 2, n, params.p), n
         assert acc.delta_remaining == 0
 
 
@@ -237,13 +238,13 @@ def test_shift_lemma_matches_simulation(t, k, n):
         for u in range(1, M):
             if u in gone:
                 continue
-            frag = layout.tree_rounds(tree, {u})
+            frag = layout.tree_rounds(tree, u)
             assert isinstance(frag, ShiftedFragment) and frag.base is layout.tree_rounds(tree)
             want = binomial_rounds_masks(layout.h, {u}, gone)
             assert tuple(frag) == tuple(tuple((ids[a], ids[b]) for a, b in calls)
                                         for calls in want), (tree, u)
     if 1 in live:
-        assert tuple(layout.tree_rounds(1, {layout.w})) == tuple(
+        assert tuple(layout.tree_rounds(1, layout.w)) == tuple(
             tuple(call for call in calls if call[1] != layout.dense[layout.w])
             for calls in layout.tree_rounds(1))
 

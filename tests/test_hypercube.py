@@ -1,5 +1,5 @@
 import pytest
-from conftest import neighbours
+from conftest import neighbours, row
 
 from broadcastnet import (
     UnknownVertex,
@@ -12,7 +12,6 @@ from broadcastnet import (
     make_params,
 )
 from broadcastnet.hypercube import sweep_rounds
-from broadcastnet.scheme import _block_sweep, _half_sweep
 
 
 def test_sizes():
@@ -26,12 +25,35 @@ def test_sizes():
 def test_regularity():
     for m in range(1, 6):
         g = build_hypercube(m).to_graph()
-        assert all(len(ids) == m for ids in g.adj)
+        assert all(len(row(g, v)) == m for v in range(g.n))
         assert g.num_edges == m * (1 << (m - 1))
 
 
 def _covered(rounds, seed):
     return [seed] + [b for calls in rounds for _, b in calls]
+
+
+def _block(j):
+    """Q^j: the coordinates whose highest set bit is j."""
+    return range(1 << j, 2 << j)
+
+
+def test_sweep_rounds_stays_inside_its_block():
+    # the scheme sweeps the low half and the blocks Q^j (Q^{m-1} is the
+    # first half); over all m dimensions, from any seed in the block, the
+    # sweep calls only inside it, calls no coordinate twice and informs the
+    # whole block within m rounds
+    for m in range(1, 7):
+        for block in [range(1 << (m - 1))] + [_block(j) for j in range(m)]:
+            for seed in block:
+                rounds = sweep_rounds(seed, m, block)
+                assert len(rounds) == m
+                informed = [seed]
+                for calls in rounds:
+                    assert all(a in informed and b in block for a, b in calls)
+                    informed += [b for _, b in calls]
+                assert len(informed) == len(set(informed))
+                assert sorted(informed) == list(block)
 
 
 @pytest.fixture(scope="module")
@@ -46,16 +68,16 @@ def test_scheme_blocks_partition_the_cube(g104):
     # the first half is Q^{k-1}; the low half is the corner plus Q^0..Q^{k-2}
     _, _, layout = g104
     k, half = layout.k, layout.half
-    first = _covered(_half_sweep(layout, half, first=True), half)
+    first = _covered(sweep_rounds(half, k - 1, range(half, 1 << k)), half)
     assert sorted(first) == list(range(half, 1 << k))
-    assert sorted(first) == sorted(_covered(_block_sweep(k - 1, half), half))
+    assert sorted(first) == sorted(_covered(sweep_rounds(half, k - 1, _block(k - 1)), half))
     blocks = [0]
     for j in range(k - 1):
-        block = _covered(_block_sweep(j, 1 << j), 1 << j)
+        block = _covered(sweep_rounds(1 << j, j, _block(j)), 1 << j)
         assert sorted(block) == list(range(1 << j, 1 << (j + 1)))
         assert all(layout.subcube_of_coord(c) == j for c in block)
         blocks.extend(block)
-    assert sorted(blocks) == sorted(_covered(_half_sweep(layout, 0, first=False), 0))
+    assert sorted(blocks) == sorted(_covered(sweep_rounds(0, k - 1, range(half)), 0))
     assert sorted(blocks) == list(range(half))
 
 
@@ -65,7 +87,7 @@ def test_low_blocks_with_corner_form_a_cube():
     g = q.to_graph()
     coords = [0]
     for j in range(q.m):
-        coords.extend(_covered(_block_sweep(j, 1 << j), 1 << j))
+        coords.extend(_covered(sweep_rounds(1 << j, j, _block(j)), 1 << j))
         assert sorted(coords) == list(range(1 << (j + 1)))
         inside = set(coords)
         for c in coords:
@@ -84,7 +106,7 @@ def test_roots_reach_their_partner_across_the_halves(request, fixture):
     ids = layout.coord_ids
     for c in range(half, 1 << layout.k):
         partner = c ^ half if c ^ half >= dead else replaced[c]
-        assert ids[partner] in g.adj[ids[c]], (c, partner)
+        assert ids[partner] in row(g, ids[c]), (c, partner)
         partners.append(partner)
     if not dead:
         assert sorted(partners) == list(range(half))
@@ -107,7 +129,7 @@ def test_schedule_ids_are_coordinates_of_the_graph_numbering():
         q = build_hypercube(m)
         s = hypercube_schedule(q, q.label(m))
         assert s.labels == q.to_graph().labels
-        assert s.origin == m and s.rounds == tuple(map(tuple, sweep_rounds(m, list(range(m)))))
+        assert s.origin == m and s.rounds == tuple(map(tuple, sweep_rounds(m, m)))
 
 
 def test_schedule_and_graph_share_one_label_tuple():
@@ -120,7 +142,7 @@ def test_schedule_two_rounds_three_calls():
     q = build_hypercube(2)
     for c in range(4):
         s = hypercube_schedule(q, q.label(c))
-        assert len(s.rounds) == 2 and s.num_calls == 3
+        assert len(s.rounds) == 2 and sum(map(len, s.rounds)) == 3
         res = check_schedule(q.to_graph(), s)
         assert res.ok and res.completion_round == 2
 
@@ -129,7 +151,7 @@ def test_schedule_doubles_every_round():
     q = build_hypercube(4)
     s = hypercube_schedule(q, q.label(0))
     assert [len(calls) for calls in s.rounds] == [1, 2, 4, 8]
-    assert s.num_calls == 15
+    assert sum(map(len, s.rounds)) == 15
     res = check_schedule(q.to_graph(), s)
     assert res.ok and res.completion_round == 4
 

@@ -11,6 +11,7 @@ from broadcastnet import (
     make_params,
     make_schedule,
 )
+from broadcastnet.schedule import ShiftedFragment
 
 
 def _label_of_coord(g, layout, c):
@@ -149,7 +150,9 @@ def test_cube_phase_shortfall_is_reported_not_scheduled(g72, monkeypatch):
     import broadcastnet.scheme as scheme
     from broadcastnet import SchemePhaseOverrun, certify_graph
     params, g, layout, _ = g72
-    monkeypatch.setattr(scheme, "_half_sweep", lambda layout, seed, first: [])
+    sweep, first_half = scheme.sweep_rounds, range(layout.half, 1 << layout.k)
+    monkeypatch.setattr(scheme, "sweep_rounds", lambda seed, m, block=None:
+                        [] if block == first_half else sweep(seed, m, block))
     u = vertex(g, layout, 3, 5)  # C12: the first half is swept from its root
     message = "cube vertices missed by round 2: [2]"
     with pytest.raises(SchemePhaseOverrun) as exc:
@@ -182,3 +185,31 @@ def test_originators_need_no_tree_simulation(monkeypatch):
     report = certify_graph(g, layout, params, originators=picked)
     assert report.passed and report.max_round == 13
     assert calls == []
+
+
+@pytest.mark.parametrize("t,k,n", [(7, 2, 192), (8, 3, 448), (7, 2, 191), (8, 3, 440),
+                                   (7, 3, 191)])
+def test_tree_one_starts_from_its_root_and_one_vertex_at_most(t, k, n):
+    # full, shrunk with x = 0 and with x > 0 (tree 1 deleted whole): for
+    # every originator the cube phase informs at most one vertex of tree 1
+    # besides its root, u or w, and tree 1's fragment starts from exactly it
+    params = make_params(t, k, n)
+    g, layout, _ = build(params)
+    tree1 = set(layout.dense[:layout.tree_size]) - {-1}
+    root1, plain = layout.dense[0], (layout.tree_rounds(1) if layout.w_alive else None)
+    for label in g.labels:
+        s = make_schedule(g, layout, params, label)
+        cube, fragments = s.pieces
+        informed = ({s.origin} | {b for calls in cube for _, b in calls}) & tree1
+        frags = [frag for tree, frag in fragments if tree == 1]
+        if not layout.w_alive:
+            assert frags == [] and informed == set()
+            continue
+        (frag,) = frags
+        extra = informed - {root1}
+        assert root1 in informed and len(extra) <= 1, (label, extra)
+        if extra:
+            assert isinstance(frag, ShiftedFragment) and frag.base is plain
+            assert {frag.u} == extra, label
+        else:
+            assert frag is plain, label

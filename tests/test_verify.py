@@ -2,7 +2,7 @@ import pickle
 import random
 
 import pytest
-from conftest import label_schedule, neighbours, vertex
+from conftest import label_schedule, neighbours, row, vertex
 
 from broadcastnet import (
     BroadcastNetError,
@@ -306,7 +306,7 @@ def _mutations(g, layout):
     (as in test_certify_mutated_graph_reported_honestly), and a tree edge
     that the root-only fragment of tree 2 uses."""
     r1 = g.vertex_id(vertex(g, layout, 1, 0))
-    victim = next(v for v in sorted(g.adj[r1])
+    victim = next(v for v in sorted(row(g, r1))
                   if g.labels[v].tree != 1 and not g.labels[v].is_root)
     caller, callee = layout.tree_rounds(2)[-1][0]
     return [_drop_edge(g, r1, victim), _drop_edge(g, caller, callee)]
@@ -345,7 +345,7 @@ def test_certify_on_a_loaded_graph_runs_piecewise(g73_shrunk):
 
 def test_tree_fragments_are_immutable(g72):
     params, g, layout, _ = g72
-    plain, shifted = layout.tree_rounds(2), layout.tree_rounds(1, {3})
+    plain, shifted = layout.tree_rounds(2), layout.tree_rounds(1, 3)
     assert isinstance(plain, tuple) and isinstance(shifted, ShiftedFragment)
     for name, value in (("base", plain), ("u", 0), ("_rounds", ())):
         with pytest.raises(AttributeError):
@@ -423,7 +423,7 @@ def test_recorded_verdict_is_tied_to_its_start_vertex(g72, monkeypatch):
     cube, fragments = s.pieces
     assert (3, layout.tree_rounds(3)) in fragments
     a, b = g.vertex_id(r1), g.vertex_id(r3)
-    x = max(v for v in g.adj[a] if g.labels[v].tree == 3)
+    x = max(v for v in row(g, a) if g.labels[v].tree == 3)
     assert (a, b) in cube[-1] and b not in {c for calls in cube for c, _ in calls}
     cube = [[(a, x) if call == (a, b) else call for call in calls] for calls in cube]
     bad = Schedule(g.labels, a, cube, fragments)
