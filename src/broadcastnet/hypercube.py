@@ -57,19 +57,18 @@ def build_hypercube(m: int) -> Hypercube:
     return Hypercube(m=m)
 
 
-def sweep_rounds(seed: int, m: int, block: range | None = None) -> list[list[tuple[int, int]]]:
+def sweep_rounds(seed: int, m: int) -> list[list[tuple[int, int]]]:
     """Dimension sweep from ``seed`` over dimensions 0..m-1: in round r every
     informed vertex calls its neighbour along dimension r-1.
 
-    Restricted to ``block``, a range of coordinates, when given: a neighbour
-    outside it is not called.  The dimensions are distinct, so no vertex is
-    called twice.
+    The dimensions are distinct, so no vertex is called twice, and the sweep
+    never leaves the aligned block of 2^m coordinates that holds ``seed``;
+    the scheme sweeps its blocks this way.
     """
     informed = [seed]
     rounds = []
     for b in range(m):
-        calls = [(c, c ^ 1 << b) for c in sorted(informed)
-                 if block is None or (c ^ 1 << b) in block]
+        calls = [(c, c ^ 1 << b) for c in sorted(informed)]
         rounds.append(calls)
         informed += [c2 for _, c2 in calls]
     return rounds

@@ -67,15 +67,14 @@ def _case(g: Graph, layout: CaseOneLayout, u: VertexLabel) -> tuple[int, SchemeC
 def _region_rounds(entry: int, lo: int, m: int) -> list[list[CoordCall]]:
     """Broadcast coords [lo, 2^(m+1)) from entry within m+1 rounds (lo <= 2^m)."""
     top = 1 << m
-    block = range(top, 2 * top)
     if lo == top:
-        return sweep_rounds(entry, m, block)
+        return sweep_rounds(entry, m)
     if entry >= top:
-        rounds = sweep_rounds(entry, m, block)
+        rounds = sweep_rounds(entry, m)
         rounds.append([(c + top, c) for c in range(lo, top)])
         return rounds
     low = _region_rounds(entry, lo, m - 1)
-    high = sweep_rounds(entry + top, m, block)
+    high = sweep_rounds(entry + top, m)
     merged: list[list[CoordCall]] = [[(entry, entry + top)]]
     for i in range(max(len(low), len(high))):
         cur: list[CoordCall] = []
@@ -90,7 +89,7 @@ def _region_rounds(entry: int, lo: int, m: int) -> list[list[CoordCall]]:
 def _low_region(layout: CaseOneLayout, entry: int) -> list[list[CoordCall]]:
     """Cover the surviving low half from entry within k-1 rounds."""
     if layout.params.x == 0:
-        return sweep_rounds(entry, layout.k - 1, range(layout.half))
+        return sweep_rounds(entry, layout.k - 1)
     return _region_rounds(entry, 1 << layout.params.p, layout.k - 2)
 
 
@@ -108,7 +107,6 @@ def make_schedule(g: Graph, layout: CaseOneLayout, params: ConstructionParams,
     cube: list[list[IdCall]] = [[] for _ in range(k)]  # rounds 1..k
     uid = layout.dense[f]
     utree, umask = f // params.tree_size + 1, f % params.tree_size
-    q1 = range(layout.half, 1 << k)  # the first half, the block Q^{k-1}
     # coordinates informed by the end of the cube phase
     cube_informed: set[int] = set()
     if umask == 0:
@@ -141,21 +139,21 @@ def make_schedule(g: Graph, layout: CaseOneLayout, params: ConstructionParams,
                 partner = uc | layout.half
                 q1_seed, q2_entry = partner, uc
             call(1, ids[uc], partner)
-            place(2, sweep_rounds(q1_seed, k - 1, q1))
+            place(2, sweep_rounds(q1_seed, k - 1))
             place(2, _low_region(layout, q2_entry))
     else:
         rc = layout.coord_of_tree[utree]
         if case.tag in ("C12", "C22"):
             call(1, uid, rc)
-            place(2, sweep_rounds(rc, k - 1, q1))
+            place(2, sweep_rounds(rc, k - 1))
         else:
             call(1, uid, layout.half)
-            place(2, sweep_rounds(layout.half, k - 1, q1))
+            place(2, sweep_rounds(layout.half, k - 1))
         for i in range(2, k - p + 1):
             j = k - i  # in round i u calls into block Q^j: its own root if that lies there
             seed = rc if rc >> j == 1 else 1 << j
             call(i, uid, seed)
-            place(i + 1, sweep_rounds(seed, j, range(1 << j, 2 << j)))
+            place(i + 1, sweep_rounds(seed, j))
 
     # the cube phase must have informed every live coordinate by round k
     want = set(layout.live_coords)
@@ -169,8 +167,8 @@ def make_schedule(g: Graph, layout: CaseOneLayout, params: ConstructionParams,
     # tree phase: every surviving tree broadcasts alone from round k+1, from
     # its root and at most one more vertex, u in its own tree or w in tree 1
     w_informed = 0 in cube_informed and layout.w_alive
-    assert not (w_informed and utree == 1 and umask not in (0, layout.w)), \
-        "the cube phase informed both u and w of tree 1"
+    if w_informed and utree == 1 and umask not in (0, layout.w):
+        raise SchemePhaseOverrun("the cube phase informed both u and w of tree 1")
     fragments = []
     for tree in range(1, params.num_trees + 1):
         if tree in layout.deleted_trees:

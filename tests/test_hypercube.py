@@ -33,20 +33,15 @@ def _covered(rounds, seed):
     return [seed] + [b for calls in rounds for _, b in calls]
 
 
-def _block(j):
-    """Q^j: the coordinates whose highest set bit is j."""
-    return range(1 << j, 2 << j)
-
-
 def test_sweep_rounds_stays_inside_its_block():
-    # the scheme sweeps the low half and the blocks Q^j (Q^{m-1} is the
-    # first half); over all m dimensions, from any seed in the block, the
-    # sweep calls only inside it, calls no coordinate twice and informs the
-    # whole block within m rounds
-    for m in range(1, 7):
-        for block in [range(1 << (m - 1))] + [_block(j) for j in range(m)]:
+    # the scheme sweeps the low half, the first half and the blocks
+    # Q^j = [2^j, 2^(j+1)), each over its own dimensions; from any seed of
+    # such a block the sweep calls only inside it, calls no coordinate twice
+    # and informs the whole block within its dimension count of rounds
+    for m in range(7):
+        for block in (range(1 << m), range(1 << m, 2 << m)):
             for seed in block:
-                rounds = sweep_rounds(seed, m, block)
+                rounds = sweep_rounds(seed, m)
                 assert len(rounds) == m
                 informed = [seed]
                 for calls in rounds:
@@ -68,16 +63,15 @@ def test_scheme_blocks_partition_the_cube(g104):
     # the first half is Q^{k-1}; the low half is the corner plus Q^0..Q^{k-2}
     _, _, layout = g104
     k, half = layout.k, layout.half
-    first = _covered(sweep_rounds(half, k - 1, range(half, 1 << k)), half)
+    first = _covered(sweep_rounds(half, k - 1), half)
     assert sorted(first) == list(range(half, 1 << k))
-    assert sorted(first) == sorted(_covered(sweep_rounds(half, k - 1, _block(k - 1)), half))
     blocks = [0]
     for j in range(k - 1):
-        block = _covered(sweep_rounds(1 << j, j, _block(j)), 1 << j)
+        block = _covered(sweep_rounds(1 << j, j), 1 << j)
         assert sorted(block) == list(range(1 << j, 1 << (j + 1)))
         assert all(layout.subcube_of_coord(c) == j for c in block)
         blocks.extend(block)
-    assert sorted(blocks) == sorted(_covered(sweep_rounds(0, k - 1, range(half)), 0))
+    assert sorted(blocks) == sorted(_covered(sweep_rounds(0, k - 1), 0))
     assert sorted(blocks) == list(range(half))
 
 
@@ -87,7 +81,7 @@ def test_low_blocks_with_corner_form_a_cube():
     g = q.to_graph()
     coords = [0]
     for j in range(q.m):
-        coords.extend(_covered(sweep_rounds(1 << j, j, _block(j)), 1 << j))
+        coords.extend(_covered(sweep_rounds(1 << j, j), 1 << j))
         assert sorted(coords) == list(range(1 << (j + 1)))
         inside = set(coords)
         for c in coords:

@@ -150,9 +150,9 @@ def test_cube_phase_shortfall_is_reported_not_scheduled(g72, monkeypatch):
     import broadcastnet.scheme as scheme
     from broadcastnet import SchemePhaseOverrun, certify_graph
     params, g, layout, _ = g72
-    sweep, first_half = scheme.sweep_rounds, range(layout.half, 1 << layout.k)
-    monkeypatch.setattr(scheme, "sweep_rounds", lambda seed, m, block=None:
-                        [] if block == first_half else sweep(seed, m, block))
+    sweep = scheme.sweep_rounds
+    monkeypatch.setattr(scheme, "sweep_rounds", lambda seed, m:  # no first-half sweep
+                        [] if seed >= layout.half and m == layout.k - 1 else sweep(seed, m))
     u = vertex(g, layout, 3, 5)  # C12: the first half is swept from its root
     message = "cube vertices missed by round 2: [2]"
     with pytest.raises(SchemePhaseOverrun) as exc:
@@ -162,6 +162,27 @@ def test_cube_phase_shortfall_is_reported_not_scheduled(g72, monkeypatch):
     assert not report.passed and report.max_round is None
     assert report.failures == [{"id": g.vertex_id(u),
                                 "error": f"SchemePhaseOverrun: {message}"}]
+
+
+def test_cube_phase_informing_u_and_w_of_tree_one_is_reported(g72, monkeypatch):
+    # tree 1 starts from its root and one more vertex at most: a cube phase
+    # that also reached w (coordinate 0) for a u inside tree 1 is refused
+    import broadcastnet.scheme as scheme
+    from broadcastnet import SchemePhaseOverrun
+    params, g, layout, _ = g72
+    sweep = scheme.sweep_rounds
+
+    def sweep_and_reach_w(seed, m):
+        rounds = sweep(seed, m)
+        if seed >= layout.half and m == layout.k - 1:
+            rounds[-1] = rounds[-1] + [(seed, 0)]
+        return rounds
+
+    u = vertex(g, layout, 1, 5)  # C13: u lies in tree 1 and is not w
+    make_schedule(g, layout, params, u)
+    monkeypatch.setattr(scheme, "sweep_rounds", sweep_and_reach_w)
+    with pytest.raises(SchemePhaseOverrun, match="informed both u and w of tree 1"):
+        make_schedule(g, layout, params, u)
 
 
 def test_originators_need_no_tree_simulation(monkeypatch):
