@@ -34,6 +34,7 @@ from bisect import bisect_right
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from itertools import chain, repeat, tee
 
 from .binomial import binomial_rounds_masks
@@ -95,9 +96,19 @@ class CaseOneLayout:
     def w_alive(self) -> bool:
         return 1 not in self.deleted_trees
 
-    @property
-    def live_coords(self) -> list[int]:
-        return list(range(1 << self.params.p if self.params.x > 0 else 0, 1 << self.k))
+    @cached_property
+    def live_coords(self) -> frozenset[int]:
+        """The cube coordinates whose vertex survives, made once."""
+        return frozenset(range(1 << self.params.p if self.params.x > 0 else 0, 1 << self.k))
+
+    @cached_property
+    def plain_table(self) -> tuple[tuple[int, Fragment], ...]:
+        """Per surviving tree in order, the pair (tree, its root-only fragment
+        from tree_rounds): the fragments every schedule shares, made on first
+        use, after the build, and then kept."""
+        return tuple((tree, self.tree_rounds(tree))
+                     for tree in range(1, self.params.num_trees + 1)
+                     if tree not in self.deleted_trees)
 
     def subcube_of_coord(self, c: int) -> int:
         """Index i of the block Q^i containing coordinate c (c in the low half, c > 0)."""

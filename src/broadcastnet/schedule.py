@@ -3,11 +3,17 @@
 A schedule is immutable.  Its vertices are dense ids indexing a label tuple,
 as the graph numbering them holds it; labels are read only at the boundary.
 The calls are kept in the shape of the broadcast scheme's two phases: the
-rounds from round 1 on, then optionally one (tree, fragment) pair per tree,
-every fragment starting in the round after those rounds.  A plain schedule
-has no fragments.  A fragment is a tuple of rounds, or a ShiftedFragment: a
-tuple fragment with one more vertex informed before it starts, described in
-O(1) and made into rounds only when they are read.
+rounds from round 1 on, then the tree fragments, every one starting in the
+round after those rounds.  The fragments come as a table and overrides.  The
+table is a tuple of (tree, fragment) pairs, one per tree, each broadcasting
+its tree from the root alone; one table serves every schedule on a graph
+(CaseOneLayout.plain_table), so a checker can accept it once per graph.  An
+override is a (tree, fragment) pair that takes the place of the table's
+fragment of its tree: the scheme overrides the originator's own tree and,
+when its first rounds inform w, tree 1.  A plain schedule has neither.  A
+fragment is a tuple of rounds, or a ShiftedFragment: a tuple fragment with
+one more vertex informed before it starts, described in O(1) and made into
+rounds only when they are read.
 """
 
 from __future__ import annotations
@@ -26,29 +32,39 @@ class Schedule:
     """The broadcast from ``labels[origin]``; the calls of ``rounds[i]`` are
     placed during round i+1, every id indexing ``labels``.
 
-    ``pieces`` is (the rounds given, the (tree, fragment) pairs given).  The
-    fragments are kept as they are given, so they should be immutable, as
-    tree_rounds makes them (tuples, or ShiftedFragments).
+    ``pieces`` is (the rounds given, the override pairs given, the table
+    given).  The table is kept as the object given, a tuple, and the
+    fragments as they are given, so they should be immutable, as tree_rounds
+    makes them (tuples, or ShiftedFragments).
     """
 
     __slots__ = ("labels", "origin", "pieces", "_assembled")
 
     def __init__(self, labels: tuple[VertexLabel, ...], origin: int,
                  rounds: Iterable[Iterable[IdCall]],
-                 fragments: Iterable[tuple[int, Sequence[Sequence[IdCall]]]] = ()):
+                 overrides: Iterable[tuple[int, Sequence[Sequence[IdCall]]]] = (),
+                 table: tuple[tuple[int, Sequence[Sequence[IdCall]]], ...] = ()):
         self.labels = labels
         self.origin = origin
-        self.pieces = (tuple(tuple(calls) for calls in rounds), tuple(fragments))
+        self.pieces = (tuple(tuple(calls) for calls in rounds), tuple(overrides), tuple(table))
         self._assembled: tuple[tuple[IdCall, ...], ...] | None = None
 
     @property
     def rounds(self) -> tuple[tuple[IdCall, ...], ...]:
-        """The calls of every piece per round, read-only, made on first use."""
+        """The calls of every piece per round, read-only, made on first use:
+        per table pair in order, the overrides of its tree in its place (or
+        its own fragment, when none names it), then the overrides of trees
+        the table lacks."""
         if self._assembled is None:
-            first, fragments = self.pieces
+            first, overrides, table = self.pieces
+            named: dict[int, list] = {}
+            for tree, frag in overrides:
+                named.setdefault(tree, []).append(frag)
+            fragments = [f for tree, plain in table for f in named.pop(tree, (plain,))]
+            fragments += [f for frags in named.values() for f in frags]
             rounds = [list(calls) for calls in first]
-            rounds += [[] for _ in range(max((len(f) for _, f in fragments), default=0))]
-            for _, frag in fragments:
+            rounds += [[] for _ in range(max(map(len, fragments), default=0))]
+            for frag in fragments:
                 for rnd, calls in enumerate(frag, start=len(first)):
                     rounds[rnd].extend(calls)
             self._assembled = tuple(map(tuple, rounds))

@@ -34,7 +34,6 @@ class SchemeCase:
     """Originator classification: which case rule drives phase 1."""
 
     tag: str  # C11, C12, C13, C21, C22, C23
-    subcube: int | None = None  # block index of the tree's root, low half only
 
     @property
     def on_cube(self) -> bool:
@@ -57,7 +56,7 @@ def _case(g: Graph, layout: CaseOneLayout, u: VertexLabel) -> tuple[int, SchemeC
     c = layout.coord_of_tree[tree + 1]
     if c >= layout.half:
         return f, SchemeCase(tag="C22" if shrunk else "C12")
-    return f, SchemeCase(tag="C23" if shrunk else "C13", subcube=layout.subcube_of_coord(c))
+    return f, SchemeCase(tag="C23" if shrunk else "C13")
 
 
 # ---------------------------------------------------------------------------
@@ -156,26 +155,22 @@ def make_schedule(g: Graph, layout: CaseOneLayout, params: ConstructionParams,
             place(i + 1, sweep_rounds(seed, j))
 
     # the cube phase must have informed every live coordinate by round k
-    want = set(layout.live_coords)
-    if case.on_cube or params.x > 0 or f == layout.w:
-        missing = want - cube_informed
-    else:
-        missing = want - cube_informed - {0}  # w is reached through its tree
+    missing = layout.live_coords - cube_informed
+    if not (case.on_cube or params.x > 0 or f == layout.w):
+        missing -= {0}  # w is reached through its tree
     if missing:
         raise SchemePhaseOverrun(f"cube vertices missed by round {k}: {sorted(missing)}")
 
     # tree phase: every surviving tree broadcasts alone from round k+1, from
-    # its root and at most one more vertex, u in its own tree or w in tree 1
+    # its root (the layout's table) and at most one more vertex, u in its own
+    # tree or w in tree 1 (an override of the table's fragment)
     w_informed = 0 in cube_informed and layout.w_alive
     if w_informed and utree == 1 and umask not in (0, layout.w):
         raise SchemePhaseOverrun("the cube phase informed both u and w of tree 1")
-    fragments = []
-    for tree in range(1, params.num_trees + 1):
-        if tree in layout.deleted_trees:
-            continue
-        mask = umask if tree == utree else 0
-        if tree == 1 and w_informed:
-            mask = layout.w  # tree 1 starts at full id 0, so w's mask is its full id
-        fragments.append((tree, layout.tree_rounds(tree, mask)))
+    overrides = []
+    if umask and f != layout.w:
+        overrides.append((utree, layout.tree_rounds(utree, umask)))
+    if w_informed:  # tree 1 starts at full id 0, so w's mask is its full id
+        overrides.append((1, layout.tree_rounds(1, layout.w)))
 
-    return Schedule(layout.labels, uid, cube, fragments)
+    return Schedule(layout.labels, uid, cube, overrides, layout.plain_table)

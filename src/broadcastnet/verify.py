@@ -6,14 +6,17 @@ the calls round by round and rejects the first violation in deterministic
 order.  certify_graph runs the generator plus the checker for every
 originator; the accepted schedules are the witness that the graph
 broadcasts within its target.  A schedule on the graph's label tuple, or an
-equal one, is checked piece by piece first: its first rounds (the cube
-phase) and every tree fragment that starts from more than its tree's root
-are replayed, while a fragment this graph has already accepted from its root
-alone is not replayed again.  The fragment of the originator's own tree (or
-of tree 1, when the cube phase informs w) is a ShiftedFragment of such a
-fragment, and the shift lemma accepts it in O(h log M) for a tree of M
-vertices and h rounds (_accepted).  Whatever that check does not accept is
-replayed whole, which gives every failure's witness."""
+equal one, is checked piece by piece first (_check_pieces).  Its table, the
+root-only fragment of every surviving tree that all schedules on a graph
+share, is accepted once per graph: each fragment is replayed from its
+tree's root alone, and its counts per round are kept with their sum.  Per
+originator, the first rounds (the cube phase) are replayed, and they must
+inform each table tree at its root alone unless an override takes the
+tree's place; the overrides (the originator's own tree, and tree 1 when the
+cube phase informs w) are each a ShiftedFragment of a table fragment, which
+the shift lemma accepts in O(h log M) for a tree of M vertices and h rounds
+(_accepted), or are replayed in their tree.  Whatever that check does not
+accept is replayed whole, which gives every failure's witness."""
 
 from __future__ import annotations
 
@@ -24,6 +27,7 @@ from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from itertools import compress
+from typing import NamedTuple
 
 from .construct import CaseOneLayout
 from .errors import BroadcastNetError, DisconnectedGraph, TooLarge
@@ -102,10 +106,10 @@ def _fresh(n: int, origin: int) -> tuple[list[int], list[int]]:
 def _neighbour_sets(g: Graph) -> list[frozenset[int]]:
     """The whole replay's edge test: per vertex of g, its neighbour ids as a
     frozenset, which holds what a frozenset adjacency would.  Kept on g's
-    record (see _tree_table) and made by the first whole replay on g: one
+    record (see _Record) and made by the first whole replay on g: one
     replay calls from about every other vertex, so making the sets lazily
     would save at most half.  The piecewise check never makes them."""
-    sets = _tree_table(g)[7]
+    sets = _record(g).sets
     if not sets:
         off, nbrs = g.offsets, g.targets
         sets.extend(frozenset(nbrs[off[v]:off[v + 1]]) for v in range(g.n))
@@ -118,7 +122,7 @@ def _replay(when: list[int], used: list[int], g: Graph, sets: list | None, round
     ``used`` (see _fresh), in the order given.  A call is legal when both
     ends are ids in [lo, hi), the caller was informed before this round and
     has not called in it, the callee is not informed, and they are adjacent
-    in g: b in sets[a] (_neighbour_sets, or the cube rows of _tree_table),
+    in g: b in sets[a] (_neighbour_sets, or the cube rows of _Record),
     or with no sets _has_edge.
     The informed count after each round is appended to ``sizes``, which
     starts with the count before.  Returns the first illegal call as (round,
@@ -166,42 +170,112 @@ def _illegal_call(rnd: int, a: int, b: int, calls: list[tuple[int, int]],
     return Violation("illegal-call", round=rnd, caller=a, callee=b, reason=reason)
 
 
-def _tree_table(g: Graph) -> tuple:
-    """g's per-graph record for the piecewise check, made on first use: the
-    tree of every vertex, each tree's id range [lo, hi) (None when some tree's
-    ids do not form one range), per tree the fragment accepted from the
-    tree's root alone (see _accepted), the last label tuple compared with g's
-    with whether it is equal, replay state (see _fresh) that every check
-    leaves as it found it, the cube rows (below) and the whole replay's
-    neighbour sets (_neighbour_sets).  A cache: pickling g leaves it out.
+class _Tree:
+    """A table fragment accepted from its tree's root alone: the fragment,
+    its calls per round and, made on first use, its _tree_shape."""
 
-    The cube rows are the edge test of the first rounds: per vertex, its
-    neighbours that have a cube coordinate, as a frozenset shared by every
-    vertex with the same such neighbours.  A call to a cube vertex, which
-    is every call the scheme's first rounds make, is tested exactly; any
-    other call reads as no edge there, and the whole replay decides the
-    schedule.  Beside a list of n references they hold a few ids per tree
-    and per cube vertex, not g's adjacency."""
-    if g._verdicts is None:
-        home = [label.tree for label in g.labels]
+    __slots__ = ("fragment", "counts", "shape")
+
+    def __init__(self, fragment, counts: list[int]):
+        self.fragment, self.counts, self.shape = fragment, counts, None
+
+
+class _Accepted(NamedTuple):
+    """A table accepted on a graph (_accept_table): the table object, per
+    tree its _Tree, the sum S of their calls per round, and the ids of their
+    roots."""
+
+    table: tuple
+    trees: dict[int, _Tree]
+    total: list[int]
+    roots: frozenset[int]
+
+
+class _Record:
+    """g's per-graph record for the piecewise check, made on first use
+    (_record) and held in g._verdicts; a cache, which pickling g leaves out.
+
+    ``home`` is the tree of every vertex, ``spans`` each tree's id range
+    [lo, hi) (None when some tree's ids do not form one range), ``labels``
+    the last label tuple compared with g's and ``same`` whether it is equal.
+    ``when`` and ``used`` are replay state (see _fresh) that every check
+    leaves as it found it.  ``cube_rows`` is the edge test of the first
+    rounds (below), ``sets`` the whole replay's neighbour sets
+    (_neighbour_sets), and ``accepted`` the table accepted last, or None.
+
+    The cube rows hold, per vertex, its neighbours that have a cube
+    coordinate, as a frozenset shared by every vertex with the same such
+    neighbours.  A call to a cube vertex, which is every call the scheme's
+    first rounds make, is tested exactly; any other call reads as no edge
+    there, and the whole replay decides the schedule.  Beside a list of n
+    references they hold a few ids per tree and per cube vertex, not g's
+    adjacency."""
+
+    __slots__ = ("home", "spans", "labels", "same", "when", "used", "cube_rows", "sets",
+                 "accepted")
+
+    def __init__(self, g: Graph):
+        self.home = [label.tree for label in g.labels]
         spans: dict | None = {}
-        for i, tree in enumerate(home):
+        for i, tree in enumerate(self.home):
             lo, hi = spans.get(tree, (i, i))
             if hi != i:
                 spans = None
                 break
             spans[tree] = (lo, i + 1)
+        self.spans = spans
+        self.labels, self.same = g.labels, True
+        self.when, self.used = [_NEVER] * g.n, [0] * g.n
         off, nbrs = g.offsets, g.targets
         on_cube = bytes(label.cube is not None for label in g.labels)
         shared: dict = {}
-        cube_rows = []
+        self.cube_rows = []
         for v in range(g.n):
             row = nbrs[off[v]:off[v + 1]]
             ids = frozenset(compress(row, map(on_cube.__getitem__, row)))
-            cube_rows.append(shared.setdefault(ids, ids))
-        g._verdicts = (home, spans, {}, [g.labels, True], [_NEVER] * g.n, [0] * g.n,
-                       cube_rows, [])
+            self.cube_rows.append(shared.setdefault(ids, ids))
+        self.sets: list[frozenset[int]] = []
+        self.accepted: _Accepted | None = None
+
+
+def _record(g: Graph) -> _Record:
+    """g's _Record, made on first use."""
+    if g._verdicts is None:
+        g._verdicts = _Record(g)
     return g._verdicts
+
+
+def _accept_table(g: Graph, rec: _Record, table) -> _Accepted | None:
+    """``table``, a tuple of (tree, fragment) pairs, accepted on g, or None.
+
+    Each fragment is replayed in its tree's id range [lo, hi) from the
+    tree's root lo alone, which must carry a root's label, and must inform
+    the whole range; the trees must be distinct, and no fragment may end in
+    an empty round, so that the last round of the remaining fragments is
+    where their summed counts end.  The replay state is reset per tree."""
+    trees: dict[int, _Tree] = {}
+    total: list[int] = []
+    when, used = rec.when, rec.used
+    for tree, frag in table:
+        if tree in trees or tree not in rec.spans:
+            return None
+        lo, hi = rec.spans[tree]
+        if not g.labels[lo].is_root:
+            return None
+        when[lo] = 0
+        counts = [1]
+        try:
+            bad = _replay(when, used, g, None, frag, 0, lo, hi, counts)
+        finally:
+            when[lo:hi], used[lo:hi] = [_NEVER] * (hi - lo), [0] * (hi - lo)
+        added = [b - a for a, b in zip(counts, counts[1:])]
+        if bad is not None or counts[-1] != hi - lo or added and not added[-1]:
+            return None
+        trees[tree] = _Tree(frag, added)
+        total.extend([0] * (len(added) - len(total)))
+        for i, c in enumerate(added):
+            total[i] += c
+    return _Accepted(table, trees, total, frozenset(rec.spans[tree][0] for tree in trees))
 
 
 def _check_pieces(g: Graph, s: Schedule) -> list[int] | None:
@@ -210,71 +284,78 @@ def _check_pieces(g: Graph, s: Schedule) -> list[int] | None:
     replay must decide.  An equal tuple numbers the vertices as g does; a
     tuple is compared only when it is not the last one compared.
 
-    The first rounds (the cube phase; all rounds of a plain schedule) are
-    replayed from the originator, their edges tested in the cube rows (see
-    _tree_table).  Then each fragment is replayed inside its
-    tree's id range, from the tree's vertices informed by the cube phase,
-    unless _accepted vouches for it: the same fragment object this graph has
-    accepted from the tree's root, started from that root alone, or a
-    ShiftedFragment of it started from that root and its u.  Accepted when
-    every piece is legal, no tree has two fragments, and every vertex is
-    informed.  Sound because the trees share no vertex and the fragments
-    start after the cube phase, so no call of one piece bears on another.
-    The replay state lives on g's record; only the entries the replayed
-    pieces write are reset, so a check costs no O(n) set-up.
+    The table is accepted once per graph (_accept_table; again only when a
+    schedule brings another table object).  Per schedule, the first rounds
+    (the cube phase) are replayed from the originator, their edges tested in
+    the cube rows (see _Record).  Then four things are checked: every
+    vertex they inform lies in an overridden tree or is the root of a table
+    tree; every table tree is overridden or has its root informed; no tree
+    is overridden twice; and every overridden tree is in the table.  So each
+    table tree that is not overridden starts from its root alone, as its
+    fragment was accepted, and adds the counts recorded for it.  Each
+    override is replayed inside its tree's id range, from the tree's
+    vertices the first rounds inform, unless _accepted vouches for it: a
+    ShiftedFragment of the table's fragment of its tree, started from that
+    root and its u.  The counts are S, less the table counts of each
+    overridden tree, plus the override's.  Accepted when every piece is
+    legal and every vertex is informed.  Sound because the trees share no
+    vertex and the fragments start after the cube phase, so no call of one
+    piece bears on another.  The per-schedule work grows with the vertices
+    the first rounds inform and the overrides, not with the table.  The
+    replay state lives on g's record; only the entries the replayed pieces
+    write are reset, so a check costs no O(n) set-up.
     """
-    home, spans, verdicts, seen, when, used, cube_rows, _ = _tree_table(g)
-    if s.labels is not seen[0]:
-        seen[:] = s.labels, s.labels == g.labels
-    if not seen[1]:
+    rec = _record(g)
+    if s.labels is not rec.labels:
+        rec.labels, rec.same = s.labels, s.labels == g.labels
+    if not rec.same:
         return None
     n, origin = g.n, s.origin
-    cube_rounds, fragments = s.pieces
-    if spans is None or not 0 <= origin < n:
+    cube_rounds, overrides, table = s.pieces
+    if rec.spans is None or not table or not 0 <= origin < n:
         return None
+    if rec.accepted is None or rec.accepted.table is not table:
+        accepted = _accept_table(g, rec, table)
+        if accepted is None:
+            return None
+        rec.accepted = accepted
+    _, trees, total, roots = rec.accepted
+    home, spans, when, used = rec.home, rec.spans, rec.when, rec.used
     when[origin] = 0
     replayed = [cube_rounds]
     try:
         sizes = [1]
-        if _replay(when, used, g, cube_rows, cube_rounds, 0, 0, n, sizes) is not None:
+        if _replay(when, used, g, rec.cube_rows, cube_rounds, 0, 0, n, sizes) is not None:
             return None
-        k = len(cube_rounds)
-        informed: dict = {}
+        pre: dict[int, list[int]] = {tree: [] for tree, _ in overrides}
+        if len(pre) != len(overrides) or not pre.keys() <= trees.keys():
+            return None  # a tree overridden twice, or not in the table
+        plain = 0  # table roots informed, in trees not overridden
         for v in [origin] + [b for calls in cube_rounds for _, b in calls]:
-            informed.setdefault(home[v], []).append(v)
-        grow: list[int] = []
-        done = set()
-
-        def replay(tree: int, frag, pre: list[int]) -> list[int] | None:
-            """frag's calls per round, replayed in its tree from pre; recorded
-            when pre is the tree's root alone."""
-            replayed.append(frag)
-            counts = [len(pre)]
-            if _replay(when, used, g, None, frag, k, *spans[tree], counts) is not None:
-                return None
-            added = [b - a for a, b in zip(counts, counts[1:])]
-            if len(pre) == 1 and g.labels[pre[0]].is_root:
-                verdicts[tree] = [frag, pre[0], added, None]
-            return added
-
-        for tree, frag in fragments:
-            if tree in done or tree not in spans:
-                return None
-            done.add(tree)
-            pre = informed.get(tree, [])
-            added = _accepted(verdicts.get(tree), frag, pre, spans[tree])
-            if (added is None and isinstance(frag, ShiftedFragment) and len(pre) == 2
-                    and frag.u in pre):
-                # its base, not accepted here yet, is replayed once from the
-                # root alone (u uninformed meanwhile), spending the tree's state
-                when[frag.u] = _NEVER
-                if replay(tree, frag.base, [pre[pre[0] == frag.u]]) is None:
-                    return None
-                added = _accepted(verdicts.get(tree), frag, pre, spans[tree])
-            elif added is None:
-                added = replay(tree, frag, pre)
+            tree = home[v]
+            if tree in pre:
+                pre[tree].append(v)
+            elif v in roots:
+                plain += 1
+            else:
+                return None  # a table fragment would not start from its root alone
+        if plain + len(pre) != len(trees):
+            return None  # a table tree starts from no informed vertex
+        grow = list(total)
+        for tree in pre:
+            for i, c in enumerate(trees[tree].counts):
+                grow[i] -= c
+        while grow and not grow[-1]:
+            grow.pop()
+        k = len(cube_rounds)
+        for tree, frag in overrides:
+            added = _accepted(trees[tree], frag, pre[tree], spans[tree])
             if added is None:
-                return None
+                replayed.append(frag)
+                counts = [len(pre[tree])]
+                if _replay(when, used, g, None, frag, k, *spans[tree], counts) is not None:
+                    return None
+                added = [b - a for a, b in zip(counts, counts[1:])]
             grow.extend([0] * (len(added) - len(grow)))
             for i, c in enumerate(added):
                 grow[i] += c
@@ -293,14 +374,13 @@ def _check_pieces(g: Graph, s: Schedule) -> list[int] | None:
             pass  # the replay wrote nothing past the first id that is no index
 
 
-def _accepted(record: list | None, frag, pre: list[int], span: tuple[int, int]
-              ) -> list[int] | None:
-    """The calls per round of ``frag``, vouched for without replay by the
-    record of its tree (the fragment accepted from the root, that root, its
-    calls per round and, made on first use, its _tree_shape), or None.
+def _accepted(entry: _Tree, frag, pre: list[int], span: tuple[int, int]) -> list[int] | None:
+    """The calls per round of ``frag``, an override of the tree [lo, hi) =
+    ``span`` started from ``pre``, vouched for without replay by the tree's
+    accepted table fragment ``entry``, or None.
 
     The shift lemma.  Let the accepted fragment B broadcast the tree from its
-    root, and let a ShiftedFragment of B and u start from {root, u}.  Its
+    root lo, and let a ShiftedFragment of B and u start from {lo, u}.  Its
     calls fall in three groups by callee: inside u's subtree (moved r(u)
     rounds earlier), inside the subtrees of the vertices u's caller p calls
     after u, those calls of p included (moved 1 earlier), and the rest (not
@@ -321,19 +401,15 @@ def _accepted(record: list | None, frag, pre: list[int], span: tuple[int, int]
     callees count each group.  This is O(h log M) for a tree of M vertices
     and h rounds; the whole replay of the same rounds gives the same counts.
     """
-    if record is None:
-        return None
-    base, root, counts, shape = record
-    if frag is base:
-        return counts if pre == [root] else None
-    if not (isinstance(frag, ShiftedFragment) and frag.base is base
+    root = span[0]
+    if not (isinstance(frag, ShiftedFragment) and frag.base is entry.fragment
             and len(pre) == 2 and root in pre and frag.u in pre and frag.u != root):
         return None
-    if shape is None:
-        shape = record[3] = _tree_shape(base, *span)
-    if not shape:
+    if entry.shape is None:
+        entry.shape = _tree_shape(entry.fragment, *span)
+    if not entry.shape:
         return None
-    callees, at, by, size = shape
+    callees, at, by, size = entry.shape
     u = frag.u - span[0]
     ru, p, end, last = at[u], by[u], u + size[u], len(callees)
     # per round of B, its callees in u's subtree and in (p, u); none before r(u)
@@ -449,7 +525,7 @@ def certify_graph(g: Graph, layout: CaseOneLayout, params: ConstructionParams,
            else list(range(g.n)))
     # the pool starts all its workers at the first submit: start no more
     # than there are originators and CPUs
-    workers = min(jobs, len(ids), os.cpu_count() or 1)
+    workers = min(jobs, len(ids), os.cpu_count() or 1) if jobs > 1 else 1
     if workers > 1:
         chunks = [ids[i::workers] for i in range(workers)]
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,

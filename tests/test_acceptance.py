@@ -194,9 +194,10 @@ def test_criterion_3_case1_construction_fidelity():
 
 
 def test_criterion_4_broadcast_certification(monkeypatch):
-    # certify_graph checks every schedule from its pieces; each must be
-    # accepted there, and the whole replay of its calls, without the pieces,
-    # must give the same completion round and informed count per round
+    # certify_graph checks every schedule from its pieces, on the layout's
+    # table, accepted once per graph; each must be accepted there, and the
+    # whole replay of its calls, without the pieces, must give the same
+    # completion round and informed count per round
     from broadcastnet import verify
 
     check_pieces, checked = verify._check_pieces, []
@@ -227,6 +228,8 @@ def test_criterion_4_broadcast_certification(monkeypatch):
         assert len(report.per_originator) == n
         assert all(sizes is not None for _, sizes in checked), (t, k, n)
         schedules = [s for s, _ in checked]
+        assert all(s.pieces[2] is layout.plain_table for s in schedules), (t, k, n)
+        assert verify._record(g).accepted.table is layout.plain_table, (t, k, n)
         # every originator's own tree, and tree 1 from w, by the shift lemma
         assert lemma == [frag for s in schedules for _, frag in s.pieces[1]
                          if isinstance(frag, ShiftedFragment)], (t, k, n)

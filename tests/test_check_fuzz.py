@@ -7,14 +7,18 @@ to its id calls, and asks the checker and the oracle for the verdict and the
 completion round, on the id schedule over the graph's label tuple and on a
 copy of its label calls over a label tuple of their own.  The
 factored certifier is asked too, with the mutation placed in one piece of
-the schedule: a cube-phase call, the originator's own tree fragment, or a
-copy of a plain (root-only) fragment.  Two mutations act on pieces only:
-"leave" sends a call across a piece boundary, and "twin" lists a plain
-fragment twice in place of another tree's.  The originator's own fragment,
-a ShiftedFragment, is mutated as a descriptor too (its u, its base, its
-tree): the shift lemma must vouch for no illegal mutant, and an equal base
-not met before (another build's, or a copy) is replayed from the root
-before the lemma uses it; every verdict must be the set replay's.
+the schedule: a cube-phase call, the originator's own tree fragment (an
+override), or a copy of a plain (root-only) fragment in a new table.  Two
+mutations act on pieces only: "leave" sends a call across a piece
+boundary, and "twin" lists a plain fragment twice in a table, in place of
+another tree's.  The originator's own override, a ShiftedFragment, is
+mutated as a descriptor too (its u, its base, its tree): the shift lemma
+must vouch for no illegal mutant, and an equal base not met before
+(another build's, or a copy) is replayed in its tree.  The table is mutated
+as a whole (another build's, a tree missing or twice, a tree moved to the
+overrides), and so is what the cube phase informs of it (a non-root vertex
+of a table tree, a table root left out).  Every verdict must be the set
+replay's.
 """
 
 from collections import Counter
@@ -23,7 +27,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from conftest import label_rounds, label_schedule, neighbours, row
+from conftest import label_rounds, label_schedule, neighbours, row, vertex
 
 from broadcastnet import (
     Schedule,
@@ -176,28 +180,34 @@ def _leave(rounds, later, g, rng, same_tree):
 
 def _pieces_with(place, kind, generated, u, g, layout, rng):
     """The generated schedule's pieces with one mutation: in the cube rounds,
-    in u's own fragment or in a copy of a plain (root-only) fragment, or, for
-    "twin", a plain fragment listed a second time in place of another tree's
-    fragment of as many vertices."""
-    cube, fragments = generated.pieces
-    fragments = list(fragments)
-    plain = [i for i, (tree, frag) in enumerate(fragments)
-             if tree != u.tree and frag is layout.tree_rounds(tree)]
+    in u's own fragment (as an override of u's tree) or in a copy of a plain
+    (root-only) fragment in a new table, or, for "twin", a new table in
+    which a plain fragment is listed a second time in place of another
+    tree's fragment of as many vertices."""
+    cube, overrides, table = generated.pieces
+    overrides, named = list(overrides), dict(overrides)
+    plain = [i for i, (tree, _) in enumerate(table) if tree != u.tree and tree not in named]
     if place == "twin":
         i = rng.choice(plain)
         size = Counter(v.tree for v in g.labels)
-        others = [j for j in range(len(fragments)) if j != i]
-        same = [j for j in others if size[fragments[j][0]] == size[fragments[i][0]]]
-        fragments[rng.choice(same or others)] = fragments[i]
-        return cube, fragments
-    pieces = [(0, cube)] + [(len(cube), frag) for _, frag in fragments]
+        others = [j for j in range(len(table)) if j != i]
+        same = [j for j in others if size[table[j][0]] == size[table[i][0]]]
+        table = list(table)
+        table[rng.choice(same or others)] = table[i]
+        return cube, overrides, tuple(table)
     if place == "cube":
-        at = 0
+        piece = cube
     elif place == "own":
-        at = 1 + next(i for i, (tree, _) in enumerate(fragments) if tree == u.tree)
+        tree = u.tree
+        piece = named[tree] if tree in named else dict(table)[tree]
     else:
-        at = 1 + rng.choice(plain)
-    start, piece = pieces[at]
+        i = rng.choice(plain)
+        tree, piece = table[i]
+    # every piece of the schedule with the round before its first
+    pieces = ([(0, cube)] + [(len(cube), frag) for _, frag in overrides]
+              + [(len(cube), frag) for t, frag in table if t not in named])
+    at = next(j for j, (_, rounds) in enumerate(pieces) if rounds is piece)
+    start = pieces[at][0]
     piece = tuple(tuple(calls) for calls in piece)  # a new object, never verified before
     if kind == "leave":
         later = {b: start0 + r - start for j, (start0, rounds) in enumerate(pieces) if j != at
@@ -207,10 +217,14 @@ def _pieces_with(place, kind, generated, u, g, layout, rng):
         piece = tuple(map(tuple, _leave(piece, later, g, rng, same_tree=at == 0)))
     elif kind != "none":
         piece = tuple(map(tuple, _mutate(kind, piece, g, rng)))
-    if at == 0:
-        return piece, fragments
-    fragments[at - 1] = (fragments[at - 1][0], piece)
-    return cube, fragments
+    if place == "cube":
+        return piece, overrides, table
+    if place == "own":
+        overrides = [(t, frag) for t, frag in overrides if t != tree] + [(tree, piece)]
+        return cube, overrides, table
+    table = list(table)
+    table[i] = (tree, piece)
+    return cube, overrides, tuple(table)
 
 
 @pytest.mark.parametrize("place, kind", [(place, kind) for place in PLACES[:3]
@@ -221,8 +235,8 @@ def test_factored_certifier_agrees_with_set_replay(place, kind, tkn, pick, rng):
     params, g, layout = _instance(*tkn)
     u = g.labels[pick % g.n]
     generated = make_schedule(g, layout, params, u)
-    cube, fragments = _pieces_with(place, kind, generated, u, g, layout, rng)
-    s = Schedule(g.labels, generated.origin, cube, fragments)
+    s = Schedule(g.labels, generated.origin, *_pieces_with(place, kind, generated, u, g,
+                                                          layout, rng))
     want = oracle(g, u, label_rounds(s))
     # the unmutated schedule first, so the mutated one meets recorded verdicts
     assert certify_graph(g, layout, params, originators=[u]).passed
@@ -245,16 +259,17 @@ DESCRIPTOR_MUTATIONS = ("none", "wrong-u", "root-u", "foreign-u", "other-tree-ba
                         "other-graph-base", "unaccepted-base", "w-elsewhere", "twice")
 
 
-def _descriptor_with(kind, fragments, own, g, layout, rng):
-    """The fragments with the ShiftedFragment at index ``own`` (the
+def _descriptor_with(kind, overrides, own, table, g, layout, rng):
+    """The overrides with the ShiftedFragment at index ``own`` (the
     originator's tree) mutated: its u replaced by another vertex of its tree,
     by the tree's root or by a vertex of another tree; its base replaced by
     another tree's fragment, by an equal fragment of another build of the
     graph or by an equal copy not met before; the descriptor of w placed on
-    another tree; or the descriptor listed a second time, for another tree."""
-    fragments = list(fragments)
-    tree, frag = fragments[own]
-    others = [i for i in range(len(fragments)) if i != own]
+    another tree; or the descriptor listed a second time, so that its tree
+    is overridden twice."""
+    overrides = list(overrides)
+    tree, frag = overrides[own]
+    others = [t for t, _ in table if t != tree]
     members = [i for i, label in enumerate(g.labels) if label.tree == tree]
     strangers = [i for i, label in enumerate(g.labels)
                  if label.tree != tree and not label.is_root]
@@ -265,7 +280,7 @@ def _descriptor_with(kind, fragments, own, g, layout, rng):
     elif kind == "foreign-u":
         frag = ShiftedFragment(frag.base, rng.choice(strangers))
     elif kind == "other-tree-base":
-        frag = ShiftedFragment(layout.tree_rounds(fragments[rng.choice(others)][0]), frag.u)
+        frag = ShiftedFragment(layout.tree_rounds(rng.choice(others)), frag.u)
     elif kind == "other-graph-base":
         _, again, _ = build(make_params(g.t, g.k, g.n))
         frag = ShiftedFragment(again.tree_rounds(tree), frag.u)
@@ -273,14 +288,13 @@ def _descriptor_with(kind, fragments, own, g, layout, rng):
     elif kind == "unaccepted-base":
         frag = ShiftedFragment(tuple(map(tuple, frag.base)), frag.u)
     elif kind == "w-elsewhere":
-        other = fragments[rng.choice(others)][0] if tree == 1 else tree
-        fragments[own] = (other, layout.tree_rounds(other, layout.w))
-        return fragments
+        other = rng.choice(others) if tree == 1 else tree
+        overrides[own] = (other, layout.tree_rounds(other, layout.w))
+        return overrides
     elif kind == "twice":
-        fragments[rng.choice(others)] = fragments[own]
-        return fragments
-    fragments[own] = (tree, frag)
-    return fragments
+        return overrides + [overrides[own]]
+    overrides[own] = (tree, frag)
+    return overrides
 
 
 @pytest.mark.parametrize("kind", DESCRIPTOR_MUTATIONS)
@@ -292,16 +306,16 @@ def test_shift_lemma_vouches_only_for_its_own_descriptor(kind, tkn, pick, rng):
     off_cube = [u for u in g.labels if u.cube is None]
     u = off_cube[pick % len(off_cube)]
     generated = make_schedule(g, layout, params, u)
-    cube, fragments = generated.pieces
-    [own] = [i for i, (_, frag) in enumerate(fragments) if isinstance(frag, ShiftedFragment)]
+    cube, overrides, table = generated.pieces
+    [own] = [i for i, (_, frag) in enumerate(overrides) if isinstance(frag, ShiftedFragment)]
     s = Schedule(g.labels, generated.origin, cube,
-                 _descriptor_with(kind, fragments, own, g, layout, rng))
+                 _descriptor_with(kind, overrides, own, table, g, layout, rng), table)
     want = oracle(g, u, label_rounds(s))
     assert certify_graph(g, layout, params, originators=[u]).passed
     accepted, vouched = verify._accepted, []
 
-    def recording(record, frag, pre, span):
-        added = accepted(record, frag, pre, span)
+    def recording(entry, frag, pre, span):
+        added = accepted(entry, frag, pre, span)
         if added is not None and isinstance(frag, ShiftedFragment):
             vouched.append(frag)
         return added
@@ -314,15 +328,104 @@ def test_shift_lemma_vouches_only_for_its_own_descriptor(kind, tkn, pick, rng):
     assert (bool(report.per_originator), rnd) == want
     mutated = [frag for _, frag in s.pieces[1] if isinstance(frag, ShiftedFragment)]
     if kind in ("none", "other-graph-base", "unaccepted-base"):
-        # legal; a base not met before is replayed from the root first
-        assert want == (True, params.t + 1) and vouched == mutated
+        # legal; a descriptor on the table's own fragment is vouched for, and
+        # one on an equal base not met before is replayed in its tree
+        assert want == (True, params.t + 1) and verify._check_pieces(g, s) is not None
+        assert vouched == (mutated if kind == "none" else [])
         tree = s.pieces[1][own][0]
-        assert verify._tree_table(g)[2][tree][0] is mutated[0].base
+        assert verify._record(g).accepted.trees[tree].fragment is layout.tree_rounds(tree)
     else:
-        # of two copies of a descriptor, the first met is vouched for and
-        # the second sends the schedule to the whole replay
+        # the lemma vouches for no illegal descriptor, and the schedule goes
+        # to the whole replay
         assert not want[0] and verify._check_pieces(g, s) is None
-        assert vouched == (mutated[:1] if kind == "twice" else [])
+        assert vouched == []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verify, "_check_pieces", lambda g, s: None)
+            whole = check_schedule(g, s)
+        assert report.failures == [{"id": g.vertex_id(u),
+                                    "violation": whole.violation.to_json_obj()}]
+
+
+TABLE_MUTATIONS = ("none", "other-build", "missing", "twice", "foreign-override", "non-root",
+                   "uninformed-root")
+
+
+def _table_with(kind, generated, g, layout, rng):
+    """The generated schedule's pieces with its table, or what the cube
+    phase informs of it, mutated: the equal table of another build; a table
+    with a tree left out that no override names; a table listing a tree a
+    second time; a tree moved from the table to the overrides (its own
+    fragment, or its override alone); an override dropped, so that the cube
+    phase informs a non-root vertex (u, or w) of a tree left to the table,
+    or, with no override, a cube call to a table root sent to a non-root
+    neighbour of its caller in a table tree; or a cube call to a table root
+    that calls no one later in the cube dropped, which leaves that root
+    uninformed."""
+    cube, overrides, table = generated.pieces
+    named = dict(overrides)
+    free = [i for i, (tree, _) in enumerate(table) if tree not in named]
+    if kind == "none":
+        return cube, overrides, table
+    if kind == "other-build":
+        _, again, _ = build(make_params(g.t, g.k, g.n))
+        assert again.plain_table == table and again.plain_table is not table
+        return cube, overrides, again.plain_table
+    if kind in ("missing", "twice", "foreign-override"):
+        table = list(table)
+        if kind == "missing":
+            del table[rng.choice(free)]
+        elif kind == "twice":
+            table.insert(rng.randrange(len(table) + 1), rng.choice(table))
+        else:
+            tree, frag = table.pop(rng.randrange(len(table)))
+            overrides += ((tree, frag),) * (tree not in named)
+        return cube, overrides, tuple(table)
+    if kind == "non-root" and overrides:
+        overrides = list(overrides)
+        del overrides[rng.randrange(len(overrides))]
+        return cube, overrides, table
+    roots = {g.vertex_id(vertex(g, layout, table[i][0], 0)) for i in free}
+    rounds = [list(calls) for calls in cube]
+    spots = [(r, i) for r, calls in enumerate(rounds) for i, (_, b) in enumerate(calls)
+             if b in roots]
+    if kind == "non-root":
+        members = {v for v, label in enumerate(g.labels) if not label.is_root
+                   and label.tree in {table[i][0] for i in free}}
+        aimed = [(r, i, c) for r, i in spots for c in row(g, rounds[r][i][0]) if c in members]
+        r, i, c = rng.choice(aimed)
+        rounds[r][i] = (rounds[r][i][0], c)
+    else:
+        callers = {a for calls in rounds for a, _ in calls}
+        quiet = [(r, i) for r, i in spots if rounds[r][i][1] not in callers]
+        r, i = rng.choice(quiet or spots)
+        del rounds[r][i]
+    return tuple(map(tuple, rounds)), overrides, table
+
+
+@pytest.mark.parametrize("kind", TABLE_MUTATIONS)
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(instances(), st.integers(0, 1 << 30), st.randoms(use_true_random=False))
+def test_table_is_used_only_where_each_tree_starts_from_its_root(kind, tkn, pick, rng):
+    params, g, layout = _instance(*tkn)
+    u = g.labels[pick % g.n]
+    generated = make_schedule(g, layout, params, u)
+    s = Schedule(g.labels, generated.origin, *_table_with(kind, generated, g, layout, rng))
+    want = oracle(g, u, label_rounds(s))
+    assert certify_graph(g, layout, params, originators=[u]).passed
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "make_schedule", lambda *args: s)
+        report = certify_graph(g, layout, params, originators=[u])
+    [(_, rnd)] = report.per_originator or [(None, None)]
+    assert (bool(report.per_originator), rnd) == want
+    if kind in ("none", "other-build"):
+        # an equal table object not met before is accepted in its turn
+        assert want == (True, params.t + 1) and verify._check_pieces(g, s) is not None
+        assert verify._record(g).accepted.table is s.pieces[2]
+    elif kind == "foreign-override":
+        # the same calls: legal, but only the whole replay may say so
+        assert want == (True, params.t + 1) and verify._check_pieces(g, s) is None
+    else:
+        assert not want[0] and verify._check_pieces(g, s) is None
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(verify, "_check_pieces", lambda g, s: None)
             whole = check_schedule(g, s)

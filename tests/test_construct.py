@@ -249,6 +249,19 @@ def test_shift_lemma_matches_simulation(t, k, n):
             for calls in layout.tree_rounds(1))
 
 
+@pytest.mark.parametrize("t,k,n", [(8, 3, 448), (9, 4, 703), (8, 3, 300)])
+def test_plain_table_is_made_once_from_every_surviving_tree(t, k, n):
+    # full size, tree 1 deleted (p=2), and pruned: one pair per surviving
+    # tree in order, holding tree_rounds' cached root-only fragment
+    params = make_params(t, k, n)
+    _, layout, _ = build(params)
+    table = layout.plain_table
+    live = [i for i in range(1, params.num_trees + 1) if i not in layout.deleted_trees]
+    assert [tree for tree, _ in table] == live
+    assert all(frag is layout.tree_rounds(tree) for tree, frag in table)
+    assert layout.plain_table is table
+
+
 def test_case2_descendants_deleted_before_ancestors():
     params = make_params(8, 3, 257)
     _, layout, _ = build(params)

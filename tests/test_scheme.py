@@ -29,8 +29,7 @@ def test_classify_case1(g72):
     assert classify(g, layout, v_q1).tag == "C12"
     # tree 1 is rooted on the low corner block
     v_q2 = vertex(g, layout, 1, 5)
-    case = classify(g, layout, v_q2)
-    assert case.tag == "C13" and case.subcube == 0
+    assert classify(g, layout, v_q2).tag == "C13"
 
 
 def test_classify_case2(g73_shrunk):
@@ -213,24 +212,27 @@ def test_originators_need_no_tree_simulation(monkeypatch):
 def test_tree_one_starts_from_its_root_and_one_vertex_at_most(t, k, n):
     # full, shrunk with x = 0 and with x > 0 (tree 1 deleted whole): for
     # every originator the cube phase informs at most one vertex of tree 1
-    # besides its root, u or w, and tree 1's fragment starts from exactly it
+    # besides its root, u or w, and tree 1's fragment starts from exactly it:
+    # an override of the table's fragment, or with no override the table's
     params = make_params(t, k, n)
     g, layout, _ = build(params)
     tree1 = set(layout.dense[:layout.tree_size]) - {-1}
     root1, plain = layout.dense[0], (layout.tree_rounds(1) if layout.w_alive else None)
     for label in g.labels:
         s = make_schedule(g, layout, params, label)
-        cube, fragments = s.pieces
+        cube, overrides, table = s.pieces
+        assert table is layout.plain_table
         informed = ({s.origin} | {b for calls in cube for _, b in calls}) & tree1
-        frags = [frag for tree, frag in fragments if tree == 1]
+        frags = [frag for tree, frag in overrides if tree == 1]
         if not layout.w_alive:
-            assert frags == [] and informed == set()
+            assert frags == [] and informed == set() and 1 not in dict(table)
             continue
-        (frag,) = frags
+        assert dict(table)[1] is plain
         extra = informed - {root1}
         assert root1 in informed and len(extra) <= 1, (label, extra)
         if extra:
+            (frag,) = frags
             assert isinstance(frag, ShiftedFragment) and frag.base is plain
             assert {frag.u} == extra, label
         else:
-            assert frag is plain, label
+            assert frags == [], label

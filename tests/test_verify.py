@@ -340,7 +340,7 @@ def test_certify_on_a_loaded_graph_runs_piecewise(g73_shrunk):
     report = certify_graph(loaded, layout, params)
     assert report.passed
     assert report.to_json() == certify_graph(g, layout, params).to_json()
-    assert verify._tree_table(loaded)[2], "no plain fragment was recorded"
+    assert verify._record(loaded).accepted.table is layout.plain_table, "no table was accepted"
 
 
 def test_tree_fragments_are_immutable(g72):
@@ -420,13 +420,13 @@ def test_recorded_verdict_is_tied_to_its_start_vertex(g72, monkeypatch):
     r1, r3 = vertex(g, layout, 1, 0), vertex(g, layout, 3, 0)
     s = make_schedule(g, layout, params, r1)
     assert certify_graph(g, layout, params, originators=[r1]).passed
-    cube, fragments = s.pieces
-    assert (3, layout.tree_rounds(3)) in fragments
+    cube, overrides, table = s.pieces
+    assert (3, layout.tree_rounds(3)) in table and 3 not in dict(overrides)
     a, b = g.vertex_id(r1), g.vertex_id(r3)
     x = max(v for v in row(g, a) if g.labels[v].tree == 3)
     assert (a, b) in cube[-1] and b not in {c for calls in cube for c, _ in calls}
     cube = [[(a, x) if call == (a, b) else call for call in calls] for calls in cube]
-    bad = Schedule(g.labels, a, cube, fragments)
+    bad = Schedule(g.labels, a, cube, overrides, table)
     monkeypatch.setattr(verify, "make_schedule", lambda *args: bad)
     report = certify_graph(g, layout, params, originators=[r1])
     violation = check_schedule(g, bad).violation
@@ -455,15 +455,15 @@ def test_piecewise_replay_state_is_reset_after_every_check(g73_shrunk):
     legal = [make_schedule(g, layout, params, u) for u in off_cube[::37]]
 
     def own_fragment(s):
-        """The schedule's own-tree fragment, and a copy of s with it replaced
+        """The schedule's own-tree override, and a copy of s with it replaced
         (or dropped, for None)."""
-        cube, fragments = s.pieces
-        i = next(i for i, (_, f) in enumerate(fragments) if isinstance(f, ShiftedFragment))
-        tree, frag = fragments[i]
+        cube, overrides, table = s.pieces
+        i = next(i for i, (_, f) in enumerate(overrides) if isinstance(f, ShiftedFragment))
+        tree, frag = overrides[i]
 
         def replaced(new):
-            rest = fragments[:i] + ((tree, new),) * (new is not None) + fragments[i + 1:]
-            return Schedule(g.labels, s.origin, cube, rest)
+            rest = overrides[:i] + ((tree, new),) * (new is not None) + overrides[i + 1:]
+            return Schedule(g.labels, s.origin, cube, rest, table)
 
         return tree, frag, replaced
 
@@ -471,16 +471,23 @@ def test_piecewise_replay_state_is_reset_after_every_check(g73_shrunk):
     for s in legal:
         tree, frag, replaced = own_fragment(s)
         root = g.vertex_id(vertex(g, layout, tree, 0))
+        other = next(t for t, _ in s.pieces[2] if t != tree)
         cases += [
             s,
-            Schedule(g.labels, s.origin, _stop_mid_round(s.pieces[0], s.origin), s.pieces[1]),
+            Schedule(g.labels, s.origin, _stop_mid_round(s.pieces[0], s.origin), *s.pieces[1:]),
             s,
             replaced(_stop_mid_round(frag, root)),
             replaced(ShiftedFragment(_stop_mid_round(frag.base, root), frag.u)),
             replaced(None),
             replaced((((frag[0][0][0], -1),),)),
+            # a table whose fragment of another tree stops mid-round: its
+            # acceptance writes state in that tree and must reset it
+            Schedule(g.labels, s.origin, s.pieces[0], s.pieces[1], tuple(
+                (t, _stop_mid_round(f, s.origin) if t == other else f)
+                for t, f in s.pieces[2])),
         ]
-    when, used = verify._tree_table(g)[4:6]
+    rec = verify._record(g)
+    when, used = rec.when, rec.used
     outcomes = []
     for s in cases:
         res = check_schedule(g, s)
@@ -488,16 +495,16 @@ def test_piecewise_replay_state_is_reset_after_every_check(g73_shrunk):
         assert when == [verify._NEVER] * g.n and used == [0] * g.n
         outcomes.append(res.ok)
     assert len(legal) == 5
-    assert outcomes == [True, False, True, False, False, False, False] * len(legal)
+    assert outcomes == [True, False, True, False, False, False, False, False] * len(legal)
     # an id that is no index: met by the replay it raises, as it always has;
     # after a violation the whole replay decides; either way the state is
     # left as it was found
     s = legal[0]
-    cube, fragments = s.pieces
+    cube, overrides, table = s.pieces
     rounds = [list(calls) for calls in cube]
     rounds[-1][-1] = (rounds[-1][-1][0], "x")
     with pytest.raises(TypeError):
-        check_schedule(g, Schedule(g.labels, s.origin, rounds, fragments))
+        check_schedule(g, Schedule(g.labels, s.origin, rounds, overrides, table))
     assert when == [verify._NEVER] * g.n and used == [0] * g.n
     _, frag, replaced = own_fragment(s)
     rounds = [list(calls) for calls in _stop_mid_round(frag, s.origin)]
@@ -509,12 +516,29 @@ def test_piecewise_replay_state_is_reset_after_every_check(g73_shrunk):
     assert check_schedule(g, s).ok
 
 
-def test_shift_lemma_counts_only_a_base_in_preorder(g72):
+def test_table_fragment_ending_in_an_empty_round_goes_to_the_whole_replay(g72):
+    # a trailing empty round adds a round to the whole replay's counts that
+    # the table's summed counts would not show, so such a table is not
+    # accepted, and the schedule gets the whole replay's result
+    params, g, layout, _ = g72
+    s = make_schedule(g, layout, params, vertex(g, layout, 2, 5))
+    cube, overrides, table = s.pieces
+    padded = Schedule(g.labels, s.origin, cube, overrides,
+                      tuple((tree, frag + ((),) if tree == 3 else frag) for tree, frag in table))
+    assert verify._check_pieces(g, padded) is None
+    res = check_schedule(g, padded)
+    plain = check_schedule(g, s)
+    assert res.ok and len(res.informed_per_round) == len(plain.informed_per_round) + 1
+
+
+def test_shift_lemma_counts_only_a_base_in_preorder(g72, monkeypatch):
     # a legal root-only fragment of tree 2 in which every vertex calls its
     # children smallest subtree first: its subtrees are still id ranges, but
     # the children a vertex calls after v lie above v, not in (p, v), so the
-    # lemma's counts do not fit it; the shifted fragment goes to the whole
-    # replay, which accepts it late
+    # lemma's counts do not fit it.  With it as tree 2's table fragment, the
+    # table is accepted, the lemma refuses the override shifted from it, and
+    # the override is replayed in its tree: legal but late, with the counts
+    # per round of the whole replay
     params, g, layout, _ = g72
     M, h = layout.tree_size, layout.h
     ids = layout.dense[M:2 * M]
@@ -530,11 +554,19 @@ def test_shift_lemma_counts_only_a_base_in_preorder(g72):
     assert verify._tree_shape(base, lo, lo + M) == ()
     u = vertex(g, layout, 2, 5)
     s = make_schedule(g, layout, params, u)
-    cube, fragments = s.pieces
-    fragments = [(tree, ShiftedFragment(base, frag.u) if tree == 2 else frag)
-                 for tree, frag in fragments]
-    shifted = Schedule(g.labels, s.origin, cube, fragments)
-    assert verify._check_pieces(g, shifted) is None
+    cube, overrides, table = s.pieces
+    assert [tree for tree, _ in overrides] == [2]
+    shifted = Schedule(g.labels, s.origin, cube,
+                       [(2, ShiftedFragment(base, overrides[0][1].u))],
+                       tuple((tree, base if tree == 2 else frag) for tree, frag in table))
+    accepted, vouched = verify._accepted, []
+    monkeypatch.setattr(verify, "_accepted",
+                        lambda *args: vouched.append(accepted(*args)) or vouched[-1])
+    sizes = verify._check_pieces(g, shifted)
+    assert vouched == [None]
+    entry = verify._record(g).accepted.trees[2]
+    assert entry.fragment is base and entry.shape == ()
+    monkeypatch.setattr(verify, "_check_pieces", lambda g, s: None)
     res = check_schedule(g, shifted)
     assert res.ok and res.completion_round > params.t + 1
-    assert verify._tree_table(g)[2][2][0] is base
+    assert tuple(sizes) == res.informed_per_round
