@@ -42,7 +42,7 @@ from .bounds import closed_form_5a, closed_form_5b
 from .graph import Graph
 from .labels import VertexLabel, bits, pos_mask
 from .params import ConstructionParams
-from .schedule import IdCall, ShiftedFragment
+from .schedule import CubeTemplate, IdCall, ShiftedFragment
 
 Edge = tuple[int, int]  # (low, high) full ids
 Fragment = tuple[tuple[IdCall, ...], ...]  # rounds of one tree's broadcast
@@ -70,6 +70,10 @@ class CaseOneLayout:
     dense: array = field(default_factory=lambda: array("i"), repr=False)
     coord_ids: list[int] = field(default_factory=list, repr=False)
     _plain_rounds: dict[int, Fragment] = field(default_factory=dict, repr=False)
+    # filled by the scheme on first use: per tree, the cube phase its
+    # off-cube originators share (a CubeTemplate) and whether it informs w
+    cube_templates: dict[int, tuple[CubeTemplate, bool]] = field(default_factory=dict,
+                                                                 repr=False)
 
     @property
     def k(self) -> int:
@@ -79,15 +83,17 @@ class CaseOneLayout:
     def h(self) -> int:
         return self.params.tree_order
 
-    @property
+    # the scheme reads these per originator: each is worked out once, then
+    # read as a plain attribute
+    @cached_property
     def tree_size(self) -> int:
         return self.params.tree_size
 
-    @property
+    @cached_property
     def half(self) -> int:
         return 1 << (self.k - 1)
 
-    @property
+    @cached_property
     def w(self) -> int:
         """Full id of w, the deepest leaf of tree 1."""
         return self.tree_size - 1

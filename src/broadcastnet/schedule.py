@@ -4,7 +4,11 @@ A schedule is immutable.  Its vertices are dense ids indexing a label tuple,
 as the graph numbering them holds it; labels are read only at the boundary.
 The calls are kept in the shape of the broadcast scheme's two phases: the
 rounds from round 1 on, then the tree fragments, every one starting in the
-round after those rounds.  The fragments come as a table and overrides.  The
+round after those rounds.  The first rounds are a tuple of rounds, or a
+FilledTemplate: a CubeTemplate, the first rounds that every originator of
+one tree shares, with the originator's own calls left as (round, callee)
+slots, filled with one originator in O(1) and made into rounds only when
+they are read.  The fragments come as a table and overrides.  The
 table is a tuple of (tree, fragment) pairs, one per tree, each broadcasting
 its tree from the root alone; one table serves every schedule on a graph
 (CaseOneLayout.plain_table), so a checker can accept it once per graph.  An
@@ -13,7 +17,9 @@ fragment of its tree: the scheme overrides the originator's own tree and,
 when its first rounds inform w, tree 1.  A plain schedule has neither.  A
 fragment is a tuple of rounds, or a ShiftedFragment: a tuple fragment with
 one more vertex informed before it starts, described in O(1) and made into
-rounds only when they are read.
+rounds only when they are read.  A template, like a fragment, is
+immutable, so a checker may accept it once and key the verdict by the
+object.
 """
 
 from __future__ import annotations
@@ -33,20 +39,23 @@ class Schedule:
     placed during round i+1, every id indexing ``labels``.
 
     ``pieces`` is (the rounds given, the override pairs given, the table
-    given).  The table is kept as the object given, a tuple, and the
-    fragments as they are given, so they should be immutable, as tree_rounds
-    makes them (tuples, or ShiftedFragments).
+    given).  The rounds are kept as a tuple, or as the FilledTemplate given;
+    the table as the object given, a tuple, and the fragments as they are
+    given, so they should be immutable, as tree_rounds makes them (tuples,
+    or ShiftedFragments).
     """
 
     __slots__ = ("labels", "origin", "pieces", "_assembled")
 
     def __init__(self, labels: tuple[VertexLabel, ...], origin: int,
-                 rounds: Iterable[Iterable[IdCall]],
+                 rounds: Iterable[Iterable[IdCall]] | FilledTemplate,
                  overrides: Iterable[tuple[int, Sequence[Sequence[IdCall]]]] = (),
                  table: tuple[tuple[int, Sequence[Sequence[IdCall]]], ...] = ()):
         self.labels = labels
         self.origin = origin
-        self.pieces = (tuple(tuple(calls) for calls in rounds), tuple(overrides), tuple(table))
+        if not isinstance(rounds, FilledTemplate):
+            rounds = tuple(tuple(calls) for calls in rounds)
+        self.pieces = (rounds, tuple(overrides), tuple(table))
         self._assembled: tuple[tuple[IdCall, ...], ...] | None = None
 
     @property
@@ -169,3 +178,67 @@ def _shifted(base: Sequence[Sequence[IdCall]], u: int) -> tuple[tuple[IdCall, ..
     while rounds and not rounds[-1]:
         rounds.pop()
     return tuple(tuple(sorted(calls)) for calls in rounds)
+
+
+class CubeTemplate:
+    """The first rounds that every originator of one tree, off the cube,
+    shares: ``rounds``, the calls per round of every vertex but the
+    originator, and ``slots``, the originator's own calls as (round, callee)
+    pairs, the round counted from 1.  In each round the originator's calls
+    follow the others, in slot order.  Made once per tree; immutable, and
+    compared by identity.
+    """
+
+    __slots__ = ("tree", "rounds", "slots")
+
+    def __init__(self, tree: int, rounds: Iterable[Iterable[IdCall]],
+                 slots: Iterable[tuple[int, int]]):
+        rounds = tuple(tuple(calls) for calls in rounds)
+        slots = tuple(slots)
+        if any(not 1 <= r <= len(rounds) for r, _ in slots):
+            raise ValueError("a slot lies outside the template's rounds")
+        object.__setattr__(self, "tree", tree)
+        object.__setattr__(self, "rounds", rounds)
+        object.__setattr__(self, "slots", slots)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"CubeTemplate is immutable: cannot set {name}")
+
+    def __reduce__(self):
+        return CubeTemplate, (self.tree, self.rounds, self.slots)
+
+
+class FilledTemplate(Sequence):
+    """The rounds of ``template`` with the originator ``u`` making its slot
+    calls.  Made in O(1); the rounds are made, once, when first read."""
+
+    __slots__ = ("template", "u", "_rounds")
+
+    def __init__(self, template: CubeTemplate, u: int):
+        object.__setattr__(self, "template", template)
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "_rounds", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"FilledTemplate is immutable: cannot set {name}")
+
+    def __reduce__(self):
+        return FilledTemplate, (self.template, self.u)
+
+    @property
+    def rounds(self) -> tuple[tuple[IdCall, ...], ...]:
+        if self._rounds is None:
+            rounds = [list(calls) for calls in self.template.rounds]
+            for r, c in self.template.slots:
+                rounds[r - 1].append((self.u, c))
+            object.__setattr__(self, "_rounds", tuple(map(tuple, rounds)))
+        return self._rounds
+
+    def __len__(self) -> int:
+        return len(self.template.rounds)
+
+    def __getitem__(self, i):
+        return self.rounds[i]
+
+    def __iter__(self):
+        return iter(self.rounds)

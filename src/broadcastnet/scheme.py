@@ -12,6 +12,15 @@ blocks removed.  That region is covered inside the budget by a recursive
 split: the entry vertex crosses into the region's top block, sweeps it,
 and the block then pulls the rest down its matching in the final round
 (or recurses one level lower when the entry sits below the top block).
+
+Every originator off the cube (classes C12, C13, C22, C23) makes its first
+call to a root of the first half and one call into each lower block, and
+the blocks then sweep themselves: only the originator's own calls, the
+last of their rounds, depend on which vertex of its tree it is.  So that
+cube phase is made, and its phase checks run, once per tree, as a
+CubeTemplate kept on the layout, and each originator gets it as a
+FilledTemplate, in O(1).  An originator on the cube, one of at most 2^k,
+gets its cube phase made afresh.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ from .graph import Graph
 from .hypercube import sweep_rounds
 from .labels import VertexLabel
 from .params import ConstructionParams
-from .schedule import IdCall, Schedule
+from .schedule import CubeTemplate, FilledTemplate, IdCall, Schedule
 
 CoordCall = tuple[int, int]
 
@@ -41,22 +50,21 @@ class SchemeCase:
 
 
 def classify(g: Graph, layout: CaseOneLayout, u: VertexLabel) -> SchemeCase:
-    return _case(g, layout, u)[1]
-
-
-def _case(g: Graph, layout: CaseOneLayout, u: VertexLabel) -> tuple[int, SchemeCase]:
-    """u's full id and its case."""
-    if u not in g:
-        raise UnknownVertex(f"{u} not in graph")
     shrunk = layout.params.n < layout.params.N
-    f = layout.full_id(u)
+    f = _full_id(g, layout, u)
     tree, mask = divmod(f, layout.tree_size)  # zero-based tree index
     if mask == 0 or f == layout.w:
-        return f, SchemeCase(tag="C21" if shrunk else "C11")
-    c = layout.coord_of_tree[tree + 1]
-    if c >= layout.half:
-        return f, SchemeCase(tag="C22" if shrunk else "C12")
-    return f, SchemeCase(tag="C23" if shrunk else "C13")
+        return SchemeCase(tag="C21" if shrunk else "C11")
+    if layout.coord_of_tree[tree + 1] >= layout.half:
+        return SchemeCase(tag="C22" if shrunk else "C12")
+    return SchemeCase(tag="C23" if shrunk else "C13")
+
+
+def _full_id(g: Graph, layout: CaseOneLayout, u: VertexLabel) -> int:
+    """u's full id, or UnknownVertex when g lacks u."""
+    if u not in g:
+        raise UnknownVertex(f"{u} not in graph")
+    return layout.full_id(u)
 
 
 # ---------------------------------------------------------------------------
@@ -96,81 +104,111 @@ def _low_region(layout: CaseOneLayout, entry: int) -> list[list[CoordCall]]:
 # schedule assembly
 
 
-def make_schedule(g: Graph, layout: CaseOneLayout, params: ConstructionParams,
-                  u: VertexLabel) -> Schedule:
-    """Legal schedule from originator u completing by round t+1, as dense ids
-    of the graph the layout was built with."""
-    f, case = _case(g, layout, u)
-    k, p = params.k, params.p
+def _cube_phase(layout: CaseOneLayout, params: ConstructionParams, tree: int,
+                uc: int | None) -> tuple[list[list[IdCall]], list[tuple[int, int]], set[int]]:
+    """The cube phase, rounds 1..k, from the vertex on cube coordinate
+    ``uc``, or, with uc None, from any vertex of ``tree`` off the cube.
+    Returns the calls per round of every vertex but an off-cube originator;
+    that originator's own calls, the last of their rounds, as (round, callee
+    id) slots; and the coordinates informed.  For an off-cube originator
+    none of it depends on which vertex it is."""
+    k, p, half = params.k, params.p, layout.half
     ids = layout.coord_ids
-    cube: list[list[IdCall]] = [[] for _ in range(k)]  # rounds 1..k
-    uid = layout.dense[f]
-    utree, umask = f // params.tree_size + 1, f % params.tree_size
-    # coordinates informed by the end of the cube phase
-    cube_informed: set[int] = set()
-    if umask == 0:
-        cube_informed.add(layout.coord_of_tree[utree])
-    elif f == layout.w:
-        cube_informed.add(0)
+    rounds: list[list[IdCall]] = [[] for _ in range(k)]
+    slots: list[tuple[int, int]] = []
+    informed: set[int] = set() if uc is None else {uc}
 
     def call(rnd: int, a: int, c: int):
         """In round rnd, the vertex of id a calls the vertex on coordinate c."""
-        cube[rnd - 1].append((a, ids[c]))
-        cube_informed.add(c)
+        rounds[rnd - 1].append((a, ids[c]))
+        informed.add(c)
+
+    def own(rnd: int, c: int):
+        """In round rnd, the off-cube originator calls coordinate c."""
+        slots.append((rnd, ids[c]))
+        informed.add(c)
 
     def place(start: int, coord_rounds: list[list[CoordCall]]):
         for off, calls in enumerate(coord_rounds):
             for a, b in calls:
                 call(start + off, ids[a], b)
 
-    if case.on_cube:
-        uc = layout.coord_of_tree[utree] if umask == 0 else 0
-        if params.n == params.N:
-            place(1, sweep_rounds(uc, k))
-        else:
-            dead = (1 << p) if params.x > 0 else 0
-            if uc >= layout.half:
-                partner = uc ^ layout.half
-                if partner < dead:
-                    partner = dict(layout.replacement_coords)[uc]
-                q1_seed, q2_entry = uc, partner
-            else:
-                partner = uc | layout.half
-                q1_seed, q2_entry = partner, uc
-            call(1, ids[uc], partner)
-            place(2, sweep_rounds(q1_seed, k - 1))
-            place(2, _low_region(layout, q2_entry))
-    else:
-        rc = layout.coord_of_tree[utree]
-        if case.tag in ("C12", "C22"):
-            call(1, uid, rc)
-            place(2, sweep_rounds(rc, k - 1))
-        else:
-            call(1, uid, layout.half)
-            place(2, sweep_rounds(layout.half, k - 1))
+    if uc is None:
+        rc = layout.coord_of_tree[tree]
+        first = rc if rc >= half else half  # C12/C22 call their own root, C13/C23 coordinate half
+        own(1, first)
+        place(2, sweep_rounds(first, k - 1))
         for i in range(2, k - p + 1):
             j = k - i  # in round i u calls into block Q^j: its own root if that lies there
             seed = rc if rc >> j == 1 else 1 << j
-            call(i, uid, seed)
+            own(i, seed)
             place(i + 1, sweep_rounds(seed, j))
+    elif params.n == params.N:
+        place(1, sweep_rounds(uc, k))
+    else:
+        dead = (1 << p) if params.x > 0 else 0
+        if uc >= half:
+            partner = uc ^ half
+            if partner < dead:
+                partner = dict(layout.replacement_coords)[uc]
+            q1_seed, q2_entry = uc, partner
+        else:
+            partner = uc | half
+            q1_seed, q2_entry = partner, uc
+        call(1, ids[uc], partner)
+        place(2, sweep_rounds(q1_seed, k - 1))
+        place(2, _low_region(layout, q2_entry))
+    return rounds, slots, informed
 
-    # the cube phase must have informed every live coordinate by round k
-    missing = layout.live_coords - cube_informed
-    if not (case.on_cube or params.x > 0 or f == layout.w):
+
+def _informs_w(layout: CaseOneLayout, params: ConstructionParams, informed: set[int],
+               own_tree: int | None) -> bool:
+    """Whether a cube phase that informs the coordinates ``informed`` informs
+    w too.  Raises SchemePhaseOverrun when it misses a live coordinate
+    (coordinate 0, w, may wait for its tree when x = 0 and the originator is
+    off the cube, in ``own_tree``), or when it informs w as well as an
+    off-cube originator of tree 1."""
+    missing = layout.live_coords - informed
+    if own_tree is not None and params.x == 0:
         missing -= {0}  # w is reached through its tree
     if missing:
-        raise SchemePhaseOverrun(f"cube vertices missed by round {k}: {sorted(missing)}")
+        raise SchemePhaseOverrun(f"cube vertices missed by round {params.k}: "
+                                 f"{sorted(missing)}")
+    w_informed = 0 in informed and layout.w_alive
+    if w_informed and own_tree == 1:
+        raise SchemePhaseOverrun("the cube phase informed both u and w of tree 1")
+    return w_informed
 
+
+def make_schedule(g: Graph, layout: CaseOneLayout, params: ConstructionParams,
+                  u: VertexLabel) -> Schedule:
+    """Legal schedule from originator u completing by round t+1, as dense ids
+    of the graph the layout was built with.
+
+    An originator off the cube gets its tree's cube phase as a FilledTemplate
+    of the tree's CubeTemplate, made and checked on first use and kept on
+    the layout; an originator on the cube gets its cube phase as rounds."""
+    f = _full_id(g, layout, u)
+    M, w = layout.tree_size, layout.w
+    utree, umask = f // M + 1, f % M
+    uid = layout.dense[f]
+    if umask and f != w:
+        entry = layout.cube_templates.get(utree)
+        if entry is None:
+            rounds, slots, informed = _cube_phase(layout, params, utree, None)
+            w_informed = _informs_w(layout, params, informed, utree)
+            entry = layout.cube_templates[utree] = (CubeTemplate(utree, rounds, slots), w_informed)
+        template, w_informed = entry
+        first = FilledTemplate(template, uid)
+        overrides = [(utree, layout.tree_rounds(utree, umask))]
+    else:
+        first, _, informed = _cube_phase(layout, params, utree,
+                                         layout.coord_of_tree[utree] if umask == 0 else 0)
+        w_informed = _informs_w(layout, params, informed, None)
+        overrides = []
     # tree phase: every surviving tree broadcasts alone from round k+1, from
     # its root (the layout's table) and at most one more vertex, u in its own
     # tree or w in tree 1 (an override of the table's fragment)
-    w_informed = 0 in cube_informed and layout.w_alive
-    if w_informed and utree == 1 and umask not in (0, layout.w):
-        raise SchemePhaseOverrun("the cube phase informed both u and w of tree 1")
-    overrides = []
-    if umask and f != layout.w:
-        overrides.append((utree, layout.tree_rounds(utree, umask)))
     if w_informed:  # tree 1 starts at full id 0, so w's mask is its full id
-        overrides.append((1, layout.tree_rounds(1, layout.w)))
-
-    return Schedule(layout.labels, uid, cube, overrides, layout.plain_table)
+        overrides.append((1, layout.tree_rounds(1, w)))
+    return Schedule(layout.labels, uid, first, overrides, layout.plain_table)

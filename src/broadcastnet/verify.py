@@ -10,13 +10,22 @@ equal one, is checked piece by piece first (_check_pieces).  Its table, the
 root-only fragment of every surviving tree that all schedules on a graph
 share, is accepted once per graph: each fragment is replayed from its
 tree's root alone, and its counts per round are kept with their sum.  Per
-originator, the first rounds (the cube phase) are replayed, and they must
+originator, the first rounds (the cube phase) are accepted, and they must
 inform each table tree at its root alone unless an override takes the
-tree's place; the overrides (the originator's own tree, and tree 1 when the
-cube phase informs w) are each a ShiftedFragment of a table fragment, which
-the shift lemma accepts in O(h log M) for a tree of M vertices and h rounds
-(_accepted), or are replayed in their tree.  Whatever that check does not
-accept is replayed whole, which gives every failure's witness."""
+tree's place.  First rounds that are a FilledTemplate are accepted through
+their template, once per graph: it is replayed from a placeholder for the
+originator, informed at round 0 and making the template's slot calls, and
+per originator only u's own calls are checked: u is none of the
+template's ids, lies in its tree, and neighbours each slot callee.  Sound
+because a call that does not involve u does not depend on which vertex u
+is: u is informed at round 0 whoever it is, and the template fixes the
+rounds u calls in and the vertices it calls (_vouched_template).  Other
+first rounds are replayed.  The overrides (the originator's own tree, and
+tree 1 when the cube phase informs w) are each a ShiftedFragment of a table
+fragment, which the shift lemma accepts in O(h log M) for a tree of M
+vertices and h rounds (_accepted), or are replayed in their tree.  Whatever
+that check does not accept is replayed whole, which gives every failure's
+witness."""
 
 from __future__ import annotations
 
@@ -34,7 +43,7 @@ from .errors import BroadcastNetError, DisconnectedGraph, TooLarge
 from .graph import Graph
 from .labels import VertexLabel
 from .params import ConstructionParams, ceil_log2
-from .schedule import Schedule, ShiftedFragment
+from .schedule import CubeTemplate, FilledTemplate, Schedule, ShiftedFragment
 from .scheme import make_schedule
 
 
@@ -201,7 +210,9 @@ class _Record:
     ``when`` and ``used`` are replay state (see _fresh) that every check
     leaves as it found it.  ``cube_rows`` is the edge test of the first
     rounds (below), ``sets`` the whole replay's neighbour sets
-    (_neighbour_sets), and ``accepted`` the table accepted last, or None.
+    (_neighbour_sets), ``accepted`` the table accepted last, or None, and
+    ``templates`` the verdict on every cube template met since, keyed by the
+    template object: a _Template, or None when it was refused.
 
     The cube rows hold, per vertex, its neighbours that have a cube
     coordinate, as a frozenset shared by every vertex with the same such
@@ -212,7 +223,7 @@ class _Record:
     adjacency."""
 
     __slots__ = ("home", "spans", "labels", "same", "when", "used", "cube_rows", "sets",
-                 "accepted")
+                 "accepted", "templates")
 
     def __init__(self, g: Graph):
         self.home = [label.tree for label in g.labels]
@@ -236,6 +247,21 @@ class _Record:
             self.cube_rows.append(shared.setdefault(ids, ids))
         self.sets: list[frozenset[int]] = []
         self.accepted: _Accepted | None = None
+        self.templates: dict[CubeTemplate, _Template | None] = {}
+
+
+class _Template(NamedTuple):
+    """A cube template accepted on a graph with its accepted table
+    (_accept_template): the informed count after each of its rounds, the
+    table's calls per round less those of the template's tree, trailing
+    zeros left out, the vertices of its tree it informs, the callees of its
+    slots, and every id it names."""
+
+    sizes: list[int]
+    base: list[int]
+    own: list[int]
+    callees: frozenset[int]
+    named: frozenset[int]
 
 
 def _record(g: Graph) -> _Record:
@@ -278,6 +304,87 @@ def _accept_table(g: Graph, rec: _Record, table) -> _Accepted | None:
     return _Accepted(table, trees, total, frozenset(rec.spans[tree][0] for tree in trees))
 
 
+def _accept_template(g: Graph, rec: _Record, template: CubeTemplate) -> _Template | None:
+    """``template`` accepted on g with the table ``rec.accepted``, or None.
+
+    Its rounds are replayed from a placeholder P for the originator, an id
+    past g's: P is informed at round 0, makes the slot calls, each in the
+    place its FilledTemplate gives it, and has their callees as its only
+    neighbours; every other call is tested in the cube rows.  Every vertex
+    the rounds inform must lie in the template's tree, which must be in the
+    table, or be the root of another table tree, and the root of every
+    other table tree must be informed: so the template's tree alone is
+    overridden, and every other table tree starts from its root alone.
+    Every id must be one of g's.  The replay state is reset, and P's entries
+    removed."""
+    n, tree = g.n, template.tree
+    trees, total, roots = rec.accepted.trees, rec.accepted.total, rec.accepted.roots
+    callees = [c for _, c in template.slots]
+    named = {x for calls in template.rounds for call in calls for x in call}.union(callees)
+    if tree not in trees or not all(isinstance(x, int) and 0 <= x < n for x in named):
+        return None
+    rounds = [list(calls) for calls in template.rounds]
+    for r, c in template.slots:
+        rounds[r - 1].append((n, c))
+    when, used, rows = rec.when, rec.used, rec.cube_rows
+    when.append(0)
+    used.append(0)
+    rows.append(frozenset(callees))
+    sizes = [1]
+    try:
+        bad = _replay(when, used, g, rows, rounds, 0, 0, n + 1, sizes)
+    finally:
+        for x in named:
+            when[x], used[x] = _NEVER, 0
+        del when[n:], used[n:], rows[n:]
+    if bad is not None:
+        return None
+    own, plain = [], 0
+    for calls in rounds:
+        for _, v in calls:
+            if rec.home[v] == tree:
+                own.append(v)
+            elif v in roots:
+                plain += 1
+            else:
+                return None
+    if plain + 1 != len(trees):
+        return None
+    base = list(total)
+    for i, c in enumerate(trees[tree].counts):
+        base[i] -= c
+    while base and not base[-1]:
+        base.pop()
+    return _Template(sizes, base, own, frozenset(callees), frozenset(named))
+
+
+def _vouched_template(g: Graph, rec: _Record, first: FilledTemplate, origin: int,
+                      overrides: tuple) -> _Template | None:
+    """The acceptance of ``first``'s template (_accept_template, made once
+    per template and table) when it vouches for the first rounds from
+    ``origin``, or None.  It does when first fills the template with the
+    originator, who is none of the ids the template names and lies in its
+    tree; when every slot callee is the originator's neighbour in the cube
+    rows; and when the template's tree is the one override.
+
+    Sound because a call that does not involve the originator does not
+    depend on which vertex it is: the originator is informed at round 0,
+    whoever it is, like the placeholder, and the template fixes the rounds
+    it calls in and the vertices it calls; a vertex the template does not
+    name takes part in no other call.  So the rounds replay as the
+    template's did, call for call, and inform the same vertices, the
+    originator's in place of the placeholder's."""
+    template = first.template
+    if template not in rec.templates:
+        rec.templates[template] = _accept_template(g, rec, template)
+    entry = rec.templates[template]
+    if (entry is None or first.u != origin or origin in entry.named
+            or rec.home[origin] != template.tree or not entry.callees <= rec.cube_rows[origin]
+            or len(overrides) != 1 or overrides[0][0] != template.tree):
+        return None
+    return entry
+
+
 def _check_pieces(g: Graph, s: Schedule) -> list[int] | None:
     """The informed count after each round of a schedule on g's label tuple,
     or on an equal one, accepted from its pieces, or None when the whole
@@ -286,24 +393,27 @@ def _check_pieces(g: Graph, s: Schedule) -> list[int] | None:
 
     The table is accepted once per graph (_accept_table; again only when a
     schedule brings another table object).  Per schedule, the first rounds
-    (the cube phase) are replayed from the originator, their edges tested in
-    the cube rows (see _Record).  Then four things are checked: every
-    vertex they inform lies in an overridden tree or is the root of a table
-    tree; every table tree is overridden or has its root informed; no tree
-    is overridden twice; and every overridden tree is in the table.  So each
-    table tree that is not overridden starts from its root alone, as its
-    fragment was accepted, and adds the counts recorded for it.  Each
-    override is replayed inside its tree's id range, from the tree's
-    vertices the first rounds inform, unless _accepted vouches for it: a
-    ShiftedFragment of the table's fragment of its tree, started from that
-    root and its u.  The counts are S, less the table counts of each
+    (the cube phase) are accepted in one of two ways.  A FilledTemplate is
+    vouched for by its template, accepted once per graph and table
+    (_vouched_template): per originator that costs O(k) set tests, with no
+    replay.  Other first rounds are replayed from the originator, their
+    edges tested in the cube rows (see _Record).  Then four things are
+    checked: every vertex they inform lies in an overridden tree or is the
+    root of a table tree; every table tree is overridden or has its root
+    informed; no tree is overridden twice; and every overridden tree is in
+    the table.  So each table tree that is not overridden starts from its
+    root alone, as its fragment was accepted, and adds the counts recorded
+    for it.  Each override is replayed inside its tree's id range, from the
+    tree's vertices the first rounds inform, unless _accepted vouches for
+    it: a ShiftedFragment of the table's fragment of its tree, started from
+    that root and its u.  The counts are S, less the table counts of each
     overridden tree, plus the override's.  Accepted when every piece is
     legal and every vertex is informed.  Sound because the trees share no
     vertex and the fragments start after the cube phase, so no call of one
-    piece bears on another.  The per-schedule work grows with the vertices
-    the first rounds inform and the overrides, not with the table.  The
-    replay state lives on g's record; only the entries the replayed pieces
-    write are reset, so a check costs no O(n) set-up.
+    piece bears on another.  The per-schedule work grows with the
+    overrides, and with the vertices replayed first rounds inform, not with
+    the table.  The replay state lives on g's record; only the entries the
+    check writes are reset, so a check costs no O(n) set-up.
     """
     rec = _record(g)
     if s.labels is not rec.labels:
@@ -311,43 +421,56 @@ def _check_pieces(g: Graph, s: Schedule) -> list[int] | None:
     if not rec.same:
         return None
     n, origin = g.n, s.origin
-    cube_rounds, overrides, table = s.pieces
+    first, overrides, table = s.pieces
     if rec.spans is None or not table or not 0 <= origin < n:
         return None
     if rec.accepted is None or rec.accepted.table is not table:
         accepted = _accept_table(g, rec, table)
         if accepted is None:
             return None
-        rec.accepted = accepted
+        rec.accepted, rec.templates = accepted, {}
+    entry = None
+    if isinstance(first, FilledTemplate):  # on the clean replay state
+        entry = _vouched_template(g, rec, first, origin, overrides)
+        if entry is None:
+            return None
     _, trees, total, roots = rec.accepted
     home, spans, when, used = rec.home, rec.spans, rec.when, rec.used
     when[origin] = 0
-    replayed = [cube_rounds]
+    written, replayed = [origin], []  # what the check writes, reset after it
     try:
-        sizes = [1]
-        if _replay(when, used, g, rec.cube_rows, cube_rounds, 0, 0, n, sizes) is not None:
-            return None
-        pre: dict[int, list[int]] = {tree: [] for tree, _ in overrides}
-        if len(pre) != len(overrides) or not pre.keys() <= trees.keys():
-            return None  # a tree overridden twice, or not in the table
-        plain = 0  # table roots informed, in trees not overridden
-        for v in [origin] + [b for calls in cube_rounds for _, b in calls]:
-            tree = home[v]
-            if tree in pre:
-                pre[tree].append(v)
-            elif v in roots:
-                plain += 1
-            else:
-                return None  # a table fragment would not start from its root alone
-        if plain + len(pre) != len(trees):
-            return None  # a table tree starts from no informed vertex
-        grow = list(total)
-        for tree in pre:
-            for i, c in enumerate(trees[tree].counts):
-                grow[i] -= c
-        while grow and not grow[-1]:
-            grow.pop()
-        k = len(cube_rounds)
+        if entry is not None:
+            sizes, grow = list(entry.sizes), list(entry.base)
+            pre = {first.template.tree: [origin, *entry.own]}
+            for v in entry.own:  # informed in the first rounds, should the override be replayed
+                when[v] = 0
+            written += entry.own
+        else:
+            replayed.append(first)
+            sizes = [1]
+            if _replay(when, used, g, rec.cube_rows, first, 0, 0, n, sizes) is not None:
+                return None
+            pre = {tree: [] for tree, _ in overrides}
+            if len(pre) != len(overrides) or not pre.keys() <= trees.keys():
+                return None  # a tree overridden twice, or not in the table
+            plain = 0  # table roots informed, in trees not overridden
+            for v in [origin] + [b for calls in first for _, b in calls]:
+                tree = home[v]
+                if tree in pre:
+                    pre[tree].append(v)
+                elif v in roots:
+                    plain += 1
+                else:
+                    return None  # a table fragment would not start from its root alone
+            if plain + len(pre) != len(trees):
+                return None  # a table tree starts from no informed vertex
+            grow = list(total)
+            for tree in pre:
+                for i, c in enumerate(trees[tree].counts):
+                    grow[i] -= c
+            while grow and not grow[-1]:
+                grow.pop()
+        k = len(first)
         for tree, frag in overrides:
             added = _accepted(trees[tree], frag, pre[tree], spans[tree])
             if added is None:
@@ -363,7 +486,8 @@ def _check_pieces(g: Graph, s: Schedule) -> list[int] | None:
             sizes.append(sizes[-1] + c)
         return sizes if sizes[-1] == n else None
     finally:
-        when[origin], used[origin] = _NEVER, 0
+        for v in written:
+            when[v], used[v] = _NEVER, 0
         try:
             for piece in replayed:
                 for calls in piece:

@@ -1,6 +1,7 @@
 import pytest
 
 from broadcastnet import Schedule, build, make_params
+from broadcastnet.schedule import CubeTemplate, FilledTemplate
 
 
 def label_schedule(originator, rounds):
@@ -29,6 +30,21 @@ def vertex(g, layout, tree, mask):
     """The label of the vertex at ``mask`` in tree ``tree`` of the graph
     built with ``layout``."""
     return g.labels[layout.dense[(tree - 1) * layout.tree_size + mask]]
+
+
+def like_first(first, rounds):
+    """``rounds``, first rounds of a schedule, in the form of the first
+    rounds ``first``: when first is a FilledTemplate, a new one, of a new
+    template of the same tree whose slots are the calls of first's
+    originator in ``rounds`` and whose rounds are the other calls; else the
+    rounds as they are."""
+    if not isinstance(first, FilledTemplate):
+        return rounds
+    u = first.u
+    others = [[(a, b) for a, b in calls if a != u] for calls in rounds]
+    slots = [(r, b) for r, calls in enumerate(rounds, 1) for a, b in calls if a == u]
+    template = CubeTemplate(first.template.tree, others, slots)
+    return FilledTemplate(template, u)
 
 
 def label_rounds(s):

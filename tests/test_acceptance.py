@@ -29,7 +29,7 @@ from broadcastnet import (
 )
 from broadcastnet.bounds import closed_form_5b
 from broadcastnet.params import max_k
-from broadcastnet.schedule import ShiftedFragment
+from broadcastnet.schedule import FilledTemplate, ShiftedFragment
 
 # Reference full-size table: (t, k) -> (N, our edge count, direct-construction bound).
 TABLE1 = {
@@ -195,13 +195,15 @@ def test_criterion_3_case1_construction_fidelity():
 
 def test_criterion_4_broadcast_certification(monkeypatch):
     # certify_graph checks every schedule from its pieces, on the layout's
-    # table, accepted once per graph; each must be accepted there, and the
+    # table, accepted once per graph; each must be accepted there, every
+    # off-cube originator's cube phase through its tree's template, and the
     # whole replay of its calls, without the pieces, must give the same
     # completion round and informed count per round
     from broadcastnet import verify
 
     check_pieces, checked = verify._check_pieces, []
     accepted, lemma = verify._accepted, []
+    vouched_template, templated = verify._vouched_template, []
 
     def recording(g, s):
         checked.append((s, check_pieces(g, s)))
@@ -213,11 +215,18 @@ def test_criterion_4_broadcast_certification(monkeypatch):
             lemma.append(frag)
         return added
 
+    def templating(g, rec, first, origin, overrides):
+        entry = vouched_template(g, rec, first, origin, overrides)
+        if entry is not None:
+            templated.append(origin)
+        return entry
+
     monkeypatch.setattr(verify, "_check_pieces", recording)
     monkeypatch.setattr(verify, "_accepted", vouching)
+    monkeypatch.setattr(verify, "_vouched_template", templating)
     start = time.time()
     lines = []
-    originators = shifted = 0
+    originators = shifted = filled = 0
     for t, k, n in _certification_instances():
         params = make_params(t, k, n)
         g, layout, _ = build(params)
@@ -235,6 +244,12 @@ def test_criterion_4_broadcast_certification(monkeypatch):
                          if isinstance(frag, ShiftedFragment)], (t, k, n)
         shifted += len(lemma)
         lemma.clear()
+        # every off-cube originator's cube phase, by its tree's template
+        off_cube = [v for v, label in enumerate(g.labels) if label.cube is None]
+        assert templated == off_cube, (t, k, n)
+        assert [s.origin for s in schedules if isinstance(s.pieces[0], FilledTemplate)] == off_cube
+        filled += len(templated)
+        templated.clear()
         with monkeypatch.context() as mp:
             mp.setattr(verify, "_check_pieces", lambda g, s: None)
             whole = [check_schedule(g, s) for s in schedules]
@@ -248,7 +263,8 @@ def test_criterion_4_broadcast_certification(monkeypatch):
     assert originators == 16142
     print(f"\nCRITERION 4: PASS - {len(lines)} graphs certified over every "
           f"originator, all completing exactly at t+1, the piecewise check "
-          f"({shifted} fragments by the shift lemma) agreeing with the whole "
+          f"({shifted} fragments by the shift lemma, {filled} cube phases by "
+          f"a template) agreeing with the whole "
           f"replay on all {originators}, round and informed counts "
           f"({time.time() - start:.1f}s)")
 

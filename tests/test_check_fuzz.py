@@ -27,7 +27,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from conftest import label_rounds, label_schedule, neighbours, row, vertex
+from conftest import label_rounds, label_schedule, like_first, neighbours, row, vertex
 
 from broadcastnet import (
     Schedule,
@@ -39,7 +39,7 @@ from broadcastnet import (
     verify,
 )
 from broadcastnet.params import max_k
-from broadcastnet.schedule import ShiftedFragment
+from broadcastnet.schedule import CubeTemplate, FilledTemplate, ShiftedFragment
 
 
 def oracle(g, originator, rounds):
@@ -179,8 +179,9 @@ def _leave(rounds, later, g, rng, same_tree):
 
 
 def _pieces_with(place, kind, generated, u, g, layout, rng):
-    """The generated schedule's pieces with one mutation: in the cube rounds,
-    in u's own fragment (as an override of u's tree) or in a copy of a plain
+    """The generated schedule's pieces with one mutation: in the cube rounds
+    (placed in a new cube template when u is off the cube), in u's own
+    fragment (as an override of u's tree) or in a copy of a plain
     (root-only) fragment in a new table, or, for "twin", a new table in
     which a plain fragment is listed a second time in place of another
     tree's fragment of as many vertices."""
@@ -218,7 +219,7 @@ def _pieces_with(place, kind, generated, u, g, layout, rng):
     elif kind != "none":
         piece = tuple(map(tuple, _mutate(kind, piece, g, rng)))
     if place == "cube":
-        return piece, overrides, table
+        return like_first(cube, piece), overrides, table
     if place == "own":
         overrides = [(t, frag) for t, frag in overrides if t != tree] + [(tree, piece)]
         return cube, overrides, table
@@ -360,7 +361,8 @@ def _table_with(kind, generated, g, layout, rng):
     or, with no override, a cube call to a table root sent to a non-root
     neighbour of its caller in a table tree; or a cube call to a table root
     that calls no one later in the cube dropped, which leaves that root
-    uninformed."""
+    uninformed.  Mutated cube rounds of an off-cube u are placed in a new
+    cube template."""
     cube, overrides, table = generated.pieces
     named = dict(overrides)
     free = [i for i, (tree, _) in enumerate(table) if tree not in named]
@@ -399,7 +401,7 @@ def _table_with(kind, generated, g, layout, rng):
         quiet = [(r, i) for r, i in spots if rounds[r][i][1] not in callers]
         r, i = rng.choice(quiet or spots)
         del rounds[r][i]
-    return tuple(map(tuple, rounds)), overrides, table
+    return like_first(cube, tuple(map(tuple, rounds))), overrides, table
 
 
 @pytest.mark.parametrize("kind", TABLE_MUTATIONS)
@@ -431,3 +433,104 @@ def test_table_is_used_only_where_each_tree_starts_from_its_root(kind, tkn, pick
             whole = check_schedule(g, s)
         assert report.failures == [{"id": g.vertex_id(u),
                                     "violation": whole.violation.to_json_obj()}]
+
+
+TEMPLATE_MUTATIONS = ("none", "slot-stranger", "two-slots", "other-filling", "other-tree",
+                      "cube-u", "caller-uninformed")
+
+
+def _template_with(kind, generated, g, layout, rng):
+    """The first rounds and originator of the generated schedule of an
+    off-cube u with its cube template, or its filling, mutated: a slot callee
+    traded with the callee of another call of its round that u does not
+    neighbour (the template stays legal from a placeholder, but u has no
+    such edge), or, with no such call, sent to a vertex u does not
+    neighbour; a slot moved into the round of an earlier slot, so u calls
+    twice in it; the template filled with another vertex of u's tree, the
+    schedule still started from u; the template filled with, and the
+    schedule started from, a
+    vertex of another tree whose own template differs; the same with a
+    cube vertex, a root or w; or a call of the template moved into the round
+    its caller is informed in.  Returns (first rounds, originator, whether
+    the template should be accepted from its placeholder)."""
+    first = generated.pieces[0]
+    template, u = first.template, first.u
+    rounds = [list(calls) for calls in template.rounds]
+    slots = list(template.slots)
+    if kind == "none":
+        return like_first(first, first.rounds), u, True
+    if kind == "slot-stranger":
+        near = set(row(g, u))
+        trades = [(j, r, i) for j, (r, c) in enumerate(slots)
+                  for i, (a, b) in enumerate(rounds[r - 1])
+                  if b not in near and c in verify._record(g).cube_rows[a]]
+        if trades:
+            j, r, i = rng.choice(trades)
+            a, b = rounds[r - 1][i]
+            rounds[r - 1][i], slots[j] = (a, slots[j][1]), (r, b)
+        else:
+            j = rng.randrange(len(slots))
+            slots[j] = (slots[j][0], rng.choice([v for v in range(g.n) if v not in near
+                                                 and v != u]))
+        return FilledTemplate(CubeTemplate(template.tree, rounds, slots), u), u, bool(trades)
+    if kind == "two-slots":
+        j = rng.randrange(1, len(slots))
+        slots[j] = (slots[rng.randrange(j)][0], slots[j][1])
+        return FilledTemplate(CubeTemplate(template.tree, rounds, slots), u), u, False
+    if kind == "other-filling":
+        v = rng.choice([v for v, label in enumerate(g.labels) if v != u and label.cube is None
+                        and label.tree == template.tree])
+        return FilledTemplate(template, v), u, True
+    if kind == "other-tree":
+        mine = (template.rounds, template.slots)
+        others = []
+        for label in g.labels:
+            if label.cube is None and label.tree != template.tree:
+                theirs = make_schedule(g, layout, make_params(g.t, g.k, g.n), label).pieces[0]
+                if (theirs.template.rounds, theirs.template.slots) != mine:
+                    others.append(theirs.u)
+        v = rng.choice(others)
+        return FilledTemplate(template, v), v, True
+    if kind == "cube-u":
+        cube = [v for v, label in enumerate(g.labels) if label.cube is not None]
+        v = rng.choice(cube)
+        return FilledTemplate(template, v), v, True
+    # caller-uninformed: a call of the template, into its caller's informing round
+    informed = {c: r for r, c in slots}
+    informed.update((b, r) for r, calls in enumerate(rounds, 1) for _, b in calls)
+    r, i = rng.choice([(r, i) for r, calls in enumerate(rounds, 1) for i in range(len(calls))])
+    call = rounds[r - 1].pop(i)
+    rounds[informed[call[0]] - 1].append(call)
+    return FilledTemplate(CubeTemplate(template.tree, rounds, slots), u), u, False
+
+
+@pytest.mark.parametrize("kind", TEMPLATE_MUTATIONS)
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(instances(), st.integers(0, 1 << 30), st.randoms(use_true_random=False))
+def test_template_vouches_only_for_the_originator_it_was_made_for(kind, tkn, pick, rng):
+    params, g, layout = _instance(*tkn)
+    off_cube = [u for u in g.labels if u.cube is None]
+    u = off_cube[pick % len(off_cube)]
+    generated = make_schedule(g, layout, params, u)
+    assert certify_graph(g, layout, params, originators=[u]).passed
+    first, origin, legal_template = _template_with(kind, generated, g, layout, rng)
+    s = Schedule(g.labels, origin, first, *generated.pieces[1:])
+    want = oracle(g, g.labels[origin], label_rounds(s))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "make_schedule", lambda *args: s)
+        report = certify_graph(g, layout, params, originators=[u])
+    accepted = verify._record(g).templates[first.template]
+    assert (accepted is not None) == legal_template
+    if kind == "none":
+        # a new template object: accepted in its turn, and it vouches for u
+        assert report.per_originator == [(origin, params.t + 1)] and want == (True, params.t + 1)
+        assert verify._check_pieces(g, s) is not None
+        return
+    # every mutant is illegal, refused piecewise, and reported as the whole
+    # replay finds it
+    assert not want[0] and not report.passed
+    assert verify._check_pieces(g, s) is None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "_check_pieces", lambda g, s: None)
+        whole = check_schedule(g, s)
+    assert report.failures == [{"id": g.vertex_id(u), "violation": whole.violation.to_json_obj()}]

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -145,10 +146,13 @@ def test_doubling_bound_on_generated_schedules(g72, g73_shrunk):
                 assert size <= 1 << i
 
 
-def test_cube_phase_shortfall_is_reported_not_scheduled(g72, monkeypatch):
+def test_cube_phase_shortfall_is_reported_not_scheduled(monkeypatch):
     import broadcastnet.scheme as scheme
     from broadcastnet import SchemePhaseOverrun, certify_graph
-    params, g, layout, _ = g72
+    # a build of its own: a layout that has scheduled an originator of the
+    # tree already keeps the tree's cube template, made before the patch
+    params = make_params(7, 2, 192)
+    g, layout, _ = build(params)
     sweep = scheme.sweep_rounds
     monkeypatch.setattr(scheme, "sweep_rounds", lambda seed, m:  # no first-half sweep
                         [] if seed >= layout.half and m == layout.k - 1 else sweep(seed, m))
@@ -170,6 +174,9 @@ def test_cube_phase_informing_u_and_w_of_tree_one_is_reported(g72, monkeypatch):
     from broadcastnet import SchemePhaseOverrun
     params, g, layout, _ = g72
     sweep = scheme.sweep_rounds
+    # the patched phase runs on a build of its own: the layout that has
+    # scheduled u keeps tree 1's cube template, made before the patch
+    _, fresh, _ = build(params)
 
     def sweep_and_reach_w(seed, m):
         rounds = sweep(seed, m)
@@ -181,7 +188,7 @@ def test_cube_phase_informing_u_and_w_of_tree_one_is_reported(g72, monkeypatch):
     make_schedule(g, layout, params, u)
     monkeypatch.setattr(scheme, "sweep_rounds", sweep_and_reach_w)
     with pytest.raises(SchemePhaseOverrun, match="informed both u and w of tree 1"):
-        make_schedule(g, layout, params, u)
+        make_schedule(g, fresh, params, u)
 
 
 def test_originators_need_no_tree_simulation(monkeypatch):
@@ -236,3 +243,32 @@ def test_tree_one_starts_from_its_root_and_one_vertex_at_most(t, k, n):
             assert {frag.u} == extra, label
         else:
             assert frags == [], label
+
+
+# SHA-256 of every originator's schedule, in id order: its to_json output,
+# and the repr of its rounds (the call order within a round too), as the
+# scheme made them before its off-cube cube phases came from templates
+SCHEDULE_DIGESTS = {
+    (7, 2, 192): ("bd1e9505e10417f357e6ac39e8b5a8283f7f23ef7e6e457ba9069e132a31d896",
+                  "f0b48db5391cb5ef7dbc2b18f1580b187f45666755085e0301b2f05743e3dfa7"),
+    (8, 3, 448): ("4d3d0507c3fe2e52c5fc413f71c667de95bb0f213828bf2ae64fb58f4c6ef09b",
+                  "834964c2fef179abf8112c24a09ec074ac3351dcba8a65cb2f8edd9c52dec8da"),
+    (7, 2, 191): ("69a817c30c4b8cff81cd013ea1cbc2d6f6f0dfe20cf5e0d93bbc6c1e53208ca6",
+                  "3f3f37ce41e06231511fbca457596911d964bd94375eef1541bc3d952a545cbc"),
+    (8, 3, 440): ("c033a30f9f9176b3cc3965728164c02b23500ac84c1ebadaf51239d943db6ff8",
+                  "6b19a3a87718ef1c6d9427b9aec08ce87ee787d4a588dcc5563ee75354ce5645"),
+    (7, 3, 191): ("a5c9fed9c3b890fc3920a6344860f0dc91f27262276958d25de78eba7665e9d7",
+                  "3452556ebcfdc22cfcc2814ee189b0e6197fe96f09d78cc65704f3a2b2b23cce"),
+}
+
+
+@pytest.mark.parametrize("t,k,n", sorted(SCHEDULE_DIGESTS))
+def test_schedules_are_byte_identical_to_the_pinned_digests(t, k, n):
+    params = make_params(t, k, n)
+    g, layout, _ = build(params)
+    text, order = hashlib.sha256(), hashlib.sha256()
+    for u in g.labels:
+        s = make_schedule(g, layout, params, u)
+        text.update(s.to_json(g).encode())
+        order.update(repr(s.rounds).encode())
+    assert (text.hexdigest(), order.hexdigest()) == SCHEDULE_DIGESTS[t, k, n]

@@ -2,7 +2,7 @@ import pickle
 import random
 
 import pytest
-from conftest import label_schedule, neighbours, row, vertex
+from conftest import label_schedule, like_first, neighbours, row, vertex
 
 from broadcastnet import (
     BroadcastNetError,
@@ -22,7 +22,7 @@ from broadcastnet import (
     make_schedule,
     verify,
 )
-from broadcastnet.schedule import ShiftedFragment
+from broadcastnet.schedule import CubeTemplate, FilledTemplate, ShiftedFragment
 
 
 def _path3():
@@ -475,6 +475,11 @@ def test_piecewise_replay_state_is_reset_after_every_check(g73_shrunk):
         cases += [
             s,
             Schedule(g.labels, s.origin, _stop_mid_round(s.pieces[0], s.origin), *s.pieces[1:]),
+            # the same rounds as a new cube template: its acceptance, from a
+            # placeholder past g's ids, writes state and must reset it
+            Schedule(g.labels, s.origin,
+                     like_first(s.pieces[0], _stop_mid_round(s.pieces[0], s.origin)),
+                     *s.pieces[1:]),
             s,
             replaced(_stop_mid_round(frag, root)),
             replaced(ShiftedFragment(_stop_mid_round(frag.base, root), frag.u)),
@@ -493,9 +498,10 @@ def test_piecewise_replay_state_is_reset_after_every_check(g73_shrunk):
         res = check_schedule(g, s)
         assert res == check_schedule(fresh(), s)
         assert when == [verify._NEVER] * g.n and used == [0] * g.n
+        assert len(rec.cube_rows) == g.n
         outcomes.append(res.ok)
     assert len(legal) == 5
-    assert outcomes == [True, False, True, False, False, False, False, False] * len(legal)
+    assert outcomes == [True, False, False, True, False, False, False, False, False] * len(legal)
     # an id that is no index: met by the replay it raises, as it always has;
     # after a violation the whole replay decides; either way the state is
     # left as it was found
@@ -570,3 +576,23 @@ def test_shift_lemma_counts_only_a_base_in_preorder(g72, monkeypatch):
     res = check_schedule(g, shifted)
     assert res.ok and res.completion_round > params.t + 1
     assert tuple(sizes) == res.informed_per_round
+
+
+def test_template_vouches_for_no_originator_it_names(g72):
+    # a legal template of tree 2 that informs tree 2's root by a call: from
+    # a placeholder the root is one more vertex informed, so the template is
+    # accepted; filled with that root it would inform the root twice, which
+    # the counts do not show when u, a leaf, is left uninformed in exchange
+    params, g, layout, _ = g72
+    r1, r2, r3 = (g.vertex_id(vertex(g, layout, tree, 0)) for tree in (1, 2, 3))
+    leaf = g.vertex_id(vertex(g, layout, 2, 1))  # the root's child called last
+    template = CubeTemplate(2, [[], [(r3, r1)], [(r3, r2)]], [(1, r3)])
+    generated = make_schedule(g, layout, params, g.labels[leaf])
+    s = Schedule(g.labels, r2, FilledTemplate(template, r2), *generated.pieces[1:])
+    assert verify._check_pieces(g, s) is None
+    entry = verify._record(g).templates[template]
+    assert entry is not None and r2 in entry.named and entry.own == [r2]
+    res = check_schedule(g, s)
+    assert not res.ok and res.violation.to_json_obj() == {
+        "kind": "illegal-call", "round": 3, "caller": r3, "callee": r2,
+        "reason": "callee-informed"}
