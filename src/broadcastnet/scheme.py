@@ -44,10 +44,6 @@ class SchemeCase:
 
     tag: str  # C11, C12, C13, C21, C22, C23
 
-    @property
-    def on_cube(self) -> bool:
-        return self.tag in ("C11", "C21")
-
 
 def classify(g: Graph, layout: CaseOneLayout, u: VertexLabel) -> SchemeCase:
     shrunk = layout.params.n < layout.params.N

@@ -363,6 +363,18 @@ def test_tree_fragments_are_immutable(g72):
         s.rounds[0].append((0, 1))
     with pytest.raises(AttributeError):
         s.rounds = ()
+    # an off-cube originator's first rounds: its tree's template, filled
+    filled = s.pieces[0]
+    assert isinstance(filled, FilledTemplate) and filled.template is layout.cube_templates[1][0]
+    for obj, name in ((filled, "u"), (filled, "template"), (filled.template, "slots")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, ())
+    # the layout goes to pool workers with the templates it holds
+    again = pickle.loads(pickle.dumps((layout, filled)))
+    template = again[0].cube_templates[1][0]
+    assert (template.tree, template.rounds, template.slots) == (
+        filled.template.tree, filled.template.rounds, filled.template.slots)
+    assert tuple(again[1]) == tuple(filled) and again[1].u == filled.u
 
 
 def test_check_from_pieces_equals_whole_replay(g72, monkeypatch):
