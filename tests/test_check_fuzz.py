@@ -17,8 +17,12 @@ must vouch for no illegal mutant, and an equal base not met before
 (another build's, or a copy) is replayed in its tree.  The table is mutated
 as a whole (another build's, a tree missing or twice, a tree moved to the
 overrides), and so is what the cube phase informs of it (a non-root vertex
-of a table tree, a table root left out).  Every verdict must be the set
-replay's.
+of a table tree, a table root left out).  An off-cube originator's cube
+phase is a cube template filled with u: its mutated rounds are placed in a
+new template, and the template is mutated as such too (a slot callee that
+is not u's neighbour, two slots in a round, a call before its caller is
+informed) or filled with another vertex (of u's tree, of another tree, on
+the cube).  Every verdict must be the set replay's.
 """
 
 from collections import Counter
@@ -448,11 +452,11 @@ def _template_with(kind, generated, g, layout, rng):
     neighbour; a slot moved into the round of an earlier slot, so u calls
     twice in it; the template filled with another vertex of u's tree, the
     schedule still started from u; the template filled with, and the
-    schedule started from, a
-    vertex of another tree whose own template differs; the same with a
-    cube vertex, a root or w; or a call of the template moved into the round
-    its caller is informed in.  Returns (first rounds, originator, whether
-    the template should be accepted from its placeholder)."""
+    schedule started from, a vertex of another tree whose own template
+    differs; the same with a cube vertex, a root or w; or a call of the
+    template moved into the round its caller is informed in.  Returns (first
+    rounds, originator, whether the template should be accepted from its
+    placeholder)."""
     first = generated.pieces[0]
     template, u = first.template, first.u
     rounds = [list(calls) for calls in template.rounds]
@@ -473,7 +477,7 @@ def _template_with(kind, generated, g, layout, rng):
             slots[j] = (slots[j][0], rng.choice([v for v in range(g.n) if v not in near
                                                  and v != u]))
         return FilledTemplate(CubeTemplate(template.tree, rounds, slots), u), u, bool(trades)
-    if kind == "two-slots":
+    if kind == "two-slots":  # u calls in k - p >= 2 rounds, as n > 2^t
         j = rng.randrange(1, len(slots))
         slots[j] = (slots[rng.randrange(j)][0], slots[j][1])
         return FilledTemplate(CubeTemplate(template.tree, rounds, slots), u), u, False
@@ -482,14 +486,18 @@ def _template_with(kind, generated, g, layout, rng):
                         and label.tree == template.tree])
         return FilledTemplate(template, v), u, True
     if kind == "other-tree":
-        mine = (template.rounds, template.slots)
-        others = []
-        for label in g.labels:
-            if label.cube is None and label.tree != template.tree:
-                theirs = make_schedule(g, layout, make_params(g.t, g.k, g.n), label).pieces[0]
-                if (theirs.template.rounds, theirs.template.slots) != mine:
-                    others.append(theirs.u)
-        v = rng.choice(others)
+        params = make_params(g.t, g.k, g.n)
+        first_of = {}  # per tree, its first off-cube vertex
+        for v, label in enumerate(g.labels):
+            if label.cube is None:
+                first_of.setdefault(label.tree, v)
+        differ = set()
+        for tree, v in first_of.items():
+            theirs = make_schedule(g, layout, params, g.labels[v]).pieces[0].template
+            if (theirs.rounds, theirs.slots) != (template.rounds, template.slots):
+                differ.add(tree)
+        v = rng.choice([v for v, label in enumerate(g.labels)
+                        if label.cube is None and label.tree in differ])
         return FilledTemplate(template, v), v, True
     if kind == "cube-u":
         cube = [v for v, label in enumerate(g.labels) if label.cube is not None]

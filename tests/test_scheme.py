@@ -246,8 +246,9 @@ def test_tree_one_starts_from_its_root_and_one_vertex_at_most(t, k, n):
 
 
 # SHA-256 of every originator's schedule, in id order: its to_json output,
-# and the repr of its rounds (the call order within a round too), as the
-# scheme made them before its off-cube cube phases came from templates
+# and the repr of its rounds (the call order within a round too).  Pinned
+# from schedules whose cube phase was made per originator, so that making
+# it once per tree, as a template, is seen to change no output
 SCHEDULE_DIGESTS = {
     (7, 2, 192): ("bd1e9505e10417f357e6ac39e8b5a8283f7f23ef7e6e457ba9069e132a31d896",
                   "f0b48db5391cb5ef7dbc2b18f1580b187f45666755085e0301b2f05743e3dfa7"),
