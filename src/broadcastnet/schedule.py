@@ -1,25 +1,27 @@
 """Broadcast schedules: an originator, then per-round (caller, callee) calls.
 
-A schedule is immutable.  Its vertices are dense ids indexing a label tuple,
-as the graph numbering them holds it; labels are read only at the boundary.
-The calls are kept in the shape of the broadcast scheme's two phases: the
-rounds from round 1 on, then the tree fragments, every one starting in the
-round after those rounds.  The first rounds are a tuple of rounds, or a
-FilledTemplate: a CubeTemplate, the first rounds that every originator of
-one tree shares, with the originator's own calls left as (round, callee)
-slots, filled with one originator in O(1) and made into rounds only when
-they are read.  The fragments come as a table and overrides.  The
-table is a tuple of (tree, fragment) pairs, one per tree, each broadcasting
-its tree from the root alone; one table serves every schedule on a graph
+A schedule is immutable.  Its vertices are dense ids indexing a label
+tuple, as the graph numbering them holds it; labels are read only at the
+boundary.  The calls are kept in the shape of the broadcast scheme's two
+phases: the rounds from round 1 on, then the tree fragments, every one
+starting in the round after those rounds.  The first rounds are a tuple of
+rounds (a plain schedule's), or a FilledTemplate (the scheme's): a
+CubeTemplate, the first rounds that the originators of one tree off the
+cube share (or the one originator on a cube coordinate has), with the
+originator's own calls left as (round, callee, place) slots, filled with
+one originator in O(1) and made into rounds only when they are read.  The
+fragments come as a table and overrides.  The table is a tuple of (tree,
+fragment) pairs, one per tree, each broadcasting its tree from the root
+alone; one table serves every schedule on a graph
 (CaseOneLayout.plain_table), so a checker can accept it once per graph.  An
 override is a (tree, fragment) pair that takes the place of the table's
-fragment of its tree: the scheme overrides the originator's own tree and,
-when its first rounds inform w, tree 1.  A plain schedule has neither.  A
-fragment is a tuple of rounds, or a ShiftedFragment: a tuple fragment with
-one more vertex informed before it starts, described in O(1) and made into
-rounds only when they are read.  A template, like a fragment, is
-immutable, so a checker may accept it once and key the verdict by the
-object.
+fragment of its tree: the scheme overrides the originator's own tree,
+unless the originator is its root, and, when its first rounds inform w,
+tree 1.  A plain schedule has neither.  A fragment is a tuple of rounds, or
+a ShiftedFragment: a tuple fragment with one more vertex informed before it
+starts, described in O(1) and made into rounds only when they are read.  A
+template, like a fragment, is immutable, so a checker may accept it once
+and key the verdict by the object.
 """
 
 from __future__ import annotations
@@ -116,7 +118,37 @@ class Schedule:
         return json.dumps(obj, separators=(",", ":")) + "\n"
 
 
-class ShiftedFragment(Sequence):
+class _Lazy(Sequence):
+    """Rounds described in O(1) by the fields a subclass lists in its
+    ``__slots__`` and sets, in that order, in its constructor, with
+    ``_rounds`` None; made, once, by its ``_make`` when first read.
+    Immutable, and pickled as its fields."""
+
+    __slots__ = ("_rounds",)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    @property
+    def rounds(self) -> tuple[tuple[IdCall, ...], ...]:
+        if self._rounds is None:
+            object.__setattr__(self, "_rounds", self._make())
+        return self._rounds
+
+    def __len__(self) -> int:
+        return len(self.rounds)
+
+    def __getitem__(self, i):
+        return self.rounds[i]
+
+    def __iter__(self):
+        return iter(self.rounds)
+
+
+class ShiftedFragment(_Lazy):
     """The rounds of a tree fragment ``base`` when its vertex ``u`` is informed
     too before the fragment starts.
 
@@ -130,33 +162,15 @@ class ShiftedFragment(Sequence):
     once, when first read.  Immutable, like ``base`` must be.
     """
 
-    __slots__ = ("base", "u", "_rounds")
+    __slots__ = ("base", "u")
 
     def __init__(self, base: Sequence[Sequence[IdCall]], u: int):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "_rounds", None)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"ShiftedFragment is immutable: cannot set {name}")
-
-    def __reduce__(self):
-        return ShiftedFragment, (self.base, self.u)
-
-    @property
-    def rounds(self) -> tuple[tuple[IdCall, ...], ...]:
-        if self._rounds is None:
-            object.__setattr__(self, "_rounds", _shifted(self.base, self.u))
-        return self._rounds
-
-    def __len__(self) -> int:
-        return len(self.rounds)
-
-    def __getitem__(self, i):
-        return self.rounds[i]
-
-    def __iter__(self):
-        return iter(self.rounds)
+    def _make(self) -> tuple[tuple[IdCall, ...], ...]:
+        return _shifted(self.base, self.u)
 
 
 def _shifted(base: Sequence[Sequence[IdCall]], u: int) -> tuple[tuple[IdCall, ...], ...]:
@@ -181,21 +195,22 @@ def _shifted(base: Sequence[Sequence[IdCall]], u: int) -> tuple[tuple[IdCall, ..
 
 
 class CubeTemplate:
-    """The first rounds that every originator of one tree, off the cube,
-    shares: ``rounds``, the calls per round of every vertex but the
-    originator, and ``slots``, the originator's own calls as (round, callee)
-    pairs, the round counted from 1.  In each round the originator's calls
-    follow the others, in slot order.  Made once per tree; immutable, and
-    compared by identity.
+    """The first rounds of the originators that share a cube phase (those
+    of one tree off the cube, or the one on a cube coordinate): ``rounds``,
+    the calls per round of every vertex but the originator, and ``slots``,
+    the originator's own calls as (round, callee, place) triples, the round
+    counted from 1 and the place the call's index in its filled round; the
+    slots are filled in order.  Made once per tree or coordinate;
+    immutable, and compared by identity.
     """
 
     __slots__ = ("tree", "rounds", "slots")
 
     def __init__(self, tree: int, rounds: Iterable[Iterable[IdCall]],
-                 slots: Iterable[tuple[int, int]]):
+                 slots: Iterable[tuple[int, int, int]]):
         rounds = tuple(tuple(calls) for calls in rounds)
         slots = tuple(slots)
-        if any(not 1 <= r <= len(rounds) for r, _ in slots):
+        if any(not 1 <= r <= len(rounds) for r, _, _ in slots):
             raise ValueError("a slot lies outside the template's rounds")
         object.__setattr__(self, "tree", tree)
         object.__setattr__(self, "rounds", rounds)
@@ -208,37 +223,23 @@ class CubeTemplate:
         return CubeTemplate, (self.tree, self.rounds, self.slots)
 
 
-class FilledTemplate(Sequence):
+class FilledTemplate(_Lazy):
     """The rounds of ``template`` with the originator ``u`` making its slot
-    calls.  Made in O(1); the rounds are made, once, when first read."""
+    calls, each inserted at its place.  Made in O(1); the rounds are made,
+    once, when first read."""
 
-    __slots__ = ("template", "u", "_rounds")
+    __slots__ = ("template", "u")
 
     def __init__(self, template: CubeTemplate, u: int):
         object.__setattr__(self, "template", template)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "_rounds", None)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"FilledTemplate is immutable: cannot set {name}")
-
-    def __reduce__(self):
-        return FilledTemplate, (self.template, self.u)
-
-    @property
-    def rounds(self) -> tuple[tuple[IdCall, ...], ...]:
-        if self._rounds is None:
-            rounds = [list(calls) for calls in self.template.rounds]
-            for r, c in self.template.slots:
-                rounds[r - 1].append((self.u, c))
-            object.__setattr__(self, "_rounds", tuple(map(tuple, rounds)))
-        return self._rounds
+    def _make(self) -> tuple[tuple[IdCall, ...], ...]:
+        rounds = [list(calls) for calls in self.template.rounds]
+        for r, c, i in self.template.slots:
+            rounds[r - 1].insert(i, (self.u, c))
+        return tuple(map(tuple, rounds))
 
     def __len__(self) -> int:
         return len(self.template.rounds)
-
-    def __getitem__(self, i):
-        return self.rounds[i]
-
-    def __iter__(self):
-        return iter(self.rounds)

@@ -15,12 +15,13 @@ and the block then pulls the rest down its matching in the final round
 
 Every originator off the cube (classes C12, C13, C22, C23) makes its first
 call to a root of the first half and one call into each lower block, and
-the blocks then sweep themselves: only the originator's own calls, the
-last of their rounds, depend on which vertex of its tree it is.  So that
-cube phase is made, and its phase checks run, once per tree, as a
-CubeTemplate kept on the layout, and each originator gets it as a
-FilledTemplate, in O(1).  An originator on the cube, one of at most 2^k,
-gets its cube phase made afresh.
+the blocks then sweep themselves: only the originator's own calls depend
+on which vertex of its tree it is.  So every cube phase is made, and its
+phase checks run, once, as a CubeTemplate kept on the layout: per tree for
+the originators off the cube, per cube coordinate for the one on it (a
+root, or w; at most 2^k).  The template holds the other vertices' calls,
+and the originator's own calls as slots; each originator gets it as a
+FilledTemplate, in O(1).
 """
 
 from __future__ import annotations
@@ -101,27 +102,23 @@ def _low_region(layout: CaseOneLayout, entry: int) -> list[list[CoordCall]]:
 
 
 def _cube_phase(layout: CaseOneLayout, params: ConstructionParams, tree: int,
-                uc: int | None) -> tuple[list[list[IdCall]], list[tuple[int, int]], set[int]]:
+                uc: int | None) -> tuple[list[list[IdCall]], list[tuple[int, int, int]], set[int]]:
     """The cube phase, rounds 1..k, from the vertex on cube coordinate
     ``uc``, or, with uc None, from any vertex of ``tree`` off the cube.
-    Returns the calls per round of every vertex but an off-cube originator;
-    that originator's own calls, the last of their rounds, as (round, callee
-    id) slots; and the coordinates informed.  For an off-cube originator
-    none of it depends on which vertex it is."""
+    Returns the calls per round of every vertex but the originator; the
+    originator's own calls as (round, callee id, place in its round) slots;
+    and the coordinates informed.  For an off-cube originator none of it
+    depends on which vertex it is."""
     k, p, half = params.k, params.p, layout.half
     ids = layout.coord_ids
+    me = None if uc is None else ids[uc]  # the originator's id in the calls
     rounds: list[list[IdCall]] = [[] for _ in range(k)]
-    slots: list[tuple[int, int]] = []
     informed: set[int] = set() if uc is None else {uc}
 
-    def call(rnd: int, a: int, c: int):
-        """In round rnd, the vertex of id a calls the vertex on coordinate c."""
+    def call(rnd: int, a: int | None, c: int):
+        """In round rnd, the vertex of id a (None: the originator off the
+        cube) calls the vertex on coordinate c."""
         rounds[rnd - 1].append((a, ids[c]))
-        informed.add(c)
-
-    def own(rnd: int, c: int):
-        """In round rnd, the off-cube originator calls coordinate c."""
-        slots.append((rnd, ids[c]))
         informed.add(c)
 
     def place(start: int, coord_rounds: list[list[CoordCall]]):
@@ -132,12 +129,12 @@ def _cube_phase(layout: CaseOneLayout, params: ConstructionParams, tree: int,
     if uc is None:
         rc = layout.coord_of_tree[tree]
         first = rc if rc >= half else half  # C12/C22 call their own root, C13/C23 coordinate half
-        own(1, first)
+        call(1, me, first)
         place(2, sweep_rounds(first, k - 1))
         for i in range(2, k - p + 1):
             j = k - i  # in round i u calls into block Q^j: its own root if that lies there
             seed = rc if rc >> j == 1 else 1 << j
-            own(i, seed)
+            call(i, me, seed)
             place(i + 1, sweep_rounds(seed, j))
     elif params.n == params.N:
         place(1, sweep_rounds(uc, k))
@@ -151,10 +148,12 @@ def _cube_phase(layout: CaseOneLayout, params: ConstructionParams, tree: int,
         else:
             partner = uc | half
             q1_seed, q2_entry = partner, uc
-        call(1, ids[uc], partner)
+        call(1, me, partner)
         place(2, sweep_rounds(q1_seed, k - 1))
         place(2, _low_region(layout, q2_entry))
-    return rounds, slots, informed
+    slots = [(r, b, i) for r, calls in enumerate(rounds, 1)
+             for i, (a, b) in enumerate(calls) if a == me]
+    return [[c for c in calls if c[0] != me] for calls in rounds], slots, informed
 
 
 def _informs_w(layout: CaseOneLayout, params: ConstructionParams, informed: set[int],
@@ -181,30 +180,30 @@ def make_schedule(g: Graph, layout: CaseOneLayout, params: ConstructionParams,
     """Legal schedule from originator u completing by round t+1, as dense ids
     of the graph the layout was built with.
 
-    An originator off the cube gets its tree's cube phase as a FilledTemplate
-    of the tree's CubeTemplate, made and checked on first use and kept on
-    the layout; an originator on the cube gets its cube phase as rounds."""
+    The cube phase is a FilledTemplate of a CubeTemplate, made and checked
+    on first use and kept on the layout: per tree for an originator off the
+    cube (layout.cube_templates), per cube coordinate for one on it
+    (layout.coord_templates)."""
     f = _full_id(g, layout, u)
     M, w = layout.tree_size, layout.w
     utree, umask = f // M + 1, f % M
     uid = layout.dense[f]
     if umask and f != w:
-        entry = layout.cube_templates.get(utree)
-        if entry is None:
-            rounds, slots, informed = _cube_phase(layout, params, utree, None)
-            w_informed = _informs_w(layout, params, informed, utree)
-            entry = layout.cube_templates[utree] = (CubeTemplate(utree, rounds, slots), w_informed)
-        template, w_informed = entry
-        first = FilledTemplate(template, uid)
-        overrides = [(utree, layout.tree_rounds(utree, umask))]
+        templates, key, uc = layout.cube_templates, utree, None
     else:
-        first, _, informed = _cube_phase(layout, params, utree,
-                                         layout.coord_of_tree[utree] if umask == 0 else 0)
-        w_informed = _informs_w(layout, params, informed, None)
-        overrides = []
+        uc = layout.coord_of_tree[utree] if umask == 0 else 0
+        templates, key = layout.coord_templates, uc
+    entry = templates.get(key)
+    if entry is None:
+        rounds, slots, informed = _cube_phase(layout, params, utree, uc)
+        w_informed = _informs_w(layout, params, informed, utree if uc is None else None)
+        entry = templates[key] = (CubeTemplate(utree, rounds, slots), w_informed)
+    template, w_informed = entry
     # tree phase: every surviving tree broadcasts alone from round k+1, from
     # its root (the layout's table) and at most one more vertex, u in its own
     # tree or w in tree 1 (an override of the table's fragment)
+    overrides = [(utree, layout.tree_rounds(utree, umask))] if uc is None else []
     if w_informed:  # tree 1 starts at full id 0, so w's mask is its full id
         overrides.append((1, layout.tree_rounds(1, w)))
-    return Schedule(layout.labels, uid, first, overrides, layout.plain_table)
+    return Schedule(layout.labels, uid, FilledTemplate(template, uid), overrides,
+                    layout.plain_table)

@@ -9,23 +9,22 @@ broadcasts within its target.  A schedule on the graph's label tuple, or an
 equal one, is checked piece by piece first (_check_pieces).  Its table, the
 root-only fragment of every surviving tree that all schedules on a graph
 share, is accepted once per graph: each fragment is replayed from its
-tree's root alone, and its counts per round are kept with their sum.  Per
-originator, the first rounds (the cube phase) are accepted, and they must
-inform each table tree at its root alone unless an override takes the
-tree's place.  First rounds that are a FilledTemplate are accepted through
-their template, once per graph: it is replayed from a placeholder for the
-originator, informed at round 0 and making the template's slot calls, and
-per originator only u's own calls are checked: u is none of the
-template's ids, lies in its tree, and neighbours each slot callee.  Sound
+tree's root alone, and its counts per round are kept with their sum.  Its
+first rounds (the cube phase) are a FilledTemplate, accepted through its
+template once per graph and table: the template is replayed from a
+placeholder for the originator, informed at round 0 and making the
+template's slot calls, and the vertices it informs fix which trees are
+overridden, from which vertex, and the counts of the trees left to the
+table.  Per originator only u's own part is checked, with no replay: u
+lies in the template's tree (as its root, when the placeholder stands for
+it) and neighbours each slot callee; and each override (the
+originator's own tree, and tree 1 when the cube phase informs w) is a
+ShiftedFragment of a table fragment, which the shift lemma accepts in
+O(h log M) for a tree of M vertices and h rounds (_accepted).  Sound
 because a call that does not involve u does not depend on which vertex u
 is: u is informed at round 0 whoever it is, and the template fixes the
-rounds u calls in and the vertices it calls (_vouched_template).  Other
-first rounds are replayed.  The overrides (the originator's own tree, and
-tree 1 when the cube phase informs w) are each a ShiftedFragment of a table
-fragment, which the shift lemma accepts in O(h log M) for a tree of M
-vertices and h rounds (_accepted), or are replayed in their tree.  Whatever
-that check does not accept is replayed whole, which gives every failure's
-witness."""
+rounds u calls in and the vertices it calls.  Whatever that check does not
+accept is replayed whole, which gives every failure's witness."""
 
 from __future__ import annotations
 
@@ -35,7 +34,7 @@ import sys
 from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
-from itertools import compress
+from itertools import accumulate, compress, zip_longest
 from typing import NamedTuple
 
 from .construct import CaseOneLayout
@@ -81,8 +80,7 @@ def check_schedule(g: Graph, s: Schedule) -> CheckResult:
     """
     sizes = _check_pieces(g, s)
     if sizes is not None:
-        return CheckResult(True, completion_round=sizes.index(g.n),
-                           informed_per_round=tuple(sizes))
+        return CheckResult(True, completion_round=sizes.index(g.n), informed_per_round=sizes)
     n = g.n
     origin, id_rounds = s.ids_in(g)
     if not 0 <= origin < n:
@@ -207,12 +205,13 @@ class _Record:
     ``home`` is the tree of every vertex, ``spans`` each tree's id range
     [lo, hi) (None when some tree's ids do not form one range), ``labels``
     the last label tuple compared with g's and ``same`` whether it is equal.
-    ``when`` and ``used`` are replay state (see _fresh) that every check
-    leaves as it found it.  ``cube_rows`` is the edge test of the first
-    rounds (below), ``sets`` the whole replay's neighbour sets
-    (_neighbour_sets), ``accepted`` the table accepted last, or None, and
-    ``templates`` the verdict on every cube template met since, keyed by the
-    template object: a _Template, or None when it was refused.
+    ``when`` and ``used`` are replay state (see _fresh) that every
+    acceptance of a table or a template leaves as it found it.
+    ``cube_rows`` is the edge test of the first rounds (below), ``sets``
+    the whole replay's neighbour sets (_neighbour_sets), ``accepted`` the
+    table accepted last, or None, and ``templates`` the verdict on every
+    cube template met since, keyed by the template object: a _Template, or
+    None when it was refused.
 
     The cube rows hold, per vertex, its neighbours that have a cube
     coordinate, as a frozenset shared by every vertex with the same such
@@ -252,16 +251,18 @@ class _Record:
 
 class _Template(NamedTuple):
     """A cube template accepted on a graph with its accepted table
-    (_accept_template): the informed count after each of its rounds, the
-    table's calls per round less those of the template's tree, trailing
-    zeros left out, the vertices of its tree it informs, the callees of its
-    slots, and every id it names."""
+    (_accept_template): the informed count after each of its rounds; the
+    table's calls per round less those of the overridden trees, trailing
+    zeros left out; per overridden tree, the vertex informed besides its
+    root (None for the placeholder); the id the originator must have when
+    the placeholder stands for its tree's root, else None; and the callees
+    of its slots."""
 
     sizes: list[int]
     base: list[int]
-    own: list[int]
+    overrides: dict[int, int | None]
+    root: int | None
     callees: frozenset[int]
-    named: frozenset[int]
 
 
 def _record(g: Graph) -> _Record:
@@ -309,23 +310,27 @@ def _accept_template(g: Graph, rec: _Record, template: CubeTemplate) -> _Templat
 
     Its rounds are replayed from a placeholder P for the originator, an id
     past g's: P is informed at round 0, makes the slot calls, each in the
-    place its FilledTemplate gives it, and has their callees as its only
-    neighbours; every other call is tested in the cube rows.  Every vertex
-    the rounds inform must lie in the template's tree, which must be in the
-    table, or be the root of another table tree, and the root of every
-    other table tree must be informed: so the template's tree alone is
-    overridden, and every other table tree starts from its root alone.
-    Every id must be one of g's.  The replay state is reset, and P's entries
-    removed."""
+    place its FilledTemplate gives it, which must lie in its round, and has
+    their callees as its only neighbours; every other call is tested in the
+    cube rows.  Every id must be one of g's.  P lies in the template's tree,
+    which must be in the table: P stands for that tree's root when the
+    rounds leave the root uninformed, else for one more vertex of the tree.
+    Besides the roots, the rounds may inform at most one vertex per tree, of
+    a table tree: a tree with one more vertex informed, P's included, is
+    overridden, and every other table tree starts from its root alone (or
+    from no vertex, which the counts show: see _check_pieces).  The replay
+    state is reset, and P's entries removed."""
     n, tree = g.n, template.tree
     trees, total, roots = rec.accepted.trees, rec.accepted.total, rec.accepted.roots
-    callees = [c for _, c in template.slots]
+    callees = [c for _, c, _ in template.slots]
     named = {x for calls in template.rounds for call in calls for x in call}.union(callees)
     if tree not in trees or not all(isinstance(x, int) and 0 <= x < n for x in named):
         return None
     rounds = [list(calls) for calls in template.rounds]
-    for r, c in template.slots:
-        rounds[r - 1].append((n, c))
+    for r, c, i in template.slots:
+        if not 0 <= i <= len(rounds[r - 1]):
+            return None
+        rounds[r - 1].insert(i, (n, c))
     when, used, rows = rec.when, rec.used, rec.cube_rows
     when.append(0)
     used.append(0)
@@ -339,81 +344,61 @@ def _accept_template(g: Graph, rec: _Record, template: CubeTemplate) -> _Templat
         del when[n:], used[n:], rows[n:]
     if bad is not None:
         return None
-    own, plain = [], 0
-    for calls in rounds:
-        for _, v in calls:
-            if rec.home[v] == tree:
-                own.append(v)
-            elif v in roots:
-                plain += 1
-            else:
-                return None
-    if plain + 1 != len(trees):
-        return None
+    informed = {v for calls in rounds for _, v in calls}
+    root = rec.spans[tree][0]
+    at_root = root not in informed
+    overrides: dict[int, int | None] = {} if at_root else {tree: None}
+    for v in informed - roots:
+        other = rec.home[v]
+        if other in overrides or other not in trees:
+            return None
+        overrides[other] = v
     base = list(total)
-    for i, c in enumerate(trees[tree].counts):
-        base[i] -= c
+    for other in overrides:
+        for i, c in enumerate(trees[other].counts):
+            base[i] -= c
     while base and not base[-1]:
         base.pop()
-    return _Template(sizes, base, own, frozenset(callees), frozenset(named))
+    return _Template(sizes, base, overrides, root if at_root else None, frozenset(callees))
 
 
-def _vouched_template(g: Graph, rec: _Record, first: FilledTemplate, origin: int,
-                      overrides: tuple) -> _Template | None:
-    """The acceptance of ``first``'s template (_accept_template, made once
-    per template and table) when it vouches for the first rounds from
-    ``origin``, or None.  It does when first fills the template with the
-    originator, who is none of the ids the template names and lies in its
-    tree; when every slot callee is the originator's neighbour in the cube
-    rows; and when the template's tree is the one override.
-
-    Sound because a call that does not involve the originator does not
-    depend on which vertex it is: the originator is informed at round 0,
-    whoever it is, like the placeholder, and the template fixes the rounds
-    it calls in and the vertices it calls; a vertex the template does not
-    name takes part in no other call.  So the rounds replay as the
-    template's did, call for call, and inform the same vertices, the
-    originator's in place of the placeholder's."""
-    template = first.template
-    if template not in rec.templates:
-        rec.templates[template] = _accept_template(g, rec, template)
-    entry = rec.templates[template]
-    if (entry is None or first.u != origin or origin in entry.named
-            or rec.home[origin] != template.tree or not entry.callees <= rec.cube_rows[origin]
-            or len(overrides) != 1 or overrides[0][0] != template.tree):
-        return None
-    return entry
-
-
-def _check_pieces(g: Graph, s: Schedule) -> list[int] | None:
+def _check_pieces(g: Graph, s: Schedule) -> tuple[int, ...] | None:
     """The informed count after each round of a schedule on g's label tuple,
     or on an equal one, accepted from its pieces, or None when the whole
     replay must decide.  An equal tuple numbers the vertices as g does; a
     tuple is compared only when it is not the last one compared.
 
     The table is accepted once per graph (_accept_table; again only when a
-    schedule brings another table object).  Per schedule, the first rounds
-    (the cube phase) are accepted in one of two ways.  A FilledTemplate is
-    vouched for by its template, accepted once per graph and table
-    (_vouched_template): per originator that costs O(k) set tests, with no
-    replay.  Other first rounds are replayed from the originator, their
-    edges tested in the cube rows (see _Record).  Then four things are
-    checked: every vertex they inform lies in an overridden tree or is the
-    root of a table tree; every table tree is overridden or has its root
-    informed; no tree is overridden twice; and every overridden tree is in
-    the table.  So each table tree that is not overridden starts from its
-    root alone, as its fragment was accepted, and adds the counts recorded
-    for it.  Each override is replayed inside its tree's id range, from the
-    tree's vertices the first rounds inform, unless _accepted vouches for
-    it: a ShiftedFragment of the table's fragment of its tree, started from
-    that root and its u.  The counts are S, less the table counts of each
-    overridden tree, plus the override's.  Accepted when every piece is
-    legal and every vertex is informed.  Sound because the trees share no
-    vertex and the fragments start after the cube phase, so no call of one
-    piece bears on another.  The per-schedule work grows with the
-    overrides, and with the vertices replayed first rounds inform, not with
-    the table.  The replay state lives on g's record; only the entries the
-    check writes are reset, so a check costs no O(n) set-up.
+    schedule brings another table object), and the first rounds, which must
+    be a FilledTemplate, through their template, once per graph and table
+    (_accept_template).  Per originator u the check is O(k) set tests and
+    the shift lemma, with no replay, and it writes no replay state:
+    - the template is filled with u, who lies in its tree (and is the
+      tree's root, when the placeholder stands for it) and neighbours every
+      slot callee in the cube rows (see _Record);
+    - the overrides name the template's overridden trees, each once;
+    - _accepted vouches for each override: a ShiftedFragment of the table's
+      fragment of its tree, started from the root and the one vertex the
+      template informs besides it (u, for the placeholder's tree), which
+      may not be the root.
+    So u is none of the vertices the template names, all of them informed
+    by its rounds: in u's tree they are the root, which the lemma refuses
+    as u, or, when the placeholder stands for the root, at most one other
+    vertex, and u is the root.  Sound because a call that does not involve
+    u does not depend on which vertex u is: u is informed at round 0,
+    whoever it is, like the placeholder, and the template fixes the rounds
+    it calls in and the vertices it calls; a vertex the template does not
+    name takes part in no other call.  So the first rounds replay as the
+    template's did, call for call, and inform the same vertices, u in place
+    of the placeholder.  Each table tree that is not overridden then starts
+    from its root, as its fragment was accepted, and each overridden one
+    from its root and one more vertex, as the shift lemma's fragment does;
+    the trees share no vertex and the fragments start after the cube phase,
+    so no call of one piece bears on another.  The counts are the
+    template's, then per round its base (the table's, less the overridden
+    trees') plus each override's.  Accepted when every vertex is informed:
+    as every vertex informed but a root is an override's, that holds only
+    when every table root is informed and the table covers g.
     """
     rec = _record(g)
     if s.labels is not rec.labels:
@@ -422,86 +407,41 @@ def _check_pieces(g: Graph, s: Schedule) -> list[int] | None:
         return None
     n, origin = g.n, s.origin
     first, overrides, table = s.pieces
-    if rec.spans is None or not table or not 0 <= origin < n:
+    if (rec.spans is None or not table or not isinstance(first, FilledTemplate)
+            or not 0 <= origin < n):
         return None
     if rec.accepted is None or rec.accepted.table is not table:
         accepted = _accept_table(g, rec, table)
         if accepted is None:
             return None
         rec.accepted, rec.templates = accepted, {}
-    entry = None
-    if isinstance(first, FilledTemplate):  # on the clean replay state
-        entry = _vouched_template(g, rec, first, origin, overrides)
-        if entry is None:
+    template = first.template
+    if template not in rec.templates:
+        rec.templates[template] = _accept_template(g, rec, template)
+    entry = rec.templates[template]
+    if (entry is None or first.u != origin
+            or rec.home[origin] != template.tree or entry.root not in (None, origin)
+            or not entry.callees <= rec.cube_rows[origin]
+            or len(overrides) != len(entry.overrides)
+            or {tree for tree, _ in overrides} != entry.overrides.keys()):
+        return None
+    trees, spans = rec.accepted.trees, rec.spans
+    added = []
+    for tree, frag in overrides:
+        v = entry.overrides[tree]
+        counts = _accepted(trees[tree], frag, origin if v is None else v, spans[tree])
+        if counts is None:
             return None
-    _, trees, total, roots = rec.accepted
-    home, spans, when, used = rec.home, rec.spans, rec.when, rec.used
-    when[origin] = 0
-    written, replayed = [origin], []  # what the check writes, reset after it
-    try:
-        if entry is not None:
-            sizes, grow = list(entry.sizes), list(entry.base)
-            pre = {first.template.tree: [origin, *entry.own]}
-            for v in entry.own:  # informed in the first rounds, should the override be replayed
-                when[v] = 0
-            written += entry.own
-        else:
-            replayed.append(first)
-            sizes = [1]
-            if _replay(when, used, g, rec.cube_rows, first, 0, 0, n, sizes) is not None:
-                return None
-            pre = {tree: [] for tree, _ in overrides}
-            if len(pre) != len(overrides) or not pre.keys() <= trees.keys():
-                return None  # a tree overridden twice, or not in the table
-            plain = 0  # table roots informed, in trees not overridden
-            for v in [origin] + [b for calls in first for _, b in calls]:
-                tree = home[v]
-                if tree in pre:
-                    pre[tree].append(v)
-                elif v in roots:
-                    plain += 1
-                else:
-                    return None  # a table fragment would not start from its root alone
-            if plain + len(pre) != len(trees):
-                return None  # a table tree starts from no informed vertex
-            grow = list(total)
-            for tree in pre:
-                for i, c in enumerate(trees[tree].counts):
-                    grow[i] -= c
-            while grow and not grow[-1]:
-                grow.pop()
-        k = len(first)
-        for tree, frag in overrides:
-            added = _accepted(trees[tree], frag, pre[tree], spans[tree])
-            if added is None:
-                replayed.append(frag)
-                counts = [len(pre[tree])]
-                if _replay(when, used, g, None, frag, k, *spans[tree], counts) is not None:
-                    return None
-                added = [b - a for a, b in zip(counts, counts[1:])]
-            grow.extend([0] * (len(added) - len(grow)))
-            for i, c in enumerate(added):
-                grow[i] += c
-        for c in grow:
-            sizes.append(sizes[-1] + c)
-        return sizes if sizes[-1] == n else None
-    finally:
-        for v in written:
-            when[v], used[v] = _NEVER, 0
-        try:
-            for piece in replayed:
-                for calls in piece:
-                    for _, b in calls:
-                        if 0 <= b < n:
-                            when[b], used[b] = _NEVER, 0
-        except TypeError:
-            pass  # the replay wrote nothing past the first id that is no index
+        added.append(counts)
+    *sizes, last = entry.sizes
+    sizes += accumulate(map(sum, zip_longest(entry.base, *added, fillvalue=0)), initial=last)
+    return tuple(sizes) if sizes[-1] == n else None
 
 
-def _accepted(entry: _Tree, frag, pre: list[int], span: tuple[int, int]) -> list[int] | None:
+def _accepted(entry: _Tree, frag, u: int, span: tuple[int, int]) -> list[int] | None:
     """The calls per round of ``frag``, an override of the tree [lo, hi) =
-    ``span`` started from ``pre``, vouched for without replay by the tree's
-    accepted table fragment ``entry``, or None.
+    ``span`` started from lo and ``u``, vouched for without replay by the
+    tree's accepted table fragment ``entry``, or None.
 
     The shift lemma.  Let the accepted fragment B broadcast the tree from its
     root lo, and let a ShiftedFragment of B and u start from {lo, u}.  Its
@@ -527,14 +467,14 @@ def _accepted(entry: _Tree, frag, pre: list[int], span: tuple[int, int]) -> list
     """
     root = span[0]
     if not (isinstance(frag, ShiftedFragment) and frag.base is entry.fragment
-            and len(pre) == 2 and root in pre and frag.u in pre and frag.u != root):
+            and frag.u == u != root):
         return None
     if entry.shape is None:
         entry.shape = _tree_shape(entry.fragment, *span)
     if not entry.shape:
         return None
     callees, at, by, size = entry.shape
-    u = frag.u - span[0]
+    u -= root
     ru, p, end, last = at[u], by[u], u + size[u], len(callees)
     # per round of B, its callees in u's subtree and in (p, u); none before r(u)
     inside, between = [0] * (last + ru + 1), [0] * (last + 2)

@@ -34,17 +34,15 @@ def vertex(g, layout, tree, mask):
 
 def like_first(first, rounds):
     """``rounds``, first rounds of a schedule, in the form of the first
-    rounds ``first``: when first is a FilledTemplate, a new one, of a new
-    template of the same tree whose slots are the calls of first's
-    originator in ``rounds`` and whose rounds are the other calls; else the
-    rounds as they are."""
-    if not isinstance(first, FilledTemplate):
-        return rounds
+    rounds ``first``, a FilledTemplate: a new one, of a new template of the
+    same tree, whose slots are the calls of first's originator in
+    ``rounds``, each at its place in its round, and whose rounds are the
+    other calls."""
     u = first.u
     others = [[(a, b) for a, b in calls if a != u] for calls in rounds]
-    slots = [(r, b) for r, calls in enumerate(rounds, 1) for a, b in calls if a == u]
-    template = CubeTemplate(first.template.tree, others, slots)
-    return FilledTemplate(template, u)
+    slots = [(r, b, i) for r, calls in enumerate(rounds, 1)
+             for i, (a, b) in enumerate(calls) if a == u]
+    return FilledTemplate(CubeTemplate(first.template.tree, others, slots), u)
 
 
 def label_rounds(s):

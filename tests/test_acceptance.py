@@ -196,14 +196,14 @@ def test_criterion_3_case1_construction_fidelity():
 def test_criterion_4_broadcast_certification(monkeypatch):
     # certify_graph checks every schedule from its pieces, on the layout's
     # table, accepted once per graph; each must be accepted there, every
-    # off-cube originator's cube phase through its tree's template, and the
+    # originator's cube phase through a template accepted once, and the
     # whole replay of its calls, without the pieces, must give the same
     # completion round and informed count per round
     from broadcastnet import verify
 
     check_pieces, checked = verify._check_pieces, []
     accepted, lemma = verify._accepted, []
-    vouched_template, templated = verify._vouched_template, []
+    accept_template, made = verify._accept_template, []
 
     def recording(g, s):
         checked.append((s, check_pieces(g, s)))
@@ -215,18 +215,16 @@ def test_criterion_4_broadcast_certification(monkeypatch):
             lemma.append(frag)
         return added
 
-    def templating(g, rec, first, origin, overrides):
-        entry = vouched_template(g, rec, first, origin, overrides)
-        if entry is not None:
-            templated.append(origin)
-        return entry
+    def templating(g, rec, template):
+        made.append(template)
+        return accept_template(g, rec, template)
 
     monkeypatch.setattr(verify, "_check_pieces", recording)
     monkeypatch.setattr(verify, "_accepted", vouching)
-    monkeypatch.setattr(verify, "_vouched_template", templating)
+    monkeypatch.setattr(verify, "_accept_template", templating)
     start = time.time()
     lines = []
-    originators = shifted = filled = 0
+    originators = shifted = templates = 0
     for t, k, n in _certification_instances():
         params = make_params(t, k, n)
         g, layout, _ = build(params)
@@ -244,12 +242,17 @@ def test_criterion_4_broadcast_certification(monkeypatch):
                          if isinstance(frag, ShiftedFragment)], (t, k, n)
         shifted += len(lemma)
         lemma.clear()
-        # every off-cube originator's cube phase, by its tree's template
-        off_cube = [v for v, label in enumerate(g.labels) if label.cube is None]
-        assert templated == off_cube, (t, k, n)
-        assert [s.origin for s in schedules if isinstance(s.pieces[0], FilledTemplate)] == off_cube
-        filled += len(templated)
-        templated.clear()
+        # every originator's cube phase, on the cube or off it, by a
+        # template filled with it and accepted once
+        firsts = [s.pieces[0] for s in schedules]
+        assert all(isinstance(first, FilledTemplate) and first.u == s.origin
+                   for first, s in zip(firsts, schedules)), (t, k, n)
+        verdicts = verify._record(g).templates
+        assert all(verdicts[first.template] is not None for first in firsts), (t, k, n)
+        assert len({id(x) for x in made}) == len(made) == len(
+            {id(first.template) for first in firsts}), (t, k, n)
+        templates += len(made)
+        made.clear()
         with monkeypatch.context() as mp:
             mp.setattr(verify, "_check_pieces", lambda g, s: None)
             whole = [check_schedule(g, s) for s in schedules]
@@ -263,8 +266,8 @@ def test_criterion_4_broadcast_certification(monkeypatch):
     assert originators == 16142
     print(f"\nCRITERION 4: PASS - {len(lines)} graphs certified over every "
           f"originator, all completing exactly at t+1, the piecewise check "
-          f"({shifted} fragments by the shift lemma, {filled} cube phases by "
-          f"a template) agreeing with the whole "
+          f"({shifted} fragments by the shift lemma, {originators} cube phases "
+          f"by {templates} templates) agreeing with the whole "
           f"replay on all {originators}, round and informed counts "
           f"({time.time() - start:.1f}s)")
 

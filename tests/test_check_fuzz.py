@@ -14,15 +14,17 @@ boundary, and "twin" lists a plain fragment twice in a table, in place of
 another tree's.  The originator's own override, a ShiftedFragment, is
 mutated as a descriptor too (its u, its base, its tree): the shift lemma
 must vouch for no illegal mutant, and an equal base not met before
-(another build's, or a copy) is replayed in its tree.  The table is mutated
+(another build's, or a copy) goes to the whole replay.  The table is mutated
 as a whole (another build's, a tree missing or twice, a tree moved to the
 overrides), and so is what the cube phase informs of it (a non-root vertex
-of a table tree, a table root left out).  An off-cube originator's cube
-phase is a cube template filled with u: its mutated rounds are placed in a
-new template, and the template is mutated as such too (a slot callee that
-is not u's neighbour, two slots in a round, a call before its caller is
-informed) or filled with another vertex (of u's tree, of another tree, on
-the cube).  Every verdict must be the set replay's.
+of a table tree, a table root left out).  Every originator's cube phase,
+on the cube or off it, is a cube template filled with the originator: its
+mutated rounds are placed in a new template, and the template is mutated
+as such too (a slot callee that is not u's neighbour, two slots in a round,
+a call before its caller is informed, a slot placed outside its round) or
+filled with another vertex (of u's tree, of another tree, on the cube, of a
+root's tree), and so are the overrides it asks for (w's dropped, one listed
+twice in place of another).  Every verdict must be the set replay's.
 """
 
 from collections import Counter
@@ -184,7 +186,7 @@ def _leave(rounds, later, g, rng, same_tree):
 
 def _pieces_with(place, kind, generated, u, g, layout, rng):
     """The generated schedule's pieces with one mutation: in the cube rounds
-    (placed in a new cube template when u is off the cube), in u's own
+    (placed in a new cube template), in u's own
     fragment (as an override of u's tree) or in a copy of a plain
     (root-only) fragment in a new table, or, for "twin", a new table in
     which a plain fragment is listed a second time in place of another
@@ -251,7 +253,9 @@ def test_factored_certifier_agrees_with_set_replay(place, kind, tkn, pick, rng):
     [(_, rnd)] = report.per_originator or [(None, None)]
     assert (bool(report.per_originator), rnd) == want
     if kind == "none":
-        assert verify._check_pieces(g, s) is not None
+        # an own fragment copied into a tuple is no ShiftedFragment, which
+        # the shift lemma alone vouches for: the whole replay decides it
+        assert (verify._check_pieces(g, s) is not None) == (place != "own")
     if not want[0]:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(verify, "_check_pieces", lambda g, s: None)
@@ -319,8 +323,8 @@ def test_shift_lemma_vouches_only_for_its_own_descriptor(kind, tkn, pick, rng):
     assert certify_graph(g, layout, params, originators=[u]).passed
     accepted, vouched = verify._accepted, []
 
-    def recording(entry, frag, pre, span):
-        added = accepted(entry, frag, pre, span)
+    def recording(entry, frag, v, span):
+        added = accepted(entry, frag, v, span)
         if added is not None and isinstance(frag, ShiftedFragment):
             vouched.append(frag)
         return added
@@ -334,8 +338,9 @@ def test_shift_lemma_vouches_only_for_its_own_descriptor(kind, tkn, pick, rng):
     mutated = [frag for _, frag in s.pieces[1] if isinstance(frag, ShiftedFragment)]
     if kind in ("none", "other-graph-base", "unaccepted-base"):
         # legal; a descriptor on the table's own fragment is vouched for, and
-        # one on an equal base not met before is replayed in its tree
-        assert want == (True, params.t + 1) and verify._check_pieces(g, s) is not None
+        # one on an equal base not met before goes to the whole replay
+        assert want == (True, params.t + 1)
+        assert (verify._check_pieces(g, s) is not None) == (kind == "none")
         assert vouched == (mutated if kind == "none" else [])
         tree = s.pieces[1][own][0]
         assert verify._record(g).accepted.trees[tree].fragment is layout.tree_rounds(tree)
@@ -365,8 +370,7 @@ def _table_with(kind, generated, g, layout, rng):
     or, with no override, a cube call to a table root sent to a non-root
     neighbour of its caller in a table tree; or a cube call to a table root
     that calls no one later in the cube dropped, which leaves that root
-    uninformed.  Mutated cube rounds of an off-cube u are placed in a new
-    cube template."""
+    uninformed.  Mutated cube rounds are placed in a new cube template."""
     cube, overrides, table = generated.pieces
     named = dict(overrides)
     free = [i for i, (tree, _) in enumerate(table) if tree not in named]
@@ -424,9 +428,14 @@ def test_table_is_used_only_where_each_tree_starts_from_its_root(kind, tkn, pick
     [(_, rnd)] = report.per_originator or [(None, None)]
     assert (bool(report.per_originator), rnd) == want
     if kind in ("none", "other-build"):
-        # an equal table object not met before is accepted in its turn
-        assert want == (True, params.t + 1) and verify._check_pieces(g, s) is not None
+        # an equal table object not met before is accepted in its turn; the
+        # overrides are shifted from the layout's own fragments, so the lemma
+        # vouches for them on the layout's table alone, and with another
+        # build's the whole replay decides
+        assert want == (True, params.t + 1)
+        pieces = verify._check_pieces(g, s)
         assert verify._record(g).accepted.table is s.pieces[2]
+        assert (pieces is not None) == (kind == "none" or not s.pieces[1])
     elif kind == "foreign-override":
         # the same calls: legal, but only the whole replay may say so
         assert want == (True, params.t + 1) and verify._check_pieces(g, s) is None
@@ -440,51 +449,93 @@ def test_table_is_used_only_where_each_tree_starts_from_its_root(kind, tkn, pick
 
 
 TEMPLATE_MUTATIONS = ("none", "slot-stranger", "two-slots", "other-filling", "other-tree",
-                      "cube-u", "caller-uninformed")
+                      "cube-u", "caller-uninformed", "root-filling", "w-dropped",
+                      "override-twice", "slot-place")
+
+
+def _originators(kind, g, layout, params):
+    """The originators a template mutation applies to: the roots (their
+    templates stand for the root), the roots whose schedule overrides tree 1
+    from w, the off-cube originators of a tree but tree 1 when w survives
+    (their templates leave w to its tree), or every vertex."""
+    if kind == "root-filling":
+        return [u for u in g.labels if u.is_root]
+    if kind == "w-dropped":
+        return [u for u in g.labels if u.is_root and make_schedule(g, layout, params, u).pieces[1]]
+    if kind == "override-twice":
+        return [u for u in g.labels if u.cube is None and u.tree != 1] if layout.w_alive else []
+    return list(g.labels)
+
+
+def _fit(rounds, slots):
+    """``slots`` with each place moved into its round of ``rounds`` (the
+    calls but the originator's, and the slots before it in that round)."""
+    taken = Counter()
+    fitted = []
+    for r, c, i in slots:
+        fitted.append((r, c, min(i, len(rounds[r - 1]) + taken[r])))
+        taken[r] += 1
+    return fitted
 
 
 def _template_with(kind, generated, g, layout, rng):
-    """The first rounds and originator of the generated schedule of an
-    off-cube u with its cube template, or its filling, mutated: a slot callee
-    traded with the callee of another call of its round that u does not
-    neighbour (the template stays legal from a placeholder, but u has no
-    such edge), or, with no such call, sent to a vertex u does not
-    neighbour; a slot moved into the round of an earlier slot, so u calls
-    twice in it; the template filled with another vertex of u's tree, the
-    schedule still started from u; the template filled with, and the
-    schedule started from, a vertex of another tree whose own template
-    differs; the same with a cube vertex, a root or w; or a call of the
-    template moved into the round its caller is informed in.  Returns (first
-    rounds, originator, whether the template should be accepted from its
-    placeholder)."""
-    first = generated.pieces[0]
+    """The first rounds, originator and overrides of the generated schedule
+    with its cube template, its filling or its overrides mutated:
+    - slot-stranger: a slot callee traded with the callee of another call of
+      its round that u does not neighbour (the template stays legal from a
+      placeholder, but u has no such edge), or, with no such call, sent to
+      a root u does not neighbour, which the template calls already;
+    - two-slots: a slot moved into the round of an earlier slot, so u calls
+      twice in it;
+    - other-filling: the template filled with another vertex of u's tree,
+      the schedule still started from u;
+    - other-tree: the template filled with, and the schedule started from,
+      a vertex of another tree whose own template differs;
+    - cube-u: the same with another cube vertex, a root or w;
+    - caller-uninformed: a call of the template moved into the round its
+      caller is informed in;
+    - root-filling: a root's template filled with, and the schedule started
+      from, another vertex of the root's tree;
+    - w-dropped: a root's override of tree 1 from w dropped;
+    - override-twice: a call to w added, in a round of its own, to the
+      template of an originator of another tree, which then overrides two
+      trees, and one of its two overrides listed twice in place of the
+      other;
+    - slot-place: a slot's place moved outside its round.
+    Returns (first rounds, originator, overrides, whether the template
+    should be accepted from its placeholder)."""
+    first, overrides = generated.pieces[0], generated.pieces[1]
     template, u = first.template, first.u
     rounds = [list(calls) for calls in template.rounds]
     slots = list(template.slots)
     if kind == "none":
-        return like_first(first, first.rounds), u, True
+        return like_first(first, first.rounds), u, overrides, True
     if kind == "slot-stranger":
         near = set(row(g, u))
-        trades = [(j, r, i) for j, (r, c) in enumerate(slots)
+        trades = [(j, r, i) for j, (r, c, _) in enumerate(slots)
                   for i, (a, b) in enumerate(rounds[r - 1])
                   if b not in near and c in verify._record(g).cube_rows[a]]
         if trades:
             j, r, i = rng.choice(trades)
             a, b = rounds[r - 1][i]
-            rounds[r - 1][i], slots[j] = (a, slots[j][1]), (r, b)
-        else:
+            rounds[r - 1][i], slots[j] = (a, slots[j][1]), (r, b, slots[j][2])
+        else:  # a root the cube phase calls already
             j = rng.randrange(len(slots))
-            slots[j] = (slots[j][0], rng.choice([v for v in range(g.n) if v not in near
-                                                 and v != u]))
-        return FilledTemplate(CubeTemplate(template.tree, rounds, slots), u), u, bool(trades)
-    if kind == "two-slots":  # u calls in k - p >= 2 rounds, as n > 2^t
+            r, _, i = slots[j]
+            roots = [v for v, label in enumerate(g.labels)
+                     if v not in near and v != u and label.is_root]
+            assume(roots)
+            slots[j] = (r, rng.choice(roots), i)
+        return (FilledTemplate(CubeTemplate(template.tree, rounds, slots), u), u, overrides,
+                bool(trades))
+    if kind == "two-slots":  # u calls in two rounds or more, as n > 2^t
         j = rng.randrange(1, len(slots))
-        slots[j] = (slots[rng.randrange(j)][0], slots[j][1])
-        return FilledTemplate(CubeTemplate(template.tree, rounds, slots), u), u, False
+        slots[j] = (slots[rng.randrange(j)][0], slots[j][1], 0)
+        return FilledTemplate(CubeTemplate(template.tree, rounds, slots), u), u, overrides, False
     if kind == "other-filling":
         v = rng.choice([v for v, label in enumerate(g.labels) if v != u and label.cube is None
                         and label.tree == template.tree])
-        return FilledTemplate(template, v), u, True
+        return FilledTemplate(template, v), u, overrides, True
     if kind == "other-tree":
         params = make_params(g.t, g.k, g.n)
         first_of = {}  # per tree, its first off-cube vertex
@@ -494,22 +545,44 @@ def _template_with(kind, generated, g, layout, rng):
         differ = set()
         for tree, v in first_of.items():
             theirs = make_schedule(g, layout, params, g.labels[v]).pieces[0].template
-            if (theirs.rounds, theirs.slots) != (template.rounds, template.slots):
+            if tree != template.tree and (theirs.rounds, theirs.slots) != (template.rounds,
+                                                                          template.slots):
                 differ.add(tree)
         v = rng.choice([v for v, label in enumerate(g.labels)
                         if label.cube is None and label.tree in differ])
-        return FilledTemplate(template, v), v, True
+        return FilledTemplate(template, v), v, overrides, True
     if kind == "cube-u":
-        cube = [v for v, label in enumerate(g.labels) if label.cube is not None]
+        cube = [v for v, label in enumerate(g.labels) if label.cube is not None and v != u]
         v = rng.choice(cube)
-        return FilledTemplate(template, v), v, True
-    # caller-uninformed: a call of the template, into its caller's informing round
-    informed = {c: r for r, c in slots}
-    informed.update((b, r) for r, calls in enumerate(rounds, 1) for _, b in calls)
-    r, i = rng.choice([(r, i) for r, calls in enumerate(rounds, 1) for i in range(len(calls))])
-    call = rounds[r - 1].pop(i)
-    rounds[informed[call[0]] - 1].append(call)
-    return FilledTemplate(CubeTemplate(template.tree, rounds, slots), u), u, False
+        return FilledTemplate(template, v), v, overrides, True
+    if kind == "caller-uninformed":  # a call of the template, into its caller's informing round
+        informed = {c: r for r, c, _ in slots}
+        informed.update((b, r) for r, calls in enumerate(rounds, 1) for _, b in calls)
+        r, i = rng.choice([(r, i) for r, calls in enumerate(rounds, 1)
+                           for i in range(len(calls))])
+        call = rounds[r - 1].pop(i)
+        rounds[informed[call[0]] - 1].append(call)
+        return (FilledTemplate(CubeTemplate(template.tree, rounds, _fit(rounds, slots)), u), u,
+                overrides, False)
+    if kind == "root-filling":
+        v = rng.choice([v for v, label in enumerate(g.labels) if v != u
+                        and label.tree == template.tree])
+        return FilledTemplate(template, v), v, overrides, True
+    if kind == "w-dropped":
+        return first, u, (), True
+    if kind == "override-twice":  # an informed neighbour of w calls it, in a round of its own
+        w = layout.dense[layout.w]
+        informed = {c for _, c, _ in slots} | {b for calls in rounds for _, b in calls}
+        rounds.append([(rng.choice([a for a in row(g, w) if a in informed]), w)])
+        both = (*overrides, (1, layout.tree_rounds(1, layout.w)))
+        return (FilledTemplate(CubeTemplate(template.tree, rounds, slots), u), u,
+                (rng.choice(both),) * 2, True)
+    # slot-place: a slot's place before the first call of its round, or
+    # past the last
+    j = rng.randrange(len(slots))
+    r, c, _ = slots[j]
+    slots[j] = (r, c, rng.choice([-1, len(rounds[r - 1]) + len(slots)]))
+    return FilledTemplate(CubeTemplate(template.tree, rounds, slots), u), u, overrides, False
 
 
 @pytest.mark.parametrize("kind", TEMPLATE_MUTATIONS)
@@ -517,12 +590,13 @@ def _template_with(kind, generated, g, layout, rng):
 @given(instances(), st.integers(0, 1 << 30), st.randoms(use_true_random=False))
 def test_template_vouches_only_for_the_originator_it_was_made_for(kind, tkn, pick, rng):
     params, g, layout = _instance(*tkn)
-    off_cube = [u for u in g.labels if u.cube is None]
-    u = off_cube[pick % len(off_cube)]
+    candidates = _originators(kind, g, layout, params)
+    assume(candidates)
+    u = candidates[pick % len(candidates)]
     generated = make_schedule(g, layout, params, u)
     assert certify_graph(g, layout, params, originators=[u]).passed
-    first, origin, legal_template = _template_with(kind, generated, g, layout, rng)
-    s = Schedule(g.labels, origin, first, *generated.pieces[1:])
+    first, origin, overrides, legal_template = _template_with(kind, generated, g, layout, rng)
+    s = Schedule(g.labels, origin, first, overrides, generated.pieces[2])
     want = oracle(g, g.labels[origin], label_rounds(s))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verify, "make_schedule", lambda *args: s)
@@ -534,11 +608,25 @@ def test_template_vouches_only_for_the_originator_it_was_made_for(kind, tkn, pic
         assert report.per_originator == [(origin, params.t + 1)] and want == (True, params.t + 1)
         assert verify._check_pieces(g, s) is not None
         return
-    # every mutant is illegal, refused piecewise, and reported as the whole
-    # replay finds it
-    assert not want[0] and not report.passed
+    # every mutant is refused piecewise and reported as the whole replay
+    # finds it: illegal, but for a slot placed outside its round, whose
+    # filled rounds hold the generated calls, in another order
     assert verify._check_pieces(g, s) is None
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verify, "_check_pieces", lambda g, s: None)
         whole = check_schedule(g, s)
+    assert _verdict(whole) == want
+    if kind == "override-twice":
+        # with its two overrides, each once, the schedule is accepted piecewise
+        both = Schedule(g.labels, origin, first, (*generated.pieces[1], (1, layout.tree_rounds(
+            1, layout.w))), generated.pieces[2])
+        sizes = verify._check_pieces(g, both)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verify, "_check_pieces", lambda g, s: None)
+            assert sizes is not None and sizes == check_schedule(g, both).informed_per_round
+    if kind == "slot-place":
+        assert want == (True, params.t + 1)
+        assert report.per_originator == [(g.vertex_id(u), params.t + 1)]
+        return
+    assert not want[0] and not report.passed
     assert report.failures == [{"id": g.vertex_id(u), "violation": whole.violation.to_json_obj()}]

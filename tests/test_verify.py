@@ -363,18 +363,24 @@ def test_tree_fragments_are_immutable(g72):
         s.rounds[0].append((0, 1))
     with pytest.raises(AttributeError):
         s.rounds = ()
-    # an off-cube originator's first rounds: its tree's template, filled
+    # an off-cube originator's first rounds: its tree's template, filled;
+    # an on-cube one's: the template of its cube coordinate
     filled = s.pieces[0]
     assert isinstance(filled, FilledTemplate) and filled.template is layout.cube_templates[1][0]
-    for obj, name in ((filled, "u"), (filled, "template"), (filled.template, "slots")):
+    root = make_schedule(g, layout, params, vertex(g, layout, 2, 0)).pieces[0]
+    assert root.template is layout.coord_templates[layout.coord_of_tree[2]][0]
+    for obj, name in ((filled, "u"), (filled, "template"), (filled, "_rounds"),
+                      (filled.template, "slots")):
         with pytest.raises(AttributeError):
             setattr(obj, name, ())
     # the layout goes to pool workers with the templates it holds
-    again = pickle.loads(pickle.dumps((layout, filled)))
-    template = again[0].cube_templates[1][0]
-    assert (template.tree, template.rounds, template.slots) == (
-        filled.template.tree, filled.template.rounds, filled.template.slots)
-    assert tuple(again[1]) == tuple(filled) and again[1].u == filled.u
+    again = pickle.loads(pickle.dumps((layout, filled, root)))
+    for template, first in ((again[0].cube_templates[1][0], filled),
+                            (again[0].coord_templates[layout.coord_of_tree[2]][0], root)):
+        assert (template.tree, template.rounds, template.slots) == (
+            first.template.tree, first.template.rounds, first.template.slots)
+    for copy, first in zip(again[1:], (filled, root)):
+        assert tuple(copy) == tuple(first) and copy.u == first.u
 
 
 def test_check_from_pieces_equals_whole_replay(g72, monkeypatch):
@@ -426,8 +432,8 @@ def test_certify_starts_no_more_workers_than_originators_or_cpus(
 
 def test_recorded_verdict_is_tied_to_its_start_vertex(g72, monkeypatch):
     # tree 3's root-only fragment is recorded from its root; when the cube
-    # phase informs another vertex of tree 3 instead, the fragment must be
-    # replayed from that vertex, not accepted on the record
+    # phase informs another vertex of tree 3 instead, the template is
+    # refused and the whole replay decides, from that vertex
     params, g, layout, _ = g72
     r1, r3 = vertex(g, layout, 1, 0), vertex(g, layout, 3, 0)
     s = make_schedule(g, layout, params, r1)
@@ -438,7 +444,8 @@ def test_recorded_verdict_is_tied_to_its_start_vertex(g72, monkeypatch):
     x = max(v for v in row(g, a) if g.labels[v].tree == 3)
     assert (a, b) in cube[-1] and b not in {c for calls in cube for c, _ in calls}
     cube = [[(a, x) if call == (a, b) else call for call in calls] for calls in cube]
-    bad = Schedule(g.labels, a, cube, overrides, table)
+    bad = Schedule(g.labels, a, like_first(s.pieces[0], cube), overrides, table)
+    assert verify._check_pieces(g, bad) is None
     monkeypatch.setattr(verify, "make_schedule", lambda *args: bad)
     report = certify_graph(g, layout, params, originators=[r1])
     violation = check_schedule(g, bad).violation
@@ -457,10 +464,11 @@ def _stop_mid_round(rounds, informed):
 
 
 def test_piecewise_replay_state_is_reset_after_every_check(g73_shrunk):
-    # the piecewise check keeps its replay state on the graph's record and
-    # resets only what the replayed pieces wrote; legal and violating
-    # schedules, interleaved, each get the result of a fresh state, and
-    # leave the state as they found it
+    # the piecewise check keeps its replay state on the graph's record; a
+    # table's or a template's acceptance resets what its replay wrote, and
+    # the per-originator check writes none; legal and violating schedules,
+    # interleaved, each get the result of a fresh state, and leave the state
+    # as they found it
     params, g, layout, _ = g73_shrunk
     fresh = lambda: Graph.from_sorted(g.labels, g.edge_ids(), t=g.t, k=g.k)
     off_cube = [u for u in g.labels if u.cube is None]
@@ -514,9 +522,9 @@ def test_piecewise_replay_state_is_reset_after_every_check(g73_shrunk):
         outcomes.append(res.ok)
     assert len(legal) == 5
     assert outcomes == [True, False, False, True, False, False, False, False, False] * len(legal)
-    # an id that is no index: met by the replay it raises, as it always has;
-    # after a violation the whole replay decides; either way the state is
-    # left as it was found
+    # an id that is no index: met by the whole replay it raises, as it
+    # always has; after a violation the whole replay decides; either way the
+    # state is left as it was found
     s = legal[0]
     cube, overrides, table = s.pieces
     rounds = [list(calls) for calls in cube]
@@ -555,8 +563,7 @@ def test_shift_lemma_counts_only_a_base_in_preorder(g72, monkeypatch):
     # the children a vertex calls after v lie above v, not in (p, v), so the
     # lemma's counts do not fit it.  With it as tree 2's table fragment, the
     # table is accepted, the lemma refuses the override shifted from it, and
-    # the override is replayed in its tree: legal but late, with the counts
-    # per round of the whole replay
+    # the whole replay decides the schedule: legal but late
     params, g, layout, _ = g72
     M, h = layout.tree_size, layout.h
     ids = layout.dense[M:2 * M]
@@ -580,31 +587,94 @@ def test_shift_lemma_counts_only_a_base_in_preorder(g72, monkeypatch):
     accepted, vouched = verify._accepted, []
     monkeypatch.setattr(verify, "_accepted",
                         lambda *args: vouched.append(accepted(*args)) or vouched[-1])
-    sizes = verify._check_pieces(g, shifted)
+    assert verify._check_pieces(g, shifted) is None
     assert vouched == [None]
     entry = verify._record(g).accepted.trees[2]
     assert entry.fragment is base and entry.shape == ()
-    monkeypatch.setattr(verify, "_check_pieces", lambda g, s: None)
     res = check_schedule(g, shifted)
     assert res.ok and res.completion_round > params.t + 1
-    assert tuple(sizes) == res.informed_per_round
 
 
 def test_template_vouches_for_no_originator_it_names(g72):
     # a legal template of tree 2 that informs tree 2's root by a call: from
     # a placeholder the root is one more vertex informed, so the template is
-    # accepted; filled with that root it would inform the root twice, which
-    # the counts do not show when u, a leaf, is left uninformed in exchange
+    # accepted, the placeholder standing for another vertex of tree 2;
+    # filled with that root, and tree 2's override shifted to it as well,
+    # it would inform the root twice, and the shift lemma refuses the root
+    # as the vertex informed besides it
     params, g, layout, _ = g72
     r1, r2, r3 = (g.vertex_id(vertex(g, layout, tree, 0)) for tree in (1, 2, 3))
-    leaf = g.vertex_id(vertex(g, layout, 2, 1))  # the root's child called last
-    template = CubeTemplate(2, [[], [(r3, r1)], [(r3, r2)]], [(1, r3)])
-    generated = make_schedule(g, layout, params, g.labels[leaf])
-    s = Schedule(g.labels, r2, FilledTemplate(template, r2), *generated.pieces[1:])
+    template = CubeTemplate(2, [[], [(r3, r1)], [(r3, r2)]], [(1, r3, 0)])
+    table = layout.plain_table
+    s = Schedule(g.labels, r2, FilledTemplate(template, r2),
+                 [(2, ShiftedFragment(layout.tree_rounds(2), r2))], table)
     assert verify._check_pieces(g, s) is None
-    entry = verify._record(g).templates[template]
-    assert entry is not None and r2 in entry.named and entry.own == [r2]
+    rec = verify._record(g)
+    entry = rec.templates[template]
+    assert entry is not None and entry.overrides == {2: None} and entry.root is None
+    assert verify._accepted(rec.accepted.trees[2], s.pieces[1][0][1], r2, rec.spans[2]) is None
     res = check_schedule(g, s)
     assert not res.ok and res.violation.to_json_obj() == {
         "kind": "illegal-call", "round": 3, "caller": r3, "callee": r2,
         "reason": "callee-informed"}
+
+
+def test_template_vouches_only_for_an_originator_of_its_tree(g72):
+    # the template of u, off the cube in tree 1, has u call tree 2's root
+    # and tree 1's.  Filled with v, a vertex of tree 2 that neighbours both,
+    # and started from it, with tree 1's override shifted to v as well, it
+    # passes every check but "u lies in the template's tree"; a template of
+    # a tree the table lacks is refused as it is accepted
+    params, g, layout, _ = g72
+    r1, r2 = (g.vertex_id(vertex(g, layout, tree, 0)) for tree in (1, 2))
+    s = make_schedule(g, layout, params, vertex(g, layout, 1, 5))
+    first, [(tree, frag)], table = s.pieces
+    assert tree == 1 and [c for _, c, _ in first.template.slots] == [r2, r1]
+    assert verify._check_pieces(g, s) is not None
+    rows = verify._record(g).cube_rows
+    v = next(v for v, label in enumerate(g.labels)
+             if label.tree == 2 and not label.is_root and {r1, r2} <= rows[v])
+    bad = Schedule(g.labels, v, FilledTemplate(first.template, v),
+                   [(1, ShiftedFragment(frag.base, v))], table)
+    assert verify._check_pieces(g, bad) is None and not check_schedule(g, bad).ok
+    nowhere = CubeTemplate(0, first.template.rounds, first.template.slots)
+    moved = Schedule(g.labels, s.origin, FilledTemplate(nowhere, s.origin), [(tree, frag)], table)
+    assert verify._check_pieces(g, moved) is None and verify._record(g).templates[nowhere] is None
+    assert check_schedule(g, moved) == check_schedule(g, s)
+
+
+def test_template_standing_for_a_root_vouches_for_that_root_alone(g72):
+    # a template of tree 1 that leaves tree 1's root uninformed, so its
+    # placeholder stands for that root.  Filled with u, another vertex of
+    # tree 1 that neighbours the slot callee, it passes every check but "u
+    # is the root", and the whole replay finds the root never informed
+    params, g, layout, _ = g72
+    r1, r2, r3 = (g.vertex_id(vertex(g, layout, tree, 0)) for tree in (1, 2, 3))
+    u = g.vertex_id(vertex(g, layout, 1, 5))
+    template = CubeTemplate(1, [[], [(r2, r3)]], [(1, r2, 0)])
+    bad = Schedule(g.labels, u, FilledTemplate(template, u), (), layout.plain_table)
+    assert verify._check_pieces(g, bad) is None
+    entry = verify._record(g).templates[template]
+    assert entry.root == r1 and entry.overrides == {}
+    assert r2 in verify._record(g).cube_rows[u]
+    assert check_schedule(g, bad).violation.reason == "caller-uninformed"
+
+
+def test_template_informs_one_vertex_per_tree_besides_its_root(g72):
+    # the template of u, off the cube in tree 1, has u call tree 2's root,
+    # which sweeps to tree 3's, and then tree 1's.  With w called in place
+    # of tree 3's root, tree 1 would start from its root, u and w, and tree
+    # 3 from no vertex: the informed counts still sum to n, and only the
+    # one-vertex-per-tree rule refuses the template
+    params, g, layout, _ = g72
+    r1, r2, r3 = (g.vertex_id(vertex(g, layout, tree, 0)) for tree in (1, 2, 3))
+    w = g.vertex_id(vertex(g, layout, 1, layout.w))
+    s = make_schedule(g, layout, params, vertex(g, layout, 1, 5))
+    first, overrides, table = s.pieces
+    assert first.template.rounds == ((), ((r2, r3),))
+    assert [c for _, c, _ in first.template.slots] == [r2, r1]
+    template = CubeTemplate(1, [[], [(r2, w)]], first.template.slots)
+    bad = Schedule(g.labels, s.origin, FilledTemplate(template, s.origin),
+                   [*overrides, (1, layout.tree_rounds(1, layout.w))], table)
+    assert verify._check_pieces(g, bad) is None and verify._record(g).templates[template] is None
+    assert not check_schedule(g, bad).ok
