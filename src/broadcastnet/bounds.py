@@ -3,12 +3,37 @@
 All evaluations are exact integer arithmetic; every half term in the
 closed forms is an integer once multiplied out (k/2 * 2^k = k * 2^[k-1]),
 and fractional middle terms are rounded up explicitly.
+
+Table 2 is evaluated in pieces, not cell by cell.  Its rows split into runs
+of consecutive ascending n, and over a run each column is a short list of
+pieces: a count of blank cells, or a range of values, one per n, whose
+start and step are the closed form at the piece's first two n.
+
+- A k column is (5b) inside the window 2^t < n <= N and blank outside it.
+  With h = t+1-k and M = 2^h, p = floor(log2(x+1)) for x = (N-n) div M
+  is constant while 2^p - 1 <= x <= 2^(p+1) - 2, that is for n in
+  (N - (2^(p+1)-1)M, N - (2^p-1)M].  There only the (k+1-p)n term of (5b)
+  varies, so each p is one piece of slope k+1-p.
+- The hl column is blank for n < 4 and at powers of two.  Elsewhere
+  n = 2^P - 2^K - r with P = ceil(log2 n) and K = floor(log2(2^P - n)),
+  both constant for n in [2^P - 2^(K+1) + 1, 2^P - 2^K], where the bound
+  is linear of slope P-K+1: one piece per (P, K).
+- The hln column holds the odd-n bound on odd n and is blank on even n.
+  Its n/ceil(log n) term is not linear, so it is mapped over each stretch
+  of n-1 with constant floor and ceil of log2, and interleaved with blanks.
+
+The per-n functions (bound_5b, bound_hl_direct, bound_hln_odd,
+bound_report) evaluate one cell each, and are what the tests hold the
+pieces against.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain, count, groupby, islice, repeat
+from operator import sub
 
 from .errors import ParamOutOfRange
 from .params import ceil_log2, floor_log2, full_size, make_params, max_k
@@ -36,13 +61,18 @@ def hl_decomposition(n: int) -> tuple[int, int, int] | None:
     return p, k, rem - (1 << k)
 
 
+def _hl_closed_form(n: int, p: int, k: int) -> int:
+    """The direct-construction bound at n with decomposition (p, k, r)."""
+    return n * (p - k + 1) - (1 << (p - k)) - (p - k) * (3 * p + k - 3) // 2 + 2 * k
+
+
 def _hl_value(n: int) -> int | None:
     """Direct-construction bound at n, None where n has no decomposition."""
     dec = hl_decomposition(n)
     if dec is None:
         return None
     p, k, _ = dec
-    return n * (p - k + 1) - (1 << (p - k)) - (p - k) * (3 * p + k - 3) // 2 + 2 * k
+    return _hl_closed_form(n, p, k)
 
 
 def bound_hl_direct(n: int) -> int:
@@ -77,11 +107,15 @@ def hln_hypotheses(n_even: int) -> dict[str, bool]:
             "log_divides_n": divides, "two_has_full_order": order_ok}
 
 
-def _hln_value(n: int) -> int:
-    """The odd-n bound at the even n = n_odd - 1:
-    ceil(n*floor(log n)/2 + n/ceil(log n)) + ceil(log n) - 2."""
-    fl, cl = floor_log2(n), ceil_log2(n)
+def _hln_closed_form(n: int, fl: int, cl: int) -> int:
+    """The odd-n bound at the even n = n_odd - 1, with fl = floor(log n) and
+    cl = ceil(log n): ceil(n*fl/2 + n/cl) + cl - 2."""
     return n * fl // 2 + (n + cl - 1) // cl + cl - 2
+
+
+def _hln_value(n: int) -> int:
+    """The odd-n bound at the even n = n_odd - 1."""
+    return _hln_closed_form(n, floor_log2(n), ceil_log2(n))
 
 
 def bound_hln_odd(n_odd: int) -> tuple[int, dict[str, bool]]:
@@ -229,14 +263,82 @@ def _facsimile_rows(t: int, tops: list[int]) -> list[int]:
     return sorted(r for r in rows if lo <= r < tops[-1])
 
 
-def table2(t: int, n_values: list[int] | None = None,
-           facsimile: bool = False) -> tuple[list[str], list[list]]:
-    """Header and rows for the shrunk-size comparison table.
+def _line(f, lo: int, hi: int) -> range:
+    """f(n) for lo <= n <= hi, as a range: f must be linear in n there, with
+    a nonzero slope.  Start and step are f at lo and lo + 1."""
+    start = f(lo)
+    step = f(lo + 1) - start
+    return range(start, start + step * (hi - lo + 1), step)
 
-    Cells hold ints or None (blank).  Columns: n, one per k, the odd-n
-    bound, the direct-construction bound.  Every k column meets the parity
-    bound for odd and even n alike, so a k cell is (5b) inside the window
-    2^t < n <= N_k and blank outside it.  Needs t >= 7 and every n >= 2."""
+
+def _k_pieces(t: int, k: int, N: int, first: int, last: int) -> list:
+    """The k column for first <= n <= last: blank outside the window
+    2^t < n <= N, one piece per p inside it."""
+    lo, hi = max(first, (1 << t) + 1), min(last, N)
+    if lo > hi:
+        return [last - first + 1]
+    h = t + 1 - k
+    pieces = [lo - first]
+    p = floor_log2(((N - lo) >> h) + 1)
+    while lo <= hi:
+        top = min(hi, N - (((1 << p) - 1) << h))  # the last n with this p
+        pieces.append(_line(lambda n: closed_form_5b(t, k, n, p), lo, top))
+        lo, p = top + 1, p - 1
+    pieces.append(last - hi)
+    return pieces
+
+
+def _hl_pieces(first: int, last: int, floor: int) -> list:
+    """The hl column for first <= n <= last: blank for n <= floor (at least
+    3) and at powers of two, one piece per decomposition (p, k) elsewhere."""
+    lo = max(first, floor + 1)
+    if lo > last:
+        return [last - first + 1]
+    pieces = [lo - first]
+    while lo <= last:
+        p = ceil_log2(lo)
+        if lo == 1 << p:
+            pieces.append(1)
+            lo += 1
+            continue
+        k = floor_log2((1 << p) - lo)
+        top = min(last, (1 << p) - (1 << k))  # the last n with this k
+        pieces.append(_line(lambda n: _hl_closed_form(n, p, k), lo, top))
+        lo = top + 1
+    return pieces
+
+
+def _hln_cells(first: int, last: int, blank, fmt):
+    """The hln column for first <= n <= last: the odd-n bound on odd n,
+    blank on even n."""
+    pieces, m = [], first - first % 2  # the even n = n_odd - 1 of the first odd n
+    while m < last:
+        fl, cl = floor_log2(m), ceil_log2(m)
+        stop = min(last, m + 1 if fl == cl else 1 << cl)  # fl and cl are constant up to stop
+        pieces.append(map(_hln_closed_form, range(m, stop, 2), repeat(fl), repeat(cl)))
+        m = stop + stop % 2
+    values = fmt(chain.from_iterable(pieces))
+    cells = chain(repeat(blank, 1 - first % 2), chain.from_iterable(zip(values, repeat(blank))))
+    return islice(cells, last - first + 1)
+
+
+def _runs(ns: list[int]) -> list[tuple[int, int]]:
+    """ns as maximal runs (first, last) of consecutive ascending n, in order."""
+    runs, i = [], 0
+    for key, run in groupby(map(sub, ns, count())):  # n - i is constant on a run
+        size = len(tuple(run))
+        runs.append((key + i, key + i + size - 1))
+        i += size
+    return runs
+
+
+def _columns(t: int, n_values, facsimile: bool, blank, fmt) -> tuple[list[str], list]:
+    """Header and one iterator per column of the shrunk-size table, blank
+    cells as ``blank`` and each run of values passed through ``fmt``.
+
+    Every column is made of pieces over the runs of consecutive n: a count
+    of blank cells, or a range of values, one per n (the hln column
+    alternates its values with blanks)."""
     if t < 7:
         raise ParamOutOfRange(f"t={t}: t must be >= 7")
     ks = range(2, max_k(t, n_odd=False) + 1)
@@ -246,24 +348,38 @@ def table2(t: int, n_values: list[int] | None = None,
             n_values = _facsimile_rows(t, tops)
         else:
             n_values = range((1 << t) + 1, tops[-1])
-    header = ["n"] + [f"k={k}" for k in ks] + ["hln", "hl"]
-    hl_floor = tops[-2] if len(tops) > 1 else 0
-    rows = []
-    for n in n_values:
-        if n < 2:
-            raise ParamOutOfRange(f"n={n}: rows defined for n >= 2")
-        row: list = [n]
-        for k, N in zip(ks, tops):
-            row.append(_window_5b(t, k, N, n))
-        row.append(_hln_value(n - 1) if n % 2 else None)
-        row.append(None if facsimile and n <= hl_floor else _hl_value(n))
-        rows.append(row)
-    return header, rows
+    ns = list(n_values)
+    if ns and min(ns) < 2:
+        bad = next(n for n in ns if n < 2)
+        raise ParamOutOfRange(f"n={bad}: rows defined for n >= 2")
+    runs = _runs(ns)
+
+    def column(pieces):
+        return chain.from_iterable(repeat(blank, piece) if isinstance(piece, int) else fmt(piece)
+                                   for piece in pieces)
+
+    hl_floor = max(3, tops[-2] if facsimile and len(tops) > 1 else 0)
+    columns = [chain.from_iterable(fmt(range(first, last + 1)) for first, last in runs)]
+    columns += [column([piece for first, last in runs for piece in _k_pieces(t, k, N, first, last)])
+                for k, N in zip(ks, tops)]
+    columns.append(chain.from_iterable(_hln_cells(first, last, blank, fmt) for first, last in runs))
+    columns.append(column([piece for first, last in runs
+                           for piece in _hl_pieces(first, last, hl_floor)]))
+    return ["n"] + [f"k={k}" for k in ks] + ["hln", "hl"], columns
+
+
+def table2(t: int, n_values: list[int] | None = None,
+           facsimile: bool = False) -> tuple[list[str], list[list]]:
+    """Header and rows for the shrunk-size comparison table.
+
+    Cells hold ints or None (blank).  Columns: n, one per k, the odd-n
+    bound, the direct-construction bound.  Every k column meets the parity
+    bound for odd and even n alike, so a k cell is (5b) inside the window
+    2^t < n <= N_k and blank outside it.  Needs t >= 7 and every n >= 2."""
+    header, columns = _columns(t, n_values, facsimile, None, iter)
+    return header, list(map(list, zip(*columns)))
 
 
 def table2_csv(t: int, n_values: list[int] | None = None, facsimile: bool = False) -> str:
-    header, rows = table2(t, n_values, facsimile)
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join("" if c is None else str(c) for c in row))
-    return "\n".join(lines) + "\n"
+    header, columns = _columns(t, n_values, facsimile, "", partial(map, str))
+    return "\n".join(chain([",".join(header)], map(",".join, zip(*columns)))) + "\n"

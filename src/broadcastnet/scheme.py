@@ -162,7 +162,14 @@ def _informs_w(layout: CaseOneLayout, params: ConstructionParams, informed: set[
     w too.  Raises SchemePhaseOverrun when it misses a live coordinate
     (coordinate 0, w, may wait for its tree when x = 0 and the originator is
     off the cube, in ``own_tree``), or when it informs w as well as an
-    off-cube originator of tree 1."""
+    off-cube originator of tree 1.
+
+    No generated cube phase raises either: an off-cube one never reaches
+    coordinate 0, so it never informs w (test_scheme pins this over every
+    originator of t=7..11).  The checks stay as guards of the tree phase's
+    precondition: the shift lemma and the plain-tree table need each tree
+    to start from its root and one more vertex at most, which a cube phase
+    informing both u and w of tree 1 would break."""
     missing = layout.live_coords - informed
     if own_tree is not None and params.x == 0:
         missing -= {0}  # w is reached through its tree

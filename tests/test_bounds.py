@@ -221,3 +221,65 @@ def test_out_of_domain_is_a_domain_error_naming_the_value(call, args, named):
     with pytest.raises(ParamOutOfRange) as exc:
         call(*args)
     assert named in str(exc.value)
+
+
+def _validating_row(t, ks, n):
+    """The table2 row at n from the per-n functions: a k cell is bound_5b
+    where it is admissible, the hl cell bound_hl_direct where n has a
+    decomposition, the hln cell the odd-n value on odd n, else blank."""
+    def validating(fn, *args):
+        try:
+            return fn(*args)
+        except ParamOutOfRange:
+            return None
+
+    return ([n] + [validating(bound_5b, t, k, n) for k in ks]
+            + [bound_hln_odd(n)[0] if n % 2 else None, validating(bound_hl_direct, n)])
+
+
+@pytest.mark.parametrize("t", range(7, 17))
+def test_piece_edges_match_validating_bounds(t):
+    # the table is made of pieces: per k, the window 2^t < n <= N_k and
+    # one piece per p, ending at N_k - (2^p - 1)M; for hl, one piece per
+    # (P, K), ending at 2^P - 2^K, and a blank at each power of two.  Each
+    # edge and its neighbours, in runs that cross it, against the per-n
+    # functions
+    ks = range(2, t // 2)
+    edges = {2, 3, 4, 5}
+    for k in ks:
+        N, h = ((1 << k) - 1) << (t + 1 - k), t + 1 - k
+        edges |= {1 << t, (1 << t) + 1, N, N + 1}
+        edges |= {N - (((1 << p) - 1) << h) + d for p in range(k) for d in (-1, 0, 1)}
+    for P in (t, t + 1):
+        edges |= {(1 << P) - (1 << K) + d for K in range(P - 1) for d in (-1, 0, 1)}
+    edges |= {1 << j for j in range(1, t + 2)}
+    ns = sorted(n for n in edges if n >= 2)
+    header, rows = table2(t, n_values=ns)
+    assert header[1:-2] == [f"k={k}" for k in ks]
+    assert rows == [_validating_row(t, ks, n) for n in ns]
+
+
+@pytest.mark.parametrize("ns", [
+    [16390, 16385, 24577, 16386],         # unsorted
+    [16385, 16385],                       # a repeat
+    [16385, 16386, 16388, 24575, 24576],  # gaps
+    [24578, 24577, 24576, 24575],         # descending
+    range(32250, 32260),                  # a range past the last column's window
+    [2, 3, 4, 5, 6, 7, 8, 9],             # below 2^t, through two powers of two
+])
+def test_irregular_rows_match_one_row_calls(ns):
+    # any n_values gives, row for row, what one-row calls give, in its
+    # order; a one-shot generator is read once and gives the same
+    one_by_one = [table2(14, n_values=[n])[1][0] for n in ns]
+    assert table2(14, n_values=ns)[1] == one_by_one
+    assert table2(14, n_values=(n for n in ns))[1] == one_by_one
+    csv = table2_csv(14, n_values=iter(list(ns))).splitlines()
+    assert csv[1:] == [table2_csv(14, n_values=[n]).splitlines()[1] for n in ns]
+    assert csv[1:] == [",".join("" if c is None else str(c) for c in row) for row in one_by_one]
+
+
+def test_bad_row_in_a_generator_is_named():
+    with pytest.raises(ParamOutOfRange, match="n=1"):
+        table2(7, n_values=iter([129, 1, 0]))
+    with pytest.raises(ParamOutOfRange, match="n=0"):
+        table2_csv(7, n_values=iter([129, 130, 0]))

@@ -191,6 +191,30 @@ def test_cube_phase_informing_u_and_w_of_tree_one_is_reported(g72, monkeypatch):
         make_schedule(g, fresh, params, u)
 
 
+@pytest.mark.parametrize("t", range(7, 12))
+def test_no_off_cube_cube_phase_informs_w(t):
+    # the off-cube cube phase sweeps [2^(k-1), 2^k) and then blocks
+    # [2^j, 2^(j+1)) with j >= p: it never reaches coordinate 0, so no
+    # off-cube template informs w and no schedule has two overrides; the
+    # overrun of the test above is reached only through a patched sweep.
+    # Every k; full, full-1 and two seeded n each; every originator
+    from broadcastnet.params import full_size, max_k
+    rng = random.Random(t)
+    for k in range(2, max_k(t, n_odd=True) + 1):
+        N = full_size(t, k)
+        for n in (N, N - 1, rng.randrange((1 << t) + 1, N), rng.randrange((1 << t) + 1, N)):
+            if k > max_k(t, n_odd=bool(n % 2)):
+                continue
+            params = make_params(t, k, n)
+            g, layout, _ = build(params)
+            for label in g.labels:
+                _, overrides, _ = make_schedule(g, layout, params, label).pieces
+                assert len(overrides) <= 1, (t, k, n, label)
+            assert layout.cube_templates, (t, k, n)
+            assert not any(w_informed for _, w_informed in layout.cube_templates.values()), \
+                (t, k, n)
+
+
 def test_originators_need_no_tree_simulation(monkeypatch):
     # each tree is simulated once, from its root; after one originator per
     # class, 30 more at t=12 k=2 schedule and certify their own trees by the
