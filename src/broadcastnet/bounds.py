@@ -61,27 +61,19 @@ def hl_decomposition(n: int) -> tuple[int, int, int] | None:
     return p, k, rem - (1 << k)
 
 
-def _hl_closed_form(n: int, p: int, k: int) -> int:
-    """The direct-construction bound at n with decomposition (p, k, r)."""
+def _hl_value(n: int, p: int, k: int) -> int:
+    """The direct-construction bound at n = 2^p - 2^k - r."""
     return n * (p - k + 1) - (1 << (p - k)) - (p - k) * (3 * p + k - 3) // 2 + 2 * k
-
-
-def _hl_value(n: int) -> int | None:
-    """Direct-construction bound at n, None where n has no decomposition."""
-    dec = hl_decomposition(n)
-    if dec is None:
-        return None
-    p, k, _ = dec
-    return _hl_closed_form(n, p, k)
 
 
 def bound_hl_direct(n: int) -> int:
     """Direct-construction bound n(p-k+1) - 2^(p-k) - (p-k)(3p+k-3)/2 + 2k."""
-    value = _hl_value(n)
-    if value is None:
+    dec = hl_decomposition(n)
+    if dec is None:
         raise ParamOutOfRange("bound defined for n >= 4" if n < 4 else
                               f"n={n} is a power of two; no decomposition n = 2^p - 2^k - r")
-    return value
+    p, k, _ = dec
+    return _hl_value(n, p, k)
 
 
 def bound_knodel_even(n: int) -> int:
@@ -107,15 +99,10 @@ def hln_hypotheses(n_even: int) -> dict[str, bool]:
             "log_divides_n": divides, "two_has_full_order": order_ok}
 
 
-def _hln_closed_form(n: int, fl: int, cl: int) -> int:
+def _hln_value(n: int, fl: int, cl: int) -> int:
     """The odd-n bound at the even n = n_odd - 1, with fl = floor(log n) and
     cl = ceil(log n): ceil(n*fl/2 + n/cl) + cl - 2."""
     return n * fl // 2 + (n + cl - 1) // cl + cl - 2
-
-
-def _hln_value(n: int) -> int:
-    """The odd-n bound at the even n = n_odd - 1."""
-    return _hln_closed_form(n, floor_log2(n), ceil_log2(n))
 
 
 def bound_hln_odd(n_odd: int) -> tuple[int, dict[str, bool]]:
@@ -127,7 +114,8 @@ def bound_hln_odd(n_odd: int) -> tuple[int, dict[str, bool]]:
         raise ParamOutOfRange(f"n={n_odd} must be odd")
     if n_odd < 3:
         raise ParamOutOfRange(f"n={n_odd}: bound defined for n >= 3")
-    return _hln_value(n_odd - 1), hln_hypotheses(n_odd - 1)
+    n = n_odd - 1
+    return _hln_value(n, floor_log2(n), ceil_log2(n)), hln_hypotheses(n)
 
 
 def closed_form_5a(t: int, k: int) -> int:
@@ -271,7 +259,7 @@ def _line(f, lo: int, hi: int) -> range:
     return range(start, start + step * (hi - lo + 1), step)
 
 
-def _k_pieces(t: int, k: int, N: int, first: int, last: int) -> list:
+def _k_pieces(t: int, k: int, N: int, first: int, last: int) -> list[int | range]:
     """The k column for first <= n <= last: blank outside the window
     2^t < n <= N, one piece per p inside it."""
     lo, hi = max(first, (1 << t) + 1), min(last, N)
@@ -288,7 +276,7 @@ def _k_pieces(t: int, k: int, N: int, first: int, last: int) -> list:
     return pieces
 
 
-def _hl_pieces(first: int, last: int, floor: int) -> list:
+def _hl_pieces(first: int, last: int, floor: int) -> list[int | range]:
     """The hl column for first <= n <= last: blank for n <= floor (at least
     3) and at powers of two, one piece per decomposition (p, k) elsewhere."""
     lo = max(first, floor + 1)
@@ -303,7 +291,7 @@ def _hl_pieces(first: int, last: int, floor: int) -> list:
             continue
         k = floor_log2((1 << p) - lo)
         top = min(last, (1 << p) - (1 << k))  # the last n with this k
-        pieces.append(_line(lambda n: _hl_closed_form(n, p, k), lo, top))
+        pieces.append(_line(lambda n: _hl_value(n, p, k), lo, top))
         lo = top + 1
     return pieces
 
@@ -315,7 +303,7 @@ def _hln_cells(first: int, last: int, blank, fmt):
     while m < last:
         fl, cl = floor_log2(m), ceil_log2(m)
         stop = min(last, m + 1 if fl == cl else 1 << cl)  # fl and cl are constant up to stop
-        pieces.append(map(_hln_closed_form, range(m, stop, 2), repeat(fl), repeat(cl)))
+        pieces.append(map(_hln_value, range(m, stop, 2), repeat(fl), repeat(cl)))
         m = stop + stop % 2
     values = fmt(chain.from_iterable(pieces))
     cells = chain(repeat(blank, 1 - first % 2), chain.from_iterable(zip(values, repeat(blank))))
