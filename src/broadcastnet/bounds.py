@@ -364,7 +364,7 @@ def table2(t: int, n_values: list[int] | None = None,
     bound, the direct-construction bound.  Every k column meets the parity
     bound for odd and even n alike, so a k cell is (5b) inside the window
     2^t < n <= N_k and blank outside it.  Needs t >= 7 and every n >= 2."""
-    header, columns = _columns(t, n_values, facsimile, None, iter)
+    header, columns = _columns(t, n_values, facsimile, None, iter)  # ints as they are
     return header, list(map(list, zip(*columns)))
 
 
