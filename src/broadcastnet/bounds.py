@@ -7,7 +7,9 @@ and fractional middle terms are rounded up explicitly.
 Table 2 is evaluated in pieces, not cell by cell.  Its rows split into runs
 of consecutive ascending n, and over a run each column is a short list of
 pieces: a count of blank cells, or a range of values, one per n, whose
-start and step are the closed form at the piece's first two n.
+start and step are the closed form at the piece's first two n.  Rows whose
+runs are not ascending and disjoint are evaluated once per distinct n, in
+ascending order, and read out in the caller's order.
 
 - A k column is (5b) inside the window 2^t < n <= N and blank outside it.
   With h = t+1-k and M = 2^h, p = floor(log2(x+1)) for x = (N-n) div M
@@ -326,7 +328,9 @@ def _columns(t: int, n_values, facsimile: bool, blank, fmt) -> tuple[list[str], 
 
     Every column is made of pieces over the runs of consecutive n: a count
     of blank cells, or a range of values, one per n (the hln column
-    alternates its values with blanks)."""
+    alternates its values with blanks).  When the runs are not ascending
+    and disjoint, the sorted distinct n are evaluated instead, and each
+    column's cells are read out in the order of ``n_values``."""
     if t < 7:
         raise ParamOutOfRange(f"t={t}: t must be >= 7")
     ks = range(2, max_k(t, n_odd=False) + 1)
@@ -341,6 +345,11 @@ def _columns(t: int, n_values, facsimile: bool, blank, fmt) -> tuple[list[str], 
         bad = next(n for n in ns if n < 2)
         raise ParamOutOfRange(f"n={bad}: rows defined for n >= 2")
     runs = _runs(ns)
+    if any(last >= first for (_, last), (first, _) in zip(runs, runs[1:])):
+        distinct = sorted(set(ns))
+        header, columns = _columns(t, distinct, facsimile, blank, fmt)
+        at = list(map(dict(zip(distinct, count())).__getitem__, ns))
+        return header, [map(list(column).__getitem__, at) for column in columns]
 
     def column(pieces):
         return chain.from_iterable(repeat(blank, piece) if isinstance(piece, int) else fmt(piece)

@@ -70,13 +70,10 @@ class CaseOneLayout:
     dense: array = field(default_factory=lambda: array("i"), repr=False)
     coord_ids: list[int] = field(default_factory=list, repr=False)
     _plain_rounds: dict[int, Fragment] = field(default_factory=dict, repr=False)
-    # filled by the scheme on first use: the cube phase (a CubeTemplate) and
-    # whether it informs w, per tree for the originators off the cube and
-    # per cube coordinate for the one on it
-    cube_templates: dict[int, tuple[CubeTemplate, bool]] = field(default_factory=dict,
-                                                                 repr=False)
-    coord_templates: dict[int, tuple[CubeTemplate, bool]] = field(default_factory=dict,
-                                                                  repr=False)
+    # filled by the scheme on first use: the cube phase, keyed (tree, cube
+    # coordinate), the coordinate None for the originators off the cube
+    cube_templates: dict[tuple[int, int | None], CubeTemplate] = field(default_factory=dict,
+                                                                       repr=False)
 
     @property
     def k(self) -> int:

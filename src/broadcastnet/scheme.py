@@ -156,30 +156,24 @@ def _cube_phase(layout: CaseOneLayout, params: ConstructionParams, tree: int,
     return [[c for c in calls if c[0] != me] for calls in rounds], slots, informed
 
 
-def _informs_w(layout: CaseOneLayout, params: ConstructionParams, informed: set[int],
-               own_tree: int | None) -> bool:
-    """Whether a cube phase that informs the coordinates ``informed`` informs
-    w too.  Raises SchemePhaseOverrun when it misses a live coordinate
-    (coordinate 0, w, may wait for its tree when x = 0 and the originator is
-    off the cube, in ``own_tree``), or when it informs w as well as an
-    off-cube originator of tree 1.
-
-    No generated cube phase raises either: an off-cube one never reaches
-    coordinate 0, so it never informs w (test_scheme pins this over every
-    originator of t=7..11).  The checks stay as guards of the tree phase's
-    precondition: the shift lemma and the plain-tree table need each tree
-    to start from its root and one more vertex at most, which a cube phase
-    informing both u and w of tree 1 would break."""
+def _check_phase(layout: CaseOneLayout, params: ConstructionParams, informed: set[int],
+                 off_cube: bool) -> None:
+    """Raise SchemePhaseOverrun when a cube phase that informs the
+    coordinates ``informed`` misses a live one (coordinate 0, w, waits for
+    its tree when the originator is off the cube), or is an off-cube
+    originator's and informs w.  So an on-cube phase informs w exactly when
+    w survives, and an off-cube one never does, which make_schedule's
+    overrides rely on: the shift lemma and the table need each tree to start
+    from its root and one more vertex at most.  No generated phase raises
+    (test_scheme pins this over every originator of t=7..11)."""
     missing = layout.live_coords - informed
-    if own_tree is not None and params.x == 0:
-        missing -= {0}  # w is reached through its tree
+    if off_cube:
+        missing -= {0}
     if missing:
         raise SchemePhaseOverrun(f"cube vertices missed by round {params.k}: "
                                  f"{sorted(missing)}")
-    w_informed = 0 in informed and layout.w_alive
-    if w_informed and own_tree == 1:
-        raise SchemePhaseOverrun("the cube phase informed both u and w of tree 1")
-    return w_informed
+    if off_cube and 0 in informed:
+        raise SchemePhaseOverrun("the cube phase informed w as well as u, off the cube")
 
 
 def make_schedule(g: Graph, layout: CaseOneLayout, params: ConstructionParams,
@@ -188,29 +182,26 @@ def make_schedule(g: Graph, layout: CaseOneLayout, params: ConstructionParams,
     of the graph the layout was built with.
 
     The cube phase is a FilledTemplate of a CubeTemplate, made and checked
-    on first use and kept on the layout: per tree for an originator off the
-    cube (layout.cube_templates), per cube coordinate for one on it
-    (layout.coord_templates)."""
+    on first use and kept in layout.cube_templates, keyed (u's tree, u's
+    cube coordinate, or None when u is off the cube)."""
     f = _full_id(g, layout, u)
     M, w = layout.tree_size, layout.w
     utree, umask = f // M + 1, f % M
     uid = layout.dense[f]
-    if umask and f != w:
-        templates, key, uc = layout.cube_templates, utree, None
-    else:
-        uc = layout.coord_of_tree[utree] if umask == 0 else 0
-        templates, key = layout.coord_templates, uc
-    entry = templates.get(key)
-    if entry is None:
-        rounds, slots, informed = _cube_phase(layout, params, utree, uc)
-        w_informed = _informs_w(layout, params, informed, utree if uc is None else None)
-        entry = templates[key] = (CubeTemplate(utree, rounds, slots), w_informed)
-    template, w_informed = entry
     # tree phase: every surviving tree broadcasts alone from round k+1, from
-    # its root (the layout's table) and at most one more vertex, u in its own
-    # tree or w in tree 1 (an override of the table's fragment)
-    overrides = [(utree, layout.tree_rounds(utree, umask))] if uc is None else []
-    if w_informed:  # tree 1 starts at full id 0, so w's mask is its full id
-        overrides.append((1, layout.tree_rounds(1, w)))
+    # its root (the layout's table) and at most one more vertex (an override
+    # of the table's fragment): u in its own tree when u is off the cube,
+    # else w in tree 1 when w survives (_check_phase)
+    if umask and f != w:
+        uc, overrides = None, [(utree, layout.tree_rounds(utree, umask))]
+    else:  # tree 1 starts at full id 0, so w's mask is its full id
+        uc = layout.coord_of_tree[utree] if umask == 0 else 0
+        overrides = [(1, layout.tree_rounds(1, w))] if layout.w_alive else []
+    key = utree, uc
+    template = layout.cube_templates.get(key)
+    if template is None:
+        rounds, slots, informed = _cube_phase(layout, params, utree, uc)
+        _check_phase(layout, params, informed, uc is None)
+        template = layout.cube_templates[key] = CubeTemplate(utree, rounds, slots)
     return Schedule(layout.labels, uid, FilledTemplate(template, uid), overrides,
                     layout.plain_table)

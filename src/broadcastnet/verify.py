@@ -11,16 +11,17 @@ root-only fragment of every surviving tree that all schedules on a graph
 share, is accepted once per graph: each fragment is replayed from its
 tree's root alone, and its counts per round are kept with their sum.  Its
 first rounds (the cube phase) are a FilledTemplate, accepted through its
-template once per graph and table: the template is replayed from a
-placeholder for the originator, informed at round 0 and making the
-template's slot calls, and the vertices it informs fix which trees are
-overridden, from which vertex, and the counts of the trees left to the
-table.  Per originator only u's own part is checked, with no replay: u
-lies in the template's tree (as its root, when the placeholder stands for
-it) and neighbours each slot callee; and each override (the
-originator's own tree, and tree 1 when the cube phase informs w) is a
-ShiftedFragment of a table fragment, which the shift lemma accepts in
-O(h log M) for a tree of M vertices and h rounds (_accepted).  Sound
+template once per graph and table: the template is replayed, on a fresh
+state over the ids it names, from a placeholder for the originator,
+informed at round 0 and making the template's slot calls, and the
+vertices it informs fix which trees are overridden, from which vertex, and
+the counts of the trees left to the table.  Per originator only u's own
+part is checked, with no replay: u lies in the template's tree (as its
+root, when the placeholder stands for it) and neighbours each slot callee;
+and the override (of u's tree when u is off the cube, else of tree 1 from
+w when w survives) is a ShiftedFragment of a table fragment, which the
+shift lemma accepts in O(h log M) for a tree of M vertices and h rounds
+(_accepted).  Sound
 because a call that does not involve u does not depend on which vertex u
 is: u is informed at round 0 whoever it is, and the template fixes the
 rounds u calls in and the vertices it calls.  Whatever that check does not
@@ -89,7 +90,7 @@ def check_schedule(g: Graph, s: Schedule) -> CheckResult:
     when, used = _fresh(n, origin)
     sizes = [1]
     bad = _replay(when, used, g, _neighbour_sets(g), (sorted(calls) for calls in id_rounds),
-                  0, 0, n, sizes)
+                  0, n, sizes)
     if bad is not None:
         return CheckResult(False, violation=_illegal_call(*bad, when, used, g))
     if sizes[-1] != n:
@@ -123,20 +124,21 @@ def _neighbour_sets(g: Graph) -> list[frozenset[int]]:
     return sets
 
 
-def _replay(when: list[int], used: list[int], g: Graph, sets: list | None, rounds,
-            rnd: int, lo: int, hi: int, sizes: list[int]) -> tuple | None:
-    """Replay ``rounds`` as rounds rnd+1, rnd+2, ... on the state ``when``,
-    ``used`` (see _fresh), in the order given.  A call is legal when both
-    ends are ids in [lo, hi), the caller was informed before this round and
-    has not called in it, the callee is not informed, and they are adjacent
-    in g: b in sets[a] (_neighbour_sets, or the cube rows of _Record),
-    or with no sets _has_edge.
+def _replay(when: list[int] | dict, used: list[int] | dict, g: Graph,
+            sets: list | dict | None, rounds, lo: int, hi: int,
+            sizes: list[int]) -> tuple | None:
+    """Replay ``rounds`` as rounds 1, 2, ... on the state ``when``, ``used``
+    (see _fresh; lists, or dicts over every id the rounds name), in the
+    order given.  A call is legal when both ends are ids in [lo, hi), the
+    caller was informed before this round and has not called in it, the
+    callee is not informed, and they are adjacent in g: b in sets[a]
+    (_neighbour_sets, or cube rows: see _Record), or with no sets _has_edge.
     The informed count after each round is appended to ``sizes``, which
     starts with the count before.  Returns the first illegal call as (round,
     caller, callee, the calls of its round), or None.
     """
     count = sizes[-1]
-    for rnd, calls in enumerate(rounds, start=rnd + 1):
+    for rnd, calls in enumerate(rounds, start=1):
         for a, b in calls:
             if not (lo <= a < hi and lo <= b < hi and when[a] < rnd and used[a] != rnd
                     and when[b] == _NEVER
@@ -205,8 +207,6 @@ class _Record:
     ``home`` is the tree of every vertex, ``spans`` each tree's id range
     [lo, hi) (None when some tree's ids do not form one range), ``labels``
     the last label tuple compared with g's and ``same`` whether it is equal.
-    ``when`` and ``used`` are replay state (see _fresh) that every
-    acceptance of a table or a template leaves as it found it.
     ``cube_rows`` is the edge test of the first rounds (below), ``sets``
     the whole replay's neighbour sets (_neighbour_sets), ``accepted`` the
     table accepted last, or None, and ``templates`` the verdict on every
@@ -221,8 +221,8 @@ class _Record:
     references they hold a few ids per tree and per cube vertex, not g's
     adjacency."""
 
-    __slots__ = ("home", "spans", "labels", "same", "when", "used", "cube_rows", "sets",
-                 "accepted", "templates")
+    __slots__ = ("home", "spans", "labels", "same", "cube_rows", "sets", "accepted",
+                 "templates")
 
     def __init__(self, g: Graph):
         self.home = [label.tree for label in g.labels]
@@ -235,7 +235,6 @@ class _Record:
             spans[tree] = (lo, i + 1)
         self.spans = spans
         self.labels, self.same = g.labels, True
-        self.when, self.used = [_NEVER] * g.n, [0] * g.n
         off, nbrs = g.offsets, g.targets
         on_cube = bytes(label.cube is not None for label in g.labels)
         shared: dict = {}
@@ -279,10 +278,11 @@ def _accept_table(g: Graph, rec: _Record, table) -> _Accepted | None:
     tree's root lo alone, which must carry a root's label, and must inform
     the whole range; the trees must be distinct, and no fragment may end in
     an empty round, so that the last round of the remaining fragments is
-    where their summed counts end.  The replay state is reset per tree."""
+    where their summed counts end.  The trees share one fresh replay state:
+    each replay reads and writes only its own range."""
     trees: dict[int, _Tree] = {}
     total: list[int] = []
-    when, used = rec.when, rec.used
+    when, used = [_NEVER] * g.n, [0] * g.n
     for tree, frag in table:
         if tree in trees or tree not in rec.spans:
             return None
@@ -291,10 +291,7 @@ def _accept_table(g: Graph, rec: _Record, table) -> _Accepted | None:
             return None
         when[lo] = 0
         counts = [1]
-        try:
-            bad = _replay(when, used, g, None, frag, 0, lo, hi, counts)
-        finally:
-            when[lo:hi], used[lo:hi] = [_NEVER] * (hi - lo), [0] * (hi - lo)
+        bad = _replay(when, used, g, None, frag, lo, hi, counts)
         added = [b - a for a, b in zip(counts, counts[1:])]
         if bad is not None or counts[-1] != hi - lo or added and not added[-1]:
             return None
@@ -308,21 +305,21 @@ def _accept_table(g: Graph, rec: _Record, table) -> _Accepted | None:
 def _accept_template(g: Graph, rec: _Record, template: CubeTemplate) -> _Template | None:
     """``template`` accepted on g with the table ``rec.accepted``, or None.
 
-    Its rounds are replayed from a placeholder P for the originator, an id
-    past g's: P is informed at round 0, makes the slot calls, each in the
-    place its FilledTemplate gives it, which must lie in its round, and has
-    their callees as its only neighbours; every other call is tested in the
-    cube rows.  Every id must be one of g's.  P lies in the template's tree,
-    which must be in the table: P stands for that tree's root when the
-    rounds leave the root uninformed, else for one more vertex of the tree.
+    Its rounds are replayed, on a fresh state over the ids they name, from a
+    placeholder P for the originator, the id n past g's: P is informed at
+    round 0, makes the slot calls, each in the place its FilledTemplate
+    gives it, which must lie in its round, and has their callees as its only
+    neighbours; every other call is tested in the cube rows.  Every id must
+    be one of g's.  P lies in the template's tree, which must be in the
+    table: P stands for that tree's root when the rounds leave the root
+    uninformed, else for one more vertex of the tree.
     Besides the roots, the rounds may inform at most one vertex per tree, of
     a table tree: a tree with one more vertex informed, P's included, is
     overridden, and every other table tree starts from its root alone (or
-    from no vertex, which the counts show: see _check_pieces).  The replay
-    state is reset, and P's entries removed."""
+    from no vertex, which the counts show: see _check_pieces)."""
     n, tree = g.n, template.tree
     trees, total, roots = rec.accepted.trees, rec.accepted.total, rec.accepted.roots
-    callees = [c for _, c, _ in template.slots]
+    callees = frozenset(c for _, c, _ in template.slots)
     named = {x for calls in template.rounds for call in calls for x in call}.union(callees)
     if tree not in trees or not all(isinstance(x, int) and 0 <= x < n for x in named):
         return None
@@ -331,18 +328,12 @@ def _accept_template(g: Graph, rec: _Record, template: CubeTemplate) -> _Templat
         if not 0 <= i <= len(rounds[r - 1]):
             return None
         rounds[r - 1].insert(i, (n, c))
-    when, used, rows = rec.when, rec.used, rec.cube_rows
-    when.append(0)
-    used.append(0)
-    rows.append(frozenset(callees))
+    rows = {x: rec.cube_rows[x] for x in named}
+    rows[n] = callees
+    when, used = dict.fromkeys(rows, _NEVER), dict.fromkeys(rows, 0)
+    when[n] = 0
     sizes = [1]
-    try:
-        bad = _replay(when, used, g, rows, rounds, 0, 0, n + 1, sizes)
-    finally:
-        for x in named:
-            when[x], used[x] = _NEVER, 0
-        del when[n:], used[n:], rows[n:]
-    if bad is not None:
+    if _replay(when, used, g, rows, rounds, 0, n + 1, sizes) is not None:
         return None
     informed = {v for calls in rounds for _, v in calls}
     root = rec.spans[tree][0]
@@ -359,7 +350,7 @@ def _accept_template(g: Graph, rec: _Record, template: CubeTemplate) -> _Templat
             base[i] -= c
     while base and not base[-1]:
         base.pop()
-    return _Template(sizes, base, overrides, root if at_root else None, frozenset(callees))
+    return _Template(sizes, base, overrides, root if at_root else None, callees)
 
 
 def _check_pieces(g: Graph, s: Schedule) -> tuple[int, ...] | None:
@@ -372,7 +363,7 @@ def _check_pieces(g: Graph, s: Schedule) -> tuple[int, ...] | None:
     schedule brings another table object), and the first rounds, which must
     be a FilledTemplate, through their template, once per graph and table
     (_accept_template).  Per originator u the check is O(k) set tests and
-    the shift lemma, with no replay, and it writes no replay state:
+    the shift lemma, with no replay:
     - the template is filled with u, who lies in its tree (and is the
       tree's root, when the placeholder stands for it) and neighbours every
       slot callee in the cube rows (see _Record);

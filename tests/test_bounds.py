@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from broadcastnet import (
@@ -12,7 +14,9 @@ from broadcastnet import (
     table1,
     table2,
 )
+from broadcastnet import bounds
 from broadcastnet.bounds import hl_decomposition, table1_csv, table2_csv
+from broadcastnet.params import full_size, max_k
 
 
 def test_farley():
@@ -259,23 +263,44 @@ def test_piece_edges_match_validating_bounds(t):
     assert rows == [_validating_row(t, ks, n) for n in ns]
 
 
-@pytest.mark.parametrize("ns", [
-    [16390, 16385, 24577, 16386],         # unsorted
-    [16385, 16385],                       # a repeat
-    [16385, 16386, 16388, 24575, 24576],  # gaps
-    [24578, 24577, 24576, 24575],         # descending
-    range(32250, 32260),                  # a range past the last column's window
-    [2, 3, 4, 5, 6, 7, 8, 9],             # below 2^t, through two powers of two
-])
-def test_irregular_rows_match_one_row_calls(ns):
+def _shuffled_default_rows(t: int) -> list[int]:
+    """Table 2's default rows for t, 50 of them twice, in a seeded shuffle."""
+    rng = random.Random(t)
+    ns = list(range((1 << t) + 1, full_size(t, max_k(t, n_odd=False))))
+    ns += rng.sample(ns, 50)
+    rng.shuffle(ns)
+    return ns
+
+
+@pytest.mark.parametrize("t,ns", [
+    (14, [16390, 16385, 24577, 16386]),         # unsorted
+    (14, [16385, 16385]),                       # a repeat
+    (14, [16385, 16386, 16388, 24575, 24576]),  # gaps
+    (14, [24578, 24577, 24576, 24575]),         # descending
+    (14, range(32250, 32260)),                  # a range past the last column's window
+    (14, [2, 3, 4, 5, 6, 7, 8, 9]),             # below 2^t, through two powers of two
+    (12, _shuffled_default_rows(12)),           # every default row, shuffled, with repeats
+], ids=[f"ns{i}" for i in range(7)])
+def test_irregular_rows_match_one_row_calls(t, ns, monkeypatch):
     # any n_values gives, row for row, what one-row calls give, in its
-    # order; a one-shot generator is read once and gives the same
-    one_by_one = [table2(14, n_values=[n])[1][0] for n in ns]
-    assert table2(14, n_values=ns)[1] == one_by_one
-    assert table2(14, n_values=(n for n in ns))[1] == one_by_one
-    csv = table2_csv(14, n_values=iter(list(ns))).splitlines()
-    assert csv[1:] == [table2_csv(14, n_values=[n]).splitlines()[1] for n in ns]
+    # order; a one-shot generator is read once and gives the same.  Rows
+    # out of order cost no more k-column pieces than the same rows sorted
+    one_by_one = [table2(t, n_values=[n])[1][0] for n in ns]
+    assert table2(t, n_values=ns)[1] == one_by_one
+    assert table2(t, n_values=(n for n in ns))[1] == one_by_one
+    csv = table2_csv(t, n_values=iter(list(ns))).splitlines()
+    assert csv[1:] == [table2_csv(t, n_values=[n]).splitlines()[1] for n in ns]
     assert csv[1:] == [",".join("" if c is None else str(c) for c in row) for row in one_by_one]
+    calls = []
+    k_pieces = bounds._k_pieces
+    monkeypatch.setattr(bounds, "_k_pieces", lambda *args: calls.append(args) or k_pieces(*args))
+
+    def k_calls(rows):
+        calls.clear()
+        table2(t, n_values=rows)
+        return len(calls)
+
+    assert k_calls(ns) <= k_calls(sorted(ns))
 
 
 def test_bad_row_in_a_generator_is_named():

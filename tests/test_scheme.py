@@ -169,7 +169,9 @@ def test_cube_phase_shortfall_is_reported_not_scheduled(monkeypatch):
 
 def test_cube_phase_informing_u_and_w_of_tree_one_is_reported(g72, monkeypatch):
     # tree 1 starts from its root and one more vertex at most: a cube phase
-    # that also reached w (coordinate 0) for a u inside tree 1 is refused
+    # that also reached w (coordinate 0) for a u inside tree 1 is refused;
+    # so is one that reached w for an off-cube u of another tree, which
+    # would start two trees from two vertices each
     import broadcastnet.scheme as scheme
     from broadcastnet import SchemePhaseOverrun
     params, g, layout, _ = g72
@@ -187,17 +189,24 @@ def test_cube_phase_informing_u_and_w_of_tree_one_is_reported(g72, monkeypatch):
     u = vertex(g, layout, 1, 5)  # C13: u lies in tree 1 and is not w
     make_schedule(g, layout, params, u)
     monkeypatch.setattr(scheme, "sweep_rounds", sweep_and_reach_w)
-    with pytest.raises(SchemePhaseOverrun, match="informed both u and w of tree 1"):
+    with pytest.raises(SchemePhaseOverrun, match="informed w as well as u, off the cube"):
         make_schedule(g, fresh, params, u)
+    other = vertex(g, layout, 2, 5)  # C12: u lies in tree 2 and is off the cube
+    assert classify(g, layout, other).tag == "C12"
+    with pytest.raises(SchemePhaseOverrun, match="informed w as well as u, off the cube"):
+        make_schedule(g, fresh, params, other)
+    assert fresh.cube_templates == {}
 
 
 @pytest.mark.parametrize("t", range(7, 12))
 def test_no_off_cube_cube_phase_informs_w(t):
     # the off-cube cube phase sweeps [2^(k-1), 2^k) and then blocks
     # [2^j, 2^(j+1)) with j >= p: it never reaches coordinate 0, so no
-    # off-cube template informs w and no schedule has two overrides; the
-    # overrun of the test above is reached only through a patched sweep.
-    # Every k; full, full-1 and two seeded n each; every originator
+    # off-cube template informs w; the overrun of the test above is reached
+    # only through a patched sweep.  Each originator's one override is
+    # exact: its own tree from u off the cube, tree 1 from w on the cube
+    # when w survives, none otherwise.  Every k; full, full-1 and two
+    # seeded n each; every originator
     from broadcastnet.params import full_size, max_k
     rng = random.Random(t)
     for k in range(2, max_k(t, n_odd=True) + 1):
@@ -207,12 +216,20 @@ def test_no_off_cube_cube_phase_informs_w(t):
                 continue
             params = make_params(t, k, n)
             g, layout, _ = build(params)
-            for label in g.labels:
+            w = layout.dense[layout.w]
+            for uid, label in enumerate(g.labels):
                 _, overrides, _ = make_schedule(g, layout, params, label).pieces
-                assert len(overrides) <= 1, (t, k, n, label)
-            assert layout.cube_templates, (t, k, n)
-            assert not any(w_informed for _, w_informed in layout.cube_templates.values()), \
-                (t, k, n)
+                if label.cube is None:
+                    want = [(label.tree, uid)]
+                else:
+                    want = [(1, w)] if layout.w_alive else []
+                assert [(tree, frag.u) for tree, frag in overrides] == want, (t, k, n, label)
+            off_cube = [template for (_, c), template in layout.cube_templates.items()
+                        if c is None]
+            assert off_cube, (t, k, n)
+            for template in off_cube:
+                called = {b for calls in template.rounds for _, b in calls}
+                assert w not in called.union(c for _, c, _ in template.slots), (t, k, n)
 
 
 def test_originators_need_no_tree_simulation(monkeypatch):

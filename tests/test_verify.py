@@ -366,17 +366,17 @@ def test_tree_fragments_are_immutable(g72):
     # an off-cube originator's first rounds: its tree's template, filled;
     # an on-cube one's: the template of its cube coordinate
     filled = s.pieces[0]
-    assert isinstance(filled, FilledTemplate) and filled.template is layout.cube_templates[1][0]
+    assert isinstance(filled, FilledTemplate) and filled.template is layout.cube_templates[1, None]
     root = make_schedule(g, layout, params, vertex(g, layout, 2, 0)).pieces[0]
-    assert root.template is layout.coord_templates[layout.coord_of_tree[2]][0]
+    assert root.template is layout.cube_templates[2, layout.coord_of_tree[2]]
     for obj, name in ((filled, "u"), (filled, "template"), (filled, "_rounds"),
                       (filled.template, "slots")):
         with pytest.raises(AttributeError):
             setattr(obj, name, ())
     # the layout goes to pool workers with the templates it holds
     again = pickle.loads(pickle.dumps((layout, filled, root)))
-    for template, first in ((again[0].cube_templates[1][0], filled),
-                            (again[0].coord_templates[layout.coord_of_tree[2]][0], root)):
+    for template, first in ((again[0].cube_templates[1, None], filled),
+                            (again[0].cube_templates[2, layout.coord_of_tree[2]], root)):
         assert (template.tree, template.rounds, template.slots) == (
             first.template.tree, first.template.rounds, first.template.slots)
     for copy, first in zip(again[1:], (filled, root)):
@@ -463,12 +463,11 @@ def _stop_mid_round(rounds, informed):
     return tuple(map(tuple, rounds))
 
 
-def test_piecewise_replay_state_is_reset_after_every_check(g73_shrunk):
-    # the piecewise check keeps its replay state on the graph's record; a
-    # table's or a template's acceptance resets what its replay wrote, and
-    # the per-originator check writes none; legal and violating schedules,
-    # interleaved, each get the result of a fresh state, and leave the state
-    # as they found it
+def test_piecewise_verdicts_do_not_depend_on_check_order(g73_shrunk):
+    # the piecewise check keeps accepted tables and templates on the graph's
+    # record, and each acceptance replays on a state of its own; legal and
+    # violating schedules, interleaved and checked on one graph forward and
+    # then in reverse, each get the result a fresh graph gives
     params, g, layout, _ = g73_shrunk
     fresh = lambda: Graph.from_sorted(g.labels, g.edge_ids(), t=g.t, k=g.k)
     off_cube = [u for u in g.labels if u.cube is None]
@@ -495,8 +494,8 @@ def test_piecewise_replay_state_is_reset_after_every_check(g73_shrunk):
         cases += [
             s,
             Schedule(g.labels, s.origin, _stop_mid_round(s.pieces[0], s.origin), *s.pieces[1:]),
-            # the same rounds as a new cube template: its acceptance, from a
-            # placeholder past g's ids, writes state and must reset it
+            # the same rounds as a new cube template, accepted from a
+            # placeholder past g's ids
             Schedule(g.labels, s.origin,
                      like_first(s.pieces[0], _stop_mid_round(s.pieces[0], s.origin)),
                      *s.pieces[1:]),
@@ -505,41 +504,38 @@ def test_piecewise_replay_state_is_reset_after_every_check(g73_shrunk):
             replaced(ShiftedFragment(_stop_mid_round(frag.base, root), frag.u)),
             replaced(None),
             replaced((((frag[0][0][0], -1),),)),
-            # a table whose fragment of another tree stops mid-round: its
-            # acceptance writes state in that tree and must reset it
+            # a table whose fragment of another tree stops mid-round, refused
+            # after its replay has written that tree's state
             Schedule(g.labels, s.origin, s.pieces[0], s.pieces[1], tuple(
                 (t, _stop_mid_round(f, s.origin) if t == other else f)
                 for t, f in s.pieces[2])),
         ]
-    rec = verify._record(g)
-    when, used = rec.when, rec.used
     outcomes = []
-    for s in cases:
+    for s in cases + cases[::-1]:
         res = check_schedule(g, s)
         assert res == check_schedule(fresh(), s)
-        assert when == [verify._NEVER] * g.n and used == [0] * g.n
-        assert len(rec.cube_rows) == g.n
         outcomes.append(res.ok)
     assert len(legal) == 5
-    assert outcomes == [True, False, False, True, False, False, False, False, False] * len(legal)
+    forward = [True, False, False, True, False, False, False, False, False] * len(legal)
+    assert outcomes == forward + forward[::-1]
     # an id that is no index: met by the whole replay it raises, as it
-    # always has; after a violation the whole replay decides; either way the
-    # state is left as it was found
+    # always has; after a violation the whole replay decides; either way
+    # later verdicts are a fresh graph's
     s = legal[0]
     cube, overrides, table = s.pieces
     rounds = [list(calls) for calls in cube]
     rounds[-1][-1] = (rounds[-1][-1][0], "x")
     with pytest.raises(TypeError):
         check_schedule(g, Schedule(g.labels, s.origin, rounds, overrides, table))
-    assert when == [verify._NEVER] * g.n and used == [0] * g.n
     _, frag, replaced = own_fragment(s)
     rounds = [list(calls) for calls in _stop_mid_round(frag, s.origin)]
     rounds[-1][-1] = (rounds[-1][-1][0], 0.5)
     late = replaced(tuple(map(tuple, rounds)))
     res = check_schedule(g, late)
     assert not res.ok and res == check_schedule(fresh(), late)
-    assert when == [verify._NEVER] * g.n and used == [0] * g.n
-    assert check_schedule(g, s).ok
+    res = check_schedule(g, s)
+    assert res.ok and res == check_schedule(fresh(), s)
+    assert all(verify._check_pieces(g, s) is not None for s in legal)
 
 
 def test_table_fragment_ending_in_an_empty_round_goes_to_the_whole_replay(g72):
