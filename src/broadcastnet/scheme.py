@@ -22,11 +22,21 @@ the originators off the cube, per cube coordinate for the one on it (a
 root, or w; at most 2^k).  The template holds the other vertices' calls,
 and the originator's own calls as slots; each originator gets it as a
 FilledTemplate, in O(1).
+
+So the schedules of the originators off the cube of one tree differ only
+in the originator: families() hands them to a checker as one Family per
+tree, the template, the table and the tree's fragment in it, and the
+member ids, which it may certify together with no schedule made.
+make_schedule stays the reference, and gives each member the schedule its
+family stands for.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .construct import CaseOneLayout
 from .errors import SchemePhaseOverrun, UnknownVertex
@@ -197,11 +207,64 @@ def make_schedule(g: Graph, layout: CaseOneLayout, params: ConstructionParams,
     else:  # tree 1 starts at full id 0, so w's mask is its full id
         uc = layout.coord_of_tree[utree] if umask == 0 else 0
         overrides = [(1, layout.tree_rounds(1, w))] if layout.w_alive else []
-    key = utree, uc
+    return Schedule(layout.labels, uid, FilledTemplate(_template(layout, params, utree, uc), uid),
+                    overrides, layout.plain_table)
+
+
+def _template(layout: CaseOneLayout, params: ConstructionParams, tree: int,
+              uc: int | None) -> CubeTemplate:
+    """The CubeTemplate of the cube phase from coordinate ``uc``, or from any
+    vertex of ``tree`` off the cube (uc None): made, and its phase checks
+    run, on first use, then kept in layout.cube_templates."""
+    key = tree, uc
     template = layout.cube_templates.get(key)
     if template is None:
-        rounds, slots, informed = _cube_phase(layout, params, utree, uc)
+        rounds, slots, informed = _cube_phase(layout, params, tree, uc)
         _check_phase(layout, params, informed, uc is None)
-        template = layout.cube_templates[key] = CubeTemplate(utree, rounds, slots)
-    return Schedule(layout.labels, uid, FilledTemplate(template, uid), overrides,
-                    layout.plain_table)
+        template = layout.cube_templates[key] = CubeTemplate(tree, rounds, slots)
+    return template
+
+
+class Family(NamedTuple):
+    """The off-cube originators ``members`` of one tree, the template's,
+    whose schedules differ only in the originator: make_schedule gives each
+    member u Schedule(labels, u, FilledTemplate(template, u),
+    [(template.tree, ShiftedFragment(base, u))], table), ``base`` being the
+    table's fragment of the tree.  So a checker may certify them together."""
+
+    labels: tuple[VertexLabel, ...]
+    template: CubeTemplate
+    base: tuple
+    table: tuple
+    members: list[int]
+
+
+def families(layout: CaseOneLayout, params: ConstructionParams,
+             ids: Sequence[int]) -> tuple[list[Family], list[int]]:
+    """The dense ids ``ids`` of the built graph, split: those off the cube,
+    each once, as one Family per tree, its members ascending; and the rest,
+    in the order given: those on the cube, and those of a tree whose cube
+    phase fails its checks (make_schedule raises for them)."""
+    on_cube = frozenset(layout.coord_ids)
+    rest = list(filter(on_cube.__contains__, ids))
+    off = sorted(set(ids).difference(on_cube))
+    out: list[Family] = []
+    if not off:
+        return out, rest
+    M = layout.tree_size
+    trees = [tree for tree, _ in layout.plain_table]
+    starts = [layout.dense[(tree - 1) * M] for tree in trees] + [params.n]
+    i = 0
+    while i < len(off):  # one tree per pass: the run of off that lies in its id range
+        at = bisect_right(starts, off[i]) - 1
+        j = bisect_left(off, starts[at + 1], i)
+        members, tree = off[i:j], trees[at]
+        i = j
+        try:
+            template = _template(layout, params, tree, None)
+        except SchemePhaseOverrun:
+            rest += members
+            continue
+        out.append(Family(layout.labels, template, layout.tree_rounds(tree), layout.plain_table,
+                          members))
+    return out, rest

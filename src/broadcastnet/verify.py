@@ -3,9 +3,12 @@ and an exact broadcast-time oracle for tiny graphs.
 
 check_schedule trusts nothing about how a schedule was produced: it replays
 the calls round by round and rejects the first violation in deterministic
-order.  certify_graph runs the generator plus the checker for every
-originator; the accepted schedules are the witness that the graph
-broadcasts within its target.  A schedule on the graph's label tuple, or an
+order.  certify_graph certifies every originator, by one of two paths; the
+schedules they accept are the witness that the graph broadcasts within its
+target.
+
+The per-originator path: make_schedule gives the originator u a schedule,
+and check_schedule checks it.  A schedule on the graph's label tuple, or an
 equal one, is checked piece by piece first (_check_pieces).  Its table, the
 root-only fragment of every surviving tree that all schedules on a graph
 share, is accepted once per graph: each fragment is replayed from its
@@ -21,11 +24,35 @@ root, when the placeholder stands for it) and neighbours each slot callee;
 and the override (of u's tree when u is off the cube, else of tree 1 from
 w when w survives) is a ShiftedFragment of a table fragment, which the
 shift lemma accepts in O(h log M) for a tree of M vertices and h rounds
-(_accepted).  Sound
-because a call that does not involve u does not depend on which vertex u
-is: u is informed at round 0 whoever it is, and the template fixes the
-rounds u calls in and the vertices it calls.  Whatever that check does not
-accept is replayed whole, which gives every failure's witness."""
+(_accepted).  Sound because a call that does not involve u does not depend
+on which vertex u is: u is informed at round 0 whoever it is, and the
+template fixes the rounds u calls in and the vertices it calls.  Whatever
+that check does not accept is replayed whole, which gives every failure's
+witness.
+
+The family path (_certify_family) makes no schedule.  The originators off
+the cube of a tree T = [lo, hi) share T's template, the table and T's
+fragment B in it: their schedules differ in u alone, so the scheme hands
+them over as one family (scheme.Family).  The table and the template are
+accepted as above, and the rest of the check is done for all members at
+once: each lies in (lo, hi), so it is no root and none of the template's
+ids, and is listed once; each neighbours every slot callee, a test made
+once per callee by counting its neighbours in T with two bisections of
+its sorted row; the counts cover g once per family.  Member u's
+completion round is then k + max(len(base), L(u)): the template's k
+rounds, then the longer of the table's counts less T's and the
+ShiftedFragment of B and u, which ends in its round L(u).  By the shift lemma, that fragment moves the calls to u's
+subtree r(u) rounds earlier, those to (p, u), p being u's caller, one
+earlier, and leaves the rest; so L(u) is the largest of the deepest round
+below u less r(u), the deepest round in (p, u) less one, and the deepest
+round outside [p+1, u+size(u)).  Over B's preorder these are a subtree
+maximum, a maximum over the subtrees of u's later-called siblings, and a
+prefix and a suffix maximum, so L is one array made once per accepted
+fragment (_last_rounds), read in O(1) per member.  Sound per member as the
+per-originator path is: it accepts exactly what _check_pieces accepts of
+u's schedule, and gives the round the whole replay gives.  The originators
+on the cube (at most 2^k) and every member the family path refuses take
+the per-originator path."""
 
 from __future__ import annotations
 
@@ -33,9 +60,11 @@ import json
 import os
 import sys
 from bisect import bisect_left
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
-from itertools import accumulate, compress, zip_longest
+from itertools import accumulate, zip_longest
+from operator import itemgetter
 from typing import NamedTuple
 
 from .construct import CaseOneLayout
@@ -44,7 +73,7 @@ from .graph import Graph
 from .labels import VertexLabel
 from .params import ConstructionParams, ceil_log2
 from .schedule import CubeTemplate, FilledTemplate, Schedule, ShiftedFragment
-from .scheme import make_schedule
+from .scheme import Family, families, make_schedule
 
 
 @dataclass(frozen=True)
@@ -132,7 +161,7 @@ def _replay(when: list[int] | dict, used: list[int] | dict, g: Graph,
     order given.  A call is legal when both ends are ids in [lo, hi), the
     caller was informed before this round and has not called in it, the
     callee is not informed, and they are adjacent in g: b in sets[a]
-    (_neighbour_sets, or cube rows: see _Record), or with no sets _has_edge.
+    (_neighbour_sets, or cube rows: see _cube_row), or with no sets _has_edge.
     The informed count after each round is appended to ``sizes``, which
     starts with the count before.  Returns the first illegal call as (round,
     caller, callee, the calls of its round), or None.
@@ -181,12 +210,13 @@ def _illegal_call(rnd: int, a: int, b: int, calls: list[tuple[int, int]],
 
 class _Tree:
     """A table fragment accepted from its tree's root alone: the fragment,
-    its calls per round and, made on first use, its _tree_shape."""
+    its calls per round and, each made on first use, its _tree_shape and
+    its _last_rounds."""
 
-    __slots__ = ("fragment", "counts", "shape")
+    __slots__ = ("fragment", "counts", "shape", "last")
 
     def __init__(self, fragment, counts: list[int]):
-        self.fragment, self.counts, self.shape = fragment, counts, None
+        self.fragment, self.counts, self.shape, self.last = fragment, counts, None, None
 
 
 class _Accepted(NamedTuple):
@@ -207,21 +237,14 @@ class _Record:
     ``home`` is the tree of every vertex, ``spans`` each tree's id range
     [lo, hi) (None when some tree's ids do not form one range), ``labels``
     the last label tuple compared with g's and ``same`` whether it is equal.
-    ``cube_rows`` is the edge test of the first rounds (below), ``sets``
-    the whole replay's neighbour sets (_neighbour_sets), ``accepted`` the
-    table accepted last, or None, and ``templates`` the verdict on every
-    cube template met since, keyed by the template object: a _Template, or
-    None when it was refused.
+    ``cube`` holds the ids with a cube coordinate and ``cube_rows`` the
+    edge test of the first rounds (_cube_row), ``sets`` the whole replay's
+    neighbour sets (_neighbour_sets), ``accepted`` the table accepted last,
+    or None, and ``templates`` the verdict on every cube template met
+    since, keyed by the template object: a _Template, or None when it was
+    refused."""
 
-    The cube rows hold, per vertex, its neighbours that have a cube
-    coordinate, as a frozenset shared by every vertex with the same such
-    neighbours.  A call to a cube vertex, which is every call the scheme's
-    first rounds make, is tested exactly; any other call reads as no edge
-    there, and the whole replay decides the schedule.  Beside a list of n
-    references they hold a few ids per tree and per cube vertex, not g's
-    adjacency."""
-
-    __slots__ = ("home", "spans", "labels", "same", "cube_rows", "sets", "accepted",
+    __slots__ = ("home", "spans", "labels", "same", "cube", "cube_rows", "sets", "accepted",
                  "templates")
 
     def __init__(self, g: Graph):
@@ -235,17 +258,28 @@ class _Record:
             spans[tree] = (lo, i + 1)
         self.spans = spans
         self.labels, self.same = g.labels, True
-        off, nbrs = g.offsets, g.targets
-        on_cube = bytes(label.cube is not None for label in g.labels)
-        shared: dict = {}
-        self.cube_rows = []
-        for v in range(g.n):
-            row = nbrs[off[v]:off[v + 1]]
-            ids = frozenset(compress(row, map(on_cube.__getitem__, row)))
-            self.cube_rows.append(shared.setdefault(ids, ids))
+        self.cube = frozenset(v for v, label in enumerate(g.labels) if label.cube is not None)
+        self.cube_rows: dict[int, frozenset[int]] = {}
         self.sets: list[frozenset[int]] = []
         self.accepted: _Accepted | None = None
         self.templates: dict[CubeTemplate, _Template | None] = {}
+
+
+def _cube_row(g: Graph, rec: _Record, v: int) -> frozenset[int]:
+    """v's neighbours that have a cube coordinate, made on first use and
+    kept in rec.cube_rows: the first rounds' edge test.  A call to a cube
+    vertex, which is every call the scheme's first rounds make, is tested
+    exactly; any other call reads as no edge there, and the whole replay
+    decides the schedule.  Made from v's row, or, when the row is longer
+    than rec.cube, by a bisection of it per cube vertex; only the ids of the
+    templates and the originators checked one by one need one."""
+    row = rec.cube_rows.get(v)
+    if row is None:
+        lo, hi = g.offsets[v], g.offsets[v + 1]
+        row = rec.cube_rows[v] = (
+            rec.cube.intersection(g.targets[lo:hi]) if hi - lo <= len(rec.cube)
+            else frozenset(c for c in rec.cube if _has_edge(g, v, c)))
+    return row
 
 
 class _Template(NamedTuple):
@@ -309,8 +343,8 @@ def _accept_template(g: Graph, rec: _Record, template: CubeTemplate) -> _Templat
     placeholder P for the originator, the id n past g's: P is informed at
     round 0, makes the slot calls, each in the place its FilledTemplate
     gives it, which must lie in its round, and has their callees as its only
-    neighbours; every other call is tested in the cube rows.  Every id must
-    be one of g's.  P lies in the template's tree, which must be in the
+    neighbours; every other call is tested in the cube rows (_cube_row).
+    Every id must be one of g's.  P lies in the template's tree, which must be in the
     table: P stands for that tree's root when the rounds leave the root
     uninformed, else for one more vertex of the tree.
     Besides the roots, the rounds may inform at most one vertex per tree, of
@@ -328,7 +362,7 @@ def _accept_template(g: Graph, rec: _Record, template: CubeTemplate) -> _Templat
         if not 0 <= i <= len(rounds[r - 1]):
             return None
         rounds[r - 1].insert(i, (n, c))
-    rows = {x: rec.cube_rows[x] for x in named}
+    rows = {x: _cube_row(g, rec, x) for x in named}
     rows[n] = callees
     when, used = dict.fromkeys(rows, _NEVER), dict.fromkeys(rows, 0)
     when[n] = 0
@@ -353,6 +387,32 @@ def _accept_template(g: Graph, rec: _Record, template: CubeTemplate) -> _Templat
     return _Template(sizes, base, overrides, root if at_root else None, callees)
 
 
+def _on_labels(g: Graph, rec: _Record, labels: tuple) -> bool:
+    """Whether ``labels`` is g's label tuple or an equal one, which numbers
+    the vertices as g does; a tuple is compared only when it is not the
+    last one compared."""
+    if labels is not rec.labels:
+        rec.labels, rec.same = labels, labels == g.labels
+    return rec.same
+
+
+def _template_entry(g: Graph, rec: _Record, table, template: CubeTemplate) -> _Template | None:
+    """The verdict on ``template`` with ``table`` on g, or None.  The table
+    is accepted once per graph (_accept_table; again only when another
+    table object comes), and the template once per graph and table
+    (_accept_template)."""
+    if rec.spans is None or not table:
+        return None
+    if rec.accepted is None or rec.accepted.table is not table:
+        accepted = _accept_table(g, rec, table)
+        if accepted is None:
+            return None
+        rec.accepted, rec.templates = accepted, {}
+    if template not in rec.templates:
+        rec.templates[template] = _accept_template(g, rec, template)
+    return rec.templates[template]
+
+
 def _check_pieces(g: Graph, s: Schedule) -> tuple[int, ...] | None:
     """The informed count after each round of a schedule on g's label tuple,
     or on an equal one, accepted from its pieces, or None when the whole
@@ -366,7 +426,7 @@ def _check_pieces(g: Graph, s: Schedule) -> tuple[int, ...] | None:
     the shift lemma, with no replay:
     - the template is filled with u, who lies in its tree (and is the
       tree's root, when the placeholder stands for it) and neighbours every
-      slot callee in the cube rows (see _Record);
+      slot callee in the cube rows (_cube_row);
     - the overrides name the template's overridden trees, each once;
     - _accepted vouches for each override: a ShiftedFragment of the table's
       fragment of its tree, started from the root and the one vertex the
@@ -392,27 +452,15 @@ def _check_pieces(g: Graph, s: Schedule) -> tuple[int, ...] | None:
     when every table root is informed and the table covers g.
     """
     rec = _record(g)
-    if s.labels is not rec.labels:
-        rec.labels, rec.same = s.labels, s.labels == g.labels
-    if not rec.same:
-        return None
     n, origin = g.n, s.origin
     first, overrides, table = s.pieces
-    if (rec.spans is None or not table or not isinstance(first, FilledTemplate)
+    if (not _on_labels(g, rec, s.labels) or not isinstance(first, FilledTemplate)
             or not 0 <= origin < n):
         return None
-    if rec.accepted is None or rec.accepted.table is not table:
-        accepted = _accept_table(g, rec, table)
-        if accepted is None:
-            return None
-        rec.accepted, rec.templates = accepted, {}
-    template = first.template
-    if template not in rec.templates:
-        rec.templates[template] = _accept_template(g, rec, template)
-    entry = rec.templates[template]
+    entry = _template_entry(g, rec, table, first.template)
     if (entry is None or first.u != origin
-            or rec.home[origin] != template.tree or entry.root not in (None, origin)
-            or not entry.callees <= rec.cube_rows[origin]
+            or rec.home[origin] != first.template.tree or entry.root not in (None, origin)
+            or not entry.callees <= _cube_row(g, rec, origin)
             or len(overrides) != len(entry.overrides)
             or {tree for tree, _ in overrides} != entry.overrides.keys()):
         return None
@@ -515,6 +563,100 @@ def _tree_shape(frag, lo: int, hi: int) -> tuple:
     return callees, at, by, size
 
 
+def _last_rounds(frag, lo: int, hi: int) -> list[int]:
+    """Per vertex u of the tree [lo, hi), in local ids (u - lo), L(u): the
+    last round of the ShiftedFragment of ``frag``, a fragment accepted from
+    the root lo, and u; empty unless ``frag`` has the _tree_shape.
+
+    By the shift lemma (_accepted) the fragment's calls keep their rounds,
+    but for those to u's subtree [u, end), moved r(u) earlier, and those to
+    (p, u), moved 1 earlier, p being u's caller; the call p->u is dropped.
+    So L(u) is the largest of the deepest round in [u, end) less r(u), the
+    deepest round in (p, u) less one, and the deepest round before p+1 or
+    from end on: a subtree maximum, made bottom-up; a maximum over the
+    subtrees of the children p calls after u, which make up (p, u), made
+    from u's previous child of p in id order; and a prefix and a suffix
+    maximum.  So _accepted's counts of the same rounds end at L(u)."""
+    shape = _tree_shape(frag, lo, hi)
+    if not shape:
+        return []
+    _, at, by, size = shape
+    m = hi - lo
+    deep = list(at)  # the deepest round in [v, v + size[v])
+    for v in range(m - 1, 0, -1):
+        if deep[v] > deep[by[v]]:
+            deep[by[v]] = deep[v]
+    between, prev = [0] * m, [0] * m  # the deepest round in (by[v], v); p's child last met
+    for v in range(1, m):
+        c = prev[by[v]]
+        if c:
+            between[v] = max(between[c], deep[c])
+        prev[by[v]] = v
+    before = list(accumulate(at, max, initial=0))  # before[i]: the deepest round in [0, i)
+    after = list(accumulate(reversed(at), max, initial=0))[::-1]  # after[i]: in [i, m)
+    return [0] + [max(deep[u] - at[u], between[u] - 1, before[by[u] + 1], after[u + size[u]])
+                  for u in range(1, m)]
+
+
+def _certify_family(g: Graph, family: Family, rounds: dict[int, int]) -> list[int]:
+    """Record in ``rounds`` the completion round of each member of
+    ``family`` that the family path accepts, with no
+    schedule made; return the others, in order, for the per-originator path.
+
+    It accepts what _check_pieces accepts of each member u's schedule, the
+    family's form filled with u, and gives the round the whole replay gives
+    it (see the module's docstring).  Once per family: the labels are g's,
+    or equal; the table and the template are accepted (_template_entry);
+    the placeholder stands for a vertex of the template's tree T = [lo, hi)
+    other than its root, and T is the one tree overridden; the base is the
+    accepted table's fragment of T; T has three vertices or more, so that
+    every member's shifted fragment makes a call; the counts cover g: the
+    template's, its base's and hi - lo - 2, the calls of any member's
+    shifted fragment; and every slot callee is a cube vertex, as _cube_row
+    asks.  Per member, in O(1): u lies in (lo, hi), so it is no root and
+    none of the ids the template names, which inform in T the root alone;
+    it is listed once; and it neighbours every slot callee, which is tested
+    once per callee: in the construction each callee neighbours all of
+    (lo, hi), else each member is looked up in its own row.  Its
+    round is the template's k rounds, plus the longer of the base and the
+    shifted fragment, of L(u) rounds (_last_rounds): each of the two ends on
+    a call, so the counts reach n there."""
+    rec, template, members = _record(g), family.template, family.members
+    entry = (_template_entry(g, rec, family.table, template)
+             if _on_labels(g, rec, family.labels) else None)
+    tree = template.tree
+    if entry is None or entry.root is not None or entry.overrides != {tree: None}:
+        return list(members)
+    node, (lo, hi) = rec.accepted.trees[tree], rec.spans[tree]
+    if node.fragment is not family.base:
+        return list(members)
+    if node.last is None:
+        node.last = _last_rounds(node.fragment, lo, hi)
+    last = node.last
+    if (not last or hi - lo < 3 or entry.sizes[-1] + sum(entry.base) + hi - lo - 2 != g.n
+            or not entry.callees <= rec.cube):
+        return list(members)
+    # the slot callees that do not neighbour all of (lo, hi): a callee's
+    # neighbours there are the slice of its sorted row, each once, between
+    # two bisections
+    off, nbrs = g.offsets, g.targets
+    partial = [c for c in entry.callees if bisect_left(nbrs, hi, off[c], off[c + 1])
+               - bisect_left(nbrs, lo + 1, off[c], off[c + 1]) != hi - lo - 1]
+    # the members listed twice, or that miss a slot callee
+    bad = (set() if len(set(members)) == len(members)
+           else {u for u, c in Counter(members).items() if c > 1})
+    for c in partial:
+        bad.update(u for u in members if not (lo < u < hi and _has_edge(g, u, c)))
+    k, nb = len(entry.sizes) - 1, len(entry.base)
+    refused = []
+    for u in members:
+        if lo < u < hi and u not in bad:
+            rounds[u] = k + max(nb, last[u - lo])
+        else:
+            refused.append(u)
+    return refused
+
+
 # ---------------------------------------------------------------------------
 # whole-graph certification
 
@@ -549,13 +691,32 @@ def _init_worker(g, layout, params):
     _WORKER_STATE.update(g=g, layout=layout, params=params)
 
 
-def _certify_ids(ids):
-    g = _WORKER_STATE["g"]
-    return [_certify_one(g, _WORKER_STATE["layout"], _WORKER_STATE["params"], vid)
-            for vid in ids]
+def _certify_chunk(ids):
+    return _certify_ids(_WORKER_STATE["g"], _WORKER_STATE["layout"], _WORKER_STATE["params"], ids)
+
+
+def _certify_ids(g: Graph, layout, params, ids) -> tuple[dict[int, int], dict[int, dict]]:
+    """The completion round of each id of ``ids`` that certifies, and the
+    outcome of each that fails, by id.  The off-cube ids are certified by
+    tree, as the families the scheme gives (_certify_family); the rest, and
+    every member the family path refuses, one by one (_certify_one)."""
+    fams, rest = families(layout, params, ids)
+    rounds: dict[int, int] = {}
+    for family in fams:
+        rest += _certify_family(g, family, rounds)
+    failed = {}
+    for vid in dict.fromkeys(rest):
+        out = _certify_one(g, layout, params, vid)
+        if "round" in out:
+            rounds[vid] = out["round"]
+        else:
+            failed[vid] = out
+    return rounds, failed
 
 
 def _certify_one(g: Graph, layout, params, vid: int) -> dict:
+    if not 0 <= vid < g.n:  # a family's member need not be a vertex
+        return {"id": vid, "error": f"UnknownVertex: no vertex has id {vid}"}
     label = g.labels[vid]
     try:
         sched = make_schedule(g, layout, params, label)
@@ -573,43 +734,59 @@ def _certify_one(g: Graph, layout, params, vid: int) -> dict:
 def certify_graph(g: Graph, layout: CaseOneLayout, params: ConstructionParams,
                   jobs: int = 1, originators: list[VertexLabel] | None = None,
                   ) -> CertificationReport:
-    """Generate and check a schedule for every originator; pass iff all
-    complete by ceil(log2 n)."""
+    """Certify every originator (or those given, in their order, repeats
+    included): pass iff each has a schedule that completes by ceil(log2 n).
+
+    The off-cube originators of each tree T come as one family
+    (scheme.families) and are certified together, in O(1) each, with no
+    schedule made (_certify_family): member u completes in round
+    k + max(len(base), L(u)), L(u) being the largest of the deepest round
+    below u less r(u), the deepest round in (p, u) less one, and the
+    deepest round of T's fragment outside [p+1, u+size(u)), p being u's
+    caller.  That is where the shift lemma's counts of u's ShiftedFragment
+    end, so the family path accepts, per member, what the piecewise check
+    of u's schedule accepts, with the same round.  The originators on the
+    cube, and every member the family path refuses, get a schedule each
+    (make_schedule) and its check (check_schedule), which gives every
+    failure's witness.  With jobs > 1 the distinct ids are split into
+    consecutive chunks, one per worker, and each worker certifies its
+    chunk the same way; the report is the same for every jobs."""
     target = ceil_log2(g.n)
     ids = ([g.vertex_id(v) for v in originators] if originators is not None
-           else list(range(g.n)))
+           else range(g.n))
+    distinct = list(dict.fromkeys(ids)) if originators is not None else ids
     # the pool starts all its workers at the first submit: start no more
     # than there are originators and CPUs
-    workers = min(jobs, len(ids), os.cpu_count() or 1) if jobs > 1 else 1
+    workers = min(jobs, len(distinct), os.cpu_count() or 1) if jobs > 1 else 1
     if workers > 1:
-        chunks = [ids[i::workers] for i in range(workers)]
+        cuts = [len(distinct) * i // workers for i in range(workers + 1)]
+        chunks = [distinct[a:b] for a, b in zip(cuts, cuts[1:])]
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=(g, layout, params)) as pool:
-            parts = list(pool.map(_certify_ids, chunks))
-        outcomes = [o for part in parts for o in part]
-        outcomes.sort(key=lambda o: o["id"])
+            parts = list(pool.map(_certify_chunk, chunks))
+        rounds, failed = parts[0]
+        for more, fails in parts[1:]:
+            rounds.update(more)
+            failed.update(fails)
     else:
-        outcomes = [_certify_one(g, layout, params, vid) for vid in ids]
+        rounds, failed = _certify_ids(g, layout, params, distinct)
 
     report = CertificationReport(
         graph_id=f"t={params.t},k={params.k},n={params.n}",
         n=g.n, target=target, max_round=None, passed=True)
-    worst = 0
-    for out in outcomes:
-        if "round" in out:
-            rnd = out["round"]
-            report.per_originator.append((out["id"], rnd))
-            worst = max(worst, rnd)
-            if rnd > target:
-                report.passed = False
-                if len(report.failures) < 10:
-                    report.failures.append({"id": out["id"], "round": rnd,
-                                            "reason": "late-completion"})
-        else:
-            report.passed = False
-            if len(report.failures) < 10:
-                report.failures.append(out)
-    report.max_round = worst if report.per_originator else None
+    per = zip(ids, map(rounds.get, ids))
+    report.per_originator = [x for x in per if x[1] is not None] if failed else list(per)
+    report.max_round = max(map(itemgetter(1), report.per_originator), default=None)
+    if len(report.per_originator) < len(ids) or (report.max_round or 0) > target:
+        report.passed = False
+        for vid in ids:
+            if vid in failed:
+                report.failures.append(failed[vid])
+            elif rounds[vid] > target:
+                report.failures.append({"id": vid, "round": rounds[vid],
+                                        "reason": "late-completion"})
+            if len(report.failures) == 10:
+                break
     return report
 
 

@@ -194,16 +194,20 @@ def test_criterion_3_case1_construction_fidelity():
 
 
 def test_criterion_4_broadcast_certification(monkeypatch):
-    # certify_graph checks every schedule from its pieces, on the layout's
-    # table, accepted once per graph; each must be accepted there, every
-    # originator's cube phase through a template accepted once, and the
-    # whole replay of its calls, without the pieces, must give the same
-    # completion round and informed count per round
+    # three ways to one round per originator.  certify_graph takes every
+    # originator off the cube by its tree's family (the family path), with
+    # no fallback, and every one on the cube from its schedule's pieces.
+    # Then every originator's schedule must be accepted from its pieces (the
+    # per-originator path), on the layout's table, accepted once per graph,
+    # every cube phase through a template accepted once; and the whole
+    # replay of its calls, without the pieces, must give the same completion
+    # round and informed count per round
     from broadcastnet import verify
 
     check_pieces, checked = verify._check_pieces, []
     accepted, lemma = verify._accepted, []
     accept_template, made = verify._accept_template, []
+    certify_family, taken = verify._certify_family, []
 
     def recording(g, s):
         checked.append((s, check_pieces(g, s)))
@@ -219,20 +223,37 @@ def test_criterion_4_broadcast_certification(monkeypatch):
         made.append(template)
         return accept_template(g, rec, template)
 
+    def grouping(g, family, rounds):
+        refused = certify_family(g, family, rounds)
+        taken.extend(u for u in family.members if u not in refused)
+        return refused
+
     monkeypatch.setattr(verify, "_check_pieces", recording)
     monkeypatch.setattr(verify, "_accepted", vouching)
     monkeypatch.setattr(verify, "_accept_template", templating)
+    monkeypatch.setattr(verify, "_certify_family", grouping)
     start = time.time()
     lines = []
-    originators = shifted = templates = 0
+    originators = shifted = templates = grouped = 0
     for t, k, n in _certification_instances():
         params = make_params(t, k, n)
         g, layout, _ = build(params)
         checked.clear()
+        taken.clear()
         report = certify_graph(g, layout, params)
         assert report.passed, (t, k, n, report.failures[:3])
         assert report.max_round == report.target == t + 1, (t, k, n)
         assert len(report.per_originator) == n
+        # the family path took every originator off the cube, and the
+        # pieces of their schedules the rest
+        on_cube = [v for v, label in enumerate(g.labels) if label.cube is not None]
+        assert sorted(taken) == sorted(set(range(n)) - set(on_cube)), (t, k, n)
+        assert [s.origin for s, _ in checked] == on_cube, (t, k, n)
+        grouped += len(taken)
+        # the per-originator path, for every originator
+        checked.clear()
+        lemma.clear()
+        pieces = [check_schedule(g, make_schedule(g, layout, params, u)) for u in g.labels]
         assert all(sizes is not None for _, sizes in checked), (t, k, n)
         schedules = [s for s, _ in checked]
         assert all(s.pieces[2] is layout.plain_table for s in schedules), (t, k, n)
@@ -243,7 +264,7 @@ def test_criterion_4_broadcast_certification(monkeypatch):
         shifted += len(lemma)
         lemma.clear()
         # every originator's cube phase, on the cube or off it, by a
-        # template filled with it and accepted once
+        # template filled with it and accepted once, by either path
         firsts = [s.pieces[0] for s in schedules]
         assert all(isinstance(first, FilledTemplate) and first.u == s.origin
                    for first, s in zip(firsts, schedules)), (t, k, n)
@@ -258,6 +279,8 @@ def test_criterion_4_broadcast_certification(monkeypatch):
             whole = [check_schedule(g, s) for s in schedules]
         assert report.per_originator == [(s.origin, res.completion_round)
                                          for s, res in zip(schedules, whole)], (t, k, n)
+        assert report.per_originator == [(s.origin, res.completion_round)
+                                         for s, res in zip(schedules, pieces)], (t, k, n)
         assert [tuple(sizes) for _, sizes in checked] == [
             res.informed_per_round for res in whole], (t, k, n)
         originators += n
@@ -265,11 +288,11 @@ def test_criterion_4_broadcast_certification(monkeypatch):
     assert len(lines) >= 20
     assert originators == 16142
     print(f"\nCRITERION 4: PASS - {len(lines)} graphs certified over every "
-          f"originator, all completing exactly at t+1, the piecewise check "
+          f"originator, all completing exactly at t+1, the family path "
+          f"({grouped} originators off the cube), the per-originator check "
           f"({shifted} fragments by the shift lemma, {originators} cube phases "
-          f"by {templates} templates) agreeing with the whole "
-          f"replay on all {originators}, round and informed counts "
-          f"({time.time() - start:.1f}s)")
+          f"by {templates} templates) and the whole replay agreeing on all "
+          f"{originators}, round and informed counts ({time.time() - start:.1f}s)")
 
 
 def test_criterion_5_oracle_equivalence():

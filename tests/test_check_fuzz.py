@@ -25,6 +25,12 @@ a call before its caller is informed, a slot placed outside its round) or
 filled with another vertex (of u's tree, of another tree, on the cube, of a
 root's tree), and so are the overrides it asks for (w's dropped, one listed
 twice in place of another).  Every verdict must be the set replay's.
+The originators off the cube are certified by tree, as families, and a
+family is mutated too (a member of another tree, a member that is no
+vertex, one the template names, one listed twice, one that does not
+neighbour a slot callee, another tree's template, another build's
+fragment): every member the family path cannot vouch for is refused and
+certified one by one, and the report is the one the whole replay gives.
 """
 
 from collections import Counter
@@ -44,7 +50,9 @@ from broadcastnet import (
     make_schedule,
     verify,
 )
+from broadcastnet.graph import Graph
 from broadcastnet.params import max_k
+from broadcastnet.scheme import families
 from broadcastnet.schedule import CubeTemplate, FilledTemplate, ShiftedFragment
 
 
@@ -136,6 +144,12 @@ def _mutate(kind, rounds, g, rng):
 
 
 MUTATIONS = ("none", "drop", "duplicate-callee", "move", "swap", "retarget", "two-calls")
+
+
+def _one_by_one(layout, params, ids):
+    """scheme.families with no family: every originator is certified from
+    the schedule make_schedule gives it."""
+    return [], list(ids)
 
 
 def _verdict(res):
@@ -249,6 +263,7 @@ def test_factored_certifier_agrees_with_set_replay(place, kind, tkn, pick, rng):
     assert certify_graph(g, layout, params, originators=[u]).passed
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verify, "make_schedule", lambda *args: s)
+        mp.setattr(verify, "families", _one_by_one)
         report = certify_graph(g, layout, params, originators=[u])
     [(_, rnd)] = report.per_originator or [(None, None)]
     assert (bool(report.per_originator), rnd) == want
@@ -331,6 +346,7 @@ def test_shift_lemma_vouches_only_for_its_own_descriptor(kind, tkn, pick, rng):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verify, "make_schedule", lambda *args: s)
+        mp.setattr(verify, "families", _one_by_one)
         mp.setattr(verify, "_accepted", recording)
         report = certify_graph(g, layout, params, originators=[u])
     [(_, rnd)] = report.per_originator or [(None, None)]
@@ -424,6 +440,7 @@ def test_table_is_used_only_where_each_tree_starts_from_its_root(kind, tkn, pick
     assert certify_graph(g, layout, params, originators=[u]).passed
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verify, "make_schedule", lambda *args: s)
+        mp.setattr(verify, "families", _one_by_one)
         report = certify_graph(g, layout, params, originators=[u])
     [(_, rnd)] = report.per_originator or [(None, None)]
     assert (bool(report.per_originator), rnd) == want
@@ -514,7 +531,7 @@ def _template_with(kind, generated, g, layout, rng):
         near = set(row(g, u))
         trades = [(j, r, i) for j, (r, c, _) in enumerate(slots)
                   for i, (a, b) in enumerate(rounds[r - 1])
-                  if b not in near and c in verify._record(g).cube_rows[a]]
+                  if b not in near and c in row(g, a) and g.labels[c].cube is not None]
         if trades:
             j, r, i = rng.choice(trades)
             a, b = rounds[r - 1][i]
@@ -600,6 +617,7 @@ def test_template_vouches_only_for_the_originator_it_was_made_for(kind, tkn, pic
     want = oracle(g, g.labels[origin], label_rounds(s))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verify, "make_schedule", lambda *args: s)
+        mp.setattr(verify, "families", _one_by_one)
         report = certify_graph(g, layout, params, originators=[u])
     accepted = verify._record(g).templates[first.template]
     assert (accepted is not None) == legal_template
@@ -630,3 +648,87 @@ def test_template_vouches_only_for_the_originator_it_was_made_for(kind, tkn, pic
         return
     assert not want[0] and not report.passed
     assert report.failures == [{"id": g.vertex_id(u), "violation": whole.violation.to_json_obj()}]
+
+
+FAMILY_MUTATIONS = ("none", "outside", "no-vertex", "template-id", "repeated", "stranger",
+                    "other-template", "other-graph")
+
+
+def _family_with(kind, g, layout, params, rng):
+    """A sample of one tree's off-cube originators, certified as one family
+    with one mutation, as (graph, originators, families, the members the
+    family path must refuse):
+    - outside: a vertex of another tree off the cube added to the family;
+    - no-vertex: an id of no vertex added: the id the layout has for a
+      pruned mask, -1, or the first past g's;
+    - template-id: an id the template names added, also certified;
+    - repeated: a member listed twice;
+    - stranger: the edge from a member that is no root's child to a slot
+      callee of its template dropped from the graph;
+    - other-template: the family tied to another tree's template;
+    - other-graph: the family's fragment replaced by an equal one of
+      another build of the graph."""
+    off_cube = [v for v, label in enumerate(g.labels) if label.cube is None]
+    tree = g.labels[rng.choice(off_cube)].tree
+    mine = [v for v in off_cube if g.labels[v].tree == tree]
+    ids = rng.sample(mine, min(len(mine), 12))
+    [family], rest = families(layout, params, ids)
+    members = list(family.members)
+    if kind == "none":
+        return g, ids, [family], []
+    if kind == "outside":
+        v = rng.choice([v for v in off_cube if g.labels[v].tree != tree])
+        return g, ids + [v], [family._replace(members=members + [v])], [v]
+    if kind == "no-vertex":
+        v = rng.choice([-1, g.n])
+        return g, ids, [family._replace(members=members + [v])], [v]
+    if kind == "template-id":
+        template = family.template
+        named = {x for calls in template.rounds for call in calls for x in call}
+        v = rng.choice(sorted(named.union(c for _, c, _ in template.slots)))
+        return g, ids + [v], [family._replace(members=members + [v])], [v]
+    if kind == "repeated":
+        v = rng.choice(members)
+        return g, ids, [family._replace(members=members + [v])], [v, v]
+    if kind == "stranger":  # an attachment edge, which no tree fragment uses
+        u = rng.choice([v for v in members if g.labels[v].pos.count("1") > 1])
+        c = rng.choice([c for _, c, _ in family.template.slots])
+        edges = [e for e in g.edge_ids() if e != (min(u, c), max(u, c))]
+        return Graph.from_sorted(g.labels, edges, t=g.t, k=g.k), ids, None, [u]
+    if kind == "other-template":
+        v = rng.choice([v for v in off_cube if g.labels[v].tree != tree])
+        [other], _ = families(layout, params, [v])
+        return g, ids, [family._replace(template=other.template)], members
+    _, again, _ = build(params)
+    base = again.tree_rounds(tree)
+    assert base == family.base and base is not family.base
+    return g, ids, [family._replace(base=base)], members
+
+
+@pytest.mark.parametrize("kind", FAMILY_MUTATIONS)
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(instances(), st.randoms(use_true_random=False))
+def test_family_path_vouches_only_for_its_own_members(kind, tkn, rng):
+    params, g, layout = _instance(*tkn)
+    g, ids, mutated, must = _family_with(kind, g, layout, params, rng)
+    labels = [g.labels[v] for v in ids]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "families", _one_by_one)
+        mp.setattr(verify, "_check_pieces", lambda g, s: None)
+        plain = certify_graph(g, layout, params, originators=labels)
+    certify_family, refused = verify._certify_family, []
+
+    def recording(g, family, rounds):
+        out = certify_family(g, family, rounds)
+        refused.extend(out)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        if mutated is not None:  # the mutated families, and the originators on the cube
+            mp.setattr(verify, "families", lambda layout, params, ids: (
+                mutated, [v for v in ids if g.labels[v].cube is not None]))
+        mp.setattr(verify, "_certify_family", recording)
+        report = certify_graph(g, layout, params, originators=labels)
+    assert sorted(refused) == sorted(must)
+    assert report.to_json() == plain.to_json()
+    assert report.passed == (kind != "stranger")

@@ -153,6 +153,19 @@ def test_certify_subset_and_jobs_deterministic(g72):
     assert a.to_json() == b.to_json()
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_certify_keeps_the_callers_order_for_every_jobs(g73_shrunk, jobs):
+    # originators on the cube and off it, one of them twice: one entry per
+    # originator given, in the order given, whatever the worker count
+    params, g, layout, _ = g73_shrunk
+    picked = [40, 3, 40, 100, 32]
+    assert g.labels[32].is_root and g.labels[40].cube is None
+    report = certify_graph(g, layout, params, jobs=jobs,
+                           originators=[g.labels[i] for i in picked])
+    assert report.passed
+    assert report.per_originator == [(40, 8), (3, 8), (40, 8), (100, 8), (32, 8)]
+
+
 def test_certify_mutated_graph_reported_honestly(g72):
     # drop one attachment edge from a low root to a first-half tree vertex
     # and rerun: the generator still schedules the missing edge, so the
@@ -295,8 +308,11 @@ def _drop_edge(g, a, b):
 
 
 def _plain_certify(monkeypatch, g, layout, params):
-    """certify_graph with every schedule checked by the whole replay alone."""
+    """certify_graph with every originator given a schedule, as no family
+    comes from the scheme, and every schedule checked by the whole replay
+    alone."""
     with monkeypatch.context() as mp:
+        mp.setattr(verify, "families", lambda layout, params, ids: ([], list(ids)))
         mp.setattr(verify, "_check_pieces", lambda g, s: None)
         return certify_graph(g, layout, params)
 
@@ -591,6 +607,26 @@ def test_shift_lemma_counts_only_a_base_in_preorder(g72, monkeypatch):
     assert res.ok and res.completion_round > params.t + 1
 
 
+def test_last_rounds_are_where_the_shift_lemma_counts_end(g83, g73_shrunk):
+    # L(u), the family path's last round of the ShiftedFragment of a table
+    # fragment and u, is where _accepted's counts per round end: for every
+    # vertex of every tree of two builds; of a tree on 0..4 in which 0 calls
+    # 3 then 1, and 1's subtree is the deeper, so that for u = 3 the deepest
+    # round in (p, u) = (0, 3) decides; and of a path 0-1-2-3, where u's
+    # caller itself (u = 3) or u's subtree (u = 2) decides
+    small = (((0, 3),), ((0, 1), (3, 4)), ((1, 2),))
+    cases = [(small, 0, 5), ((((0, 1),), ((1, 2),), ((2, 3),)), 0, 4)]
+    for _, g, layout, _ in (g83, g73_shrunk):
+        spans = verify._record(g).spans
+        cases += [(frag, *spans[tree]) for tree, frag in layout.plain_table]
+    for frag, lo, hi in cases:
+        last, entry = verify._last_rounds(frag, lo, hi), verify._Tree(frag, [])
+        assert len(last) == hi - lo
+        assert last[1:] == [len(verify._accepted(entry, ShiftedFragment(frag, u), u, (lo, hi)))
+                            for u in range(lo + 1, hi)]
+    assert verify._last_rounds(small, 0, 5)[3] == 2
+
+
 def test_template_vouches_for_no_originator_it_names(g72):
     # a legal template of tree 2 that informs tree 2's root by a call: from
     # a placeholder the root is one more vertex informed, so the template is
@@ -627,9 +663,8 @@ def test_template_vouches_only_for_an_originator_of_its_tree(g72):
     first, [(tree, frag)], table = s.pieces
     assert tree == 1 and [c for _, c, _ in first.template.slots] == [r2, r1]
     assert verify._check_pieces(g, s) is not None
-    rows = verify._record(g).cube_rows
     v = next(v for v, label in enumerate(g.labels)
-             if label.tree == 2 and not label.is_root and {r1, r2} <= rows[v])
+             if label.tree == 2 and not label.is_root and {r1, r2} <= set(row(g, v)))
     bad = Schedule(g.labels, v, FilledTemplate(first.template, v),
                    [(1, ShiftedFragment(frag.base, v))], table)
     assert verify._check_pieces(g, bad) is None and not check_schedule(g, bad).ok
@@ -652,7 +687,7 @@ def test_template_standing_for_a_root_vouches_for_that_root_alone(g72):
     assert verify._check_pieces(g, bad) is None
     entry = verify._record(g).templates[template]
     assert entry.root == r1 and entry.overrides == {}
-    assert r2 in verify._record(g).cube_rows[u]
+    assert r2 in row(g, u)
     assert check_schedule(g, bad).violation.reason == "caller-uninformed"
 
 
