@@ -16,6 +16,8 @@ from __future__ import annotations
 import json
 from array import array
 from bisect import bisect_right
+from itertools import islice
+from operator import eq
 from typing import Iterable, Iterator, Sequence
 
 from .errors import MalformedGraph, UnknownVertex
@@ -67,7 +69,10 @@ class Graph:
         offsets, targets = array("i", [0]), array("i")
         for v, row in enumerate(rows):
             rows[v] = None  # each row goes once it is in the arrays
-            targets.extend(sorted(set(row)))
+            row.sort()
+            if any(map(eq, row, islice(row, 1, None))):  # a repeated edge
+                row = sorted(set(row))
+            targets.extend(row)
             offsets.append(len(targets))
         return cls(tuple(labels), offsets, targets, t=t, k=k)
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import filterfalse
 from typing import NamedTuple
 
 from .construct import CaseOneLayout
@@ -68,10 +69,16 @@ def classify(g: Graph, layout: CaseOneLayout, u: VertexLabel) -> SchemeCase:
 
 
 def _full_id(g: Graph, layout: CaseOneLayout, u: VertexLabel) -> int:
-    """u's full id, or UnknownVertex when g lacks u."""
-    if u not in g:
-        raise UnknownVertex(f"{u} not in graph")
-    return layout.full_id(u)
+    """u's full id, or UnknownVertex when g lacks u: the full id u's label
+    spells, when g's vertex there carries that label.  O(1), with no
+    label -> id index made."""
+    try:
+        f = layout.full_id(u)
+        if 0 <= f < len(layout.dense) and 0 <= (v := layout.dense[f]) < g.n and g.labels[v] == u:
+            return f
+    except (TypeError, ValueError):  # a label no vertex can carry
+        pass
+    raise UnknownVertex(f"{u} not in graph")
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +254,10 @@ def families(layout: CaseOneLayout, params: ConstructionParams,
     phase fails its checks (make_schedule raises for them)."""
     on_cube = frozenset(layout.coord_ids)
     rest = list(filter(on_cube.__contains__, ids))
-    off = sorted(set(ids).difference(on_cube))
+    if isinstance(ids, range) and ids.step > 0:  # ascending and distinct already
+        off = list(filterfalse(on_cube.__contains__, ids))
+    else:
+        off = sorted(set(ids).difference(on_cube))
     out: list[Family] = []
     if not off:
         return out, rest

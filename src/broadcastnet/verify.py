@@ -61,9 +61,9 @@ import os
 import sys
 from bisect import bisect_left
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from itertools import accumulate, zip_longest
+from multiprocessing import Pipe, Process
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -684,17 +684,6 @@ class CertificationReport:
         return json.dumps(obj, separators=(",", ":")) + "\n"
 
 
-_WORKER_STATE: dict = {}
-
-
-def _init_worker(g, layout, params):
-    _WORKER_STATE.update(g=g, layout=layout, params=params)
-
-
-def _certify_chunk(ids):
-    return _certify_ids(_WORKER_STATE["g"], _WORKER_STATE["layout"], _WORKER_STATE["params"], ids)
-
-
 def _certify_ids(g: Graph, layout, params, ids) -> tuple[dict[int, int], dict[int, dict]]:
     """The completion round of each id of ``ids`` that certifies, and the
     outcome of each that fails, by id.  The off-cube ids are certified by
@@ -731,6 +720,17 @@ def _certify_one(g: Graph, layout, params, vid: int) -> dict:
     return out
 
 
+def _work(conn, g: Graph, layout, params, ids) -> None:
+    """A worker process's target: send _certify_ids' result for ``ids`` down
+    ``conn``, or the exception it raised, for the caller to raise."""
+    try:
+        out = _certify_ids(g, layout, params, ids)
+    except Exception as exc:
+        out = exc
+    conn.send(out)
+    conn.close()
+
+
 def certify_graph(g: Graph, layout: CaseOneLayout, params: ConstructionParams,
                   jobs: int = 1, originators: list[VertexLabel] | None = None,
                   ) -> CertificationReport:
@@ -749,27 +749,46 @@ def certify_graph(g: Graph, layout: CaseOneLayout, params: ConstructionParams,
     cube, and every member the family path refuses, get a schedule each
     (make_schedule) and its check (check_schedule), which gives every
     failure's witness.  With jobs > 1 the distinct ids are split into
-    consecutive chunks, one per worker, and each worker certifies its
-    chunk the same way; the report is the same for every jobs."""
+    consecutive chunks, one per worker, the caller being the first: it
+    certifies the first chunk itself, while jobs - 1 worker processes, at
+    most, certify the rest the same way, each sending its result back down
+    a pipe of its own; the report is the same for every jobs."""
     target = ceil_log2(g.n)
     ids = ([g.vertex_id(v) for v in originators] if originators is not None
            else range(g.n))
     distinct = list(dict.fromkeys(ids)) if originators is not None else ids
-    # the pool starts all its workers at the first submit: start no more
-    # than there are originators and CPUs
-    workers = min(jobs, len(distinct), os.cpu_count() or 1) if jobs > 1 else 1
-    if workers > 1:
-        cuts = [len(distinct) * i // workers for i in range(workers + 1)]
-        chunks = [distinct[a:b] for a, b in zip(cuts, cuts[1:])]
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                                 initargs=(g, layout, params)) as pool:
-            parts = list(pool.map(_certify_chunk, chunks))
-        rounds, failed = parts[0]
-        for more, fails in parts[1:]:
-            rounds.update(more)
-            failed.update(fails)
-    else:
-        rounds, failed = _certify_ids(g, layout, params, distinct)
+    # no more workers than there are originators and CPUs, the caller included
+    workers = max(1, min(jobs, len(distinct), os.cpu_count() or 1))
+    cuts = [len(distinct) * i // workers for i in range(workers + 1)]
+    chunks = [distinct[a:b] for a, b in zip(cuts, cuts[1:])]
+    procs = []
+    try:
+        for chunk in chunks[1:]:
+            recv, send = Pipe(duplex=False)
+            proc = Process(target=_work, args=(send, g, layout, params, chunk))
+            proc.start()
+            send.close()  # so that recv sees the end if the worker dies
+            procs.append((proc, recv))
+        rounds, failed = _certify_ids(g, layout, params, chunks[0])
+        # each result is read before its worker is joined: a worker exits
+        # only once its pipe has taken all of its result
+        for proc, recv in procs:
+            try:
+                out = recv.recv()
+            except EOFError:
+                proc.join()
+                raise ChildProcessError(f"a certify worker exited with code {proc.exitcode}, "
+                                        f"sending no result") from None
+            if isinstance(out, Exception):
+                raise out
+            rounds.update(out[0])
+            failed.update(out[1])
+    finally:
+        for proc, recv in procs:
+            if proc.is_alive():
+                proc.terminate()
+            proc.join()
+            recv.close()
 
     report = CertificationReport(
         graph_id=f"t={params.t},k={params.k},n={params.n}",

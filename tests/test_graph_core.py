@@ -88,6 +88,19 @@ def test_duplicate_edges_inserted_once():
     assert g.num_edges == 1 and g.edge_ids() == [(0, 1)]
 
 
+def test_a_repeated_or_reversed_edge_in_a_file_counts_once():
+    # rows are sorted, and only a row with two equal neighbours side by side
+    # is made distinct: (0, 1) comes twice, (0, 2) once reversed, among
+    # other neighbours of the same rows
+    vertices = [VertexLabel(tree=i + 1).to_json(i) for i in range(4)]
+    edges = [[0, 1], [2, 3], [0, 2], [1, 3], [2, 0], [0, 1], [3, 0]]
+    g = Graph.from_json(json.dumps({"vertices": vertices, "edges": edges}))
+    clean = Graph.from_sorted([VertexLabel(tree=i + 1) for i in range(4)],
+                              [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)])
+    assert g == clean and g.to_json() == clean.to_json()
+    assert [list(row(g, v)) for v in range(4)] == [[1, 2, 3], [0, 3], [0, 3], [0, 1, 2]]
+
+
 @pytest.mark.parametrize("field,value", [("pos", "2"), ("pos", "0 1"), ("cube", "x"),
                                          ("cube", "1\n"), ("pos", '0"')])
 def test_from_json_rejects_a_label_that_is_not_binary(field, value):

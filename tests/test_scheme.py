@@ -6,13 +6,17 @@ from conftest import label_rounds, vertex
 
 from broadcastnet import (
     UnknownVertex,
+    VertexLabel,
     build,
+    certify_graph,
     check_schedule,
     classify,
     make_params,
     make_schedule,
 )
+from broadcastnet.labels import bits, pos_mask
 from broadcastnet.schedule import ShiftedFragment
+from broadcastnet.scheme import families
 
 
 def _label_of_coord(g, layout, c):
@@ -54,6 +58,54 @@ def test_classify_unknown_vertex(g72):
     from broadcastnet import VertexLabel
     with pytest.raises(UnknownVertex):
         classify(g, layout, VertexLabel(tree=99, pos="000001"))
+
+
+def test_certification_makes_no_label_index():
+    # make_schedule finds u's full id from its label in O(1), with no
+    # label -> id index, on the per-originator path a full certification
+    # takes for the originators on the cube
+    params = make_params(7, 3, 191)
+    g, layout, _ = build(params)
+    assert certify_graph(g, layout, params).passed
+    assert g._index is None
+
+
+def test_make_schedule_refuses_a_label_the_graph_lacks(g72, g73_shrunk):
+    params, g, layout, _ = g73_shrunk
+    M, h = layout.tree_size, layout.h
+    f = next(f for f, v in enumerate(layout.dense) if v < 0 and f % M and f != layout.w)
+    pruned = VertexLabel(f // M + 1, bits(f % M, h))
+    leaf = vertex(g, layout, 1, 3)
+    root = vertex(g, layout, 2, 0)
+    other_cube = bits(pos_mask(root.cube) ^ 1, layout.k)
+    stranger = g72[1].labels[-1]
+    labels = set(g.labels)
+    cases = [
+        pruned,
+        VertexLabel(0, bits(M - 1, h)),  # full id -1
+        VertexLabel(None, leaf.pos),
+        VertexLabel(1, "2"),
+        VertexLabel(1, "1" + leaf.pos),  # one bit too long: the same mask in tree 2
+        VertexLabel(2, "", other_cube),
+        stranger,
+    ]
+    for u in cases:
+        assert u not in labels
+        with pytest.raises(UnknownVertex) as exc:
+            make_schedule(g, layout, params, u)
+        assert str(exc.value) == f"{u} not in graph"
+
+
+def test_families_of_a_range_match_those_of_any_order(g73_shrunk):
+    # a range is taken as it comes, ascending and distinct; any other input
+    # is sorted and made distinct first
+    params, g, layout, _ = g73_shrunk
+    ids = [*range(g.n), *range(0, g.n, 7)]
+    random.Random(3).shuffle(ids)
+    fams, rest = families(layout, params, range(g.n))
+    shuffled, again = families(layout, params, ids)
+    assert fams and fams == shuffled
+    assert rest == sorted(set(again))
 
 
 def test_case1_schedule_from_root(g72):

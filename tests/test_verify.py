@@ -1,3 +1,5 @@
+import multiprocessing
+import os
 import pickle
 import random
 
@@ -151,6 +153,7 @@ def test_certify_subset_and_jobs_deterministic(g72):
     a = certify_graph(g, layout, params, jobs=1)
     b = certify_graph(g, layout, params, jobs=2)
     assert a.to_json() == b.to_json()
+    assert certify_graph(g, layout, params, jobs=5000).to_json() == a.to_json()
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -410,23 +413,46 @@ def test_check_from_pieces_equals_whole_replay(g72, monkeypatch):
     assert pieces == [check_schedule(g, s) for s in schedules]
 
 
-class _InlinePool:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+class _InlineProcess:
+    """Stands in for multiprocessing.Process: counts the processes started
+    and runs each target in-process as it starts."""
 
-    sizes: list = []
+    started = 0
 
-    def __init__(self, max_workers, initializer, initargs):
-        self.sizes.append(max_workers)
-        initializer(*initargs)
+    def __init__(self, target, args):
+        self.target, self.args = target, args
 
-    def __enter__(self):
-        return self
+    def start(self):
+        _InlineProcess.started += 1
+        self.target(*self.args)
 
-    def __exit__(self, *exc):
+    def is_alive(self):
         return False
 
-    def map(self, fn, chunks):
-        return map(fn, chunks)
+    def join(self):
+        pass
+
+
+class _InlineEnd:
+    """Stands in for both ends of a one-way multiprocessing.Pipe: keeps what
+    is sent until it is read."""
+
+    def __init__(self):
+        self.sent = []
+
+    def send(self, obj):
+        self.sent.append(obj)
+
+    def recv(self):
+        return self.sent.pop(0)
+
+    def close(self):
+        pass
+
+
+def _inline_pipe(duplex=True):
+    end = _InlineEnd()
+    return end, end
 
 
 @pytest.mark.parametrize("cpus, originators, want", [
@@ -435,15 +461,62 @@ class _InlinePool:
 ])
 def test_certify_starts_no_more_workers_than_originators_or_cpus(
         g72, monkeypatch, cpus, originators, want):
+    # the caller is one of the ``want`` workers, so it starts want - 1
+    # processes
     params, g, layout, _ = g72
     labels = None if originators is None else [g.labels[i] for i in originators]
     serial = certify_graph(g, layout, params, originators=labels).to_json()
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(verify, "Process", _InlineProcess)
+    monkeypatch.setattr(verify, "Pipe", _inline_pipe)
     monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
-    _InlinePool.sizes = []
+    _InlineProcess.started = 0
     report = certify_graph(g, layout, params, jobs=5000, originators=labels)
-    assert _InlinePool.sizes == ([] if want is None else [want])
+    assert _InlineProcess.started == (0 if want is None else want - 1)
     assert report.to_json() == serial
+
+
+# a patch of the parent reaches a worker only when the worker is forked
+needs_fork = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                                reason="the start method is not fork")
+
+
+@needs_fork
+@pytest.mark.parametrize("where, first", [("worker", 96), ("caller", 0)])
+def test_certify_raises_what_a_chunk_raised(g72, monkeypatch, where, first):
+    # g72's 192 ids split into [0, 96), the caller's, and [96, 192); the
+    # chunk that raises is the worker's or the caller's, and either way no
+    # worker outlives the call
+    params, g, layout, _ = g72
+    certify = verify._certify_ids
+
+    def refuse(g, layout, params, ids):
+        if ids[0] == first:
+            raise ValueError(f"chunk from {ids[0]} refused")
+        return certify(g, layout, params, ids)
+
+    monkeypatch.setattr(verify, "_certify_ids", refuse)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+    with pytest.raises(ValueError) as exc:
+        certify_graph(g, layout, params, jobs=2)
+    assert type(exc.value) is ValueError and str(exc.value) == f"chunk from {first} refused"
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_certify_names_a_worker_that_sent_nothing(g72, monkeypatch):
+    params, g, layout, _ = g72
+    certify = verify._certify_ids
+
+    def vanish(g, layout, params, ids):
+        if ids[0]:
+            os._exit(3)
+        return certify(g, layout, params, ids)
+
+    monkeypatch.setattr(verify, "_certify_ids", vanish)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+    with pytest.raises(ChildProcessError, match="exited with code 3"):
+        certify_graph(g, layout, params, jobs=2)
+    assert multiprocessing.active_children() == []
 
 
 def test_recorded_verdict_is_tied_to_its_start_vertex(g72, monkeypatch):
