@@ -70,7 +70,7 @@ class Graph:
         for v, row in enumerate(rows):
             rows[v] = None  # each row goes once it is in the arrays
             row.sort()
-            if any(map(eq, row, islice(row, 1, None))):  # a repeated edge
+            if any(map(eq, row, islice(row, 1, None))):  # build never repeats one; a file may
                 row = sorted(set(row))
             targets.extend(row)
             offsets.append(len(targets))

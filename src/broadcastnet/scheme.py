@@ -74,7 +74,8 @@ def _full_id(g: Graph, layout: CaseOneLayout, u: VertexLabel) -> int:
     label -> id index made."""
     try:
         f = layout.full_id(u)
-        if 0 <= f < len(layout.dense) and 0 <= (v := layout.dense[f]) < g.n and g.labels[v] == u:
+        if (0 <= f < len(layout.dense) and 0 <= (v := layout.dense[f]) < g.n
+                and ((label := g.labels[v]) is u or label == u)):
             return f
     except (TypeError, ValueError):  # a label no vertex can carry
         pass

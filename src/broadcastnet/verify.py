@@ -720,6 +720,46 @@ def _certify_one(g: Graph, layout, params, vid: int) -> dict:
     return out
 
 
+def _certify_split(g: Graph, layout, params, ids, workers: int,
+                   ) -> tuple[dict[int, int], dict[int, dict]]:
+    """_certify_ids over ``ids`` cut into ``workers`` consecutive chunks: the
+    caller certifies the first itself, and each other goes to one worker
+    process, which sends its result down a one-way pipe (_work).  The
+    results are merged in chunk order, and the exception a chunk raised, in
+    the caller or in a worker, is raised.  No worker outlives the call."""
+    cuts = [len(ids) * i // workers for i in range(workers + 1)]
+    chunks = [ids[a:b] for a, b in zip(cuts, cuts[1:])]
+    procs = []
+    try:
+        for chunk in chunks[1:]:
+            recv, send = Pipe(duplex=False)
+            proc = Process(target=_work, args=(send, g, layout, params, chunk))
+            proc.start()
+            send.close()  # so that recv sees the end if the worker dies
+            procs.append((proc, recv))
+        rounds, failed = _certify_ids(g, layout, params, chunks[0])
+        # each result is read before its worker is joined: a worker exits
+        # only once its pipe has taken all of its result
+        for proc, recv in procs:
+            try:
+                out = recv.recv()
+            except EOFError:
+                proc.join()
+                raise ChildProcessError(f"a certify worker exited with code {proc.exitcode}, "
+                                        f"sending no result") from None
+            if isinstance(out, Exception):
+                raise out
+            rounds.update(out[0])
+            failed.update(out[1])
+    finally:
+        for proc, recv in procs:
+            if proc.is_alive():
+                proc.terminate()
+            proc.join()
+            recv.close()
+    return rounds, failed
+
+
 def _work(conn, g: Graph, layout, params, ids) -> None:
     """A worker process's target: send _certify_ids' result for ``ids`` down
     ``conn``, or the exception it raised, for the caller to raise."""
@@ -758,37 +798,11 @@ def certify_graph(g: Graph, layout: CaseOneLayout, params: ConstructionParams,
            else range(g.n))
     distinct = list(dict.fromkeys(ids)) if originators is not None else ids
     # no more workers than there are originators and CPUs, the caller included
-    workers = max(1, min(jobs, len(distinct), os.cpu_count() or 1))
-    cuts = [len(distinct) * i // workers for i in range(workers + 1)]
-    chunks = [distinct[a:b] for a, b in zip(cuts, cuts[1:])]
-    procs = []
-    try:
-        for chunk in chunks[1:]:
-            recv, send = Pipe(duplex=False)
-            proc = Process(target=_work, args=(send, g, layout, params, chunk))
-            proc.start()
-            send.close()  # so that recv sees the end if the worker dies
-            procs.append((proc, recv))
-        rounds, failed = _certify_ids(g, layout, params, chunks[0])
-        # each result is read before its worker is joined: a worker exits
-        # only once its pipe has taken all of its result
-        for proc, recv in procs:
-            try:
-                out = recv.recv()
-            except EOFError:
-                proc.join()
-                raise ChildProcessError(f"a certify worker exited with code {proc.exitcode}, "
-                                        f"sending no result") from None
-            if isinstance(out, Exception):
-                raise out
-            rounds.update(out[0])
-            failed.update(out[1])
-    finally:
-        for proc, recv in procs:
-            if proc.is_alive():
-                proc.terminate()
-            proc.join()
-            recv.close()
+    workers = min(jobs, len(distinct), os.cpu_count() or 1) if jobs > 1 else 1
+    if workers > 1:
+        rounds, failed = _certify_split(g, layout, params, distinct, workers)
+    else:
+        rounds, failed = _certify_ids(g, layout, params, distinct)
 
     report = CertificationReport(
         graph_id=f"t={params.t},k={params.k},n={params.n}",
