@@ -788,11 +788,11 @@ def certify_graph(g: Graph, layout: CaseOneLayout, params: ConstructionParams,
     of u's schedule accepts, with the same round.  The originators on the
     cube, and every member the family path refuses, get a schedule each
     (make_schedule) and its check (check_schedule), which gives every
-    failure's witness.  With jobs > 1 the distinct ids are split into
-    consecutive chunks, one per worker, the caller being the first: it
-    certifies the first chunk itself, while jobs - 1 worker processes, at
-    most, certify the rest the same way, each sending its result back down
-    a pipe of its own; the report is the same for every jobs."""
+    failure's witness.  With jobs > 1 the distinct ids are cut into
+    consecutive chunks, one per worker, the caller included
+    (_certify_split): the caller certifies the first chunk itself, and at
+    most jobs - 1 worker processes the rest; the report is the same for
+    every jobs."""
     target = ceil_log2(g.n)
     ids = ([g.vertex_id(v) for v in originators] if originators is not None
            else range(g.n))

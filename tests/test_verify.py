@@ -481,8 +481,8 @@ needs_fork = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
 
 
 @needs_fork
-@pytest.mark.parametrize("where, first", [("worker", 96), ("caller", 0)])
-def test_certify_raises_what_a_chunk_raised(g72, monkeypatch, where, first):
+@pytest.mark.parametrize("first", [96, 0], ids=["worker", "caller"])
+def test_certify_raises_what_a_chunk_raised(g72, monkeypatch, first):
     # g72's 192 ids split into [0, 96), the caller's, and [96, 192); the
     # chunk that raises is the worker's or the caller's, and either way no
     # worker outlives the call
@@ -504,6 +504,7 @@ def test_certify_raises_what_a_chunk_raised(g72, monkeypatch, where, first):
 
 @needs_fork
 def test_certify_names_a_worker_that_sent_nothing(g72, monkeypatch):
+    # the worker of chunk [96, 192) exits before it sends a result
     params, g, layout, _ = g72
     certify = verify._certify_ids
 
