@@ -19,16 +19,18 @@ state over the ids it names, from a placeholder for the originator,
 informed at round 0 and making the template's slot calls, and the
 vertices it informs fix which trees are overridden, from which vertex, and
 the counts of the trees left to the table.  Per originator only u's own
-part is checked, with no replay: u lies in the template's tree (as its
-root, when the placeholder stands for it) and neighbours each slot callee;
-and the override (of u's tree when u is off the cube, else of tree 1 from
-w when w survives) is a ShiftedFragment of a table fragment, which the
-shift lemma accepts in O(h log M) for a tree of M vertices and h rounds
-(_accepted).  Sound because a call that does not involve u does not depend
+part is checked, with no replay: u lies in the template's tree and
+neighbours each slot callee (when the placeholder stands for the tree's
+root, u is that root, whose edges were tested as the template was
+accepted); and the override (of u's tree when u is off the cube, else of
+tree 1 from w when w survives) is a ShiftedFragment of a table fragment,
+which the shift lemma accepts in O(h log M) for a tree of M vertices and h
+rounds (_accepted).  Sound because a call that does not involve u does not depend
 on which vertex u is: u is informed at round 0 whoever it is, and the
 template fixes the rounds u calls in and the vertices it calls.  Whatever
 that check does not accept is replayed whole, which gives every failure's
-witness.
+witness.  The piecewise check tests each edge by a bisection of g's CSR
+(_has_edge), and the whole replay in neighbour sets made once per graph.
 
 The family path (_certify_family) makes no schedule.  The originators off
 the cube of a tree T = [lo, hi) share T's template, the table and T's
@@ -41,18 +43,18 @@ once per callee by counting its neighbours in T with two bisections of
 its sorted row; the counts cover g once per family.  Member u's
 completion round is then k + max(len(base), L(u)): the template's k
 rounds, then the longer of the table's counts less T's and the
-ShiftedFragment of B and u, which ends in its round L(u).  By the shift lemma, that fragment moves the calls to u's
-subtree r(u) rounds earlier, those to (p, u), p being u's caller, one
-earlier, and leaves the rest; so L(u) is the largest of the deepest round
-below u less r(u), the deepest round in (p, u) less one, and the deepest
-round outside [p+1, u+size(u)).  Over B's preorder these are a subtree
-maximum, a maximum over the subtrees of u's later-called siblings, and a
-prefix and a suffix maximum, so L is one array made once per accepted
-fragment (_last_rounds), read in O(1) per member.  Sound per member as the
-per-originator path is: it accepts exactly what _check_pieces accepts of
-u's schedule, and gives the round the whole replay gives.  The originators
-on the cube (at most 2^k) and every member the family path refuses take
-the per-originator path."""
+ShiftedFragment of B and u, which ends in its round L(u).  By the shift
+lemma, that fragment moves the calls to u's subtree r(u) rounds earlier,
+those to (p, u), p being u's caller, one earlier, and leaves the rest; so
+L(u) is the largest of the deepest round below u less r(u), the deepest
+round in (p, u) less one, and the deepest round outside [p+1, u+size(u)).
+Over B's preorder these are a subtree maximum, a maximum over the
+subtrees of u's later-called siblings, and a prefix and a suffix maximum,
+so L is one array made once per accepted fragment (_last_rounds), read in
+O(1) per member.  Sound per member as the per-originator path is: it
+accepts exactly what _check_pieces accepts of u's schedule, and gives the
+round the whole replay gives.  The originators on the cube (at most 2^k)
+and every member the family path refuses take the per-originator path."""
 
 from __future__ import annotations
 
@@ -161,7 +163,8 @@ def _replay(when: list[int] | dict, used: list[int] | dict, g: Graph,
     order given.  A call is legal when both ends are ids in [lo, hi), the
     caller was informed before this round and has not called in it, the
     callee is not informed, and they are adjacent in g: b in sets[a]
-    (_neighbour_sets, or cube rows: see _cube_row), or with no sets _has_edge.
+    (_neighbour_sets, or a template's rows: see _accept_template), or with
+    no sets _has_edge.
     The informed count after each round is appended to ``sizes``, which
     starts with the count before.  Returns the first illegal call as (round,
     caller, callee, the calls of its round), or None.
@@ -221,65 +224,42 @@ class _Tree:
 
 class _Accepted(NamedTuple):
     """A table accepted on a graph (_accept_table): the table object, per
-    tree its _Tree, the sum S of their calls per round, and the ids of their
-    roots."""
+    tree its _Tree, and the sum S of their calls per round."""
 
     table: tuple
     trees: dict[int, _Tree]
     total: list[int]
-    roots: frozenset[int]
 
 
 class _Record:
     """g's per-graph record for the piecewise check, made on first use
     (_record) and held in g._verdicts; a cache, which pickling g leaves out.
 
-    ``home`` is the tree of every vertex, ``spans`` each tree's id range
-    [lo, hi) (None when some tree's ids do not form one range), ``labels``
-    the last label tuple compared with g's and ``same`` whether it is equal.
-    ``cube`` holds the ids with a cube coordinate and ``cube_rows`` the
-    edge test of the first rounds (_cube_row), ``sets`` the whole replay's
-    neighbour sets (_neighbour_sets), ``accepted`` the table accepted last,
-    or None, and ``templates`` the verdict on every cube template met
-    since, keyed by the template object: a _Template, or None when it was
-    refused."""
+    ``spans`` is each tree's id range [lo, hi) (None when some tree's ids
+    do not form one range), so a vertex v lies in the span of its label's
+    tree, and is that tree's root when v is its lo; ``labels`` is the last
+    label tuple compared with g's and ``same`` whether it is equal.
+    ``sets`` holds the whole replay's neighbour sets (_neighbour_sets),
+    ``accepted`` the table accepted last, or None, and ``templates`` the
+    verdict on every cube template met since, keyed by the template
+    object: a _Template, or None when it was refused.  The piecewise check
+    tests its edges on g's CSR (_has_edge), and keeps nothing per vertex."""
 
-    __slots__ = ("home", "spans", "labels", "same", "cube", "cube_rows", "sets", "accepted",
-                 "templates")
+    __slots__ = ("spans", "labels", "same", "sets", "accepted", "templates")
 
     def __init__(self, g: Graph):
-        self.home = [label.tree for label in g.labels]
         spans: dict | None = {}
-        for i, tree in enumerate(self.home):
-            lo, hi = spans.get(tree, (i, i))
+        for i, label in enumerate(g.labels):
+            lo, hi = spans.get(label.tree, (i, i))
             if hi != i:
                 spans = None
                 break
-            spans[tree] = (lo, i + 1)
+            spans[label.tree] = (lo, i + 1)
         self.spans = spans
         self.labels, self.same = g.labels, True
-        self.cube = frozenset(v for v, label in enumerate(g.labels) if label.cube is not None)
-        self.cube_rows: dict[int, frozenset[int]] = {}
         self.sets: list[frozenset[int]] = []
         self.accepted: _Accepted | None = None
         self.templates: dict[CubeTemplate, _Template | None] = {}
-
-
-def _cube_row(g: Graph, rec: _Record, v: int) -> frozenset[int]:
-    """v's neighbours that have a cube coordinate, made on first use and
-    kept in rec.cube_rows: the first rounds' edge test.  A call to a cube
-    vertex, which is every call the scheme's first rounds make, is tested
-    exactly; any other call reads as no edge there, and the whole replay
-    decides the schedule.  Made from v's row, or, when the row is longer
-    than rec.cube, by a bisection of it per cube vertex; only the ids of the
-    templates and the originators checked one by one need one."""
-    row = rec.cube_rows.get(v)
-    if row is None:
-        lo, hi = g.offsets[v], g.offsets[v + 1]
-        row = rec.cube_rows[v] = (
-            rec.cube.intersection(g.targets[lo:hi]) if hi - lo <= len(rec.cube)
-            else frozenset(c for c in rec.cube if _has_edge(g, v, c)))
-    return row
 
 
 class _Template(NamedTuple):
@@ -288,8 +268,9 @@ class _Template(NamedTuple):
     table's calls per round less those of the overridden trees, trailing
     zeros left out; per overridden tree, the vertex informed besides its
     root (None for the placeholder); the id the originator must have when
-    the placeholder stands for its tree's root, else None; and the callees
-    of its slots."""
+    the placeholder stands for its tree's root, whose edges to the slot
+    callees were tested as the template was accepted, else None; and the
+    callees of its slots."""
 
     sizes: list[int]
     base: list[int]
@@ -333,7 +314,7 @@ def _accept_table(g: Graph, rec: _Record, table) -> _Accepted | None:
         total.extend([0] * (len(added) - len(total)))
         for i, c in enumerate(added):
             total[i] += c
-    return _Accepted(table, trees, total, frozenset(rec.spans[tree][0] for tree in trees))
+    return _Accepted(table, trees, total)
 
 
 def _accept_template(g: Graph, rec: _Record, template: CubeTemplate) -> _Template | None:
@@ -343,26 +324,33 @@ def _accept_template(g: Graph, rec: _Record, template: CubeTemplate) -> _Templat
     placeholder P for the originator, the id n past g's: P is informed at
     round 0, makes the slot calls, each in the place its FilledTemplate
     gives it, which must lie in its round, and has their callees as its only
-    neighbours; every other call is tested in the cube rows (_cube_row).
-    Every id must be one of g's.  P lies in the template's tree, which must be in the
-    table: P stands for that tree's root when the rounds leave the root
-    uninformed, else for one more vertex of the tree.
+    neighbours; each of the template's own calls is tested once, on g's CSR
+    (_has_edge), before the replay.
+    Every id must be one of g's.  P lies in the template's tree, which must
+    be in the table: P stands for that tree's root when the rounds leave
+    the root uninformed, and then the root must neighbour every slot
+    callee, else for one more vertex of the tree.
     Besides the roots, the rounds may inform at most one vertex per tree, of
     a table tree: a tree with one more vertex informed, P's included, is
     overridden, and every other table tree starts from its root alone (or
-    from no vertex, which the counts show: see _check_pieces)."""
+    from no vertex, which the counts show: see _check_pieces).  A vertex's
+    tree is its label's, whose span holds it (see _Record), and it is that
+    tree's root when it is the span's lo."""
     n, tree = g.n, template.tree
-    trees, total, roots = rec.accepted.trees, rec.accepted.total, rec.accepted.roots
+    trees, total, spans = rec.accepted.trees, rec.accepted.total, rec.spans
     callees = frozenset(c for _, c, _ in template.slots)
     named = {x for calls in template.rounds for call in calls for x in call}.union(callees)
-    if tree not in trees or not all(isinstance(x, int) and 0 <= x < n for x in named):
+    if (tree not in trees or not all(isinstance(x, int) and 0 <= x < n for x in named)
+            or not all(_has_edge(g, a, b) for calls in template.rounds for a, b in calls)):
         return None
     rounds = [list(calls) for calls in template.rounds]
     for r, c, i in template.slots:
         if not 0 <= i <= len(rounds[r - 1]):
             return None
         rounds[r - 1].insert(i, (n, c))
-    rows = {x: _cube_row(g, rec, x) for x in named}
+    # the template's own calls are edges, so the replay lets a named id call
+    # any other; P's only neighbours are its slot callees
+    rows = dict.fromkeys(named, named)
     rows[n] = callees
     when, used = dict.fromkeys(rows, _NEVER), dict.fromkeys(rows, 0)
     when[n] = 0
@@ -370,14 +358,19 @@ def _accept_template(g: Graph, rec: _Record, template: CubeTemplate) -> _Templat
     if _replay(when, used, g, rows, rounds, 0, n + 1, sizes) is not None:
         return None
     informed = {v for calls in rounds for _, v in calls}
-    root = rec.spans[tree][0]
+    root = spans[tree][0]
     at_root = root not in informed
+    if at_root and not all(_has_edge(g, root, c) for c in callees):
+        return None
     overrides: dict[int, int | None] = {} if at_root else {tree: None}
-    for v in informed - roots:
-        other = rec.home[v]
-        if other in overrides or other not in trees:
+    for v in informed:
+        other = g.labels[v].tree
+        if other not in trees:
             return None
-        overrides[other] = v
+        if v != spans[other][0]:  # a vertex besides its tree's root
+            if other in overrides:
+                return None
+            overrides[other] = v
     base = list(total)
     for other in overrides:
         for i, c in enumerate(trees[other].counts):
@@ -422,11 +415,13 @@ def _check_pieces(g: Graph, s: Schedule) -> tuple[int, ...] | None:
     The table is accepted once per graph (_accept_table; again only when a
     schedule brings another table object), and the first rounds, which must
     be a FilledTemplate, through their template, once per graph and table
-    (_accept_template).  Per originator u the check is O(k) set tests and
-    the shift lemma, with no replay:
-    - the template is filled with u, who lies in its tree (and is the
-      tree's root, when the placeholder stands for it) and neighbours every
-      slot callee in the cube rows (_cube_row);
+    (_accept_template).  Per originator u the check is O(k) tests and the
+    shift lemma, with no replay:
+    - the template is filled with u, who lies in its tree; when the
+      placeholder stands for the tree's root, u is that root, whose edges
+      to the slot callees were tested as the template was accepted; else u
+      neighbours every slot callee, each tested by a bisection of u's row
+      (_has_edge);
     - the overrides name the template's overridden trees, each once;
     - _accepted vouches for each override: a ShiftedFragment of the table's
       fragment of its tree, started from the root and the one vertex the
@@ -458,9 +453,9 @@ def _check_pieces(g: Graph, s: Schedule) -> tuple[int, ...] | None:
             or not 0 <= origin < n):
         return None
     entry = _template_entry(g, rec, table, first.template)
-    if (entry is None or first.u != origin
-            or rec.home[origin] != first.template.tree or entry.root not in (None, origin)
-            or not entry.callees <= _cube_row(g, rec, origin)
+    if (entry is None or first.u != origin or g.labels[origin].tree != first.template.tree
+            or (entry.root != origin if entry.root is not None
+                else not all(_has_edge(g, origin, c) for c in entry.callees))
             or len(overrides) != len(entry.overrides)
             or {tree for tree, _ in overrides} != entry.overrides.keys()):
         return None
@@ -612,15 +607,15 @@ def _certify_family(g: Graph, family: Family, rounds: dict[int, int]) -> list[in
     accepted table's fragment of T; T has three vertices or more, so that
     every member's shifted fragment makes a call; the counts cover g: the
     template's, its base's and hi - lo - 2, the calls of any member's
-    shifted fragment; and every slot callee is a cube vertex, as _cube_row
-    asks.  Per member, in O(1): u lies in (lo, hi), so it is no root and
-    none of the ids the template names, which inform in T the root alone;
-    it is listed once; and it neighbours every slot callee, which is tested
-    once per callee: in the construction each callee neighbours all of
-    (lo, hi), else each member is looked up in its own row.  Its
-    round is the template's k rounds, plus the longer of the base and the
-    shifted fragment, of L(u) rounds (_last_rounds): each of the two ends on
-    a call, so the counts reach n there."""
+    shifted fragment.  Per member, in O(1): u lies in (lo, hi), so it is no
+    root and none of the ids the template names, which inform in T the root
+    alone; it is listed once; and it neighbours every slot callee, which is
+    tested on the CSR, as _check_pieces tests it, once per callee: in the
+    construction each callee neighbours all of (lo, hi), else each member
+    is looked up in its own row (_has_edge).  Its round is the template's k
+    rounds, plus the longer of the base and the shifted fragment, of L(u)
+    rounds (_last_rounds): each of the two ends on a call, so the counts
+    reach n there."""
     rec, template, members = _record(g), family.template, family.members
     entry = (_template_entry(g, rec, family.table, template)
              if _on_labels(g, rec, family.labels) else None)
@@ -633,8 +628,7 @@ def _certify_family(g: Graph, family: Family, rounds: dict[int, int]) -> list[in
     if node.last is None:
         node.last = _last_rounds(node.fragment, lo, hi)
     last = node.last
-    if (not last or hi - lo < 3 or entry.sizes[-1] + sum(entry.base) + hi - lo - 2 != g.n
-            or not entry.callees <= rec.cube):
+    if not last or hi - lo < 3 or entry.sizes[-1] + sum(entry.base) + hi - lo - 2 != g.n:
         return list(members)
     # the slot callees that do not neighbour all of (lo, hi): a callee's
     # neighbours there are the slice of its sorted row, each once, between

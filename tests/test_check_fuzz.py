@@ -500,8 +500,10 @@ def _template_with(kind, generated, g, layout, rng):
     with its cube template, its filling or its overrides mutated:
     - slot-stranger: a slot callee traded with the callee of another call of
       its round that u does not neighbour (the template stays legal from a
-      placeholder, but u has no such edge), or, with no such call, sent to
-      a root u does not neighbour, which the template calls already;
+      placeholder, but u has no such edge: when the placeholder stands for
+      u, a root, the template is refused as it is accepted), or, with no
+      such call, sent to a root u does not neighbour, which the template
+      calls already;
     - two-slots: a slot moved into the round of an earlier slot, so u calls
       twice in it;
     - other-filling: the template filled with another vertex of u's tree,
@@ -531,7 +533,7 @@ def _template_with(kind, generated, g, layout, rng):
         near = set(row(g, u))
         trades = [(j, r, i) for j, (r, c, _) in enumerate(slots)
                   for i, (a, b) in enumerate(rounds[r - 1])
-                  if b not in near and c in row(g, a) and g.labels[c].cube is not None]
+                  if b not in near and c in row(g, a)]
         if trades:
             j, r, i = rng.choice(trades)
             a, b = rounds[r - 1][i]
@@ -544,7 +546,7 @@ def _template_with(kind, generated, g, layout, rng):
             assume(roots)
             slots[j] = (r, rng.choice(roots), i)
         return (FilledTemplate(CubeTemplate(template.tree, rounds, slots), u), u, overrides,
-                bool(trades))
+                bool(trades) and not g.labels[u].is_root)
     if kind == "two-slots":  # u calls in two rounds or more, as n > 2^t
         j = rng.randrange(1, len(slots))
         slots[j] = (slots[rng.randrange(j)][0], slots[j][1], 0)

@@ -749,20 +749,40 @@ def test_template_vouches_only_for_an_originator_of_its_tree(g72):
 
 
 def test_template_standing_for_a_root_vouches_for_that_root_alone(g72):
-    # a template of tree 1 that leaves tree 1's root uninformed, so its
-    # placeholder stands for that root.  Filled with u, another vertex of
-    # tree 1 that neighbours the slot callee, it passes every check but "u
-    # is the root", and the whole replay finds the root never informed
+    # a template of tree 3 that leaves tree 3's root uninformed, so its
+    # placeholder stands for that root, which neighbours the slot callee.
+    # Filled with u, another vertex of tree 3 that neighbours the slot
+    # callee, it passes every check but "u is the root", and the whole
+    # replay finds the root never informed
     params, g, layout, _ = g72
-    r1, r2, r3 = (g.vertex_id(vertex(g, layout, tree, 0)) for tree in (1, 2, 3))
-    u = g.vertex_id(vertex(g, layout, 1, 5))
-    template = CubeTemplate(1, [[], [(r2, r3)]], [(1, r2, 0)])
+    r1, r3 = (g.vertex_id(vertex(g, layout, tree, 0)) for tree in (1, 3))
+    u = g.vertex_id(vertex(g, layout, 3, 5))
+    template = CubeTemplate(3, [[], []], [(1, r1, 0)])
     bad = Schedule(g.labels, u, FilledTemplate(template, u), (), layout.plain_table)
     assert verify._check_pieces(g, bad) is None
     entry = verify._record(g).templates[template]
-    assert entry.root == r1 and entry.overrides == {}
-    assert r2 in row(g, u)
+    assert entry.root == r3 and entry.overrides == {}
+    assert r1 in row(g, u) and r1 in row(g, r3)
     assert check_schedule(g, bad).violation.reason == "caller-uninformed"
+
+
+def test_root_template_is_refused_once_when_its_root_misses_a_slot_callee(g72, monkeypatch):
+    # a template of tree 1 that leaves tree 1's root uninformed, so its
+    # placeholder stands for that root, whose edges to the slot callees are
+    # tested as the template is accepted: r1 does not neighbour r2, so the
+    # template is refused, once, and the whole replay finds the missing edge
+    params, g, layout, _ = g72
+    r1, r2, r3 = (g.vertex_id(vertex(g, layout, tree, 0)) for tree in (1, 2, 3))
+    assert r2 not in row(g, r1) and r3 in row(g, r2)
+    template = CubeTemplate(1, [[], [(r2, r3)]], [(1, r2, 0)])
+    s = Schedule(g.labels, r1, FilledTemplate(template, r1), (), layout.plain_table)
+    accept, made = verify._accept_template, []
+    monkeypatch.setattr(verify, "_accept_template",
+                        lambda *args: made.append(args[2]) or accept(*args))
+    assert verify._check_pieces(g, s) is None and verify._check_pieces(g, s) is None
+    assert made == [template] and verify._record(g).templates[template] is None
+    assert check_schedule(g, s).violation.to_json_obj() == {
+        "kind": "illegal-call", "round": 1, "caller": r1, "callee": r2, "reason": "no-edge"}
 
 
 def test_template_informs_one_vertex_per_tree_besides_its_root(g72):
@@ -783,3 +803,91 @@ def test_template_informs_one_vertex_per_tree_besides_its_root(g72):
                    [*overrides, (1, layout.tree_rounds(1, layout.w))], table)
     assert verify._check_pieces(g, bad) is None and verify._record(g).templates[template] is None
     assert not check_schedule(g, bad).ok
+
+
+def _whole(g, s, monkeypatch):
+    """check_schedule's result for s by the whole replay alone."""
+    with monkeypatch.context() as mp:
+        mp.setattr(verify, "_check_pieces", lambda g, s: None)
+        return check_schedule(g, s)
+
+
+def test_a_slot_may_call_a_neighbour_off_the_cube(g73_shrunk, monkeypatch):
+    # u, off the cube in tree 3, makes no call in the cube phase's last
+    # round.  With an edge to v, a vertex off the cube of tree 4, a template
+    # whose extra slot has u call v in that round is legal: it informs v
+    # there, and tree 4 is overridden from v.  Every piecewise edge is tested
+    # on the CSR, so the check accepts it from its pieces, with the whole
+    # replay's counts
+    params, g, layout, _ = g73_shrunk
+    u, v = (g.vertex_id(vertex(g, layout, tree, 5)) for tree in (3, 4))
+    s = make_schedule(g, layout, params, g.labels[u])
+    first, overrides, table = s.pieces
+    k = len(first)
+    assert {r for r, _, _ in first.template.slots} == set(range(1, k))
+    near = Graph.from_sorted(g.labels, sorted([*g.edge_ids(), (u, v)]), t=g.t, k=g.k)
+    assert g.labels[v].cube is None and v not in row(g, u) and v in row(near, u)
+    template = CubeTemplate(first.template.tree, first.template.rounds,
+                            [*first.template.slots, (k, v, 0)])
+    mine = Schedule(g.labels, u, FilledTemplate(template, u),
+                    [*overrides, (4, ShiftedFragment(dict(table)[4], v))], table)
+    sizes = verify._check_pieces(near, mine)
+    entry = verify._record(near).templates[template]
+    assert entry.overrides == {3: None, 4: v}
+    whole = _whole(near, mine, monkeypatch)
+    assert whole.ok and sizes == whole.informed_per_round
+    # on g, without the edge, the same schedule is refused, as the whole
+    # replay refuses it
+    assert verify._check_pieces(g, mine) is None
+    assert _whole(g, mine, monkeypatch).violation.reason == "no-edge"
+
+
+@pytest.mark.parametrize("t, k, n", [(8, 3, 448), (7, 3, 161)])
+def test_an_informed_vertex_overrides_the_tree_whose_span_holds_it(t, k, n, monkeypatch):
+    # at both ends of the spans, on a full build and on one with trees
+    # deleted (uneven spans; tree 1, and w with it, gone): the template of
+    # the first tree's root informs every other root, which adds no
+    # override, and w, in the first span, which overrides tree 1; one more
+    # round in which the last tree's root calls its first child overrides
+    # the last tree from that child; and in the last root's template, a
+    # round in which the first tree's root calls its first child overrides
+    # the first tree, unless w overrides it already
+    params = make_params(t, k, n)
+    g, layout, _ = build(params)
+    table = layout.plain_table
+    (first, base_first), (last, base_last) = table[0], table[-1]
+    spans = verify._record(g).spans
+    r_first, r_last = spans[first][0], spans[last][0]
+    w = {1: layout.dense[layout.w]} if layout.w_alive else {}
+    assert (first in w) == (n == 448) and spans[last][1] == n
+
+    def checked(root, extra, override):
+        """The verdict on root's template with one more round ``extra``, and
+        the piecewise and the whole check of root's schedule with that
+        template and ``override`` too."""
+        s = make_schedule(g, layout, params, g.labels[root])
+        template = s.pieces[0].template
+        if extra:
+            template = CubeTemplate(template.tree, [*template.rounds, extra], template.slots)
+        mine = Schedule(g.labels, root, FilledTemplate(template, root),
+                        [*s.pieces[1], *override], table)
+        sizes = verify._check_pieces(g, mine)
+        return verify._record(g).templates[template], sizes, _whole(g, mine, monkeypatch)
+
+    entry, sizes, whole = checked(r_first, None, [])
+    assert entry.root == r_first and entry.overrides == w
+    assert whole.ok and sizes == whole.informed_per_round
+    a, c = base_last[0][0]
+    assert a == r_last and not g.labels[c].is_root
+    entry, sizes, whole = checked(r_first, [(r_last, c)], [(last, ShiftedFragment(base_last, c))])
+    assert entry.overrides == {**w, last: c}
+    assert whole.ok and sizes == whole.informed_per_round
+    a, c = base_first[0][0]
+    assert a == r_first
+    entry, sizes, whole = checked(r_last, [(r_first, c)],
+                                  [(first, ShiftedFragment(base_first, c))])
+    if w:  # tree 1 would start from its root, w and c
+        assert entry is None and sizes is None and not whole.ok
+    else:
+        assert entry.root == r_last and entry.overrides == {first: c}
+        assert whole.ok and sizes == whole.informed_per_round
