@@ -851,7 +851,10 @@ def test_an_informed_vertex_overrides_the_tree_whose_span_holds_it(t, k, n, monk
     # round in which the last tree's root calls its first child overrides
     # the last tree from that child; and in the last root's template, a
     # round in which the first tree's root calls its first child overrides
-    # the first tree, unless w overrides it already
+    # the first tree, unless w overrides it already.  With a table that
+    # lacks the last tree, a template that informs its root, or its root's
+    # child too, is refused: the schedule leaves the tree uninformed, or is
+    # legal only with its override of a tree the table lacks
     params = make_params(t, k, n)
     g, layout, _ = build(params)
     table = layout.plain_table
@@ -861,10 +864,10 @@ def test_an_informed_vertex_overrides_the_tree_whose_span_holds_it(t, k, n, monk
     w = {1: layout.dense[layout.w]} if layout.w_alive else {}
     assert (first in w) == (n == 448) and spans[last][1] == n
 
-    def checked(root, extra, override):
+    def checked(root, extra, override, table=table):
         """The verdict on root's template with one more round ``extra``, and
         the piecewise and the whole check of root's schedule with that
-        template and ``override`` too."""
+        template, ``override`` too and ``table``."""
         s = make_schedule(g, layout, params, g.labels[root])
         template = s.pieces[0].template
         if extra:
@@ -891,3 +894,9 @@ def test_an_informed_vertex_overrides_the_tree_whose_span_holds_it(t, k, n, monk
     else:
         assert entry.root == r_last and entry.overrides == {first: c}
         assert whole.ok and sizes == whole.informed_per_round
+    entry, sizes, whole = checked(r_first, None, [], table[:-1])
+    assert entry is None and sizes is None and not whole.ok
+    a, c = base_last[0][0]
+    entry, sizes, whole = checked(r_first, [(r_last, c)], [(last, ShiftedFragment(base_last, c))],
+                                  table[:-1])
+    assert entry is None and sizes is None and whole.ok
