@@ -877,26 +877,23 @@ def test_an_informed_vertex_overrides_the_tree_whose_span_holds_it(t, k, n, monk
         sizes = verify._check_pieces(g, mine)
         return verify._record(g).templates[template], sizes, _whole(g, mine, monkeypatch)
 
+    (a, c_last), (b, c_first) = base_last[0][0], base_first[0][0]
+    assert (a, b) == (r_last, r_first) and not g.labels[c_last].is_root
+    last_child = [(r_last, c_last)], [(last, ShiftedFragment(base_last, c_last))]
     entry, sizes, whole = checked(r_first, None, [])
     assert entry.root == r_first and entry.overrides == w
     assert whole.ok and sizes == whole.informed_per_round
-    a, c = base_last[0][0]
-    assert a == r_last and not g.labels[c].is_root
-    entry, sizes, whole = checked(r_first, [(r_last, c)], [(last, ShiftedFragment(base_last, c))])
-    assert entry.overrides == {**w, last: c}
+    entry, sizes, whole = checked(r_first, *last_child)
+    assert entry.overrides == {**w, last: c_last}
     assert whole.ok and sizes == whole.informed_per_round
-    a, c = base_first[0][0]
-    assert a == r_first
-    entry, sizes, whole = checked(r_last, [(r_first, c)],
-                                  [(first, ShiftedFragment(base_first, c))])
-    if w:  # tree 1 would start from its root, w and c
+    entry, sizes, whole = checked(r_last, [(r_first, c_first)],
+                                  [(first, ShiftedFragment(base_first, c_first))])
+    if w:  # tree 1 would start from its root, w and c_first
         assert entry is None and sizes is None and not whole.ok
     else:
-        assert entry.root == r_last and entry.overrides == {first: c}
+        assert entry.root == r_last and entry.overrides == {first: c_first}
         assert whole.ok and sizes == whole.informed_per_round
     entry, sizes, whole = checked(r_first, None, [], table[:-1])
     assert entry is None and sizes is None and not whole.ok
-    a, c = base_last[0][0]
-    entry, sizes, whole = checked(r_first, [(r_last, c)], [(last, ShiftedFragment(base_last, c))],
-                                  table[:-1])
+    entry, sizes, whole = checked(r_first, *last_child, table[:-1])
     assert entry is None and sizes is None and whole.ok
