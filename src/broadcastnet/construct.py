@@ -11,9 +11,16 @@ where M = 2^h and mask is the vertex's position code read in binary; the
 layout and the scheme name every vertex by this full id too.  Position
 codes have a fixed width, so ascending full id is the canonical label
 order: the dense ids of a built graph are the ranks of its surviving full
-ids, and labels are made once per surviving vertex, at assembly.  One
-classifier, _edge_classes, sorts full-id edges into the accounting classes
-for the build, the deletion ledger and audit_edges alike.
+ids, and labels are made once per surviving vertex, at assembly.
+
+The edges are made in runs (_case1_runs) whose edges all have one class:
+a tree's tree edges, one (root, tree) attachment, the cube edges.  The graph
+reads them flattened, once.  The build's accounting and deletion ledger
+then count the same runs: only each run's first edge is made and
+classified, and the run's edges are counted by its length or, after
+deletion, by the deletion marks of their ends.  One classifier,
+_edge_classes, serves them and audit_edges, which classifies every edge it
+reads off the built graph.
 
 Pruning never removes a root child: a root child's attachment to its own
 root coincides with its tree edge, so deleting it would remove one edge
@@ -182,36 +189,53 @@ def _attachment_targets(layout: CaseOneLayout, tree: int) -> list[int]:
     return [tree] + [j for j in range(1, k) if j != iq + 1] + [k]
 
 
-def _case1_edges(layout: CaseOneLayout) -> Iterator[Edge]:
-    """Every full-size edge once, as a (low, high) pair of full ids, made as
-    it is read: per tree, runs of pairs over slices of one list of the full
-    ids, so the pairs share that list's int objects."""
+# A run is the (low, high) ends of edges that all have one class: one tree's
+# tree edges, one (root, tree) attachment or the cube edges.  Each end is a
+# list of full ids, edge by edge, or one int, a root that every edge shares.
+Run = tuple[list[int] | int, list[int] | int]
+
+
+def _case1_runs(layout: CaseOneLayout) -> Iterator[Run]:
+    """Every full-size edge once, in runs made as they are read: the cube
+    edges, then per tree its tree edges and its attachment runs, all over
+    slices of one list of the full ids, so the edges share its int objects."""
     params = layout.params
     M = layout.tree_size
     ids = list(range(params.num_trees * M))
     cube = [layout.full_of_coord(c) for c in range(1 << params.k)]
-    cube_edges = []
+    low, high = [], []
     for c, a in enumerate(cube):
         for b in range(params.k):
             if c < c ^ (1 << b):
                 z = cube[c ^ (1 << b)]
-                cube_edges.append((a, z) if a < z else (z, a))
+                low.append(min(a, z))
+                high.append(max(a, z))
+    yield low, high
     parent = [m & (m - 1) for m in range(1, M)]
     deep = [m for m in range(1, M) if m & (m - 1)]  # a root child's own-root link is its tree edge
+    for i in range(1, params.num_trees + 1):
+        base = (i - 1) * M
+        tree = ids[base:base + M]
+        yield list(map(tree.__getitem__, parent)), tree[1:]
+        nonroot, own = tree[1:], list(map(tree.__getitem__, deep))
+        if base == 0:  # w, mask M - 1, last in both, is attached to no root
+            nonroot, own = nonroot[:-1], own[:-1]
+        for r in _attachment_targets(layout, i):
+            root, vs = ids[(r - 1) * M], own if r == i else nonroot
+            yield (root, vs) if r <= i else (vs, root)
 
-    def runs():
-        for i in range(1, params.num_trees + 1):
-            base = (i - 1) * M
-            tree = ids[base:base + M]
-            yield zip(map(tree.__getitem__, parent), tree[1:])
-            nonroot, own = tree[1:], list(map(tree.__getitem__, deep))
-            if base == 0:  # w, mask M - 1, last in both, is attached to no root
-                nonroot, own = nonroot[:-1], own[:-1]
-            for r in _attachment_targets(layout, i):
-                root, vs = ids[(r - 1) * M], own if r == i else nonroot
-                yield zip(repeat(root), vs) if r <= i else zip(vs, repeat(root))
 
-    return chain(cube_edges, chain.from_iterable(runs()))
+def _run_edges(run: Run) -> Iterator[Edge]:
+    lo, hi = run
+    if isinstance(lo, int):
+        return zip(repeat(lo), hi)
+    return zip(lo, repeat(hi)) if isinstance(hi, int) else zip(lo, hi)
+
+
+def _case1_edges(layout: CaseOneLayout) -> Iterator[Edge]:
+    """Every full-size edge once, as a (low, high) pair of full ids, made as
+    it is read: the runs, flattened."""
+    return chain.from_iterable(map(_run_edges, _case1_runs(layout)))
 
 
 def _built_edges(layout: CaseOneLayout, gone: bytearray) -> Iterator[Edge]:
@@ -423,9 +447,40 @@ def _edge_classes(layout: CaseOneLayout, edges: Iterable[Edge]) -> Iterator[str]
             raise AssertionError(f"unclassifiable edge {a}-{b}")
 
 
-def _accounting(layout: CaseOneLayout, edges: Iterable[Edge], replacements: int) -> EdgeAccounting:
+def _run_marks(run: Run, gone: bytearray) -> Counter[tuple[int, int]]:
+    """The run's edges counted by the deletion marks of their (low, high)
+    ends, at C level: the marks of a list end are read as bytes."""
+    lo, hi = run
+    if isinstance(lo, int):
+        m = gone[lo]
+        return Counter({(m, b): c for b, c in Counter(bytes(map(gone.__getitem__, hi))).items()})
+    if isinstance(hi, int):
+        m = gone[hi]
+        return Counter({(a, m): c for a, c in Counter(bytes(map(gone.__getitem__, lo))).items()})
+    return Counter(zip(bytes(map(gone.__getitem__, lo)), bytes(map(gone.__getitem__, hi))))
+
+
+def _run_tally(layout: CaseOneLayout, gone: bytearray) -> Counter[tuple[str, tuple[int, int]]]:
+    """Every full-size edge counted by its class and the deletion marks of
+    its ends, (0, 0) for an edge the graph keeps: per run, only its first
+    edge is classified; with nothing deleted a run counts its length."""
+    tally: Counter[tuple[str, tuple[int, int]]] = Counter()
+    runs, firsts = tee(_case1_runs(layout))
+    classes = _edge_classes(layout, map(next, map(_run_edges, firsts)))
+    for run, cls in zip(runs, classes):
+        if not layout.params.d:
+            lo, hi = run
+            tally[cls, (0, 0)] += len(hi if isinstance(lo, int) else lo)
+            continue
+        for marks, c in _run_marks(run, gone).items():
+            tally[cls, marks] += c
+    return tally
+
+
+def _accounting(layout: CaseOneLayout, m: Counter[str], replacements: int) -> EdgeAccounting:
+    """The closed forms against ``m``, the built graph's edges counted by
+    class, its replacement edges among the "cube" ones."""
     f = _case1_formulas(layout.params)
-    m = Counter(_edge_classes(layout, edges))
     return EdgeAccounting(
         tree_edges=ItemCheck(f["tree"], m["tree"]),
         cube_edges=ItemCheck(f["cube"], m["cube"] - replacements),
@@ -438,23 +493,25 @@ def _accounting(layout: CaseOneLayout, edges: Iterable[Edge], replacements: int)
     )
 
 
-def _deletion_ledger(layout: CaseOneLayout, acc: EdgeAccounting, gone: bytearray) -> None:
-    """Classify every full-size edge that deletion removed and fill the
-    removed_* block of ``acc`` (measured on the graph it describes)."""
+def _deletion_ledger(layout: CaseOneLayout, acc: EdgeAccounting,
+                     tally: Counter[tuple[str, tuple[int, int]]]) -> None:
+    """Sort the full-size edges that deletion removed, counted in ``tally``
+    (_run_tally) by class and marks, and fill the removed_* block of ``acc``
+    (measured on the graph it describes)."""
     params = layout.params
     M, k, p, x = params.tree_size, params.k, params.p, params.x
-    hit, again = tee(e for e in _case1_edges(layout) if gone[e[0]] or gone[e[1]])
     d13 = d14g = d15 = d16 = 0
-    for (a, b), cls in zip(hit, _edge_classes(layout, again)):
-        marks = (gone[a], gone[b])
+    for (cls, marks), c in tally.items():
+        if marks == (0, 0):
+            continue
         if cls == "cube":
-            d14g += 1
+            d14g += c
         elif _BODY in marks:
-            d13 += 1
+            d13 += c
         elif marks in ((_ROOT, 0), (0, _ROOT)):
-            d15 += 1
+            d15 += c
         else:
-            d16 += 1
+            d16 += c
     added = acc.replacements_added
     f13 = (k + 1) * (M - 1) * ((1 << p) - 1)
     f14 = (k - 1) * ((1 << p) - 1)
@@ -484,8 +541,9 @@ def build(params: ConstructionParams) -> tuple[Graph, CaseOneLayout, EdgeAccount
 
     For x > 0 the trees on coordinates 1..2^p - 1 go, with replacement edges
     for the cube partners they leave unmatched; pruned vertices make up the
-    rest of d.  The edges stream from their generator into the graph, and
-    again into the accounting; no list of them is kept."""
+    rest of d.  The edges stream from their runs into the graph; the
+    accounting counts the runs, each edge by its run, and no list of edges
+    is kept."""
     layout = _make_layout(params)
     M, k, p, x = params.tree_size, params.k, params.p, params.x
     need = params.y
@@ -500,10 +558,13 @@ def build(params: ConstructionParams) -> tuple[Graph, CaseOneLayout, EdgeAccount
     gone = _deletion_marks(layout)
     assert len(gone) - gone.count(0) == params.d
     g = _assemble(layout, gone)
-    acc = _accounting(layout, _built_edges(layout, gone), len(layout.replacement_coords))
-    assert acc.total_edges.measured == g.num_edges  # no edge made twice
+    tally = _run_tally(layout, gone)
+    kept = Counter({cls: c for (cls, marks), c in tally.items() if marks == (0, 0)})
+    kept["cube"] += len(layout.replacement_coords)
+    acc = _accounting(layout, kept, len(layout.replacement_coords))
+    assert acc.total_edges.measured == g.num_edges  # the runs count the graph built
     if params.d:
-        _deletion_ledger(layout, acc, gone)
+        _deletion_ledger(layout, acc, tally)
     return g, layout, acc
 
 
@@ -517,7 +578,8 @@ def audit_edges(g: Graph, layout: CaseOneLayout,
         zip(repeat(full[a]),
             map(full.__getitem__, nbrs[bisect_right(nbrs, a, off[a], off[a + 1]):off[a + 1]]))
         for a in range(g.n))
-    acc = _accounting(layout, edges, len(layout.replacement_coords))
+    acc = _accounting(layout, Counter(_edge_classes(layout, edges)),
+                      len(layout.replacement_coords))
     if params.d:
-        _deletion_ledger(layout, acc, _deletion_marks(layout))
+        _deletion_ledger(layout, acc, _run_tally(layout, _deletion_marks(layout)))
     return acc

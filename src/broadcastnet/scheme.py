@@ -72,10 +72,11 @@ def _full_id(g: Graph, layout: CaseOneLayout, u: VertexLabel) -> int:
     """u's full id, or UnknownVertex when g lacks u: the full id u's label
     spells, when g's vertex there carries that label.  O(1), with no
     label -> id index made."""
+    labels, dense = g.labels, layout.dense
     try:
         f = layout.full_id(u)
-        if (0 <= f < len(layout.dense) and 0 <= (v := layout.dense[f]) < g.n
-                and ((label := g.labels[v]) is u or label == u)):
+        if (0 <= f < len(dense) and 0 <= (v := dense[f]) < len(labels)
+                and ((label := labels[v]) is u or label == u)):
             return f
     except (TypeError, ValueError):  # a label no vertex can carry
         pass

@@ -1,10 +1,25 @@
+from collections import Counter
+
 import pytest
 from conftest import neighbours, vertex
 
 from broadcastnet import audit_edges, bound_5a, build, make_params
 from broadcastnet.binomial import binomial_rounds_masks
 from broadcastnet.bounds import closed_form_5b
-from broadcastnet.construct import _make_layout, _prune
+from broadcastnet.construct import (
+    _BODY,
+    _ROOT,
+    _attachment_targets,
+    _built_edges,
+    _case1_edges,
+    _case1_runs,
+    _deletion_marks,
+    _edge_classes,
+    _make_layout,
+    _prune,
+    _run_edges,
+    _run_tally,
+)
 from broadcastnet.schedule import ShiftedFragment
 from broadcastnet.params import max_k
 
@@ -273,14 +288,103 @@ def test_case2_descendants_deleted_before_ancestors():
             assert all(q in masks for q in descendants)
 
 
-def test_audit_matches_build_accounting(g72, g73_shrunk):
-    more = []
-    for t, k, n in ((8, 3, 400), (9, 4, 703)):  # x = 0; x = 4, p = 2
-        params = make_params(t, k, n)
-        more.append((params, *build(params)))
-    for params, g, layout, acc in (g72, g73_shrunk, *more):
-        again = audit_edges(g, layout, params)
-        assert again.to_json_obj() == acc.to_json_obj()
+def _reference_edges(layout):
+    """Every full-size edge as a (low, high) pair of full ids, written per
+    vertex from the construction: each non-root vertex's tree edge and its
+    attachments (none for w, none to its own root for a root child), and
+    the cube edges of every coordinate."""
+    params, M = layout.params, layout.tree_size
+    edges = set()
+    for c in range(1 << params.k):
+        for b in range(params.k):
+            a, z = layout.full_of_coord(c), layout.full_of_coord(c ^ (1 << b))
+            edges.add((min(a, z), max(a, z)))
+    for i in range(1, params.num_trees + 1):
+        base = (i - 1) * M
+        for m in range(1, M):
+            v = base + m
+            edges.add((base + (m & (m - 1)), v))
+            if v == layout.w:
+                continue
+            for r in _attachment_targets(layout, i):
+                if r != i or m & (m - 1):
+                    root = (r - 1) * M
+                    edges.add((min(root, v), max(root, v)))
+    return edges
+
+
+@pytest.mark.parametrize("t", [7, 8, 9, 10])
+def test_runs_hold_one_class_and_every_edge_once(t):
+    """Every run's edges have one class, the runs together are the full-size
+    edges with none repeated, and the per-run tally of classes and deletion
+    marks is the per-edge one, at full size and shrunk (x = 0 and x > 0)."""
+    for k in range(2, max_k(t, n_odd=True) + 1):
+        M = 1 << (t + 1 - k)
+        N = ((1 << k) - 1) * M
+        sizes = [n for n in (N - 1, N - 3 * M // 2 - 1, (1 << t) + 1, N)
+                 if n > 1 << t and k <= max_k(t, n_odd=bool(n % 2))]
+        layout = _make_layout(make_params(t, k, sizes[0]))
+        edges = []
+        for run in _case1_runs(layout):
+            run_edges = list(_run_edges(run))
+            assert len(set(_edge_classes(layout, run_edges))) == 1, (t, k, run_edges[0])
+            edges += run_edges
+        assert len(edges) == len(set(edges))
+        assert set(edges) == _reference_edges(layout)
+        classes = list(_edge_classes(layout, edges))
+        for n in sizes:
+            params = make_params(t, k, n)
+            _, layout, _ = build(params)
+            gone = _deletion_marks(layout)
+            want = Counter((cls, (gone[a], gone[b])) for (a, b), cls in zip(edges, classes))
+            assert _run_tally(layout, gone) == want, (t, k, n)
+
+
+def _per_edge_ledger(layout, gone):
+    """The removed_* counts (tree-vertex, cube, v1, pruned) edge by edge:
+    every full-size edge with a deleted end, classified on its own."""
+    hit = [(a, b) for a, b in _case1_edges(layout) if gone[a] or gone[b]]
+    d13 = d14g = d15 = d16 = 0
+    for (a, b), cls in zip(hit, _edge_classes(layout, hit)):
+        marks = (gone[a], gone[b])
+        if cls == "cube":
+            d14g += 1
+        elif _BODY in marks:
+            d13 += 1
+        elif marks in ((_ROOT, 0), (0, _ROOT)):
+            d15 += 1
+        else:
+            d16 += 1
+    return d13, d14g, d15, d16
+
+
+@pytest.mark.parametrize("t,k,n", [
+    (7, 2, 192), (7, 3, 191), (8, 3, 400), (9, 4, 703),  # full; x=1 p=1; x=0; x=4 p=2
+    (12, 5, 7936), (12, 5, 6000),  # full; x=7 p=3
+])
+def test_audit_matches_build_accounting(t, k, n):
+    """The build counts its classes per run; audit_edges re-reads every edge
+    off the graph, and a per-edge count of the built edges and of the
+    removed ones gives the same figures."""
+    params = make_params(t, k, n)
+    g, layout, acc = build(params)
+    assert audit_edges(g, layout, params).to_json_obj() == acc.to_json_obj()
+    gone = _deletion_marks(layout)
+    m = Counter(_edge_classes(layout, _built_edges(layout, gone)))
+    added = acc.replacements_added
+    assert [acc.tree_edges.measured, acc.cube_edges.measured, acc.root_links.measured,
+            acc.rk_links.measured, acc.v1_first_half_links.measured,
+            acc.v1_second_half_links.measured, acc.total_edges.measured] == [
+        m["tree"], m["cube"] - added, m["root_attach"], m["rk_attach"], m["v1_q1"],
+        m["v1_q2"], m.total()]
+    if not params.d:
+        assert acc.removed_total is None
+        return
+    d13, d14g, d15, d16 = _per_edge_ledger(layout, gone)
+    assert [acc.removed_tree_vertex_edges.measured, acc.removed_cube_net.measured,
+            acc.removed_v1_links.measured, acc.removed_pruned_edges.measured,
+            acc.removed_total.measured] == [
+        d13, d14g - added, d15, d16, d13 + d14g + d15 + d16 - added]
 
 
 def test_accounting_json_shape(g73_shrunk):

@@ -24,6 +24,7 @@ from broadcastnet import (
     make_schedule,
     verify,
 )
+from broadcastnet.labels import bits
 from broadcastnet.schedule import CubeTemplate, FilledTemplate, ShiftedFragment
 
 
@@ -167,6 +168,30 @@ def test_certify_keeps_the_callers_order_for_every_jobs(g73_shrunk, jobs):
                            originators=[g.labels[i] for i in picked])
     assert report.passed
     assert report.per_originator == [(40, 8), (3, 8), (40, 8), (100, 8), (32, 8)]
+
+
+def test_certify_finds_originators_without_the_label_index():
+    # a given originator is found by the full id its label spells, so no
+    # label -> id index is made; once the graph holds one, it is used, to
+    # the same report; either way a label the graph lacks is refused
+    params = make_params(8, 3, 300)
+    g, layout, _ = build(params)
+    picked = [g.labels[17], g.labels[layout.coord_ids[5]], g.labels[17]]
+    report = certify_graph(g, layout, params, originators=picked)
+    assert report.passed and [vid for vid, _ in report.per_originator] == [
+        17, layout.coord_ids[5], 17]
+    assert g._index is None
+    tree, masks = next(iter(layout.pruned_masks.items()))
+    pruned = VertexLabel(tree, bits(min(masks), params.tree_order))
+    for index in (False, True):
+        if index:
+            g.vertex_id(g.labels[0])
+            assert certify_graph(g, layout, params, originators=picked).to_json() == \
+                report.to_json()
+        for u in (pruned, VertexLabel(tree=99)):
+            with pytest.raises(UnknownVertex):
+                certify_graph(g, layout, params, originators=[g.labels[0], u])
+        assert (g._index is not None) == index
 
 
 def test_certify_mutated_graph_reported_honestly(g72):
