@@ -20,7 +20,8 @@ then count the same runs: only each run's first edge is made and
 classified, and the run's edges are counted by its length or, after
 deletion, by the deletion marks of their ends.  One classifier,
 _edge_classes, serves them and audit_edges, which classifies every edge it
-reads off the built graph.
+reads off the built graph; audit_edges shares the build's run tally for the
+removed_* block only.
 
 Pruning never removes a root child: a root child's attachment to its own
 root coincides with its tree edge, so deleting it would remove one edge
@@ -570,8 +571,10 @@ def build(params: ConstructionParams) -> tuple[Graph, CaseOneLayout, EdgeAccount
 
 def audit_edges(g: Graph, layout: CaseOneLayout,
                 params: ConstructionParams) -> EdgeAccounting:
-    """Re-measure every edge class on a built graph against the closed forms:
-    its edges are read off the CSR as (low, high) full ids."""
+    """Re-measure the kept edge classes on a built graph against the closed
+    forms: its edges are read off the CSR as (low, high) full ids.  The
+    removed_* block, for d > 0, comes from the same run tally as the
+    build's."""
     full = [layout.full_id(label) for label in g.labels]
     off, nbrs = g.offsets, g.targets
     edges = chain.from_iterable(

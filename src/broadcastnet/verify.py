@@ -788,12 +788,10 @@ def certify_graph(g: Graph, layout: CaseOneLayout, params: ConstructionParams,
     most jobs - 1 worker processes the rest; the report is the same for
     every jobs."""
     target = ceil_log2(g.n)
-    if originators is None:
-        ids = range(g.n)
-    elif g._index is not None:  # a label index the graph holds is the cheaper lookup
-        ids = [g.vertex_id(v) for v in originators]
-    else:  # the full id each label spells, in O(1), so no O(n) index is made
-        ids = [layout.dense[_full_id(g, layout, v)] for v in originators]
+    # each originator by the full id its label spells, in O(1): no O(n)
+    # label -> id index is made
+    ids = ([layout.dense[_full_id(g, layout, v)] for v in originators]
+           if originators is not None else range(g.n))
     distinct = list(dict.fromkeys(ids)) if originators is not None else ids
     # no more workers than there are originators and CPUs, the caller included
     workers = min(jobs, len(distinct), os.cpu_count() or 1) if jobs > 1 else 1
