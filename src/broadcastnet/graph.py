@@ -13,10 +13,11 @@ the first lookup by label.
 
 from __future__ import annotations
 
+import gc
 import json
 from array import array
 from bisect import bisect_right
-from itertools import islice
+from itertools import count, islice, repeat
 from operator import eq
 from typing import Iterable, Iterator, Sequence
 
@@ -147,7 +148,22 @@ class Graph:
 
     @classmethod
     def from_json(cls, data: str | bytes) -> "Graph":
-        """Read what :meth:`to_json` writes; raise MalformedGraph on anything else."""
+        """Read what :meth:`to_json` writes; raise MalformedGraph on anything else.
+
+        The cyclic garbage collector is paused for the call, since nothing
+        made here forms a cycle and reference counting frees all of it, and
+        then left as the caller had it; other threads see it disabled for the
+        duration of the call."""
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return cls._read_json(data)
+        finally:
+            if enabled:
+                gc.enable()
+
+    @classmethod
+    def _read_json(cls, data: str | bytes) -> "Graph":
         try:
             obj = json.loads(data)
         except (ValueError, RecursionError) as exc:
@@ -158,14 +174,9 @@ class Graph:
             raise MalformedGraph("graph JSON needs 'vertices' and 'edges' lists, int 't' and 'k'")
         vertices = obj.pop("vertices")
         n = len(vertices)
-        labels: list[VertexLabel | None] = [None] * n
-        for i, v in enumerate(vertices):
-            if not (isinstance(v, dict) and _is_id(v.get("id"), n) and labels[v["id"]] is None
-                    and "tree" in v and (v["tree"] is None or type(v["tree"]) is int)
-                    and _is_bits(v.get("pos"))
-                    and "cube" in v and (v["cube"] is None or _is_bits(v["cube"]))):
-                raise MalformedGraph(f"vertex entry {i} is malformed or repeats an id")
-            labels[v["id"]] = VertexLabel.from_json(v)
+        if "n" in obj and not (type(obj["n"]) is int and obj["n"] == n):
+            raise MalformedGraph(f"graph JSON's 'n' is not its vertex count {n}")
+        labels = _vertex_labels(vertices)
         del vertices
         if len(set(labels)) != n:
             raise MalformedGraph("two vertices share a label")
@@ -197,6 +208,55 @@ class Graph:
         if fmt == "edgelist":
             return self.to_edgelist().encode()
         raise ValueError(f"unknown export format: {fmt}")
+
+
+def _vertex_labels(vertices: list) -> list[VertexLabel]:
+    """The labels a graph file's vertex entries give, placed by id.
+
+    The entries are checked a column at a time, each pass a C loop: every
+    entry a dict whose ids are ints forming a permutation of range(n), with
+    "tree" an int or null, "pos" a string and "cube" a string or null, all
+    present, and the strings of 0s and 1s only.  Only when a check fails are
+    the entries scanned one by one, to name the first bad one."""
+    n = len(vertices)
+
+    def column(key: str) -> Iterator:
+        return map(dict.get, vertices, repeat(key))
+
+    if not (set(map(type, vertices)) <= {dict}
+            and set(map(type, column("id"))) <= {int}
+            and all(map(dict.__contains__, vertices, repeat("tree")))
+            and all(map(dict.__contains__, vertices, repeat("cube")))
+            and set(map(type, column("tree"))) <= {int, type(None)}
+            and set(map(type, column("pos"))) <= {str}
+            and set(map(type, column("cube"))) <= {str, type(None)}
+            and not "".join(column("pos")).strip("01")
+            and not "".join(filter(None, column("cube"))).strip("01")):
+        _name_bad_entry(vertices)
+    made = map(VertexLabel, column("tree"), column("pos"), column("cube"))
+    if all(map(eq, column("id"), count())):  # as to_json writes them
+        return list(made)
+    ids = list(column("id"))
+    if sorted(ids) != list(range(n)):
+        _name_bad_entry(vertices)
+    labels: list[VertexLabel | None] = [None] * n
+    for i, label in zip(ids, made):
+        labels[i] = label
+    return labels
+
+
+def _name_bad_entry(vertices: list) -> None:
+    """Raise MalformedGraph naming the first entry that is not a vertex or
+    repeats an id, scanning the entries one by one."""
+    n = len(vertices)
+    seen = bytearray(n)
+    for i, v in enumerate(vertices):
+        if not (isinstance(v, dict) and _is_id(v.get("id"), n) and not seen[v["id"]]
+                and "tree" in v and (v["tree"] is None or type(v["tree"]) is int)
+                and _is_bits(v.get("pos"))
+                and "cube" in v and (v["cube"] is None or _is_bits(v["cube"]))):
+            raise MalformedGraph(f"vertex entry {i} is malformed or repeats an id")
+        seen[v["id"]] = 1
 
 
 def _is_id(value, n: int) -> bool:

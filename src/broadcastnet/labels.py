@@ -38,10 +38,6 @@ class VertexLabel:
     def to_json(self, vid: int) -> dict:
         return {"id": vid, "tree": self.tree, "pos": self.pos, "cube": self.cube}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "VertexLabel":
-        return cls(tree=obj["tree"], pos=obj["pos"], cube=obj["cube"])
-
 
 def bits(value: int, width: int) -> str:
     """``value`` as a bit string of ``width`` characters ("" at width 0): a

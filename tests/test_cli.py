@@ -259,6 +259,8 @@ _EVIL = json.dumps('a" ];\n evil [label="x')  # would add a node to a DOT export
     '{"vertices":' + _TWO + ',"edges":[[0,1.0]]}',
     '{"vertices":[{"id":0,"tree":1,"pos":"","cube":' + _EVIL + '}],"edges":[]}',
     '{"vertices":[{"id":0,"tree":1,"pos":' + _EVIL + ',"cube":null}],"edges":[]}',
+    '{"n":5,"vertices":[{"id":0,"tree":1,"pos":"","cube":null}],"edges":[]}',
+    '{"n":"x","vertices":[{"id":0,"tree":1,"pos":"","cube":null}],"edges":[]}',
 ])
 def test_malformed_graph_file_exit_1(tmp_path, capsys, command, text):
     path = tmp_path / "g.json"

@@ -21,6 +21,7 @@ from broadcastnet import (
     certify_graph,
     make_params,
 )
+from broadcastnet.graph import _name_bad_entry, _vertex_labels
 
 
 def _triangle():
@@ -111,6 +112,109 @@ def test_from_json_rejects_a_label_that_is_not_binary(field, value):
         Graph.from_json(json.dumps({"vertices": [vertex], "edges": []}))
 
 
+@pytest.mark.parametrize("n", [5, 0, "x", True, None, 1.0, [1]])
+def test_from_json_checks_n_against_the_vertex_count(n):
+    vertex = {"id": 0, "tree": 1, "pos": "", "cube": None}
+    assert Graph.from_json(json.dumps({"n": 1, "vertices": [vertex], "edges": []})).n == 1
+    assert Graph.from_json(json.dumps({"vertices": [vertex], "edges": []})).n == 1
+    with pytest.raises(MalformedGraph, match="^graph JSON's 'n' is not its vertex count 1$"):
+        Graph.from_json(json.dumps({"n": n, "vertices": [vertex], "edges": []}))
+
+
+_good_label = st.fixed_dictionaries({"tree": st.none() | st.integers(0, 3),
+                                     "pos": st.sampled_from(["", "0", "1", "01", "110"]),
+                                     "cube": st.none() | st.sampled_from(["", "1", "01"])})
+_odd_value = {"id": st.booleans() | st.integers(-1, 6) | st.sampled_from([0.0, "0", None]),
+              "tree": st.booleans() | st.sampled_from([1.0, "1", [], {}]),
+              "pos": st.sampled_from([None, 0, False, "2", "0 1", "1\n", "x0"]),
+              "cube": st.sampled_from([0, False, [], {}, "2", "x", "01b", "1 "])}
+
+
+@st.composite
+def _vertex_entries(draw):
+    """Vertex entries as a graph file holds them: the ids a permutation, in
+    order or shuffled, then up to three entries spoiled: a key dropped, a
+    value of another type or outside 0/1 (a bool, a repeated or missing id
+    among them), or the whole entry not a dict."""
+    labels = draw(st.lists(_good_label, max_size=6))
+    n = len(labels)
+    ids = draw(st.just(list(range(n))) | st.permutations(range(n)))
+    entries = [dict(label, id=i) for i, label in zip(ids, labels)]
+    for _ in range(draw(st.integers(0, 3)) if n else 0):
+        j = draw(st.integers(0, n - 1))
+        key = draw(st.sampled_from(["id", "tree", "pos", "cube"]))
+        how = draw(st.sampled_from(["drop", "value", "value", "entry"]))
+        if how == "entry":
+            entries[j] = draw(st.sampled_from([None, 0, "v", [], [0, 1, "", None]]))
+        elif isinstance(entries[j], dict) and how == "drop":
+            entries[j].pop(key, None)
+        elif isinstance(entries[j], dict):
+            entries[j][key] = draw(_odd_value[key])
+    return entries
+
+
+@settings(max_examples=500)
+@given(_vertex_entries())
+def test_column_reader_agrees_with_the_per_entry_scan(vertices):
+    # the per-entry scan is the reference: the column checks must accept
+    # exactly what it accepts, and a reject must name the entry it names
+    try:
+        _name_bad_entry(vertices)
+        expected = None
+    except MalformedGraph as exc:
+        expected = str(exc)
+    try:
+        labels = _vertex_labels(vertices)
+    except MalformedGraph as exc:
+        assert str(exc) == expected
+        return
+    assert expected is None, expected
+    by_id = sorted(vertices, key=lambda v: v["id"])
+    assert labels == [VertexLabel(v["tree"], v["pos"], v["cube"]) for v in by_id]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_from_json_leaves_the_collector_as_it_was(enabled):
+    good = _triangle().to_json()
+    bad = [good.replace('"pos":""', '"pos":"2"', 1), good.replace("}", "", 1)]
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert Graph.from_json(good) == _triangle()
+        assert gc.isenabled() is enabled
+        for text in bad:
+            with pytest.raises(MalformedGraph):
+                Graph.from_json(text)
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_from_json_starts_no_collection():
+    # parsing makes a container per edge and per vertex and no cycle, so
+    # the collector is paused for the read; a read that lost the pause
+    # starts collections here
+    g, _, _ = build(make_params(12, 5, 7936))
+    data = g.to_json()
+    starts = []
+
+    def probe(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    was = gc.isenabled()
+    gc.enable()
+    gc.callbacks.append(probe)
+    try:
+        loaded = Graph.from_json(data)
+    finally:
+        gc.callbacks.remove(probe)
+        if not was:
+            gc.disable()
+    assert starts == []
+    assert loaded == g
+
+
 # SHA-256 of export(fmt) for fmt in json, dot, edgelist of Q^m then B^m, m = 0..6
 PRIMITIVES_DIGEST = "0d5deeddeaeb92bb1516af8021957b2f7d422def8955b0ba68438d2e169796a3"
 
@@ -161,7 +265,8 @@ _graph = st.fixed_dictionaries(
     {"vertices": _vertices | st.lists(_json, max_size=3),
      "edges": st.lists(st.lists(st.integers(-1, 4), min_size=2, max_size=2) | _json,
                        max_size=4)},
-    optional={"t": st.integers(6, 8) | _scalars, "k": st.integers(1, 3) | _scalars})
+    optional={"t": st.integers(6, 8) | _scalars, "k": st.integers(1, 3) | _scalars,
+              "n": st.integers(0, 4) | _scalars})
 
 @settings(max_examples=300)
 @given(st.text(max_size=30) | _json.map(json.dumps) | _graph.map(json.dumps))
