@@ -105,7 +105,7 @@ def run(argv: list[str]) -> int:
         params = _params_for(args)
         g, layout, acc = build(params)
         with open(args.out, "wb") as fh:
-            fh.write(g.export(args.format))
+            g.write(fh, args.format)
         sys.stdout.write(json.dumps(acc.to_json_obj(), separators=(",", ":")) + "\n")
         return 0
 
@@ -120,7 +120,7 @@ def run(argv: list[str]) -> int:
         g, layout, _ = build(params)
         origin = None if vid is None else [_vertex(g, vid)]
         report = certify_graph(g, layout, params, jobs=args.jobs, originators=origin)
-        sys.stdout.write(report.to_json())
+        report.write(sys.stdout)
         return 0 if report.passed else 1
 
     if cmd == "exact":
@@ -161,12 +161,11 @@ def run(argv: list[str]) -> int:
 
     if cmd == "export":
         g = _read_graph(args.graph)
-        data = g.export(args.format)
         if args.out:
             with open(args.out, "wb") as fh:
-                fh.write(data)
+                g.write(fh, args.format)
         else:
-            sys.stdout.buffer.write(data)
+            g.write(sys.stdout.buffer, args.format)
         return 0
 
     if cmd == "schedule":

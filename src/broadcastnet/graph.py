@@ -14,15 +14,18 @@ the first lookup by label.
 from __future__ import annotations
 
 import gc
+import io
 import json
 from array import array
 from bisect import bisect_right
 from itertools import count, islice, repeat
 from operator import eq
-from typing import Iterable, Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 from .errors import MalformedGraph, UnknownVertex
 from .labels import VertexLabel
+
+_BLOCK = 4096  # vertices, or rows of edges, per block a graph file is written in
 
 
 class Graph:
@@ -136,15 +139,84 @@ class Graph:
 
     # -- serialization -----------------------------------------------------
 
+    def write(self, fh: BinaryIO, fmt: str) -> None:
+        """Write :meth:`export`'s bytes to the binary file object ``fh``, a
+        block of _BLOCK vertices or rows at a time, never the whole file."""
+        fh.writelines(self._blocks(fmt))
+
+    def export(self, fmt: str) -> bytes:
+        """Serialize deterministically; ``fmt`` is one of dot, json, edgelist.
+        The blocks go into one growing buffer: a list of them joined would
+        hold the file twice."""
+        fh = io.BytesIO()
+        self.write(fh, fmt)
+        return fh.getvalue()
+
     def to_json(self) -> str:
-        obj: dict = {"n": self.n}
-        if self.t is not None:
-            obj["t"] = self.t
-        if self.k is not None:
-            obj["k"] = self.k
-        obj["vertices"] = [lab.to_json(i) for i, lab in enumerate(self.labels)]
-        obj["edges"] = self.edge_ids()
-        return json.dumps(obj, separators=(",", ":"), sort_keys=False) + "\n"
+        return self.export("json").decode()
+
+    def _blocks(self, fmt: str) -> Iterator[bytes]:
+        """The file ``fmt`` names in pieces: the vertices, then the edges,
+        each a block of _BLOCK vertices or rows."""
+        starts = range(0, self.n, _BLOCK)
+        if fmt == "json":
+            head = json.dumps({key: v for key, v in (("n", self.n), ("t", self.t), ("k", self.k))
+                               if v is not None}, separators=(",", ":"))
+            yield f'{head[:-1]},"vertices":['.encode()
+            yield from ((("," if lo else "") + self._json_vertices(lo)).encode() for lo in starts)
+            yield b'],"edges":['
+            yield from self._edge_rows("[%d,", "]", ",")
+            yield b"]}\n"
+        elif fmt == "edgelist":
+            yield from self._edge_rows("%d ", "\n", "")
+        elif fmt == "dot":
+            yield b"graph G {\n"
+            yield from (self._dot_vertices(lo).encode() for lo in starts)
+            yield from self._edge_rows("  %d -- ", ";\n", "")
+            yield b"}\n"
+        else:
+            raise ValueError(f"unknown export format: {fmt}")
+
+    def _edge_rows(self, head: str, tail: str, sep: str) -> Iterator[bytes]:
+        """Every edge (a, b), a < b, once, as ``head % a + str(b) + tail``,
+        the edges joined by ``sep``, in blocks of _BLOCK rows: row a is read
+        from its first neighbour above a, and each row is one join."""
+        off, nbrs, n = self.offsets, self.targets, self.n
+        lead = ""
+        for lo in range(0, n, _BLOCK):
+            rows = []
+            for a in range(lo, min(lo + _BLOCK, n)):
+                end = off[a + 1]
+                start = bisect_right(nbrs, a, off[a], end)
+                if start < end:
+                    pre = head % a
+                    rows.append(pre + (tail + sep + pre).join(map(str, nbrs[start:end])) + tail)
+            if rows:
+                yield (lead + sep.join(rows)).encode()
+                lead = sep
+
+    def _json_vertices(self, lo: int) -> str:
+        """The JSON entries of the vertices from id ``lo``, one block, joined
+        by commas.  An f-string writes them when the columns show that it
+        prints what json.dumps would; else json.dumps writes each entry."""
+        block = self.labels[lo:lo + _BLOCK]
+        trees = [lab.tree for lab in block]
+        poss = [lab.pos for lab in block]
+        cubes = [lab.cube for lab in block]
+        if not (set(map(type, block)) <= {VertexLabel}
+                and set(map(type, trees)) <= {int, type(None)}
+                and set(map(type, poss)) <= {str}
+                and set(map(type, cubes)) <= {str, type(None)}
+                and _binary("".join(poss) + "".join(filter(None, cubes)))):
+            return ",".join(json.dumps(lab.to_json(i), separators=(",", ":"))
+                            for i, lab in enumerate(block, lo))
+        return ",".join([f'''{{"id":{i},"tree":{"null" if t is None else t},"pos":"{p}",'''
+                         f'''"cube":{"null" if c is None else '"' + c + '"'}}}'''
+                         for i, t, p, c in zip(count(lo), trees, poss, cubes)])
+
+    def _dot_vertices(self, lo: int) -> str:
+        return "".join(f'  {i} [label="{lab!s}{"" if lab.cube is None else f" [{lab.cube}]"}"];\n'
+                       for i, lab in enumerate(self.labels[lo:lo + _BLOCK], lo))
 
     @classmethod
     def from_json(cls, data: str | bytes) -> "Graph":
@@ -183,31 +255,6 @@ class Graph:
         # only the reader holds the parsed edge list, so it goes once read
         return cls.from_sorted(labels, _edge_pairs(obj.pop("edges"), n),
                                t=obj.get("t"), k=obj.get("k"))
-
-    def to_edgelist(self) -> str:
-        return "".join(f"{a} {b}\n" for a, b in self.edge_ids())
-
-    def to_dot(self) -> str:
-        lines = ["graph G {"]
-        for i, lab in enumerate(self.labels):
-            text = str(lab)
-            if lab.cube is not None:
-                text += f" [{lab.cube}]"
-            lines.append(f'  {i} [label="{text}"];')
-        for a, b in self.edge_ids():
-            lines.append(f"  {a} -- {b};")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-
-    def export(self, fmt: str) -> bytes:
-        """Serialize deterministically; ``fmt`` is one of dot, json, edgelist."""
-        if fmt == "json":
-            return self.to_json().encode()
-        if fmt == "dot":
-            return self.to_dot().encode()
-        if fmt == "edgelist":
-            return self.to_edgelist().encode()
-        raise ValueError(f"unknown export format: {fmt}")
 
 
 def _vertex_labels(vertices: list) -> list[VertexLabel]:
@@ -261,6 +308,11 @@ def _name_bad_entry(vertices: list) -> None:
 
 def _is_id(value, n: int) -> bool:
     return type(value) is int and 0 <= value < n
+
+
+def _binary(text: str) -> bool:
+    """Whether ``text`` holds only 0s and 1s: two C counts, faster than a strip."""
+    return text.count("0") + text.count("1") == len(text)
 
 
 def _is_bits(value) -> bool:

@@ -64,14 +64,14 @@ import sys
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field, fields
-from itertools import accumulate, zip_longest
+from itertools import accumulate, chain, zip_longest
 from multiprocessing import Pipe, Process
 from operator import itemgetter
-from typing import NamedTuple
+from typing import Iterator, NamedTuple, TextIO
 
 from .construct import CaseOneLayout
 from .errors import BroadcastNetError, DisconnectedGraph, TooLarge
-from .graph import Graph
+from .graph import _BLOCK, Graph
 from .labels import VertexLabel
 from .params import ConstructionParams, ceil_log2
 from .schedule import CubeTemplate, FilledTemplate, Schedule, ShiftedFragment
@@ -666,16 +666,28 @@ class CertificationReport:
     failures: list[dict] = field(default_factory=list)
 
     def to_json(self) -> str:
-        obj = {
-            "graph": self.graph_id,
-            "n": self.n,
-            "target": self.target,
-            "max_round": self.max_round,
-            "pass": self.passed,
-            "failures": self.failures,
-            "per_originator": [list(x) for x in self.per_originator],
-        }
-        return json.dumps(obj, separators=(",", ":")) + "\n"
+        return "".join(self._blocks())
+
+    def write(self, fh: TextIO) -> None:
+        """Write :meth:`to_json`'s text to the text file object ``fh``, the
+        per-originator pairs a block of _BLOCK at a time."""
+        fh.writelines(self._blocks())
+
+    def _blocks(self) -> Iterator[str]:
+        """The report's JSON in pieces: the head, then the per-originator
+        pairs, _BLOCK to a piece."""
+        head = {"graph": self.graph_id, "n": self.n, "target": self.target,
+                "max_round": self.max_round, "pass": self.passed, "failures": self.failures}
+        yield json.dumps(head, separators=(",", ":"))[:-1] + ',"per_originator":['
+        pairs = self.per_originator
+        for lo in range(0, len(pairs), _BLOCK):
+            block = pairs[lo:lo + _BLOCK]
+            if set(map(len, block)) <= {2} and set(map(type, chain.from_iterable(block))) <= {int}:
+                text = ",".join([f"[{a},{b}]" for a, b in block])
+            else:  # json.dumps prints what an f-string would not, as a bool
+                text = json.dumps([list(x) for x in block], separators=(",", ":"))[1:-1]
+            yield ("," if lo else "") + text
+        yield "]}\n"
 
 
 def _certify_ids(g: Graph, layout, params, ids) -> tuple[dict[int, int], dict[int, dict]]:

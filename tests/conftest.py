@@ -1,7 +1,23 @@
+import json
+
 import pytest
+from hypothesis import strategies as st
 
 from broadcastnet import Schedule, build, make_params
+from broadcastnet.params import max_k
 from broadcastnet.schedule import CubeTemplate, FilledTemplate
+
+
+@st.composite
+def instances(draw, max_t=9):
+    """An admissible (t, k, n) with 7 <= t <= max_t."""
+    t = draw(st.integers(7, max_t))
+    k = draw(st.integers(2, max_k(t, n_odd=True)))
+    N = ((1 << k) - 1) << (t + 1 - k)
+    n = draw(st.integers((1 << t) + 1, N))
+    if k > max_k(t, n_odd=bool(n % 2)):
+        n -= 1  # this k needs odd n; n is even here, so n - 1 > 2^t
+    return t, k, n
 
 
 def label_schedule(originator, rounds):
@@ -49,6 +65,48 @@ def label_rounds(s):
     """The calls of schedule s as label pairs of its own label tuple."""
     labels = s.labels
     return [[(labels[a], labels[b]) for a, b in calls] for calls in s.rounds]
+
+
+def reference_export(g, fmt):
+    """g's graph file in format ``fmt``, written the plain way: a dict per
+    vertex, a tuple per edge and one string, as Graph.export must match."""
+    if fmt == "json":
+        obj = {"n": g.n}
+        if g.t is not None:
+            obj["t"] = g.t
+        if g.k is not None:
+            obj["k"] = g.k
+        obj["vertices"] = [lab.to_json(i) for i, lab in enumerate(g.labels)]
+        obj["edges"] = g.edge_ids()
+        return (json.dumps(obj, separators=(",", ":"), sort_keys=False) + "\n").encode()
+    if fmt == "edgelist":
+        return "".join(f"{a} {b}\n" for a, b in g.edge_ids()).encode()
+    assert fmt == "dot", fmt
+    lines = ["graph G {"]
+    for i, lab in enumerate(g.labels):
+        text = str(lab)
+        if lab.cube is not None:
+            text += f" [{lab.cube}]"
+        lines.append(f'  {i} [label="{text}"];')
+    for a, b in g.edge_ids():
+        lines.append(f"  {a} -- {b};")
+    lines.append("}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+def reference_report(report):
+    """A certification report's JSON, written as one dict and one string,
+    as CertificationReport.to_json must match."""
+    obj = {
+        "graph": report.graph_id,
+        "n": report.n,
+        "target": report.target,
+        "max_round": report.max_round,
+        "pass": report.passed,
+        "failures": report.failures,
+        "per_originator": [list(x) for x in report.per_originator],
+    }
+    return json.dumps(obj, separators=(",", ":")) + "\n"
 
 
 @pytest.fixture(scope="session")

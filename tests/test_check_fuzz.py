@@ -39,7 +39,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from conftest import label_rounds, label_schedule, like_first, neighbours, row, vertex
+from conftest import instances, label_rounds, label_schedule, like_first, neighbours, row, vertex
 
 from broadcastnet import (
     Schedule,
@@ -51,7 +51,6 @@ from broadcastnet import (
     verify,
 )
 from broadcastnet.graph import Graph
-from broadcastnet.params import max_k
 from broadcastnet.scheme import families
 from broadcastnet.schedule import CubeTemplate, FilledTemplate, ShiftedFragment
 
@@ -78,17 +77,6 @@ def _instance(t, k, n):
     params = make_params(t, k, n)
     g, layout, _ = build(params)
     return params, g, layout
-
-
-@st.composite
-def instances(draw):
-    t = draw(st.integers(7, 9))
-    k = draw(st.integers(2, max_k(t, n_odd=True)))
-    N = ((1 << k) - 1) << (t + 1 - k)
-    n = draw(st.integers((1 << t) + 1, N))
-    if k > max_k(t, n_odd=bool(n % 2)):
-        n -= 1  # this k needs odd n; n is even here, so n - 1 > 2^t
-    return t, k, n
 
 
 def _mutate(kind, rounds, g, rng):

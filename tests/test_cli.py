@@ -4,7 +4,10 @@ import sys
 
 import pytest
 
-from broadcastnet import Schedule
+from conftest import reference_export, reference_report
+
+from broadcastnet import CertificationReport, Graph, Schedule, build, certify_graph, make_params
+from broadcastnet import verify
 from broadcastnet.cli import main
 
 
@@ -148,6 +151,41 @@ def test_export_round_trip(tmp_path, capsys):
                            "--format", "edgelist")
     assert code == 0
     assert out.splitlines() == ["0 1", "0 2", "1 3", "2 3"]
+
+
+def _whole_file_writer(*args, **kwargs):
+    raise AssertionError("the CLI writes a graph file or a report in blocks, not whole")
+
+
+@pytest.mark.parametrize("fmt", ["json", "edgelist", "dot"])
+def test_construct_and_export_write_in_blocks(tmp_path, monkeypatch, capsys, fmt):
+    params = make_params(8, 3, 400)
+    g, _, _ = build(params)
+    want = reference_export(g, fmt)
+    source = tmp_path / "g.json"
+    source.write_bytes(reference_export(g, "json"))
+    monkeypatch.setattr(Graph, "export", _whole_file_writer)
+    monkeypatch.setattr(Graph, "to_json", _whole_file_writer)
+    code, _, _ = run_cli(capsys, "construct", "--t", "8", "--k", "3", "--n", "400",
+                         "--format", fmt, "--out", str(tmp_path / "built"))
+    assert code == 0 and (tmp_path / "built").read_bytes() == want
+    code, _, _ = run_cli(capsys, "export", "--graph", str(source), "--format", fmt,
+                         "--out", str(tmp_path / "converted"))
+    assert code == 0 and (tmp_path / "converted").read_bytes() == want
+    code, out, _ = run_cli(capsys, "export", "--graph", str(source), "--format", fmt)
+    assert code == 0 and out.encode() == want
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_certify_writes_its_report_in_blocks(monkeypatch, capsys, jobs):
+    params = make_params(8, 3, 400)
+    g, layout, _ = build(params)
+    want = reference_report(certify_graph(g, layout, params))
+    monkeypatch.setattr(verify, "_BLOCK", 7)  # 400 originators cross many blocks
+    monkeypatch.setattr(CertificationReport, "to_json", _whole_file_writer)
+    code, out, _ = run_cli(capsys, "certify", "--t", "8", "--k", "3", "--n", "400",
+                           "--jobs", jobs)
+    assert code == 0 and out == want
 
 
 def test_schedule_command(capsys):

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import io
 import json
 import pickle
 import sys
@@ -8,7 +9,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import neighbours, row
+from conftest import instances, neighbours, reference_export, row
 
 from broadcastnet import (
     Graph,
@@ -21,6 +22,7 @@ from broadcastnet import (
     certify_graph,
     make_params,
 )
+from broadcastnet import graph as graph_mod
 from broadcastnet.graph import _name_bad_entry, _vertex_labels
 
 
@@ -226,6 +228,75 @@ def test_primitive_exports_are_pinned():
             for fmt in ("json", "dot", "edgelist"):
                 digest.update(g.export(fmt))
     assert digest.hexdigest() == PRIMITIVES_DIGEST
+
+
+FORMATS = ("json", "edgelist", "dot")
+
+
+def _assert_writes_reference(g):
+    """export, write and to_json give the reference writers' bytes in every
+    format."""
+    for fmt in FORMATS:
+        want = reference_export(g, fmt)
+        fh = io.BytesIO()
+        g.write(fh, fmt)
+        assert fh.getvalue() == want, fmt
+        assert g.export(fmt) == want, fmt
+    assert g.to_json() == reference_export(g, "json").decode()
+
+
+@settings(max_examples=20, deadline=None)
+@given(instances(max_t=10))
+def test_writer_matches_the_reference_on_builds(tkn):
+    g, _, _ = build(make_params(*tkn))
+    _assert_writes_reference(g)
+    assert Graph.from_json(g.export("json")) == g
+
+
+class _Relabelled(VertexLabel):
+    __slots__ = ()
+
+    def to_json(self, vid):
+        return {"id": vid, "label": str(self)}
+
+
+def _odd_labels():
+    """Graphs whose labels json.dumps prints otherwise than an f-string would,
+    so their entries take the json.dumps path, each alone and among plain ones."""
+    odd = [VertexLabel(tree=True), VertexLabel(tree=1, pos='0"'), VertexLabel(tree=1, pos="2"),
+           VertexLabel(tree=2, pos="\u00e9"), VertexLabel(tree=None, pos="", cube='1"'),
+           VertexLabel(tree=1.0), _Relabelled(tree=3)]
+    plain = [VertexLabel(tree=i + 1, pos="01", cube=None if i % 2 else "1") for i in range(5)]
+    yield from ([label] for label in odd)
+    yield plain[:2] + odd[:3] + plain[2:] + odd[3:]
+
+
+def _small_graphs():
+    yield Graph.from_sorted([], [])
+    yield _triangle()  # t and k None
+    yield Graph.from_sorted(_triangle().labels, [(0, 1)], t=7)  # k None
+    labels = [VertexLabel(tree=i + 1) for i in range(7)]
+    yield Graph.from_sorted(labels, [(0, i) for i in range(1, 7)])  # rows 1.. hold no edge
+    yield Graph.from_sorted(labels, [(4, 5), (5, 6), (4, 6)])  # rows 0..3 hold none
+    for labels in _odd_labels():
+        yield Graph.from_sorted(labels, [(i, i + 1) for i in range(len(labels) - 1)], t=8, k=2)
+    for m in range(7):
+        yield build_hypercube(m).to_graph()
+        yield build_binomial(m).to_graph()
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 4096])
+def test_writer_matches_the_reference_across_blocks(monkeypatch, block):
+    monkeypatch.setattr(graph_mod, "_BLOCK", block)
+    for g in _small_graphs():
+        _assert_writes_reference(g)
+
+
+def test_write_rejects_an_unknown_format_before_writing():
+    fh = io.BytesIO()
+    with pytest.raises(ValueError, match="unknown export format: xml"):
+        _triangle().write(fh, "xml")
+    assert fh.getvalue() == b""
 
 
 @given(st.integers(min_value=0, max_value=6))

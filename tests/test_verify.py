@@ -1,13 +1,15 @@
+import io
 import multiprocessing
 import os
 import pickle
 import random
 
 import pytest
-from conftest import label_schedule, like_first, neighbours, row, vertex
+from conftest import label_schedule, like_first, neighbours, reference_report, row, vertex
 
 from broadcastnet import (
     BroadcastNetError,
+    CertificationReport,
     DisconnectedGraph,
     Graph,
     Schedule,
@@ -320,6 +322,27 @@ def test_certify_report_json_round_trip(g72):
     assert obj["pass"] is True
     assert obj["n"] == 192
     assert len(obj["per_originator"]) == 2
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 4096])
+def test_report_is_written_in_blocks_as_one_dumps_writes_it(monkeypatch, g72, block):
+    # the reference writes one list of lists and one string; the pairs that
+    # are not two ints (a bool, a triple) go through json.dumps in blocks
+    params, g, layout, _ = g72
+    monkeypatch.setattr(verify, "_BLOCK", block)
+    failures = [{"id": 9, "error": "UnknownVertex: no vertex has id 9"}]
+    reports = [certify_graph(g, layout, params),
+               certify_graph(g, layout, params, originators=g.labels[:5]),
+               CertificationReport("t=7,k=2,n=192", 192, 8, None, False, [], failures)]
+    for pairs in ([(0, 3)], [(5, 7), (1, 2), (9, 4), (0, 8)], [(1, True), (2, 3)],
+                  [(1, 2), (3, 4, 5)], [[6, 1], (7, 2)]):
+        reports.append(CertificationReport("x", 10, 8, 8, True, pairs, failures))
+    for report in reports:
+        want = reference_report(report)
+        fh = io.StringIO()
+        report.write(fh)
+        assert report.to_json() == want
+        assert fh.getvalue() == want
 
 
 def _drop_edge(g, a, b):
