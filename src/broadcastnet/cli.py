@@ -190,8 +190,8 @@ def main(argv: list[str] | None = None) -> int:
     except (BroadcastNetError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except MemoryError:  # N or 2^t of a huge --t
-        sys.stderr.write("error: out of memory; is --t too large?\n")
+    except (MemoryError, OverflowError) as exc:  # N or 2^t of a huge --t
+        sys.stderr.write(f"error: {str(exc) or 'out of memory'}; is --t too large?\n")
         return 1
     finally:
         sys.set_int_max_str_digits(digits)

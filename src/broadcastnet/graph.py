@@ -277,8 +277,7 @@ def _vertex_labels(vertices: list) -> list[VertexLabel]:
             and set(map(type, column("tree"))) <= {int, type(None)}
             and set(map(type, column("pos"))) <= {str}
             and set(map(type, column("cube"))) <= {str, type(None)}
-            and not "".join(column("pos")).strip("01")
-            and not "".join(filter(None, column("cube"))).strip("01")):
+            and _binary("".join(column("pos")) + "".join(filter(None, column("cube"))))):
         _name_bad_entry(vertices)
     made = map(VertexLabel, column("tree"), column("pos"), column("cube"))
     if all(map(eq, column("id"), count())):  # as to_json writes them
@@ -317,7 +316,7 @@ def _binary(text: str) -> bool:
 
 def _is_bits(value) -> bool:
     """A position code or cube coordinate: a string of 0s and 1s, maybe empty."""
-    return isinstance(value, str) and not value.strip("01")
+    return isinstance(value, str) and _binary(value)
 
 
 def _edge_pairs(edges: list, n: int) -> Iterator[tuple[int, int]]:

@@ -50,23 +50,24 @@ L(u) is the largest of the deepest round below u less r(u), the deepest
 round in (p, u) less one, and the deepest round outside [p+1, u+size(u)).
 Over B's preorder these are a subtree maximum, a maximum over the
 subtrees of u's later-called siblings, and a prefix and a suffix maximum,
-so L is one array made once per accepted fragment (_last_rounds), read in
-O(1) per member.  Sound per member as the per-originator path is: it
-accepts exactly what _check_pieces accepts of u's schedule, and gives the
-round the whole replay gives.  The originators on the cube (at most 2^k)
-and every member the family path refuses take the per-originator path."""
+so L is one array of the _Shape made once per distinct fragment shape
+(_tree_shape), read in O(1) per member.  Sound per member as the
+per-originator path is: it accepts exactly what _check_pieces accepts of
+u's schedule, and gives the round the whole replay gives.  The cube's
+originators (at most 2^k) and each refused member go one by one."""
 
 from __future__ import annotations
 
 import json
 import os
 import sys
+from array import array
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field, fields
-from itertools import accumulate, chain, zip_longest
+from itertools import accumulate, chain, groupby, repeat, zip_longest
 from multiprocessing import Pipe, Process
-from operator import itemgetter
+from operator import attrgetter, itemgetter, sub
 from typing import Iterator, NamedTuple, TextIO
 
 from .construct import CaseOneLayout
@@ -164,17 +165,19 @@ def _replay(when: list[int] | dict, used: list[int] | dict, g: Graph,
     caller was informed before this round and has not called in it, the
     callee is not informed, and they are adjacent in g: b in sets[a]
     (_neighbour_sets, or a template's rows: see _accept_template), or with
-    no sets _has_edge.
+    no sets _has_edge, inlined for the table's one test per call.
     The informed count after each round is appended to ``sizes``, which
     starts with the count before.  Returns the first illegal call as (round,
     caller, callee, the calls of its round), or None.
     """
-    count = sizes[-1]
+    count, offsets, targets = sizes[-1], g.offsets, g.targets
     for rnd, calls in enumerate(rounds, start=1):
         for a, b in calls:
             if not (lo <= a < hi and lo <= b < hi and when[a] < rnd and used[a] != rnd
                     and when[b] == _NEVER
-                    and (b in sets[a] if sets is not None else _has_edge(g, a, b))):
+                    and (b in sets[a] if sets is not None
+                         else (i := bisect_left(targets, b, offsets[a], end := offsets[a + 1]))
+                         < end and targets[i] == b)):
                 return rnd, a, b, calls
             when[b] = rnd
             used[a] = rnd
@@ -211,15 +214,25 @@ def _illegal_call(rnd: int, a: int, b: int, calls: list[tuple[int, int]],
     return Violation("illegal-call", round=rnd, caller=a, callee=b, reason=reason)
 
 
-class _Tree:
+class _Shape(NamedTuple):
+    """What the shift lemma reads of a fragment accepted from its tree's
+    root, in local ids (id - lo) (_tree_shape): per round its sorted
+    callees; per vertex its round, its caller, its subtree size and L(u)."""
+
+    callees: list[list[int]]
+    at: list[int]
+    by: list[int]
+    size: list[int]
+    last: list[int]
+
+
+class _Tree(NamedTuple):
     """A table fragment accepted from its tree's root alone: the fragment,
-    its calls per round and, each made on first use, its _tree_shape and
-    its _last_rounds."""
+    its calls per round, and its _Shape, or None when it has none."""
 
-    __slots__ = ("fragment", "counts", "shape", "last")
-
-    def __init__(self, fragment, counts: list[int]):
-        self.fragment, self.counts, self.shape, self.last = fragment, counts, None, None
+    fragment: tuple
+    counts: list[int]
+    shape: _Shape | None
 
 
 class _Accepted(NamedTuple):
@@ -249,12 +262,13 @@ class _Record:
 
     def __init__(self, g: Graph):
         spans: dict | None = {}
-        for i, label in enumerate(g.labels):
-            lo, hi = spans.get(label.tree, (i, i))
-            if hi != i:
+        lo = 0
+        for tree, run in groupby(g.labels, attrgetter("tree")):  # a C pass per run of a tree
+            hi = lo + len(list(run))
+            if tree in spans:
                 spans = None
                 break
-            spans[label.tree] = (lo, i + 1)
+            spans[tree], lo = (lo, hi), hi
         self.spans = spans
         self.labels, self.same = g.labels, True
         self.sets: list[frozenset[int]] = []
@@ -294,12 +308,14 @@ def _accept_table(g: Graph, rec: _Record, table) -> _Accepted | None:
     the whole range; the trees must be distinct, and no fragment may end in
     an empty round, so that the last round of the remaining fragments is
     where their summed counts end.  The trees share one fresh replay state:
-    each replay reads and writes only its own range."""
-    trees: dict[int, _Tree] = {}
+    each replay reads and writes only its own range.  Then each tree gets
+    its _Shape, one per distinct fragment in local ids (id - lo), made with
+    the replay state freed."""
+    replayed: dict[int, tuple] = {}
     total: list[int] = []
     when, used = [_NEVER] * g.n, [0] * g.n
     for tree, frag in table:
-        if tree in trees or tree not in rec.spans:
+        if tree in replayed or tree not in rec.spans:
             return None
         lo, hi = rec.spans[tree]
         if not g.labels[lo].is_root:
@@ -310,10 +326,20 @@ def _accept_table(g: Graph, rec: _Record, table) -> _Accepted | None:
         added = [b - a for a, b in zip(counts, counts[1:])]
         if bad is not None or counts[-1] != hi - lo or added and not added[-1]:
             return None
-        trees[tree] = _Tree(frag, added)
+        replayed[tree] = frag, added
         total.extend([0] * (len(added) - len(total)))
         for i, c in enumerate(added):
             total[i] += c
+    del when, used  # so that making the shapes adds nothing to the replay's peak
+    trees: dict[int, _Tree] = {}
+    shapes: dict[tuple, _Shape | None] = {}
+    for tree, (frag, added) in replayed.items():
+        lo, hi = rec.spans[tree]
+        local = array("i", map(sub, chain.from_iterable(chain.from_iterable(frag)), repeat(lo)))
+        key = hi - lo, tuple(added), local.tobytes()  # no int object per call
+        if key not in shapes:
+            shapes[key] = _tree_shape(frag, lo, hi)
+        trees[tree] = _Tree(frag, added, shapes[key])
     return _Accepted(table, trees, total)
 
 
@@ -493,7 +519,7 @@ def _accepted(entry: _Tree, frag, u: int, span: tuple[int, int]) -> list[int] | 
       round earlier, into the round it no longer calls u in: its remaining
       calls stay in distinct rounds (consecutive ones, in a binomial
       fragment), all after p is informed.
-    Its calls per round come from B alone: in B's preorder, checked once by
+    Its calls per round come from B alone: in B's preorder, checked by
     _tree_shape, u's subtree is the id range [u, u + size) and the other
     moved subtrees are (p, u), so per round a few bisections on B's sorted
     callees count each group.  This is O(h log M) for a tree of M vertices
@@ -501,13 +527,9 @@ def _accepted(entry: _Tree, frag, u: int, span: tuple[int, int]) -> list[int] | 
     """
     root = span[0]
     if not (isinstance(frag, ShiftedFragment) and frag.base is entry.fragment
-            and frag.u == u != root):
+            and frag.u == u != root and entry.shape is not None):
         return None
-    if entry.shape is None:
-        entry.shape = _tree_shape(entry.fragment, *span)
-    if not entry.shape:
-        return None
-    callees, at, by, size = entry.shape
+    callees, at, by, size, _ = entry.shape
     u -= root
     ru, p, end, last = at[u], by[u], u + size[u], len(callees)
     # per round of B, its callees in u's subtree and in (p, u); none before r(u)
@@ -524,12 +546,10 @@ def _accepted(entry: _Tree, frag, u: int, span: tuple[int, int]) -> list[int] | 
     return added
 
 
-def _tree_shape(frag, lo: int, hi: int) -> tuple:
-    """What _accepted needs of a fragment accepted from the root of the tree
-    [lo, hi), in local ids (id - lo): per round its sorted callees, and per
-    vertex the round it is called in, its caller and its subtree size.
+def _tree_shape(frag, lo: int, hi: int) -> _Shape | None:
+    """The _Shape of a fragment accepted from the root of the tree [lo, hi).
 
-    Empty unless the fragment informs every vertex from the root lo and
+    None unless the fragment informs every vertex from the root lo and
     numbers its call tree in preorder, children in the reverse of the order
     they are called: every vertex comes after its caller, inside its
     caller's subtree range, and a caller's next child in id order is called
@@ -537,7 +557,11 @@ def _tree_shape(frag, lo: int, hi: int) -> tuple:
     children a vertex p calls after its child v have the ranges that make
     up (p, v).  A binomial fragment has this shape, pruned or not: a subtree
     is a range of masks, and a vertex calls its children by descending mask.
-    """
+
+    L(u), where _accepted's counts for u end, is derived in the module's
+    docstring: a subtree maximum made bottom-up, a maximum over the
+    subtrees of the children p calls after u, made from u's previous child
+    of p in id order, and a prefix and a suffix maximum."""
     m = hi - lo
     at, by, size = [0] * m, [-1] * m, [1] * m
     callees = []
@@ -546,51 +570,29 @@ def _tree_shape(frag, lo: int, hi: int) -> tuple:
             at[b - lo], by[b - lo] = r, a - lo
         callees.append(sorted(b - lo for _, b in calls))
     if sum(map(len, callees)) != m - 1:
-        return ()
+        return None
+    deep = list(at)  # the deepest round in [v, v + size[v])
     for v in range(m - 1, 0, -1):
-        if not 0 <= by[v] < v:
-            return ()
-        size[by[v]] += size[v]
+        p = by[v]
+        if not 0 <= p < v:
+            return None
+        size[p] += size[v]
+        if deep[v] > deep[p]:
+            deep[p] = deep[v]
+    between, prev = [0] * m, [0] * m  # the deepest round in (by[v], v); p's child last met
     for v in range(1, m):
         p, end = by[v], v + size[v]
         if end > p + size[p] or end < p + size[p] and at[end] >= at[v]:
-            return ()
-    return callees, at, by, size
-
-
-def _last_rounds(frag, lo: int, hi: int) -> list[int]:
-    """Per vertex u of the tree [lo, hi), in local ids (u - lo), L(u): the
-    last round of the ShiftedFragment of ``frag``, a fragment accepted from
-    the root lo, and u; empty unless ``frag`` has the _tree_shape.
-
-    By the shift lemma (_accepted) the fragment's calls keep their rounds,
-    but for those to u's subtree [u, end), moved r(u) earlier, and those to
-    (p, u), moved 1 earlier, p being u's caller; the call p->u is dropped.
-    So L(u) is the largest of the deepest round in [u, end) less r(u), the
-    deepest round in (p, u) less one, and the deepest round before p+1 or
-    from end on: a subtree maximum, made bottom-up; a maximum over the
-    subtrees of the children p calls after u, which make up (p, u), made
-    from u's previous child of p in id order; and a prefix and a suffix
-    maximum.  So _accepted's counts of the same rounds end at L(u)."""
-    shape = _tree_shape(frag, lo, hi)
-    if not shape:
-        return []
-    _, at, by, size = shape
-    m = hi - lo
-    deep = list(at)  # the deepest round in [v, v + size[v])
-    for v in range(m - 1, 0, -1):
-        if deep[v] > deep[by[v]]:
-            deep[by[v]] = deep[v]
-    between, prev = [0] * m, [0] * m  # the deepest round in (by[v], v); p's child last met
-    for v in range(1, m):
-        c = prev[by[v]]
+            return None
+        c = prev[p]
         if c:
             between[v] = max(between[c], deep[c])
-        prev[by[v]] = v
+        prev[p] = v
     before = list(accumulate(at, max, initial=0))  # before[i]: the deepest round in [0, i)
     after = list(accumulate(reversed(at), max, initial=0))[::-1]  # after[i]: in [i, m)
-    return [0] + [max(deep[u] - at[u], between[u] - 1, before[by[u] + 1], after[u + size[u]])
+    last = [0] + [max(deep[u] - at[u], between[u] - 1, before[by[u] + 1], after[u + size[u]])
                   for u in range(1, m)]
+    return _Shape(callees, at, by, size, last)
 
 
 def _certify_family(g: Graph, family: Family, rounds: dict[int, int]) -> list[int]:
@@ -614,7 +616,7 @@ def _certify_family(g: Graph, family: Family, rounds: dict[int, int]) -> list[in
     construction each callee neighbours all of (lo, hi), else each member
     is looked up in its own row (_has_edge).  Its round is the template's k
     rounds, plus the longer of the base and the shifted fragment, of L(u)
-    rounds (_last_rounds): each of the two ends on a call, so the counts
+    rounds (T's _Shape): each of the two ends on a call, so the counts
     reach n there."""
     rec, template, members = _record(g), family.template, family.members
     entry = (_template_entry(g, rec, family.table, template)
@@ -623,13 +625,10 @@ def _certify_family(g: Graph, family: Family, rounds: dict[int, int]) -> list[in
     if entry is None or entry.root is not None or entry.overrides != {tree: None}:
         return list(members)
     node, (lo, hi) = rec.accepted.trees[tree], rec.spans[tree]
-    if node.fragment is not family.base:
+    if (node.fragment is not family.base or node.shape is None or hi - lo < 3
+            or entry.sizes[-1] + sum(entry.base) + hi - lo - 2 != g.n):
         return list(members)
-    if node.last is None:
-        node.last = _last_rounds(node.fragment, lo, hi)
-    last = node.last
-    if not last or hi - lo < 3 or entry.sizes[-1] + sum(entry.base) + hi - lo - 2 != g.n:
-        return list(members)
+    last = node.shape.last
     # the slot callees that do not neighbour all of (lo, hi): a callee's
     # neighbours there are the slice of its sorted row, each once, between
     # two bisections

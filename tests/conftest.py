@@ -32,6 +32,23 @@ def label_schedule(originator, rounds):
     return Schedule(tuple(ids), 0, [[(ids[a], ids[b]) for a, b in calls] for calls in rounds])
 
 
+def smallest_first(layout, tree):
+    """A legal root-only fragment of the full tree ``tree`` in which every
+    vertex calls its children smallest subtree first: its subtrees are still
+    id ranges, but the children a vertex calls after v lie above v, not in
+    (p, v), so the shift lemma's counts do not fit it."""
+    M, h = layout.tree_size, layout.h
+    ids = layout.dense[(tree - 1) * M:tree * M]
+    left = {0: list(range(h))}  # per informed mask, the bits of its children to call
+    rounds = []
+    while any(left.values()):
+        calls = [(v, v | 1 << bits.pop(0)) for v, bits in sorted(left.items()) if bits]
+        for _, c in calls:
+            left[c] = list(range((c & -c).bit_length() - 1))
+        rounds.append(tuple((ids[a], ids[b]) for a, b in calls))
+    return tuple(rounds)
+
+
 def row(g, v):
     """The ids of v's neighbours in g, ascending: v's slice of the CSR arrays."""
     return g.targets[g.offsets[v]:g.offsets[v + 1]]

@@ -31,6 +31,11 @@ vertex, one the template names, one listed twice, one that does not
 neighbour a slot callee, another tree's template, another build's
 fragment): every member the family path cannot vouch for is refused and
 certified one by one, and the report is the one the whole replay gives.
+Trees whose fragments are equal in local ids share one shape record, so
+one such tree's fragment is mutated in a new table (an empty first round,
+its children called smallest subtree first, a call moved onto a non-edge):
+the tree gets a shape of its own or none, each family round accepted is
+the whole replay's, and a table with a non-edge is refused.
 """
 
 from collections import Counter
@@ -39,7 +44,8 @@ from functools import lru_cache
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from conftest import instances, label_rounds, label_schedule, like_first, neighbours, row, vertex
+from conftest import (instances, label_rounds, label_schedule, like_first, neighbours, row,
+                      smallest_first, vertex)
 
 from broadcastnet import (
     Schedule,
@@ -722,3 +728,100 @@ def test_family_path_vouches_only_for_its_own_members(kind, tkn, rng):
     assert sorted(refused) == sorted(must)
     assert report.to_json() == plain.to_json()
     assert report.passed == (kind != "stranger")
+
+
+SHAPE_MUTATIONS = ("delayed", "smallest-first", "non-edge")
+
+
+def _table_of_shapes(kind, g, layout, rng):
+    """The layout's table with the fragment of one tree X, whose _Shape some
+    other trees share, replaced, as (X, those other trees, table, the call
+    moved or None):
+    - delayed: the fragment with an empty round put first, legal and of
+      another local shape;
+    - smallest-first: every vertex of X calls its children smallest subtree
+      first, legal but with no _Shape;
+    - non-edge: one call (a, b) moved to (a, c), c a vertex of X that a does
+      not neighbour and the fragment informs in that round or later."""
+    table, spans = layout.plain_table, verify._record(g).spans
+    trees = verify._accept_table(g, verify._record(g), table).trees
+    shared = [tree for tree, entry in trees.items()
+              if sum(other.shape is entry.shape for other in trees.values()) > 1]
+    # pruned trees may share a shape too; the other mutations need a full tree
+    full = [tree for tree in shared if spans[tree][1] - spans[tree][0] == layout.tree_size]
+    assume(shared if kind == "delayed" else full)
+    x = rng.choice(shared if kind == "delayed" else full)
+    group = [tree for tree in shared if tree != x and trees[tree].shape is trees[x].shape]
+    frag, moved = trees[x].fragment, None
+    if kind == "delayed":
+        frag = ((),) + frag
+    elif kind == "smallest-first":
+        frag = smallest_first(layout, x)
+    else:
+        lo, hi = spans[x]
+        when = {b: r for r, calls in enumerate(frag, 1) for _, b in calls}
+        spots = [(r, i) for r, calls in enumerate(frag, 1) for i in range(len(calls))]
+        for r, i in rng.sample(spots, len(spots)):
+            a = frag[r - 1][i][0]
+            far = [c for c in range(lo + 1, hi) if when[c] >= r and c not in row(g, a)]
+            if far:
+                moved = a, rng.choice(far)
+                break
+        assert moved is not None
+        rounds = [list(calls) for calls in frag]
+        rounds[r - 1][i] = moved
+        frag = tuple(map(tuple, rounds))
+    return x, group, tuple((tree, frag if tree == x else f) for tree, f in table), moved
+
+
+@pytest.mark.parametrize("kind", SHAPE_MUTATIONS)
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(instances(), st.randoms(use_true_random=False))
+def test_a_shape_is_shared_only_by_fragments_equal_in_local_ids(kind, tkn, rng):
+    params, g, layout = _instance(*tkn)
+    x, group, table, moved = _table_of_shapes(kind, g, layout, rng)
+    off_cube = [v for v, label in enumerate(g.labels) if label.cube is None]
+    ids = rng.sample(off_cube, min(len(off_cube), 24))
+    ids.append(rng.choice([v for v in off_cube if g.labels[v].tree != x]))
+    fams, _ = families(layout, params, ids)
+    fams = [family._replace(table=table, base=dict(table)[family.template.tree])
+            for family in fams]
+    rounds, refused = {}, []
+    for family in fams:
+        refused += verify._certify_family(g, family, rounds)
+
+    def whole(family, u):
+        """The whole replay of member u's schedule."""
+        s = Schedule(g.labels, u, FilledTemplate(family.template, u),
+                     [(family.template.tree, ShiftedFragment(family.base, u))], table)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verify, "_check_pieces", lambda g, s: None)
+            return check_schedule(g, s)
+
+    if kind == "non-edge":
+        # the table is refused, so is every member, and the whole replay
+        # finds the missing edge
+        assert verify._accept_table(g, verify._record(g), table) is None
+        assert rounds == {} and sorted(refused) == sorted(
+            u for family in fams for u in family.members)
+        family = next(family for family in fams if family.template.tree != x)
+        violation = whole(family, family.members[0]).violation
+        assert (violation.reason, violation.caller, violation.callee) == ("no-edge", *moved)
+        return
+    # X has a _Shape of its own, or none; the trees that shared X's still
+    # share theirs
+    trees = verify._record(g).accepted.trees
+    assert trees[x].fragment is dict(table)[x]
+    assert (trees[x].shape is None) == (kind == "smallest-first")
+    assert all(trees[x].shape is not entry.shape for tree, entry in trees.items() if tree != x)
+    assert len({id(trees[tree].shape) for tree in group}) == 1
+    assert trees[group[0]].shape is not None
+    # every member's family round is the whole replay's; the members of X
+    # are refused when X has no _Shape
+    mine = [u for family in fams if family.template.tree == x for u in family.members]
+    assert sorted(refused) == (sorted(mine) if kind == "smallest-first" else [])
+    for family in fams:
+        for u in family.members:
+            if u in rounds:
+                res = whole(family, u)
+                assert res.ok and res.completion_round == rounds[u]

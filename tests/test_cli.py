@@ -266,15 +266,17 @@ def test_table2_range_error_for_huge_t_is_short(capsys, flags):
     ("schedule", "--k", "2", "--originator", "0"),
     ("table2",),
 ])
-def test_huge_t_ends_in_one_error_line(tmp_path, monkeypatch, capsys, argv):
-    # 2^t of t = 10^19 cannot be allocated: params rejects n before making
-    # it, and the commands that need N or 2^t fail at once
+@pytest.mark.parametrize("t", [10 ** 19, 10 ** 20])
+def test_huge_t_ends_in_one_error_line(tmp_path, monkeypatch, capsys, argv, t):
+    # 2^t of t = 10^19 cannot be allocated, and of t = 10^20 not even made
+    # (OverflowError): params rejects n before making it, and the commands
+    # that need N or 2^t fail at once
     monkeypatch.chdir(tmp_path)
-    code, out, err = run_cli(capsys, argv[0], "--t", str(10 ** 19), *argv[1:])
+    code, out, err = run_cli(capsys, argv[0], "--t", str(t), *argv[1:])
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     if argv[0] == "params":
-        assert err == f"error: n=5: need n > 2^t for t={10 ** 19}\n"
+        assert err == f"error: n=5: need n > 2^t for t={t}\n"
 
 
 _TWO = '[{"id":0,"tree":1,"pos":"","cube":null},{"id":1,"tree":2,"pos":"","cube":null}]'

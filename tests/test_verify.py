@@ -5,7 +5,8 @@ import pickle
 import random
 
 import pytest
-from conftest import label_schedule, like_first, neighbours, reference_report, row, vertex
+from conftest import (label_schedule, like_first, neighbours, reference_report, row,
+                      smallest_first, vertex)
 
 from broadcastnet import (
     BroadcastNetError,
@@ -692,18 +693,10 @@ def test_shift_lemma_counts_only_a_base_in_preorder(g72, monkeypatch):
     # table is accepted, the lemma refuses the override shifted from it, and
     # the whole replay decides the schedule: legal but late
     params, g, layout, _ = g72
-    M, h = layout.tree_size, layout.h
-    ids = layout.dense[M:2 * M]
-    left = {0: list(range(h))}  # per informed mask, the bits of its children to call
-    rounds = []
-    while any(left.values()):
-        calls = [(v, v | 1 << bits.pop(0)) for v, bits in sorted(left.items()) if bits]
-        for _, c in calls:
-            left[c] = list(range((c & -c).bit_length() - 1))
-        rounds.append(tuple((ids[a], ids[b]) for a, b in calls))
-    base = tuple(rounds)
-    lo = ids[0]
-    assert verify._tree_shape(base, lo, lo + M) == ()
+    M = layout.tree_size
+    base = smallest_first(layout, 2)
+    lo = layout.dense[M]
+    assert verify._tree_shape(base, lo, lo + M) is None
     u = vertex(g, layout, 2, 5)
     s = make_schedule(g, layout, params, u)
     cube, overrides, table = s.pieces
@@ -717,7 +710,7 @@ def test_shift_lemma_counts_only_a_base_in_preorder(g72, monkeypatch):
     assert verify._check_pieces(g, shifted) is None
     assert vouched == [None]
     entry = verify._record(g).accepted.trees[2]
-    assert entry.fragment is base and entry.shape == ()
+    assert entry.fragment is base and entry.shape is None
     res = check_schedule(g, shifted)
     assert res.ok and res.completion_round > params.t + 1
 
@@ -727,19 +720,39 @@ def test_last_rounds_are_where_the_shift_lemma_counts_end(g83, g73_shrunk):
     # fragment and u, is where _accepted's counts per round end: for every
     # vertex of every tree of two builds; of a tree on 0..4 in which 0 calls
     # 3 then 1, and 1's subtree is the deeper, so that for u = 3 the deepest
-    # round in (p, u) = (0, 3) decides; and of a path 0-1-2-3, where u's
-    # caller itself (u = 3) or u's subtree (u = 2) decides
+    # round in (p, u) = (0, 3) decides; of a tree on 0..4 in which 0 calls
+    # 4, 3, then 1, and 1 calls 2, so that for u = 4 the deepest round in
+    # (0, 4) lies below 1, not 3, u's nearest later-called sibling; and of a
+    # path 0-1-2-3, where u's caller itself (u = 3) or u's subtree (u = 2)
+    # decides
     small = (((0, 3),), ((0, 1), (3, 4)), ((1, 2),))
-    cases = [(small, 0, 5), ((((0, 1),), ((1, 2),), ((2, 3),)), 0, 4)]
+    fan = (((0, 4),), ((0, 3),), ((0, 1),), ((1, 2),))
+    cases = [(small, 0, 5), (fan, 0, 5), ((((0, 1),), ((1, 2),), ((2, 3),)), 0, 4)]
     for _, g, layout, _ in (g83, g73_shrunk):
         spans = verify._record(g).spans
         cases += [(frag, *spans[tree]) for tree, frag in layout.plain_table]
     for frag, lo, hi in cases:
-        last, entry = verify._last_rounds(frag, lo, hi), verify._Tree(frag, [])
-        assert len(last) == hi - lo
-        assert last[1:] == [len(verify._accepted(entry, ShiftedFragment(frag, u), u, (lo, hi)))
-                            for u in range(lo + 1, hi)]
-    assert verify._last_rounds(small, 0, 5)[3] == 2
+        shape = verify._tree_shape(frag, lo, hi)
+        entry = verify._Tree(frag, [], shape)
+        assert len(shape.last) == hi - lo
+        assert shape.last[1:] == [
+            len(verify._accepted(entry, ShiftedFragment(frag, u), u, (lo, hi)))
+            for u in range(lo + 1, hi)]
+    assert verify._tree_shape(small, 0, 5).last[3] == 2
+    assert verify._tree_shape(fan, 0, 5).last[4] == 3
+
+
+@pytest.mark.parametrize("n, trees, shapes", [(1792, 7, 1), (1500, 6, 2)])
+def test_trees_equal_in_local_ids_share_one_shape(n, trees, shapes):
+    # the full-size trees of t=10 k=3 have one fragment in local ids, so
+    # they share one _Shape; at n=1500 the pruned tree has one of its own
+    params = make_params(10, 3, n)
+    g, layout, _ = build(params)
+    assert certify_graph(g, layout, params).passed
+    accepted = verify._record(g).accepted.trees.values()
+    assert len(accepted) == trees
+    assert len({id(entry.shape) for entry in accepted}) == shapes
+    assert all(entry.shape is not None for entry in accepted)
 
 
 def test_template_vouches_for_no_originator_it_names(g72):
