@@ -43,7 +43,9 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--originator", default="all", help="dense vertex id or 'all'")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="at least 1; accepted for compatibility, it does not change "
+                        "the work or the report")
 
     p = sub.add_parser("exact", help="exact broadcast time on a tiny graph file")
     p.add_argument("--graph", required=True, help="graph JSON file")

@@ -78,7 +78,7 @@ def _full_id(g: Graph, layout: CaseOneLayout, u: VertexLabel) -> int:
         if (0 <= f < len(dense) and 0 <= (v := dense[f]) < len(labels)
                 and ((label := labels[v]) is u or label == u)):
             return f
-    except (TypeError, ValueError):  # a label no vertex can carry
+    except (AttributeError, TypeError, ValueError):  # no label, or one no vertex can carry
         pass
     raise UnknownVertex(f"{u} not in graph")
 

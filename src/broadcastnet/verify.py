@@ -59,14 +59,12 @@ originators (at most 2^k) and each refused member go one by one."""
 from __future__ import annotations
 
 import json
-import os
 import sys
 from array import array
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from itertools import accumulate, chain, groupby, repeat, zip_longest
-from multiprocessing import Pipe, Process
 from operator import attrgetter, itemgetter, sub
 from typing import Iterator, NamedTuple, TextIO
 
@@ -689,25 +687,6 @@ class CertificationReport:
         yield "]}\n"
 
 
-def _certify_ids(g: Graph, layout, params, ids) -> tuple[dict[int, int], dict[int, dict]]:
-    """The completion round of each id of ``ids`` that certifies, and the
-    outcome of each that fails, by id.  The off-cube ids are certified by
-    tree, as the families the scheme gives (_certify_family); the rest, and
-    every member the family path refuses, one by one (_certify_one)."""
-    fams, rest = families(layout, params, ids)
-    rounds: dict[int, int] = {}
-    for family in fams:
-        rest += _certify_family(g, family, rounds)
-    failed = {}
-    for vid in dict.fromkeys(rest):
-        out = _certify_one(g, layout, params, vid)
-        if "round" in out:
-            rounds[vid] = out["round"]
-        else:
-            failed[vid] = out
-    return rounds, failed
-
-
 def _certify_one(g: Graph, layout, params, vid: int) -> dict:
     if not 0 <= vid < g.n:  # a family's member need not be a vertex
         return {"id": vid, "error": f"UnknownVertex: no vertex has id {vid}"}
@@ -723,57 +702,6 @@ def _certify_one(g: Graph, layout, params, vid: int) -> dict:
     else:
         out["violation"] = res.violation.to_json_obj()
     return out
-
-
-def _certify_split(g: Graph, layout, params, ids, workers: int,
-                   ) -> tuple[dict[int, int], dict[int, dict]]:
-    """_certify_ids over ``ids`` cut into ``workers`` consecutive chunks: the
-    caller certifies the first itself, and each other goes to one worker
-    process, which sends its result down a one-way pipe (_work).  The
-    results are merged in chunk order, and the exception a chunk raised, in
-    the caller or in a worker, is raised.  No worker outlives the call."""
-    cuts = [len(ids) * i // workers for i in range(workers + 1)]
-    chunks = [ids[a:b] for a, b in zip(cuts, cuts[1:])]
-    procs = []
-    try:
-        for chunk in chunks[1:]:
-            recv, send = Pipe(duplex=False)
-            proc = Process(target=_work, args=(send, g, layout, params, chunk))
-            proc.start()
-            send.close()  # so that recv sees the end if the worker dies
-            procs.append((proc, recv))
-        rounds, failed = _certify_ids(g, layout, params, chunks[0])
-        # each result is read before its worker is joined: a worker exits
-        # only once its pipe has taken all of its result
-        for proc, recv in procs:
-            try:
-                out = recv.recv()
-            except EOFError:
-                proc.join()
-                raise ChildProcessError(f"a certify worker exited with code {proc.exitcode}, "
-                                        f"sending no result") from None
-            if isinstance(out, Exception):
-                raise out
-            rounds.update(out[0])
-            failed.update(out[1])
-    finally:
-        for proc, recv in procs:
-            if proc.is_alive():
-                proc.terminate()
-            proc.join()
-            recv.close()
-    return rounds, failed
-
-
-def _work(conn, g: Graph, layout, params, ids) -> None:
-    """A worker process's target: send _certify_ids' result for ``ids`` down
-    ``conn``, or the exception it raised, for the caller to raise."""
-    try:
-        out = _certify_ids(g, layout, params, ids)
-    except Exception as exc:
-        out = exc
-    conn.send(out)
-    conn.close()
 
 
 def certify_graph(g: Graph, layout: CaseOneLayout, params: ConstructionParams,
@@ -793,23 +721,25 @@ def certify_graph(g: Graph, layout: CaseOneLayout, params: ConstructionParams,
     of u's schedule accepts, with the same round.  The originators on the
     cube, and every member the family path refuses, get a schedule each
     (make_schedule) and its check (check_schedule), which gives every
-    failure's witness.  With jobs > 1 the distinct ids are cut into
-    consecutive chunks, one per worker, the caller included
-    (_certify_split): the caller certifies the first chunk itself, and at
-    most jobs - 1 worker processes the rest; the report is the same for
-    every jobs."""
+    failure's witness.  Both paths run in the calling process, over the
+    ids as given.  ``jobs`` is accepted for compatibility and changes
+    neither the work nor the report."""
     target = ceil_log2(g.n)
     # each originator by the full id its label spells, in O(1): no O(n)
     # label -> id index is made
     ids = ([layout.dense[_full_id(g, layout, v)] for v in originators]
            if originators is not None else range(g.n))
-    distinct = list(dict.fromkeys(ids)) if originators is not None else ids
-    # no more workers than there are originators and CPUs, the caller included
-    workers = min(jobs, len(distinct), os.cpu_count() or 1) if jobs > 1 else 1
-    if workers > 1:
-        rounds, failed = _certify_split(g, layout, params, distinct, workers)
-    else:
-        rounds, failed = _certify_ids(g, layout, params, distinct)
+    fams, rest = families(layout, params, ids)
+    rounds: dict[int, int] = {}
+    for family in fams:
+        rest += _certify_family(g, family, rounds)
+    failed = {}
+    for vid in dict.fromkeys(rest):
+        out = _certify_one(g, layout, params, vid)
+        if "round" in out:
+            rounds[vid] = out["round"]
+        else:
+            failed[vid] = out
 
     report = CertificationReport(
         graph_id=f"t={params.t},k={params.k},n={params.n}",

@@ -96,6 +96,20 @@ def test_make_schedule_refuses_a_label_the_graph_lacks(g72, g73_shrunk):
         assert str(exc.value) == f"{u} not in graph"
 
 
+@pytest.mark.parametrize("u", [5, None, "r1"])
+def test_a_value_that_is_no_label_is_an_unknown_vertex(g72, u):
+    # a vertex id, None or a label's text has no tree or position to spell
+    # a full id from
+    params, g, layout, _ = g72
+    calls = [lambda: certify_graph(g, layout, params, originators=[u]),
+             lambda: classify(g, layout, u),
+             lambda: make_schedule(g, layout, params, u)]
+    for call in calls:
+        with pytest.raises(UnknownVertex) as exc:
+            call()
+        assert str(exc.value) == f"{u} not in graph"
+
+
 def test_families_of_a_range_match_those_of_any_order(g73_shrunk):
     # a range is taken as it comes, ascending and distinct; any other input
     # is sorted and made distinct first

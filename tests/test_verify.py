@@ -1,8 +1,9 @@
 import io
-import multiprocessing
 import os
 import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 from conftest import (label_schedule, like_first, neighbours, reference_report, row,
@@ -171,6 +172,50 @@ def test_certify_keeps_the_callers_order_for_every_jobs(g73_shrunk, jobs):
                            originators=[g.labels[i] for i in picked])
     assert report.passed
     assert report.per_originator == [(40, 8), (3, 8), (40, 8), (100, 8), (32, 8)]
+
+
+def test_certify_starts_no_process_for_any_jobs(monkeypatch):
+    # both paths run in the caller, whatever jobs is; a fresh build, so
+    # that the per-graph record is made under the patch too
+    def refuse():
+        raise AssertionError("certify_graph started a process")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    params = make_params(7, 3, 191)
+    want = certify_graph(*build(params)[:2], params, jobs=1).to_json()
+    for jobs in (1, 2, 5000):
+        g, layout, _ = build(params)
+        assert certify_graph(g, layout, params, jobs=jobs).to_json() == want
+
+
+@pytest.mark.parametrize("path", ["_certify_family", "_certify_one"])
+def test_certify_raises_what_certification_raised(g72, monkeypatch, path):
+    # an exception of the family path or of the per-originator path reaches
+    # the caller as it was raised
+    params, g, layout, _ = g72
+    err = ValueError("refused")
+
+    def refuse(*args):
+        raise err
+
+    monkeypatch.setattr(verify, path, refuse)
+    with pytest.raises(ValueError) as exc:
+        certify_graph(g, layout, params, jobs=2)
+    assert exc.value is err
+
+
+def test_certify_leaves_multiprocessing_unimported():
+    # a fresh interpreter, so that no other test's import counts
+    src = os.path.dirname(os.path.dirname(verify.__file__))
+    code = ("import sys\n"
+            "from broadcastnet import build, certify_graph, make_params\n"
+            "params = make_params(7, 3, 191)\n"
+            "g, layout, _ = build(params)\n"
+            "assert certify_graph(g, layout, params, jobs=2).passed\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))\n")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
 
 
 def test_certify_finds_originators_without_the_label_index():
@@ -453,113 +498,6 @@ def test_check_from_pieces_equals_whole_replay(g72, monkeypatch):
     pieces = [check_schedule(g, s) for s in schedules]
     monkeypatch.setattr(verify, "_check_pieces", lambda g, s: None)
     assert pieces == [check_schedule(g, s) for s in schedules]
-
-
-class _InlineProcess:
-    """Stands in for multiprocessing.Process: counts the processes started
-    and runs each target in-process as it starts."""
-
-    started = 0
-
-    def __init__(self, target, args):
-        self.target, self.args = target, args
-
-    def start(self):
-        _InlineProcess.started += 1
-        self.target(*self.args)
-
-    def is_alive(self):
-        return False
-
-    def join(self):
-        pass
-
-
-class _InlineEnd:
-    """Stands in for both ends of a one-way multiprocessing.Pipe: keeps what
-    is sent until it is read."""
-
-    def __init__(self):
-        self.sent = []
-
-    def send(self, obj):
-        self.sent.append(obj)
-
-    def recv(self):
-        return self.sent.pop(0)
-
-    def close(self):
-        pass
-
-
-def _inline_pipe(duplex=True):
-    end = _InlineEnd()
-    return end, end
-
-
-@pytest.mark.parametrize("cpus, originators, want", [
-    (64, None, 64), (2, None, 2), (None, None, None), (1, None, None),
-    (64, [0, 3, 17], 3), (64, [5], None),
-])
-def test_certify_starts_no_more_workers_than_originators_or_cpus(
-        g72, monkeypatch, cpus, originators, want):
-    # the caller is one of the ``want`` workers, so it starts want - 1
-    # processes
-    params, g, layout, _ = g72
-    labels = None if originators is None else [g.labels[i] for i in originators]
-    serial = certify_graph(g, layout, params, originators=labels).to_json()
-    monkeypatch.setattr(verify, "Process", _InlineProcess)
-    monkeypatch.setattr(verify, "Pipe", _inline_pipe)
-    monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
-    _InlineProcess.started = 0
-    report = certify_graph(g, layout, params, jobs=5000, originators=labels)
-    assert _InlineProcess.started == (0 if want is None else want - 1)
-    assert report.to_json() == serial
-
-
-# a patch of the parent reaches a worker only when the worker is forked
-needs_fork = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                                reason="the start method is not fork")
-
-
-@needs_fork
-@pytest.mark.parametrize("first", [96, 0], ids=["worker", "caller"])
-def test_certify_raises_what_a_chunk_raised(g72, monkeypatch, first):
-    # g72's 192 ids split into [0, 96), the caller's, and [96, 192); the
-    # chunk that raises is the worker's or the caller's, and either way no
-    # worker outlives the call
-    params, g, layout, _ = g72
-    certify = verify._certify_ids
-
-    def refuse(g, layout, params, ids):
-        if ids[0] == first:
-            raise ValueError(f"chunk from {ids[0]} refused")
-        return certify(g, layout, params, ids)
-
-    monkeypatch.setattr(verify, "_certify_ids", refuse)
-    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
-    with pytest.raises(ValueError) as exc:
-        certify_graph(g, layout, params, jobs=2)
-    assert type(exc.value) is ValueError and str(exc.value) == f"chunk from {first} refused"
-    assert multiprocessing.active_children() == []
-
-
-@needs_fork
-def test_certify_names_a_worker_that_sent_nothing(g72, monkeypatch):
-    # the worker of chunk [96, 192) exits before it sends a result
-    params, g, layout, _ = g72
-    certify = verify._certify_ids
-
-    def vanish(g, layout, params, ids):
-        if ids[0]:
-            os._exit(3)
-        return certify(g, layout, params, ids)
-
-    monkeypatch.setattr(verify, "_certify_ids", vanish)
-    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
-    with pytest.raises(ChildProcessError, match="exited with code 3"):
-        certify_graph(g, layout, params, jobs=2)
-    assert multiprocessing.active_children() == []
 
 
 def test_recorded_verdict_is_tied_to_its_start_vertex(g72, monkeypatch):
