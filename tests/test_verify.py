@@ -174,18 +174,23 @@ def test_certify_keeps_the_callers_order_for_every_jobs(g73_shrunk, jobs):
     assert report.per_originator == [(40, 8), (3, 8), (40, 8), (100, 8), (32, 8)]
 
 
-def test_certify_starts_no_process_for_any_jobs(monkeypatch):
-    # both paths run in the caller, whatever jobs is; a fresh build, so
-    # that the per-graph record is made under the patch too
+@pytest.mark.parametrize("originators", [None, [0, 3, 17]], ids=["all", "some"])
+@pytest.mark.parametrize("jobs", [1, 2, 5000])
+def test_certify_starts_no_process_for_any_jobs(monkeypatch, jobs, originators):
+    # both paths run in the caller, whatever jobs is and whichever
+    # originators are asked for; a fresh build, so that the per-graph
+    # record is made under the patch too
     def refuse():
         raise AssertionError("certify_graph started a process")
 
-    monkeypatch.setattr(os, "fork", refuse)
     params = make_params(7, 3, 191)
-    want = certify_graph(*build(params)[:2], params, jobs=1).to_json()
-    for jobs in (1, 2, 5000):
-        g, layout, _ = build(params)
-        assert certify_graph(g, layout, params, jobs=jobs).to_json() == want
+    g, layout, _ = build(params)
+    labels = None if originators is None else [g.labels[i] for i in originators]
+    want = certify_graph(g, layout, params, jobs=1, originators=labels).to_json()
+    monkeypatch.setattr(os, "fork", refuse)
+    g, layout, _ = build(params)
+    report = certify_graph(g, layout, params, jobs=jobs, originators=labels)
+    assert report.to_json() == want
 
 
 @pytest.mark.parametrize("path", ["_certify_family", "_certify_one"])
