@@ -19,9 +19,10 @@ the blocks then sweep themselves: only the originator's own calls depend
 on which vertex of its tree it is.  So every cube phase is made, and its
 phase checks run, once, as a CubeTemplate kept on the layout: per tree for
 the originators off the cube, per cube coordinate for the one on it (a
-root, or w; at most 2^k).  The template holds the other vertices' calls,
-and the originator's own calls as slots; each originator gets it as a
-FilledTemplate, in O(1).
+root, or w; at most 2^k).  The template holds every call of the phase,
+the originator's own in place with None as their caller; each originator's
+schedule holds the template itself and fills it with its originator, so it
+is made in O(1).
 
 So the schedules of the originators off the cube of one tree differ only
 in the originator: families() hands them to a checker as one Family per
@@ -45,7 +46,7 @@ from .graph import Graph
 from .hypercube import sweep_rounds
 from .labels import VertexLabel
 from .params import ConstructionParams
-from .schedule import CubeTemplate, FilledTemplate, IdCall, Schedule
+from .schedule import CubeTemplate, IdCall, Schedule
 
 CoordCall = tuple[int, int]
 
@@ -121,39 +122,37 @@ def _low_region(layout: CaseOneLayout, entry: int) -> list[list[CoordCall]]:
 
 
 def _cube_phase(layout: CaseOneLayout, params: ConstructionParams, tree: int,
-                uc: int | None) -> tuple[list[list[IdCall]], list[tuple[int, int, int]], set[int]]:
+                uc: int | None) -> tuple[list[list[tuple[int | None, int]]], set[int]]:
     """The cube phase, rounds 1..k, from the vertex on cube coordinate
     ``uc``, or, with uc None, from any vertex of ``tree`` off the cube.
-    Returns the calls per round of every vertex but the originator; the
-    originator's own calls as (round, callee id, place in its round) slots;
-    and the coordinates informed.  For an off-cube originator none of it
-    depends on which vertex it is."""
+    Returns the calls per round, the originator's own in place with None as
+    their caller, and the coordinates informed.  For an off-cube originator
+    neither depends on which vertex it is."""
     k, p, half = params.k, params.p, layout.half
     ids = layout.coord_ids
-    me = None if uc is None else ids[uc]  # the originator's id in the calls
-    rounds: list[list[IdCall]] = [[] for _ in range(k)]
+    rounds: list[list[tuple[int | None, int]]] = [[] for _ in range(k)]
     informed: set[int] = set() if uc is None else {uc}
 
     def call(rnd: int, a: int | None, c: int):
-        """In round rnd, the vertex of id a (None: the originator off the
-        cube) calls the vertex on coordinate c."""
-        rounds[rnd - 1].append((a, ids[c]))
+        """In round rnd, the vertex on coordinate a (the originator when a
+        is uc: None off the cube) calls the vertex on coordinate c."""
+        rounds[rnd - 1].append((None if a == uc else ids[a], ids[c]))
         informed.add(c)
 
     def place(start: int, coord_rounds: list[list[CoordCall]]):
         for off, calls in enumerate(coord_rounds):
             for a, b in calls:
-                call(start + off, ids[a], b)
+                call(start + off, a, b)
 
     if uc is None:
         rc = layout.coord_of_tree[tree]
         first = rc if rc >= half else half  # C12/C22 call their own root, C13/C23 coordinate half
-        call(1, me, first)
+        call(1, uc, first)
         place(2, sweep_rounds(first, k - 1))
         for i in range(2, k - p + 1):
             j = k - i  # in round i u calls into block Q^j: its own root if that lies there
             seed = rc if rc >> j == 1 else 1 << j
-            call(i, me, seed)
+            call(i, uc, seed)
             place(i + 1, sweep_rounds(seed, j))
     elif params.n == params.N:
         place(1, sweep_rounds(uc, k))
@@ -167,12 +166,10 @@ def _cube_phase(layout: CaseOneLayout, params: ConstructionParams, tree: int,
         else:
             partner = uc | half
             q1_seed, q2_entry = partner, uc
-        call(1, me, partner)
+        call(1, uc, partner)
         place(2, sweep_rounds(q1_seed, k - 1))
         place(2, _low_region(layout, q2_entry))
-    slots = [(r, b, i) for r, calls in enumerate(rounds, 1)
-             for i, (a, b) in enumerate(calls) if a == me]
-    return [[c for c in calls if c[0] != me] for calls in rounds], slots, informed
+    return rounds, informed
 
 
 def _check_phase(layout: CaseOneLayout, params: ConstructionParams, informed: set[int],
@@ -200,9 +197,9 @@ def make_schedule(g: Graph, layout: CaseOneLayout, params: ConstructionParams,
     """Legal schedule from originator u completing by round t+1, as dense ids
     of the graph the layout was built with.
 
-    The cube phase is a FilledTemplate of a CubeTemplate, made and checked
-    on first use and kept in layout.cube_templates, keyed (u's tree, u's
-    cube coordinate, or None when u is off the cube)."""
+    The cube phase is a CubeTemplate, which the schedule fills with u: made
+    and checked on first use and kept in layout.cube_templates, keyed (u's
+    tree, u's cube coordinate, or None when u is off the cube)."""
     f = _full_id(g, layout, u)
     M, w = layout.tree_size, layout.w
     utree, umask = f // M + 1, f % M
@@ -216,8 +213,8 @@ def make_schedule(g: Graph, layout: CaseOneLayout, params: ConstructionParams,
     else:  # tree 1 starts at full id 0, so w's mask is its full id
         uc = layout.coord_of_tree[utree] if umask == 0 else 0
         overrides = [(1, layout.tree_rounds(1, w))] if layout.w_alive else []
-    return Schedule(layout.labels, uid, FilledTemplate(_template(layout, params, utree, uc), uid),
-                    overrides, layout.plain_table)
+    return Schedule(layout.labels, uid, _template(layout, params, utree, uc), overrides,
+                    layout.plain_table)
 
 
 def _template(layout: CaseOneLayout, params: ConstructionParams, tree: int,
@@ -228,18 +225,19 @@ def _template(layout: CaseOneLayout, params: ConstructionParams, tree: int,
     key = tree, uc
     template = layout.cube_templates.get(key)
     if template is None:
-        rounds, slots, informed = _cube_phase(layout, params, tree, uc)
+        rounds, informed = _cube_phase(layout, params, tree, uc)
         _check_phase(layout, params, informed, uc is None)
-        template = layout.cube_templates[key] = CubeTemplate(tree, rounds, slots)
+        template = layout.cube_templates[key] = CubeTemplate(tree, rounds)
     return template
 
 
 class Family(NamedTuple):
     """The off-cube originators ``members`` of one tree, the template's,
     whose schedules differ only in the originator: make_schedule gives each
-    member u Schedule(labels, u, FilledTemplate(template, u),
-    [(template.tree, ShiftedFragment(base, u))], table), ``base`` being the
-    table's fragment of the tree.  So a checker may certify them together."""
+    member u Schedule(labels, u, template, [(template.tree,
+    ShiftedFragment(base, u))], table), ``base`` being the table's fragment
+    of the tree, and the schedule fills the template with u.  So a checker
+    may certify them together."""
 
     labels: tuple[VertexLabel, ...]
     template: CubeTemplate

@@ -13,15 +13,15 @@ equal one, is checked piece by piece first (_check_pieces).  Its table, the
 root-only fragment of every surviving tree that all schedules on a graph
 share, is accepted once per graph: each fragment is replayed from its
 tree's root alone, and its counts per round are kept with their sum.  Its
-first rounds (the cube phase) are a FilledTemplate, accepted through its
-template once per graph and table: the template is replayed, on a fresh
-state over the ids it names, from a placeholder for the originator,
-informed at round 0 and making the template's slot calls, and the
-vertices it informs fix which trees are overridden, from which vertex, and
-the counts of the trees left to the table.  Per originator only u's own
-part is checked, with no replay: u lies in the template's tree and
-neighbours each slot callee (when the placeholder stands for the tree's
-root, u is that root, whose edges were tested as the template was
+first rounds (the cube phase) are a CubeTemplate, which the schedule fills
+with u, accepted once per graph and table: the template is replayed, on a
+fresh state over the ids it names, filled with a placeholder for the
+originator, informed at round 0 and making the calls whose caller is None,
+and the vertices it informs fix which trees are overridden, from which
+vertex, and the counts of the trees left to the table.  Per originator only
+u's own part is checked, with no replay: u lies in the template's tree and
+neighbours each of its own callees (when the placeholder stands for the
+tree's root, u is that root, whose edges were tested as the template was
 accepted); and the override (of u's tree when u is off the cube, else of
 tree 1 from w when w survives) is a ShiftedFragment of a table fragment,
 which the shift lemma accepts in O(h log M) for a tree of M vertices and h
@@ -38,13 +38,13 @@ fragment B in it: their schedules differ in u alone, so the scheme hands
 them over as one family (scheme.Family).  The table and the template are
 accepted as above, and the rest of the check is done for all members at
 once: each lies in (lo, hi), so it is no root and none of the template's
-ids, and is listed once; each neighbours every slot callee, a test made
-once per callee by counting its neighbours in T with two bisections of
-its sorted row; the counts cover g once per family.  Member u's
-completion round is then k + max(len(base), L(u)): the template's k
-rounds, then the longer of the table's counts less T's and the
-ShiftedFragment of B and u, which ends in its round L(u).  By the shift
-lemma, that fragment moves the calls to u's subtree r(u) rounds earlier,
+ids, and is listed once; each neighbours every callee of the caller
+None, a test made once per callee by counting its neighbours in T with
+two bisections of its sorted row; the counts cover g once per family.
+Member u's completion round is then k + max(len(base), L(u)): the
+template's k rounds, then the longer of the table's counts less T's and
+the ShiftedFragment of B and u, which ends in its round L(u).  By the
+shift lemma, that fragment moves the calls to u's subtree r(u) rounds earlier,
 those to (p, u), p being u's caller, one earlier, and leaves the rest; so
 L(u) is the largest of the deepest round below u less r(u), the deepest
 round in (p, u) less one, and the deepest round outside [p+1, u+size(u)).
@@ -73,7 +73,7 @@ from .errors import BroadcastNetError, DisconnectedGraph, TooLarge
 from .graph import _BLOCK, Graph
 from .labels import VertexLabel
 from .params import ConstructionParams, ceil_log2
-from .schedule import CubeTemplate, FilledTemplate, Schedule, ShiftedFragment
+from .schedule import CubeTemplate, Schedule, ShiftedFragment
 from .scheme import Family, _full_id, families, make_schedule
 
 
@@ -114,13 +114,16 @@ def check_schedule(g: Graph, s: Schedule) -> CheckResult:
         return CheckResult(True, completion_round=sizes.index(g.n), informed_per_round=sizes)
     n = g.n
     origin, id_rounds = s.ids_in(g)
-    if not 0 <= origin < n:
+    if not (isinstance(origin, int) and 0 <= origin < n):
         return CheckResult(False, violation=Violation(
             "illegal-call", round=0, reason="unknown-originator"))
     when, used = _fresh(n, origin)
     sizes = [1]
-    bad = _replay(when, used, g, _neighbour_sets(g), (sorted(calls) for calls in id_rounds),
-                  0, n, sizes)
+    # a round that names an id that is no int (None, a float, a string) is
+    # replayed as one call of the unknown id -1, so it ends as unknown-vertex
+    rounds = (sorted(calls) if all(map(isinstance, chain.from_iterable(calls), repeat(int)))
+              else [(-1, -1)] for calls in id_rounds)
+    bad = _replay(when, used, g, _neighbour_sets(g), rounds, 0, n, sizes)
     if bad is not None:
         return CheckResult(False, violation=_illegal_call(*bad, when, used, g))
     if sizes[-1] != n:
@@ -280,9 +283,9 @@ class _Template(NamedTuple):
     table's calls per round less those of the overridden trees, trailing
     zeros left out; per overridden tree, the vertex informed besides its
     root (None for the placeholder); the id the originator must have when
-    the placeholder stands for its tree's root, whose edges to the slot
-    callees were tested as the template was accepted, else None; and the
-    callees of its slots."""
+    the placeholder stands for its tree's root, whose edges to the
+    placeholder's callees were tested as the template was accepted, else
+    None; and the placeholder's callees, those of the caller None."""
 
     sizes: list[int]
     base: list[int]
@@ -344,16 +347,16 @@ def _accept_table(g: Graph, rec: _Record, table) -> _Accepted | None:
 def _accept_template(g: Graph, rec: _Record, template: CubeTemplate) -> _Template | None:
     """``template`` accepted on g with the table ``rec.accepted``, or None.
 
-    Its rounds are replayed, on a fresh state over the ids they name, from a
-    placeholder P for the originator, the id n past g's: P is informed at
-    round 0, makes the slot calls, each in the place its FilledTemplate
-    gives it, which must lie in its round, and has their callees as its only
-    neighbours; each of the template's own calls is tested once, on g's CSR
+    Its rounds are replayed, on a fresh state over the ids they name, filled
+    with a placeholder P for the originator, the id n past g's, as a
+    schedule fills them (None, as a caller, becomes P): P is informed at
+    round 0, makes the calls whose caller is None, and has their callees as
+    its only neighbours; each of the other calls is tested once, on g's CSR
     (_has_edge), before the replay.
-    Every id must be one of g's.  P lies in the template's tree, which must
-    be in the table: P stands for that tree's root when the rounds leave
-    the root uninformed, and then the root must neighbour every slot
-    callee, else for one more vertex of the tree.
+    Every id but a None caller must be one of g's.  P lies in the
+    template's tree, which must be in the table: P stands for that tree's
+    root when the rounds leave the root uninformed, and then the root must
+    neighbour each of P's callees, else for one more vertex of the tree.
     Besides the roots, the rounds may inform at most one vertex per tree, of
     a table tree: a tree with one more vertex informed, P's included, is
     overridden, and every other table tree starts from its root alone (or
@@ -362,18 +365,16 @@ def _accept_template(g: Graph, rec: _Record, template: CubeTemplate) -> _Templat
     tree's root when it is the span's lo."""
     n, tree = g.n, template.tree
     trees, total, spans = rec.accepted.trees, rec.accepted.total, rec.spans
-    callees = frozenset(c for _, c, _ in template.slots)
-    named = {x for calls in template.rounds for call in calls for x in call}.union(callees)
+    named = {a for calls in template.rounds for a, _ in calls} - {None}
+    named.update(b for calls in template.rounds for _, b in calls)
+    callees = frozenset(b for calls in template.rounds for a, b in calls if a is None)
     if (tree not in trees or not all(isinstance(x, int) and 0 <= x < n for x in named)
-            or not all(_has_edge(g, a, b) for calls in template.rounds for a, b in calls)):
+            or not all(_has_edge(g, a, b) for calls in template.rounds for a, b in calls
+                       if a is not None)):
         return None
-    rounds = [list(calls) for calls in template.rounds]
-    for r, c, i in template.slots:
-        if not 0 <= i <= len(rounds[r - 1]):
-            return None
-        rounds[r - 1].insert(i, (n, c))
-    # the template's own calls are edges, so the replay lets a named id call
-    # any other; P's only neighbours are its slot callees
+    rounds = [[(n if a is None else a, b) for a, b in calls] for calls in template.rounds]
+    # the template's other calls are edges, so the replay lets a named id
+    # call any other; P's only neighbours are its callees
     rows = dict.fromkeys(named, named)
     rows[n] = callees
     when, used = dict.fromkeys(rows, _NEVER), dict.fromkeys(rows, 0)
@@ -438,14 +439,13 @@ def _check_pieces(g: Graph, s: Schedule) -> tuple[int, ...] | None:
 
     The table is accepted once per graph (_accept_table; again only when a
     schedule brings another table object), and the first rounds, which must
-    be a FilledTemplate, through their template, once per graph and table
-    (_accept_template).  Per originator u the check is O(k) tests and the
-    shift lemma, with no replay:
-    - the template is filled with u, who lies in its tree; when the
-      placeholder stands for the tree's root, u is that root, whose edges
-      to the slot callees were tested as the template was accepted; else u
-      neighbours every slot callee, each tested by a bisection of u's row
-      (_has_edge);
+    be a CubeTemplate, which the schedule fills with its originator, once
+    per graph and table (_accept_template).  Per originator u the check is
+    O(k) tests and the shift lemma, with no replay:
+    - u lies in the template's tree; when the placeholder stands for the
+      tree's root, u is that root, whose edges to the placeholder's callees
+      were tested as the template was accepted; else u neighbours each of
+      them, each tested by a bisection of u's row (_has_edge);
     - the overrides name the template's overridden trees, each once;
     - _accepted vouches for each override: a ShiftedFragment of the table's
       fragment of its tree, started from the root and the one vertex the
@@ -473,11 +473,11 @@ def _check_pieces(g: Graph, s: Schedule) -> tuple[int, ...] | None:
     rec = _record(g)
     n, origin = g.n, s.origin
     first, overrides, table = s.pieces
-    if (not _on_labels(g, rec, s.labels) or not isinstance(first, FilledTemplate)
-            or not 0 <= origin < n):
+    if (not _on_labels(g, rec, s.labels) or not isinstance(first, CubeTemplate)
+            or not (isinstance(origin, int) and 0 <= origin < n)):
         return None
-    entry = _template_entry(g, rec, table, first.template)
-    if (entry is None or first.u != origin or g.labels[origin].tree != first.template.tree
+    entry = _template_entry(g, rec, table, first)
+    if (entry is None or g.labels[origin].tree != first.tree
             or (entry.root != origin if entry.root is not None
                 else not all(_has_edge(g, origin, c) for c in entry.callees))
             or len(overrides) != len(entry.overrides)
@@ -609,13 +609,13 @@ def _certify_family(g: Graph, family: Family, rounds: dict[int, int]) -> list[in
     template's, its base's and hi - lo - 2, the calls of any member's
     shifted fragment.  Per member, in O(1): u lies in (lo, hi), so it is no
     root and none of the ids the template names, which inform in T the root
-    alone; it is listed once; and it neighbours every slot callee, which is
-    tested on the CSR, as _check_pieces tests it, once per callee: in the
-    construction each callee neighbours all of (lo, hi), else each member
-    is looked up in its own row (_has_edge).  Its round is the template's k
-    rounds, plus the longer of the base and the shifted fragment, of L(u)
-    rounds (T's _Shape): each of the two ends on a call, so the counts
-    reach n there."""
+    alone; it is listed once; and it neighbours each of the placeholder's
+    callees, which is tested on the CSR, as _check_pieces tests it, once per
+    callee: in the construction each callee neighbours all of (lo, hi), else
+    each member is looked up in its own row (_has_edge).  Its round is the
+    template's k rounds, plus the longer of the base and the shifted
+    fragment, of L(u) rounds (T's _Shape): each of the two ends on a call,
+    so the counts reach n there."""
     rec, template, members = _record(g), family.template, family.members
     entry = (_template_entry(g, rec, family.table, template)
              if _on_labels(g, rec, family.labels) else None)
@@ -627,13 +627,13 @@ def _certify_family(g: Graph, family: Family, rounds: dict[int, int]) -> list[in
             or entry.sizes[-1] + sum(entry.base) + hi - lo - 2 != g.n):
         return list(members)
     last = node.shape.last
-    # the slot callees that do not neighbour all of (lo, hi): a callee's
-    # neighbours there are the slice of its sorted row, each once, between
-    # two bisections
+    # the placeholder's callees that do not neighbour all of (lo, hi): a
+    # callee's neighbours there are the slice of its sorted row, each once,
+    # between two bisections
     off, nbrs = g.offsets, g.targets
     partial = [c for c in entry.callees if bisect_left(nbrs, hi, off[c], off[c + 1])
                - bisect_left(nbrs, lo + 1, off[c], off[c + 1]) != hi - lo - 1]
-    # the members listed twice, or that miss a slot callee
+    # the members listed twice, or that miss a placeholder callee
     bad = (set() if len(set(members)) == len(members)
            else {u for u, c in Counter(members).items() if c > 1})
     for c in partial:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from broadcastnet import Schedule, build, make_params
 from broadcastnet.params import max_k
-from broadcastnet.schedule import CubeTemplate, FilledTemplate
+from broadcastnet.schedule import CubeTemplate
 
 
 @st.composite
@@ -65,23 +65,27 @@ def vertex(g, layout, tree, mask):
     return g.labels[layout.dense[(tree - 1) * layout.tree_size + mask]]
 
 
-def like_first(first, rounds):
-    """``rounds``, first rounds of a schedule, in the form of the first
-    rounds ``first``, a FilledTemplate: a new one, of a new template of the
-    same tree, whose slots are the calls of first's originator in
-    ``rounds``, each at its place in its round, and whose rounds are the
-    other calls."""
-    u = first.u
-    others = [[(a, b) for a, b in calls if a != u] for calls in rounds]
-    slots = [(r, b, i) for r, calls in enumerate(rounds, 1)
-             for i, (a, b) in enumerate(calls) if a == u]
-    return FilledTemplate(CubeTemplate(first.template.tree, others, slots), u)
+def cube_rounds(s):
+    """The first rounds of the schedule s, a cube template, as s fills it
+    with its originator."""
+    return s.rounds[:len(s.pieces[0].rounds)]
+
+
+def like_first(s, rounds):
+    """``rounds``, first rounds of the schedule s, in the form of s's first
+    rounds, a CubeTemplate: a new template of the same tree, with the calls
+    of s's originator in place and None as their caller."""
+    u = s.origin
+    return CubeTemplate(s.pieces[0].tree,
+                        [[(None if a == u else a, b) for a, b in calls] for calls in rounds])
 
 
 def label_rounds(s):
-    """The calls of schedule s as label pairs of its own label tuple."""
+    """The calls of schedule s as label pairs of its own label tuple; an id
+    that is no int (None) stays as it is, the label of no vertex."""
     labels = s.labels
-    return [[(labels[a], labels[b]) for a, b in calls] for calls in s.rounds]
+    label = lambda x: labels[x] if isinstance(x, int) else x
+    return [[(label(a), label(b)) for a, b in calls] for calls in s.rounds]
 
 
 def reference_export(g, fmt):

@@ -29,7 +29,7 @@ from broadcastnet import (
 )
 from broadcastnet.bounds import closed_form_5b
 from broadcastnet.params import max_k
-from broadcastnet.schedule import FilledTemplate, ShiftedFragment
+from broadcastnet.schedule import CubeTemplate, ShiftedFragment
 
 # Reference full-size table: (t, k) -> (N, our edge count, direct-construction bound).
 TABLE1 = {
@@ -264,14 +264,16 @@ def test_criterion_4_broadcast_certification(monkeypatch):
         shifted += len(lemma)
         lemma.clear()
         # every originator's cube phase, on the cube or off it, by a
-        # template filled with it and accepted once, by either path
+        # template it fills with itself, its first call's caller, and
+        # accepted once, by either path
         firsts = [s.pieces[0] for s in schedules]
-        assert all(isinstance(first, FilledTemplate) and first.u == s.origin
+        assert all(isinstance(first, CubeTemplate) and first.rounds[0][0][0] is None
+                   and s.rounds[0][0] == (s.origin, first.rounds[0][0][1])
                    for first, s in zip(firsts, schedules)), (t, k, n)
         verdicts = verify._record(g).templates
-        assert all(verdicts[first.template] is not None for first in firsts), (t, k, n)
+        assert all(verdicts[first] is not None for first in firsts), (t, k, n)
         assert len({id(x) for x in made}) == len(made) == len(
-            {id(first.template) for first in firsts}), (t, k, n)
+            {id(first) for first in firsts}), (t, k, n)
         templates += len(made)
         made.clear()
         with monkeypatch.context() as mp:

@@ -18,17 +18,19 @@ must vouch for no illegal mutant, and an equal base not met before
 as a whole (another build's, a tree missing or twice, a tree moved to the
 overrides), and so is what the cube phase informs of it (a non-root vertex
 of a table tree, a table root left out).  Every originator's cube phase,
-on the cube or off it, is a cube template filled with the originator: its
-mutated rounds are placed in a new template, and the template is mutated
-as such too (a slot callee that is not u's neighbour, two slots in a round,
-a call before its caller is informed, a slot placed outside its round) or
-filled with another vertex (of u's tree, of another tree, on the cube, of a
-root's tree), and so are the overrides it asks for (w's dropped, one listed
-twice in place of another).  Every verdict must be the set replay's.
+on the cube or off it, is a cube template that the schedule fills with the
+originator, whose own calls are those of the caller None: its mutated
+rounds are placed in a new template, and the template is mutated as such
+too (a callee of u that is not u's neighbour, u calling twice in a round,
+a call before its caller is informed, u named by its id, None as a
+callee) or given to another originator (of another tree, on the cube, of
+a root's tree), and so are the overrides it asks for (w's dropped, one
+listed twice in place of another).  Every verdict must be the set
+replay's, with no TypeError.
 The originators off the cube are certified by tree, as families, and a
 family is mutated too (a member of another tree, a member that is no
 vertex, one the template names, one listed twice, one that does not
-neighbour a slot callee, another tree's template, another build's
+neighbour a callee of u, another tree's template, another build's
 fragment): every member the family path cannot vouch for is refused and
 certified one by one, and the report is the one the whole replay gives.
 Trees whose fragments are equal in local ids share one shape record, so
@@ -44,8 +46,8 @@ from functools import lru_cache
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from conftest import (instances, label_rounds, label_schedule, like_first, neighbours, row,
-                      smallest_first, vertex)
+from conftest import (cube_rounds, instances, label_rounds, label_schedule, like_first,
+                      neighbours, row, smallest_first, vertex)
 
 from broadcastnet import (
     Schedule,
@@ -58,7 +60,7 @@ from broadcastnet import (
 )
 from broadcastnet.graph import Graph
 from broadcastnet.scheme import families
-from broadcastnet.schedule import CubeTemplate, FilledTemplate, ShiftedFragment
+from broadcastnet.schedule import CubeTemplate, ShiftedFragment
 
 
 def oracle(g, originator, rounds):
@@ -210,8 +212,9 @@ def _pieces_with(place, kind, generated, u, g, layout, rng):
         table = list(table)
         table[rng.choice(same or others)] = table[i]
         return cube, overrides, tuple(table)
+    first = cube_rounds(generated)
     if place == "cube":
-        piece = cube
+        piece = first
     elif place == "own":
         tree = u.tree
         piece = named[tree] if tree in named else dict(table)[tree]
@@ -219,8 +222,8 @@ def _pieces_with(place, kind, generated, u, g, layout, rng):
         i = rng.choice(plain)
         tree, piece = table[i]
     # every piece of the schedule with the round before its first
-    pieces = ([(0, cube)] + [(len(cube), frag) for _, frag in overrides]
-              + [(len(cube), frag) for t, frag in table if t not in named])
+    pieces = ([(0, first)] + [(len(first), frag) for _, frag in overrides]
+              + [(len(first), frag) for t, frag in table if t not in named])
     at = next(j for j, (_, rounds) in enumerate(pieces) if rounds is piece)
     start = pieces[at][0]
     piece = tuple(tuple(calls) for calls in piece)  # a new object, never verified before
@@ -233,7 +236,7 @@ def _pieces_with(place, kind, generated, u, g, layout, rng):
     elif kind != "none":
         piece = tuple(map(tuple, _mutate(kind, piece, g, rng)))
     if place == "cube":
-        return like_first(cube, piece), overrides, table
+        return like_first(generated, piece), overrides, table
     if place == "own":
         overrides = [(t, frag) for t, frag in overrides if t != tree] + [(tree, piece)]
         return cube, overrides, table
@@ -405,7 +408,7 @@ def _table_with(kind, generated, g, layout, rng):
         del overrides[rng.randrange(len(overrides))]
         return cube, overrides, table
     roots = {g.vertex_id(vertex(g, layout, table[i][0], 0)) for i in free}
-    rounds = [list(calls) for calls in cube]
+    rounds = [list(calls) for calls in cube_rounds(generated)]
     spots = [(r, i) for r, calls in enumerate(rounds) for i, (_, b) in enumerate(calls)
              if b in roots]
     if kind == "non-root":
@@ -419,7 +422,7 @@ def _table_with(kind, generated, g, layout, rng):
         quiet = [(r, i) for r, i in spots if rounds[r][i][1] not in callers]
         r, i = rng.choice(quiet or spots)
         del rounds[r][i]
-    return like_first(cube, tuple(map(tuple, rounds))), overrides, table
+    return like_first(generated, tuple(map(tuple, rounds))), overrides, table
 
 
 @pytest.mark.parametrize("kind", TABLE_MUTATIONS)
@@ -459,9 +462,9 @@ def test_table_is_used_only_where_each_tree_starts_from_its_root(kind, tkn, pick
                                     "violation": whole.violation.to_json_obj()}]
 
 
-TEMPLATE_MUTATIONS = ("none", "slot-stranger", "two-slots", "other-filling", "other-tree",
-                      "cube-u", "caller-uninformed", "root-filling", "w-dropped",
-                      "override-twice", "slot-place")
+TEMPLATE_MUTATIONS = ("none", "callee-stranger", "calls-twice", "names-originator",
+                      "other-tree", "cube-u", "caller-uninformed", "root-filling", "w-dropped",
+                      "override-twice", "none-callee")
 
 
 def _originators(kind, g, layout, params):
@@ -478,124 +481,112 @@ def _originators(kind, g, layout, params):
     return list(g.labels)
 
 
-def _fit(rounds, slots):
-    """``slots`` with each place moved into its round of ``rounds`` (the
-    calls but the originator's, and the slots before it in that round)."""
-    taken = Counter()
-    fitted = []
-    for r, c, i in slots:
-        fitted.append((r, c, min(i, len(rounds[r - 1]) + taken[r])))
-        taken[r] += 1
-    return fitted
-
-
 def _template_with(kind, generated, g, layout, rng):
     """The first rounds, originator and overrides of the generated schedule
-    with its cube template, its filling or its overrides mutated:
-    - slot-stranger: a slot callee traded with the callee of another call of
-      its round that u does not neighbour (the template stays legal from a
-      placeholder, but u has no such edge: when the placeholder stands for
-      u, a root, the template is refused as it is accepted), or, with no
-      such call, sent to a root u does not neighbour, which the template
+    with its cube template, the originator it is filled with or its
+    overrides mutated (u's own calls are those of the caller None):
+    - callee-stranger: a callee of u traded with the callee of another call
+      of its round that u does not neighbour (the template stays legal from
+      a placeholder, but u has no such edge: when the placeholder stands
+      for u, a root, the template is refused as it is accepted), or, with
+      no such call, sent to a root u does not neighbour, which the template
       calls already;
-    - two-slots: a slot moved into the round of an earlier slot, so u calls
-      twice in it;
-    - other-filling: the template filled with another vertex of u's tree,
-      the schedule still started from u;
-    - other-tree: the template filled with, and the schedule started from,
-      a vertex of another tree whose own template differs;
+    - calls-twice: a call of u moved into the round of an earlier call of
+      u, so u calls twice in it;
+    - names-originator: u named by its id, as the caller of one of its own
+      calls (never informed in the template) or as the callee of a call
+      whose callee calls later;
+    - other-tree: the schedule started from a vertex of another tree whose
+      own template differs;
     - cube-u: the same with another cube vertex, a root or w;
     - caller-uninformed: a call of the template moved into the round its
       caller is informed in;
-    - root-filling: a root's template filled with, and the schedule started
-      from, another vertex of the root's tree;
+    - root-filling: a root's template, the schedule started from another
+      vertex of the root's tree;
     - w-dropped: a root's override of tree 1 from w dropped;
     - override-twice: a call to w added, in a round of its own, to the
       template of an originator of another tree, which then overrides two
       trees, and one of its two overrides listed twice in place of the
       other;
-    - slot-place: a slot's place moved outside its round.
+    - none-callee: None, which only a caller may be, as the callee of a
+      call.
     Returns (first rounds, originator, overrides, whether the template
     should be accepted from its placeholder)."""
-    first, overrides = generated.pieces[0], generated.pieces[1]
-    template, u = first.template, first.u
+    template, overrides = generated.pieces[0], generated.pieces[1]
+    u = generated.origin
     rounds = [list(calls) for calls in template.rounds]
-    slots = list(template.slots)
+    own = [(r, i) for r, calls in enumerate(rounds) for i, (a, _) in enumerate(calls) if a is None]
     if kind == "none":
-        return like_first(first, first.rounds), u, overrides, True
-    if kind == "slot-stranger":
+        return CubeTemplate(template.tree, rounds), u, overrides, True
+    if kind == "callee-stranger":
         near = set(row(g, u))
-        trades = [(j, r, i) for j, (r, c, _) in enumerate(slots)
-                  for i, (a, b) in enumerate(rounds[r - 1])
-                  if b not in near and c in row(g, a)]
+        trades = [(r, i, j) for r, i in own for j, (a, b) in enumerate(rounds[r])
+                  if a is not None and b not in near and rounds[r][i][1] in row(g, a)]
         if trades:
-            j, r, i = rng.choice(trades)
-            a, b = rounds[r - 1][i]
-            rounds[r - 1][i], slots[j] = (a, slots[j][1]), (r, b, slots[j][2])
+            r, i, j = rng.choice(trades)
+            (_, c), (a, b) = rounds[r][i], rounds[r][j]
+            rounds[r][i], rounds[r][j] = (None, b), (a, c)
         else:  # a root the cube phase calls already
-            j = rng.randrange(len(slots))
-            r, _, i = slots[j]
+            r, i = rng.choice(own)
             roots = [v for v, label in enumerate(g.labels)
                      if v not in near and v != u and label.is_root]
             assume(roots)
-            slots[j] = (r, rng.choice(roots), i)
-        return (FilledTemplate(CubeTemplate(template.tree, rounds, slots), u), u, overrides,
+            rounds[r][i] = (None, rng.choice(roots))
+        return (CubeTemplate(template.tree, rounds), u, overrides,
                 bool(trades) and not g.labels[u].is_root)
-    if kind == "two-slots":  # u calls in two rounds or more, as n > 2^t
-        j = rng.randrange(1, len(slots))
-        slots[j] = (slots[rng.randrange(j)][0], slots[j][1], 0)
-        return FilledTemplate(CubeTemplate(template.tree, rounds, slots), u), u, overrides, False
-    if kind == "other-filling":
-        v = rng.choice([v for v, label in enumerate(g.labels) if v != u and label.cube is None
-                        and label.tree == template.tree])
-        return FilledTemplate(template, v), u, overrides, True
+    if kind == "calls-twice":  # u calls in two rounds or more, as n > 2^t
+        j = rng.randrange(1, len(own))
+        (r, i), (earlier, _) = own[j], own[rng.randrange(j)]
+        rounds[earlier].insert(0, rounds[r].pop(i))
+        return CubeTemplate(template.tree, rounds), u, overrides, False
+    if kind == "names-originator":
+        if rng.random() < 0.5:
+            r, i = rng.choice(own)
+            rounds[r][i] = (u, rounds[r][i][1])
+        else:
+            callers = {a for calls in rounds for a, _ in calls}
+            r, i = rng.choice([(r, i) for r, calls in enumerate(rounds)
+                               for i, (_, b) in enumerate(calls) if b in callers])
+            rounds[r][i] = (rounds[r][i][0], u)
+        return CubeTemplate(template.tree, rounds), u, overrides, False
     if kind == "other-tree":
         params = make_params(g.t, g.k, g.n)
         first_of = {}  # per tree, its first off-cube vertex
         for v, label in enumerate(g.labels):
             if label.cube is None:
                 first_of.setdefault(label.tree, v)
-        differ = set()
-        for tree, v in first_of.items():
-            theirs = make_schedule(g, layout, params, g.labels[v]).pieces[0].template
-            if tree != template.tree and (theirs.rounds, theirs.slots) != (template.rounds,
-                                                                          template.slots):
-                differ.add(tree)
+        differ = {tree for tree, v in first_of.items() if tree != template.tree
+                  and make_schedule(g, layout, params, g.labels[v]).pieces[0].rounds
+                  != template.rounds}
         v = rng.choice([v for v, label in enumerate(g.labels)
                         if label.cube is None and label.tree in differ])
-        return FilledTemplate(template, v), v, overrides, True
+        return template, v, overrides, True
     if kind == "cube-u":
         cube = [v for v, label in enumerate(g.labels) if label.cube is not None and v != u]
-        v = rng.choice(cube)
-        return FilledTemplate(template, v), v, overrides, True
+        return template, rng.choice(cube), overrides, True
     if kind == "caller-uninformed":  # a call of the template, into its caller's informing round
-        informed = {c: r for r, c, _ in slots}
-        informed.update((b, r) for r, calls in enumerate(rounds, 1) for _, b in calls)
-        r, i = rng.choice([(r, i) for r, calls in enumerate(rounds, 1)
-                           for i in range(len(calls))])
-        call = rounds[r - 1].pop(i)
-        rounds[informed[call[0]] - 1].append(call)
-        return (FilledTemplate(CubeTemplate(template.tree, rounds, _fit(rounds, slots)), u), u,
-                overrides, False)
+        informed = {b: r for r, calls in enumerate(rounds) for _, b in calls}
+        r, i = rng.choice([(r, i) for r, calls in enumerate(rounds)
+                           for i, (a, _) in enumerate(calls) if a is not None])
+        call = rounds[r].pop(i)
+        rounds[informed[call[0]]].append(call)
+        return CubeTemplate(template.tree, rounds), u, overrides, False
     if kind == "root-filling":
         v = rng.choice([v for v, label in enumerate(g.labels) if v != u
                         and label.tree == template.tree])
-        return FilledTemplate(template, v), v, overrides, True
+        return template, v, overrides, True
     if kind == "w-dropped":
-        return first, u, (), True
+        return template, u, (), True
     if kind == "override-twice":  # an informed neighbour of w calls it, in a round of its own
         w = layout.dense[layout.w]
-        informed = {c for _, c, _ in slots} | {b for calls in rounds for _, b in calls}
+        informed = {b for calls in rounds for _, b in calls}
         rounds.append([(rng.choice([a for a in row(g, w) if a in informed]), w)])
         both = (*overrides, (1, layout.tree_rounds(1, layout.w)))
-        return (FilledTemplate(CubeTemplate(template.tree, rounds, slots), u), u,
-                (rng.choice(both),) * 2, True)
-    # slot-place: a slot's place before the first call of its round, or
-    # past the last
-    j = rng.randrange(len(slots))
-    r, c, _ = slots[j]
-    slots[j] = (r, c, rng.choice([-1, len(rounds[r - 1]) + len(slots)]))
-    return FilledTemplate(CubeTemplate(template.tree, rounds, slots), u), u, overrides, False
+        return CubeTemplate(template.tree, rounds), u, (rng.choice(both),) * 2, True
+    # none-callee
+    r, i = rng.choice([(r, i) for r, calls in enumerate(rounds) for i in range(len(calls))])
+    rounds[r][i] = (rounds[r][i][0], None)
+    return CubeTemplate(template.tree, rounds), u, overrides, False
 
 
 @pytest.mark.parametrize("kind", TEMPLATE_MUTATIONS)
@@ -615,7 +606,7 @@ def test_template_vouches_only_for_the_originator_it_was_made_for(kind, tkn, pic
         mp.setattr(verify, "make_schedule", lambda *args: s)
         mp.setattr(verify, "families", _one_by_one)
         report = certify_graph(g, layout, params, originators=[u])
-    accepted = verify._record(g).templates[first.template]
+    accepted = verify._record(g).templates[first]
     assert (accepted is not None) == legal_template
     if kind == "none":
         # a new template object: accepted in its turn, and it vouches for u
@@ -623,8 +614,8 @@ def test_template_vouches_only_for_the_originator_it_was_made_for(kind, tkn, pic
         assert verify._check_pieces(g, s) is not None
         return
     # every mutant is refused piecewise and reported as the whole replay
-    # finds it: illegal, but for a slot placed outside its round, whose
-    # filled rounds hold the generated calls, in another order
+    # finds it: illegal, but for u named as the caller of its own call,
+    # whose filled rounds are the generated ones
     assert verify._check_pieces(g, s) is None
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verify, "_check_pieces", lambda g, s: None)
@@ -638,10 +629,12 @@ def test_template_vouches_only_for_the_originator_it_was_made_for(kind, tkn, pic
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(verify, "_check_pieces", lambda g, s: None)
             assert sizes is not None and sizes == check_schedule(g, both).informed_per_round
-    if kind == "slot-place":
-        assert want == (True, params.t + 1)
+    if kind == "names-originator" and want[0]:
+        assert s.rounds == generated.rounds and want == (True, params.t + 1)
         assert report.per_originator == [(g.vertex_id(u), params.t + 1)]
         return
+    if kind == "none-callee":
+        assert whole.violation.reason == "unknown-vertex"
     assert not want[0] and not report.passed
     assert report.failures == [{"id": g.vertex_id(u), "violation": whole.violation.to_json_obj()}]
 
@@ -659,8 +652,8 @@ def _family_with(kind, g, layout, params, rng):
       pruned mask, -1, or the first past g's;
     - template-id: an id the template names added, also certified;
     - repeated: a member listed twice;
-    - stranger: the edge from a member that is no root's child to a slot
-      callee of its template dropped from the graph;
+    - stranger: the edge from a member that is no root's child to a
+      callee of the caller None in its template dropped from the graph;
     - other-template: the family tied to another tree's template;
     - other-graph: the family's fragment replaced by an equal one of
       another build of the graph."""
@@ -680,15 +673,15 @@ def _family_with(kind, g, layout, params, rng):
         return g, ids, [family._replace(members=members + [v])], [v]
     if kind == "template-id":
         template = family.template
-        named = {x for calls in template.rounds for call in calls for x in call}
-        v = rng.choice(sorted(named.union(c for _, c, _ in template.slots)))
+        named = {x for calls in template.rounds for call in calls for x in call} - {None}
+        v = rng.choice(sorted(named))
         return g, ids + [v], [family._replace(members=members + [v])], [v]
     if kind == "repeated":
         v = rng.choice(members)
         return g, ids, [family._replace(members=members + [v])], [v, v]
     if kind == "stranger":  # an attachment edge, which no tree fragment uses
         u = rng.choice([v for v in members if g.labels[v].pos.count("1") > 1])
-        c = rng.choice([c for _, c, _ in family.template.slots])
+        c = rng.choice([c for calls in family.template.rounds for a, c in calls if a is None])
         edges = [e for e in g.edge_ids() if e != (min(u, c), max(u, c))]
         return Graph.from_sorted(g.labels, edges, t=g.t, k=g.k), ids, None, [u]
     if kind == "other-template":
@@ -792,7 +785,7 @@ def test_a_shape_is_shared_only_by_fragments_equal_in_local_ids(kind, tkn, rng):
 
     def whole(family, u):
         """The whole replay of member u's schedule."""
-        s = Schedule(g.labels, u, FilledTemplate(family.template, u),
+        s = Schedule(g.labels, u, family.template,
                      [(family.template.tree, ShiftedFragment(family.base, u))], table)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(verify, "_check_pieces", lambda g, s: None)

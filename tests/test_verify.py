@@ -6,8 +6,8 @@ import subprocess
 import sys
 
 import pytest
-from conftest import (label_schedule, like_first, neighbours, reference_report, row,
-                      smallest_first, vertex)
+from conftest import (cube_rounds, label_schedule, like_first, neighbours, reference_report,
+                      row, smallest_first, vertex)
 
 from broadcastnet import (
     BroadcastNetError,
@@ -29,7 +29,7 @@ from broadcastnet import (
     verify,
 )
 from broadcastnet.labels import bits
-from broadcastnet.schedule import CubeTemplate, FilledTemplate, ShiftedFragment
+from broadcastnet.schedule import CubeTemplate, ShiftedFragment
 
 
 def _path3():
@@ -280,6 +280,31 @@ def test_check_rejects_out_of_range_ids(g72, bad):
     assert not res.ok and res.violation.reason == "unknown-originator"
 
 
+@pytest.mark.parametrize("bad", [None, 1.0, "1", 1.5])
+def test_ids_that_are_no_ints_are_unknown(bad):
+    # on Q2, on its own label tuple and on an equal copy: a call that names
+    # an id that is no int (None is the originator only as a template's
+    # caller) voids its round as an unknown vertex, and such an originator
+    # is an unknown originator; to_json raises UnknownVertex for either,
+    # and nothing raises a TypeError
+    q = build_hypercube(2)
+    g = q.to_graph()
+    origin, rounds = hypercube_schedule(q, q.label(0)).ids_in(g)
+    for labels in (g.labels, tuple(list(g.labels))):
+        assert check_schedule(g, Schedule(labels, origin, rounds)).ok
+        for call in ((1, bad), (bad, 1), (bad, bad)):
+            s = Schedule(labels, origin, [rounds[0], [*rounds[1], call]])
+            assert check_schedule(g, s).violation.to_json_obj() == {
+                "kind": "illegal-call", "round": 2, "reason": "unknown-vertex"}
+            with pytest.raises(UnknownVertex):
+                s.to_json(g)
+        s = Schedule(labels, bad, rounds)
+        assert check_schedule(g, s).violation.to_json_obj() == {
+            "kind": "illegal-call", "round": 0, "reason": "unknown-originator"}
+        with pytest.raises(UnknownVertex):
+            s.to_json(g)
+
+
 def test_label_schedule_naming_foreign_labels():
     # ids_in turns a label the graph lacks into -1: an unknown originator,
     # or an unknown vertex voiding the round of the call that names it
@@ -458,11 +483,15 @@ def test_tree_fragments_are_immutable(g72):
     params, g, layout, _ = g72
     plain, shifted = layout.tree_rounds(2), layout.tree_rounds(1, 3)
     assert isinstance(plain, tuple) and isinstance(shifted, ShiftedFragment)
+    assert ShiftedFragment.__slots__ == ("base", "u", "_rounds")
     for name, value in (("base", plain), ("u", 0), ("_rounds", ())):
         with pytest.raises(AttributeError):
             setattr(shifted, name, value)
+    # pickled as its two fields: the copy makes its rounds when first read
+    made = tuple(shifted)
     again = pickle.loads(pickle.dumps(shifted))
-    assert (again.base, again.u, tuple(again)) == (shifted.base, shifted.u, tuple(shifted))
+    assert again._rounds is None
+    assert (again.base, again.u, tuple(again)) == (shifted.base, shifted.u, made)
     for frag in (plain, shifted):
         assert all(isinstance(calls, tuple) for calls in frag)
         with pytest.raises(TypeError):
@@ -474,24 +503,38 @@ def test_tree_fragments_are_immutable(g72):
         s.rounds[0].append((0, 1))
     with pytest.raises(AttributeError):
         s.rounds = ()
-    # an off-cube originator's first rounds: its tree's template, filled;
-    # an on-cube one's: the template of its cube coordinate
-    filled = s.pieces[0]
-    assert isinstance(filled, FilledTemplate) and filled.template is layout.cube_templates[1, None]
-    root = make_schedule(g, layout, params, vertex(g, layout, 2, 0)).pieces[0]
-    assert root.template is layout.cube_templates[2, layout.coord_of_tree[2]]
-    for obj, name in ((filled, "u"), (filled, "template"), (filled, "_rounds"),
-                      (filled.template, "slots")):
+    # an off-cube originator's first rounds: its tree's template; an
+    # on-cube one's: the template of its cube coordinate; each schedule
+    # fills its template with its own originator, the caller None
+    first = s.pieces[0]
+    assert isinstance(first, CubeTemplate) and first is layout.cube_templates[1, None]
+    on_cube = make_schedule(g, layout, params, vertex(g, layout, 2, 0))
+    root = on_cube.pieces[0]
+    assert root is layout.cube_templates[2, layout.coord_of_tree[2]]
+    assert CubeTemplate.__slots__ == ("tree", "rounds")
+    for obj in (first, root):
+        for name in ("tree", "rounds", "u"):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, ())
         with pytest.raises(AttributeError):
-            setattr(obj, name, ())
-    # the layout goes to pool workers with the templates it holds
-    again = pickle.loads(pickle.dumps((layout, filled, root)))
-    for template, first in ((again[0].cube_templates[1, None], filled),
-                            (again[0].cube_templates[2, layout.coord_of_tree[2]], root)):
-        assert (template.tree, template.rounds, template.slots) == (
-            first.template.tree, first.template.rounds, first.template.slots)
-    for copy, first in zip(again[1:], (filled, root)):
-        assert tuple(copy) == tuple(first) and copy.u == first.u
+            obj.rounds[0].append((0, 1))
+    for sched in (s, on_cube):
+        template = sched.pieces[0]
+        assert sched.origin not in {x for calls in template.rounds for call in calls for x in call}
+        assert None in {a for calls in template.rounds for a, _ in calls}
+        assert cube_rounds(sched) == tuple(
+            tuple((sched.origin if a is None else a, b) for a, b in calls)
+            for calls in template.rounds)
+    # the layout pickles with the templates it holds, and a schedule with
+    # its template, as its two fields
+    again = pickle.loads(pickle.dumps((layout, first, root, s, on_cube)))
+    for template, orig in ((again[0].cube_templates[1, None], first),
+                           (again[0].cube_templates[2, layout.coord_of_tree[2]], root)):
+        assert (template.tree, template.rounds) == (orig.tree, orig.rounds)
+    for copy, orig in zip(again[1:3], (first, root)):
+        assert (type(copy), copy.tree, copy.rounds) == (CubeTemplate, orig.tree, orig.rounds)
+    for copy, orig in zip(again[3:], (s, on_cube)):
+        assert copy.origin == orig.origin and copy.rounds == orig.rounds
 
 
 def test_check_from_pieces_equals_whole_replay(g72, monkeypatch):
@@ -513,13 +556,14 @@ def test_recorded_verdict_is_tied_to_its_start_vertex(g72, monkeypatch):
     r1, r3 = vertex(g, layout, 1, 0), vertex(g, layout, 3, 0)
     s = make_schedule(g, layout, params, r1)
     assert certify_graph(g, layout, params, originators=[r1]).passed
-    cube, overrides, table = s.pieces
+    _, overrides, table = s.pieces
+    cube = cube_rounds(s)
     assert (3, layout.tree_rounds(3)) in table and 3 not in dict(overrides)
     a, b = g.vertex_id(r1), g.vertex_id(r3)
     x = max(v for v in row(g, a) if g.labels[v].tree == 3)
     assert (a, b) in cube[-1] and b not in {c for calls in cube for c, _ in calls}
     cube = [[(a, x) if call == (a, b) else call for call in calls] for calls in cube]
-    bad = Schedule(g.labels, a, like_first(s.pieces[0], cube), overrides, table)
+    bad = Schedule(g.labels, a, like_first(s, cube), overrides, table)
     assert verify._check_pieces(g, bad) is None
     monkeypatch.setattr(verify, "make_schedule", lambda *args: bad)
     report = certify_graph(g, layout, params, originators=[r1])
@@ -568,11 +612,12 @@ def test_piecewise_verdicts_do_not_depend_on_check_order(g73_shrunk):
         other = next(t for t, _ in s.pieces[2] if t != tree)
         cases += [
             s,
-            Schedule(g.labels, s.origin, _stop_mid_round(s.pieces[0], s.origin), *s.pieces[1:]),
+            Schedule(g.labels, s.origin, _stop_mid_round(cube_rounds(s), s.origin),
+                     *s.pieces[1:]),
             # the same rounds as a new cube template, accepted from a
             # placeholder past g's ids
             Schedule(g.labels, s.origin,
-                     like_first(s.pieces[0], _stop_mid_round(s.pieces[0], s.origin)),
+                     like_first(s, _stop_mid_round(cube_rounds(s), s.origin)),
                      *s.pieces[1:]),
             s,
             replaced(_stop_mid_round(frag, root)),
@@ -593,15 +638,18 @@ def test_piecewise_verdicts_do_not_depend_on_check_order(g73_shrunk):
     assert len(legal) == 5
     forward = [True, False, False, True, False, False, False, False, False] * len(legal)
     assert outcomes == forward + forward[::-1]
-    # an id that is no index: met by the whole replay it raises, as it
-    # always has; after a violation the whole replay decides; either way
-    # later verdicts are a fresh graph's
+    # an id that is no int: met by the whole replay it voids its round as
+    # an unknown vertex; after a violation the whole replay decides; either
+    # way later verdicts are a fresh graph's
     s = legal[0]
-    cube, overrides, table = s.pieces
-    rounds = [list(calls) for calls in cube]
+    _, overrides, table = s.pieces
+    rounds = [list(calls) for calls in cube_rounds(s)]
     rounds[-1][-1] = (rounds[-1][-1][0], "x")
-    with pytest.raises(TypeError):
-        check_schedule(g, Schedule(g.labels, s.origin, rounds, overrides, table))
+    named = Schedule(g.labels, s.origin, rounds, overrides, table)
+    res = check_schedule(g, named)
+    assert res.violation.to_json_obj() == {"kind": "illegal-call", "round": len(rounds),
+                                           "reason": "unknown-vertex"}
+    assert res == check_schedule(fresh(), named)
     _, frag, replaced = own_fragment(s)
     rounds = [list(calls) for calls in _stop_mid_round(frag, s.origin)]
     rounds[-1][-1] = (rounds[-1][-1][0], 0.5)
@@ -707,9 +755,9 @@ def test_template_vouches_for_no_originator_it_names(g72):
     # as the vertex informed besides it
     params, g, layout, _ = g72
     r1, r2, r3 = (g.vertex_id(vertex(g, layout, tree, 0)) for tree in (1, 2, 3))
-    template = CubeTemplate(2, [[], [(r3, r1)], [(r3, r2)]], [(1, r3, 0)])
+    template = CubeTemplate(2, [[(None, r3)], [(r3, r1)], [(r3, r2)]])
     table = layout.plain_table
-    s = Schedule(g.labels, r2, FilledTemplate(template, r2),
+    s = Schedule(g.labels, r2, template,
                  [(2, ShiftedFragment(layout.tree_rounds(2), r2))], table)
     assert verify._check_pieces(g, s) is None
     rec = verify._record(g)
@@ -732,30 +780,30 @@ def test_template_vouches_only_for_an_originator_of_its_tree(g72):
     r1, r2 = (g.vertex_id(vertex(g, layout, tree, 0)) for tree in (1, 2))
     s = make_schedule(g, layout, params, vertex(g, layout, 1, 5))
     first, [(tree, frag)], table = s.pieces
-    assert tree == 1 and [c for _, c, _ in first.template.slots] == [r2, r1]
+    assert tree == 1 and [c for calls in first.rounds for a, c in calls if a is None] == [r2, r1]
     assert verify._check_pieces(g, s) is not None
     v = next(v for v, label in enumerate(g.labels)
              if label.tree == 2 and not label.is_root and {r1, r2} <= set(row(g, v)))
-    bad = Schedule(g.labels, v, FilledTemplate(first.template, v),
+    bad = Schedule(g.labels, v, first,
                    [(1, ShiftedFragment(frag.base, v))], table)
     assert verify._check_pieces(g, bad) is None and not check_schedule(g, bad).ok
-    nowhere = CubeTemplate(0, first.template.rounds, first.template.slots)
-    moved = Schedule(g.labels, s.origin, FilledTemplate(nowhere, s.origin), [(tree, frag)], table)
+    nowhere = CubeTemplate(0, first.rounds)
+    moved = Schedule(g.labels, s.origin, nowhere, [(tree, frag)], table)
     assert verify._check_pieces(g, moved) is None and verify._record(g).templates[nowhere] is None
     assert check_schedule(g, moved) == check_schedule(g, s)
 
 
 def test_template_standing_for_a_root_vouches_for_that_root_alone(g72):
     # a template of tree 3 that leaves tree 3's root uninformed, so its
-    # placeholder stands for that root, which neighbours the slot callee.
-    # Filled with u, another vertex of tree 3 that neighbours the slot
-    # callee, it passes every check but "u is the root", and the whole
+    # placeholder stands for that root, which neighbours the callee of the
+    # caller None.  Given to u, another vertex of tree 3 that neighbours
+    # that callee, it passes every check but "u is the root", and the whole
     # replay finds the root never informed
     params, g, layout, _ = g72
     r1, r3 = (g.vertex_id(vertex(g, layout, tree, 0)) for tree in (1, 3))
     u = g.vertex_id(vertex(g, layout, 3, 5))
-    template = CubeTemplate(3, [[], []], [(1, r1, 0)])
-    bad = Schedule(g.labels, u, FilledTemplate(template, u), (), layout.plain_table)
+    template = CubeTemplate(3, [[(None, r1)], []])
+    bad = Schedule(g.labels, u, template, (), layout.plain_table)
     assert verify._check_pieces(g, bad) is None
     entry = verify._record(g).templates[template]
     assert entry.root == r3 and entry.overrides == {}
@@ -763,16 +811,17 @@ def test_template_standing_for_a_root_vouches_for_that_root_alone(g72):
     assert check_schedule(g, bad).violation.reason == "caller-uninformed"
 
 
-def test_root_template_is_refused_once_when_its_root_misses_a_slot_callee(g72, monkeypatch):
+def test_root_template_is_refused_once_when_its_root_misses_a_callee(g72, monkeypatch):
     # a template of tree 1 that leaves tree 1's root uninformed, so its
-    # placeholder stands for that root, whose edges to the slot callees are
-    # tested as the template is accepted: r1 does not neighbour r2, so the
-    # template is refused, once, and the whole replay finds the missing edge
+    # placeholder stands for that root, whose edges to the callees of the
+    # caller None are tested as the template is accepted: r1 does not
+    # neighbour r2, so the template is refused, once, and the whole replay
+    # finds the missing edge
     params, g, layout, _ = g72
     r1, r2, r3 = (g.vertex_id(vertex(g, layout, tree, 0)) for tree in (1, 2, 3))
     assert r2 not in row(g, r1) and r3 in row(g, r2)
-    template = CubeTemplate(1, [[], [(r2, r3)]], [(1, r2, 0)])
-    s = Schedule(g.labels, r1, FilledTemplate(template, r1), (), layout.plain_table)
+    template = CubeTemplate(1, [[(None, r2)], [(r2, r3)]])
+    s = Schedule(g.labels, r1, template, (), layout.plain_table)
     accept, made = verify._accept_template, []
     monkeypatch.setattr(verify, "_accept_template",
                         lambda *args: made.append(args[2]) or accept(*args))
@@ -793,10 +842,9 @@ def test_template_informs_one_vertex_per_tree_besides_its_root(g72):
     w = g.vertex_id(vertex(g, layout, 1, layout.w))
     s = make_schedule(g, layout, params, vertex(g, layout, 1, 5))
     first, overrides, table = s.pieces
-    assert first.template.rounds == ((), ((r2, r3),))
-    assert [c for _, c, _ in first.template.slots] == [r2, r1]
-    template = CubeTemplate(1, [[], [(r2, w)]], first.template.slots)
-    bad = Schedule(g.labels, s.origin, FilledTemplate(template, s.origin),
+    assert first.rounds == (((None, r2),), ((r2, r3), (None, r1)))
+    template = CubeTemplate(1, [[(None, r2)], [(r2, w), (None, r1)]])
+    bad = Schedule(g.labels, s.origin, template,
                    [*overrides, (1, layout.tree_rounds(1, layout.w))], table)
     assert verify._check_pieces(g, bad) is None and verify._record(g).templates[template] is None
     assert not check_schedule(g, bad).ok
@@ -809,24 +857,24 @@ def _whole(g, s, monkeypatch):
         return check_schedule(g, s)
 
 
-def test_a_slot_may_call_a_neighbour_off_the_cube(g73_shrunk, monkeypatch):
+def test_the_originator_may_call_a_neighbour_off_the_cube(g73_shrunk, monkeypatch):
     # u, off the cube in tree 3, makes no call in the cube phase's last
     # round.  With an edge to v, a vertex off the cube of tree 4, a template
-    # whose extra slot has u call v in that round is legal: it informs v
-    # there, and tree 4 is overridden from v.  Every piecewise edge is tested
-    # on the CSR, so the check accepts it from its pieces, with the whole
-    # replay's counts
+    # whose extra call of the caller None has u call v in that round is
+    # legal: it informs v there, and tree 4 is overridden from v.  Every
+    # piecewise edge is tested on the CSR, so the check accepts it from its
+    # pieces, with the whole replay's counts
     params, g, layout, _ = g73_shrunk
     u, v = (g.vertex_id(vertex(g, layout, tree, 5)) for tree in (3, 4))
     s = make_schedule(g, layout, params, g.labels[u])
     first, overrides, table = s.pieces
-    k = len(first)
-    assert {r for r, _, _ in first.template.slots} == set(range(1, k))
+    k = len(first.rounds)
+    assert {r for r, calls in enumerate(first.rounds, 1) for a, _ in calls if a is None} == set(
+        range(1, k))
     near = Graph.from_sorted(g.labels, sorted([*g.edge_ids(), (u, v)]), t=g.t, k=g.k)
     assert g.labels[v].cube is None and v not in row(g, u) and v in row(near, u)
-    template = CubeTemplate(first.template.tree, first.template.rounds,
-                            [*first.template.slots, (k, v, 0)])
-    mine = Schedule(g.labels, u, FilledTemplate(template, u),
+    template = CubeTemplate(first.tree, [*first.rounds[:-1], ((None, v), *first.rounds[-1])])
+    mine = Schedule(g.labels, u, template,
                     [*overrides, (4, ShiftedFragment(dict(table)[4], v))], table)
     sizes = verify._check_pieces(near, mine)
     entry = verify._record(near).templates[template]
@@ -866,10 +914,10 @@ def test_an_informed_vertex_overrides_the_tree_whose_span_holds_it(t, k, n, monk
         the piecewise and the whole check of root's schedule with that
         template, ``override`` too and ``table``."""
         s = make_schedule(g, layout, params, g.labels[root])
-        template = s.pieces[0].template
+        template = s.pieces[0]
         if extra:
-            template = CubeTemplate(template.tree, [*template.rounds, extra], template.slots)
-        mine = Schedule(g.labels, root, FilledTemplate(template, root),
+            template = CubeTemplate(template.tree, [*template.rounds, extra])
+        mine = Schedule(g.labels, root, template,
                         [*s.pieces[1], *override], table)
         sizes = verify._check_pieces(g, mine)
         return verify._record(g).templates[template], sizes, _whole(g, mine, monkeypatch)
