@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import RootNotInformed
+from .errors import RootNotInformed, UnknownVertex
 from .graph import Graph
 from .labels import VertexLabel, bits, pos_mask
 from .schedule import Schedule
@@ -43,6 +43,16 @@ class BinomialTree:
     def label(self, mask: int) -> VertexLabel:
         return VertexLabel(tree=1, pos=bits(mask, self.m) if mask else "")
 
+    def mask_of(self, label: VertexLabel) -> int:
+        """The mask whose label equals ``label``, else UnknownVertex."""
+        try:
+            mask = pos_mask(label.pos)
+        except (AttributeError, TypeError, ValueError):
+            mask = -1
+        if not (0 <= mask < self.size and label == self.label(mask)):
+            raise UnknownVertex(f"{label} is not a vertex of B^{self.m}")
+        return mask
+
     @cached_property
     def labels(self) -> tuple[VertexLabel, ...]:
         """Every vertex in mask order, as to_graph() numbers them."""
@@ -63,12 +73,13 @@ def binomial_schedule(tree: BinomialTree, informed: set[VertexLabel] | None = No
     """Broadcast the tree from its root.
 
     Every informed vertex calls its largest-order uninformed child each
-    round; vertices in ``informed`` (which must hold the root) are never
-    called but place calls from round 1 on.  The ids are the masks.
+    round; vertices in ``informed`` (which must hold the root, and only
+    labels of the tree: UnknownVertex otherwise) are never called but place
+    calls from round 1 on.  The ids are the masks.
     """
     if informed is not None and tree.root not in informed:
         raise RootNotInformed("root of tree 1 must be informed")
-    masks = {pos_mask(v.pos) for v in informed} if informed else None
+    masks = set(map(tree.mask_of, informed)) if informed else None
     return Schedule(tree.labels, 0, binomial_rounds_masks(tree.m, masks))
 
 

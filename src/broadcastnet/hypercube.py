@@ -38,11 +38,13 @@ class Hypercube:
         return tuple(map(self.label, range(self.size)))
 
     def coord_of(self, label: VertexLabel) -> int:
-        if label.cube is None or len(label.cube) != self.m and self.m > 0:
-            raise UnknownVertex(f"{label} is not a coordinate of Q^{self.m}")
-        c = pos_mask(label.cube)
-        if not 0 <= c < self.size:
-            raise UnknownVertex(f"{label} outside Q^{self.m}")
+        """The coordinate whose label equals ``label``, else UnknownVertex."""
+        try:
+            c = pos_mask(label.cube)
+        except (AttributeError, TypeError, ValueError):
+            c = -1
+        if not (0 <= c < self.size and label == self.label(c)):
+            raise UnknownVertex(f"{label} is not a vertex of Q^{self.m}")
         return c
 
     def to_graph(self) -> Graph:

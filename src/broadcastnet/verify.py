@@ -16,9 +16,10 @@ tree's root alone, and its counts per round are kept with their sum.  Its
 first rounds (the cube phase) are a CubeTemplate, which the schedule fills
 with u, accepted once per graph and table: the template is replayed, on a
 fresh state over the ids it names, filled with a placeholder for the
-originator, informed at round 0 and making the calls whose caller is None,
-and the vertices it informs fix which trees are overridden, from which
-vertex, and the counts of the trees left to the table.  Per originator only
+originator, informed at round 0 and making the calls whose caller is None
+(the one caller whose edges it does not test), and the vertices it
+informs fix which trees are overridden, from which vertex, and the
+counts of the trees left to the table.  Per originator only
 u's own part is checked, with no replay: u lies in the template's tree and
 neighbours each of its own callees (when the placeholder stands for the
 tree's root, u is that root, whose edges were tested as the template was
@@ -29,8 +30,8 @@ rounds (_accepted).  Sound because a call that does not involve u does not depen
 on which vertex u is: u is informed at round 0 whoever it is, and the
 template fixes the rounds u calls in and the vertices it calls.  Whatever
 that check does not accept is replayed whole, which gives every failure's
-witness.  The piecewise check tests each edge by a bisection of g's CSR
-(_has_edge), and the whole replay in neighbour sets made once per graph.
+witness.  Every replay tests each edge by one bisection of g's CSR
+(_replay), so the checker keeps nothing per vertex.
 
 The family path (_certify_family) makes no schedule.  The originators off
 the cube of a tree T = [lo, hi) share T's template, the table and T's
@@ -123,7 +124,7 @@ def check_schedule(g: Graph, s: Schedule) -> CheckResult:
     # replayed as one call of the unknown id -1, so it ends as unknown-vertex
     rounds = (sorted(calls) if all(map(isinstance, chain.from_iterable(calls), repeat(int)))
               else [(-1, -1)] for calls in id_rounds)
-    bad = _replay(when, used, g, _neighbour_sets(g), rounds, 0, n, sizes)
+    bad = _replay(when, used, g, rounds, 0, n, sizes)
     if bad is not None:
         return CheckResult(False, violation=_illegal_call(*bad, when, used, g))
     if sizes[-1] != n:
@@ -144,29 +145,15 @@ def _fresh(n: int, origin: int) -> tuple[list[int], list[int]]:
     return when, [0] * n
 
 
-def _neighbour_sets(g: Graph) -> list[frozenset[int]]:
-    """The whole replay's edge test: per vertex of g, its neighbour ids as a
-    frozenset, which holds what a frozenset adjacency would.  Kept on g's
-    record (see _Record) and made by the first whole replay on g: one
-    replay calls from about every other vertex, so making the sets lazily
-    would save at most half.  The piecewise check never makes them."""
-    sets = _record(g).sets
-    if not sets:
-        off, nbrs = g.offsets, g.targets
-        sets.extend(frozenset(nbrs[off[v]:off[v + 1]]) for v in range(g.n))
-    return sets
-
-
-def _replay(when: list[int] | dict, used: list[int] | dict, g: Graph,
-            sets: list | dict | None, rounds, lo: int, hi: int,
-            sizes: list[int]) -> tuple | None:
+def _replay(when: list[int] | dict, used: list[int] | dict, g: Graph, rounds,
+            lo: int, hi: int, sizes: list[int], placeholder: int = -1) -> tuple | None:
     """Replay ``rounds`` as rounds 1, 2, ... on the state ``when``, ``used``
     (see _fresh; lists, or dicts over every id the rounds name), in the
     order given.  A call is legal when both ends are ids in [lo, hi), the
     caller was informed before this round and has not called in it, the
-    callee is not informed, and they are adjacent in g: b in sets[a]
-    (_neighbour_sets, or a template's rows: see _accept_template), or with
-    no sets _has_edge, inlined for the table's one test per call.
+    callee is not informed, and they are adjacent in g: a bisection of the
+    caller's slice of g's CSR (_has_edge, inlined), the one edge test, which
+    only the calls of ``placeholder`` skip (see _accept_template).
     The informed count after each round is appended to ``sizes``, which
     starts with the count before.  Returns the first illegal call as (round,
     caller, callee, the calls of its round), or None.
@@ -176,8 +163,8 @@ def _replay(when: list[int] | dict, used: list[int] | dict, g: Graph,
         for a, b in calls:
             if not (lo <= a < hi and lo <= b < hi and when[a] < rnd and used[a] != rnd
                     and when[b] == _NEVER
-                    and (b in sets[a] if sets is not None
-                         else (i := bisect_left(targets, b, offsets[a], end := offsets[a + 1]))
+                    and (a == placeholder
+                         or (i := bisect_left(targets, b, offsets[a], end := offsets[a + 1]))
                          < end and targets[i] == b)):
                 return rnd, a, b, calls
             when[b] = rnd
@@ -253,13 +240,12 @@ class _Record:
     do not form one range), so a vertex v lies in the span of its label's
     tree, and is that tree's root when v is its lo; ``labels`` is the last
     label tuple compared with g's and ``same`` whether it is equal.
-    ``sets`` holds the whole replay's neighbour sets (_neighbour_sets),
-    ``accepted`` the table accepted last, or None, and ``templates`` the
+    ``accepted`` is the table accepted last, or None, and ``templates`` the
     verdict on every cube template met since, keyed by the template
-    object: a _Template, or None when it was refused.  The piecewise check
-    tests its edges on g's CSR (_has_edge), and keeps nothing per vertex."""
+    object: a _Template, or None when it was refused.  It holds nothing per
+    vertex: every replay tests its edges on g's CSR (_replay)."""
 
-    __slots__ = ("spans", "labels", "same", "sets", "accepted", "templates")
+    __slots__ = ("spans", "labels", "same", "accepted", "templates")
 
     def __init__(self, g: Graph):
         spans: dict | None = {}
@@ -272,7 +258,6 @@ class _Record:
             spans[tree], lo = (lo, hi), hi
         self.spans = spans
         self.labels, self.same = g.labels, True
-        self.sets: list[frozenset[int]] = []
         self.accepted: _Accepted | None = None
         self.templates: dict[CubeTemplate, _Template | None] = {}
 
@@ -323,7 +308,7 @@ def _accept_table(g: Graph, rec: _Record, table) -> _Accepted | None:
             return None
         when[lo] = 0
         counts = [1]
-        bad = _replay(when, used, g, None, frag, lo, hi, counts)
+        bad = _replay(when, used, g, frag, lo, hi, counts)
         added = [b - a for a, b in zip(counts, counts[1:])]
         if bad is not None or counts[-1] != hi - lo or added and not added[-1]:
             return None
@@ -350,9 +335,9 @@ def _accept_template(g: Graph, rec: _Record, template: CubeTemplate) -> _Templat
     Its rounds are replayed, on a fresh state over the ids they name, filled
     with a placeholder P for the originator, the id n past g's, as a
     schedule fills them (None, as a caller, becomes P): P is informed at
-    round 0, makes the calls whose caller is None, and has their callees as
-    its only neighbours; each of the other calls is tested once, on g's CSR
-    (_has_edge), before the replay.
+    round 0 and makes the calls whose caller is None, the only calls whose
+    edge the replay does not test, as P is no vertex of g; P's callees are
+    tested against each originator (see _check_pieces, _certify_family).
     Every id but a None caller must be one of g's.  P lies in the
     template's tree, which must be in the table: P stands for that tree's
     root when the rounds leave the root uninformed, and then the root must
@@ -367,21 +352,15 @@ def _accept_template(g: Graph, rec: _Record, template: CubeTemplate) -> _Templat
     trees, total, spans = rec.accepted.trees, rec.accepted.total, rec.spans
     named = {a for calls in template.rounds for a, _ in calls} - {None}
     named.update(b for calls in template.rounds for _, b in calls)
-    callees = frozenset(b for calls in template.rounds for a, b in calls if a is None)
-    if (tree not in trees or not all(isinstance(x, int) and 0 <= x < n for x in named)
-            or not all(_has_edge(g, a, b) for calls in template.rounds for a, b in calls
-                       if a is not None)):
+    if tree not in trees or not all(isinstance(x, int) and 0 <= x < n for x in named):
         return None
     rounds = [[(n if a is None else a, b) for a, b in calls] for calls in template.rounds]
-    # the template's other calls are edges, so the replay lets a named id
-    # call any other; P's only neighbours are its callees
-    rows = dict.fromkeys(named, named)
-    rows[n] = callees
-    when, used = dict.fromkeys(rows, _NEVER), dict.fromkeys(rows, 0)
-    when[n] = 0
+    when, used = dict.fromkeys(named, _NEVER), dict.fromkeys(named, 0)
+    when[n], used[n] = 0, 0
     sizes = [1]
-    if _replay(when, used, g, rows, rounds, 0, n + 1, sizes) is not None:
+    if _replay(when, used, g, rounds, 0, n + 1, sizes, n) is not None:
         return None
+    callees = frozenset(b for calls in template.rounds for a, b in calls if a is None)
     informed = {v for calls in rounds for _, v in calls}
     root = spans[tree][0]
     at_root = root not in informed

@@ -5,6 +5,8 @@ from conftest import label_rounds, neighbours
 
 from broadcastnet import (
     RootNotInformed,
+    UnknownVertex,
+    VertexLabel,
     build_binomial,
     binomial_schedule,
     check_schedule,
@@ -172,6 +174,21 @@ def test_root_must_be_informed():
     t = build_binomial(2)
     with pytest.raises(RootNotInformed):
         binomial_schedule(t, informed={t.label(1)})
+
+
+@pytest.mark.parametrize("bad", [
+    VertexLabel(1, "111"),  # a mask past the tree
+    VertexLabel(5, "01"),   # another tree's label
+    VertexLabel(1, "2"),
+    VertexLabel(1, "00"),   # the root's pos is ""
+    VertexLabel(1, "01", "0"),
+    "01",                   # not a label at all
+])
+def test_informed_must_be_labels_of_the_tree(bad):
+    t = build_binomial(2)
+    assert binomial_schedule(t, informed=set(t.labels)).rounds == ()
+    with pytest.raises(UnknownVertex):
+        binomial_schedule(t, informed={t.root, bad})
 
 
 def test_root_schedule_matches_exact_oracle_small():

@@ -112,6 +112,26 @@ def test_schedule_unknown_originator():
         hypercube_schedule(q, VertexLabel(tree=None, cube="101"))
 
 
+@pytest.mark.parametrize("m, bad", [
+    (2, VertexLabel(3, "", "01")),     # a root's label, not the cube's
+    (2, VertexLabel(None, "1", "01")),  # a position besides the coordinate
+    (0, VertexLabel(None, "", "0")),   # Q^0's one vertex has cube ""
+    (2, VertexLabel(None, "", "1x")),
+    (2, VertexLabel(None, "", "-1")),
+    (2, VertexLabel(None, "", 1)),
+    (2, VertexLabel(None, "", None)),
+    (2, "01"),                         # not a label at all
+])
+def test_coord_of_accepts_only_the_cube_labels(m, bad):
+    # a label is a vertex of Q^m only when it equals that coordinate's label
+    q = build_hypercube(m)
+    assert [q.coord_of(v) for v in q.labels] == list(range(q.size))
+    with pytest.raises(UnknownVertex):
+        q.coord_of(bad)
+    with pytest.raises(UnknownVertex):
+        hypercube_schedule(q, bad)
+
+
 def test_schedule_zero_rounds_for_point():
     s = hypercube_schedule(build_hypercube(0), build_hypercube(0).label(0))
     assert s.rounds == ()

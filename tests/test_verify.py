@@ -4,6 +4,7 @@ import pickle
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from conftest import (cube_rounds, label_schedule, like_first, neighbours, reference_report,
@@ -29,6 +30,7 @@ from broadcastnet import (
     verify,
 )
 from broadcastnet.labels import bits
+from broadcastnet.params import full_size
 from broadcastnet.schedule import CubeTemplate, ShiftedFragment
 
 
@@ -64,6 +66,14 @@ def test_check_rejects_uninformed_caller():
 def test_check_rejects_non_edge_call():
     g, labs = _path3()
     s = label_schedule(labs[0], [[(labs[0], labs[2])]])
+    res = check_schedule(g, s)
+    assert not res.ok and res.violation.reason == "no-edge"
+
+
+def test_check_rejects_non_edge_call_of_the_last_vertex():
+    # the edge test has no exempt caller in a whole replay, the last id included
+    g, labs = _path3()
+    s = label_schedule(labs[2], [[(labs[2], labs[0])]])
     res = check_schedule(g, s)
     assert not res.ok and res.violation.reason == "no-edge"
 
@@ -466,6 +476,27 @@ def test_verdicts_on_a_mutated_graph_leave_the_graph_alone(monkeypatch):
         assert not certify_graph(mutated, layout, params).passed
     report = certify_graph(g, layout, params)
     assert report.passed and report.to_json() == want
+
+
+def test_the_whole_replay_keeps_nothing_on_the_graph():
+    # every replay tests its edges by bisecting g's CSR, so a whole replay
+    # leaves nothing behind: neighbour sets kept on g for the next replay
+    # (10.25 MB here) fail
+    params = make_params(12, 5, full_size(12, 5))
+    g, layout, _ = build(params)
+    s = make_schedule(g, layout, params, g.labels[0])
+    plain = Schedule(g.labels, s.origin, s.rounds)  # no pieces: replayed whole
+    assert plain.rounds  # the copy's own rounds, made before the count
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        res = check_schedule(g, plain)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert res.ok and res.completion_round == params.t + 1
+    assert res.informed_per_round == check_schedule(g, s).informed_per_round
+    assert kept < 64 * 1024, kept
 
 
 def test_certify_on_a_loaded_graph_runs_piecewise(g73_shrunk):
